@@ -1,0 +1,70 @@
+"""Golden CLI outputs: stdout and exit code, byte for byte, for a fixed flag set.
+
+Each file in tests/golden/ holds "exit <code>" on its first line followed by
+the command's stdout. Refactors must leave every file unchanged. To capture
+the files again (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from projheat.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+Z2, W2 = "--z=0.3+0.2j,0.1", "--w=0.2,-0.4j"
+Z3, W3 = "--z=0.1+0.2j,-0.3j,0.25", "--w=0.2-0.1j,0.1,0.05+0.3j"
+
+CASES = {
+    "coeffs_json": ["coeffs", "--n=3", "--nu=0", "--J=6"],
+    "coeffs_csv": ["coeffs", "--n=2", "--nu=1", "--J=8", "--format=csv"],
+    "dims_json": ["dims", "--n=2", "--two-nu=1", "--m-max=10"],
+    "dims_csv": ["dims", "--n=4", "--two-nu=3", "--m-max=12", "--format=csv"],
+    "decomp_json": ["decomp", "--n=4", "--two-nu=2"],
+    "decomp_csv": ["decomp", "--n=5", "--two-nu=3", "--format=csv"],
+    "kernel_json": ["kernel", "--n=1", "--two-nu=2", "--m=1", "--z=0.3+0.2j", "--w=0.1-0.4j"],
+    "kernel_csv": ["kernel", "--n=3", "--two-nu=1", "--m=4", Z3, W3, "--format=csv"],
+    "heat_eval_both_json": ["heat-eval", "--n=2", "--two-nu=1", "--t=0.5", Z2, W2],
+    "heat_eval_series_csv": ["heat-eval", "--n=3", "--two-nu=2", "--t=0.01", Z3, W3,
+                             "--method=series", "--format=csv"],
+    "heat_eval_integral_nodes_json": ["heat-eval", "--n=1", "--two-nu=3", "--t=0.05",
+                                      "--z=0.4-0.1j", "--w=-0.2+0.3j",
+                                      "--method=integral", "--nodes=48"],
+    "heat_eval_series_n1_json": ["heat-eval", "--n=1", "--two-nu=1", "--t=0.1",
+                                 "--z=0.3+0.2j", "--w=0.1-0.4j", "--method=series"],
+    "heat_eval_both_n2_csv": ["heat-eval", "--n=2", "--two-nu=3", "--t=0.01", Z2, W2,
+                              "--format=csv"],
+    "heat_eval_both_n3_json": ["heat-eval", "--n=3", "--two-nu=0", "--t=1.0", Z3, W3],
+    "trace_compare_json": ["trace-compare", "--n=1", "--nu=1", "--J=6", "--t=0.1,0.05,0.02"],
+    "trace_compare_n5_csv": ["trace-compare", "--n=5", "--nu=2", "--J=4",
+                             "--t=0.2,0.05,0.003", "--format=csv"],
+    "verify_all_json": ["verify"],
+    "verify_heat_seed7_csv": ["verify", "--scope=heat", "--seed=7", "--format=csv"],
+}
+
+
+def run(argv: list[str]) -> str:
+    """The golden record of one CLI call: exit line, then captured stdout."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return f"exit {code}\n{buf.getvalue()}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert run(CASES[name]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.txt").write_text(run(argv))
