@@ -18,6 +18,7 @@ from .errors import (
     NonPositiveTime,
     PoleError,
     ProjheatError,
+    TruncationFailed,
     UnsupportedN,
     UnsupportedNu,
 )

@@ -9,21 +9,17 @@ flags the output is byte-identical across runs. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from math import pi
 from pathlib import Path
 
-from .errors import (
-    AntipodalDegenerate,
-    DimensionMismatch,
-    NonPositiveTime,
-    UnsupportedN,
-    UnsupportedNu,
-)
+from .errors import ProjheatError
 from .exactnum import rational_str
 from .heat import QuadratureConfig, heat_kernel_integral, heat_kernel_series, trace_direct
 from .heatcoeff import asymptotic_trace, heat_coeff_table
@@ -47,12 +43,15 @@ class ValidationError(Exception):
 def _emit(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out)
+    _emit(json.dumps(obj, indent=2, allow_nan=False) + "\n", out)
 
 
 def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
@@ -65,9 +64,11 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None) -> None:
 
 def _parse_point(text: str) -> tuple[complex, ...]:
     try:
-        return tuple(complex(tok.strip()) for tok in text.split(","))
+        point = tuple(complex(tok.strip()) for tok in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"cannot parse point {text!r}: {exc}") from None
+    _require(all(map(cmath.isfinite, point)), f"point {text!r} has a non-finite coordinate")
+    return point
 
 
 def _parse_times(text: str) -> list[float]:
@@ -75,14 +76,17 @@ def _parse_times(text: str) -> list[float]:
         ts = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"cannot parse time list {text!r}: {exc}") from None
-    if not ts or any(t <= 0 for t in ts):
-        raise ValidationError("all t values must be > 0")
+    _require(all(_positive(t) for t in ts), "all t values must be finite and > 0")
     return ts
 
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)
+
+
+def _positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
 
 
 def _complex_dict(value: complex) -> dict:
@@ -166,8 +170,8 @@ def cmd_kernel(args) -> int:
 def cmd_heat_eval(args) -> int:
     _require(args.n >= 1, "--n must be >= 1")
     _require(args.two_nu >= 0, "--two-nu must be >= 0")
-    _require(args.t > 0, "--t must be > 0")
-    _require(args.eps > 0, "--eps must be > 0")
+    _require(_positive(args.t), "--t must be finite and > 0")
+    _require(_positive(args.eps), "--eps must be finite and > 0")
     z, w = _parse_point(args.z), _parse_point(args.w)
     payload = {"n": args.n, "twoNu": args.two_nu, "t": args.t,
                "z": [[c.real, c.imag] for c in z], "w": [[c.real, c.imag] for c in w]}
@@ -196,6 +200,7 @@ def cmd_trace_compare(args) -> int:
     _require(args.n >= 1, "--n must be >= 1")
     _require(args.nu >= 0, "--nu must be >= 0")
     _require(args.J >= 0, "--J must be >= 0")
+    _require(_positive(args.eps), "--eps must be finite and > 0")
     times = _parse_times(args.t)
     rows = []
     for t in times:
@@ -311,8 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, UnsupportedNu, UnsupportedN, NonPositiveTime,
-            DimensionMismatch, AntipodalDegenerate, ValueError) as exc:
+    except (ValidationError, ProjheatError, ValueError) as exc:
         print(f"projheat: error: {exc}", file=sys.stderr)
         return 2
 

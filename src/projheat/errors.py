@@ -41,3 +41,7 @@ class UnsupportedNu(ProjheatError):
 
 class UnsupportedN(ProjheatError):
     """Requested closed-form table only exists for n in {1, 2, 3, 4}."""
+
+
+class TruncationFailed(ProjheatError):
+    """A series tail bound did not fall below its tolerance within the term cap."""

@@ -25,10 +25,10 @@ from math import comb, exp, factorial, pi, sqrt
 
 import numpy as np
 
-from .errors import AntipodalDegenerate, DimensionMismatch, NonPositiveTime
+from .errors import AntipodalDegenerate, DimensionMismatch, NonPositiveTime, TruncationFailed
 from .exactnum import pochhammer
 from .kernels import KernelEval, as_point, cos_2dfs, herm, phase_base
-from .orthopoly import gegenbauer_values
+from .orthopoly import gegenbauer_values, jacobi_values
 from .quadrature import gauss_legendre
 from .spectrum import SpectralPoint, dimension_product_form
 
@@ -44,8 +44,10 @@ __all__ = [
     "heat_kernel_integral",
     "heat_kernel_integral_hi",
     "trace_direct",
+    "terms_needed",
 ]
 
+_MIN_TERMS = 8
 _MAX_TERMS = 200_000
 
 
@@ -83,30 +85,26 @@ def _require_time(t: float) -> None:
         raise NonPositiveTime(f"t = {t}")
 
 
-def _sum_with_tail(term, bound, eps: float, min_terms: int = 8):
-    """Sum term(m), m = 0, 1, ..., until a verified geometric tail < eps.
+def terms_needed(bound, eps: float) -> tuple[int, float]:
+    """Number of terms M >= _MIN_TERMS whose verified geometric tail is < eps.
 
-    term is called with consecutive m (it may carry recurrence state);
     bound(m) must dominate |term(m)| and have eventually decreasing ratios.
-    The cut requires bound(M+1)/bound(M) < 0.9 with the next ratio no
-    larger, then tail <= bound(M+1)/(1 - ratio). Returns (value, terms, tail).
+    The cut requires r = bound(M+1)/bound(M) < 0.9 with the next ratio no
+    larger, then tail <= bound(M)/(1 - r). Each bound(m) is evaluated once.
+    Returns (M, tail); raises TruncationFailed past _MAX_TERMS terms.
     """
-    vals: list[float] = []
-    m = 0
-    while True:
-        vals.append(term(m))
-        if m + 1 >= min_terms:
-            b1, b2, b3 = bound(m + 1), bound(m + 2), bound(m + 3)
-            if b1 == 0.0:
-                return math.fsum(vals), m + 1, 0.0
-            r1, r2 = b2 / b1, (b3 / b2 if b2 > 0 else 0.0)
-            if r1 < 0.9 and r2 <= r1 * (1 + 1e-12):
-                tail = b1 / (1.0 - r1)
-                if tail < eps:
-                    return math.fsum(vals), m + 1, tail
-        m += 1
-        if m > _MAX_TERMS:
-            raise RuntimeError("series truncation bound failed to verify")
+    b1, b2 = bound(_MIN_TERMS), bound(_MIN_TERMS + 1)
+    for terms in range(_MIN_TERMS, _MAX_TERMS + 2):
+        b3 = bound(terms + 2)
+        if b1 == 0.0:
+            return terms, 0.0
+        r1, r2 = b2 / b1, (b3 / b2 if b2 > 0 else 0.0)
+        if r1 < 0.9 and r2 <= r1 * (1 + 1e-12):
+            tail = b1 / (1.0 - r1)
+            if tail < eps:
+                return terms, tail
+        b1, b2 = b2, b3
+    raise TruncationFailed(f"series tail bound not below {eps:g} within {_MAX_TERMS} terms")
 
 
 def theta_deriv(which: int, p: int, t: float, eps: float = 1e-12) -> float:
@@ -132,8 +130,8 @@ def theta_deriv(which: int, p: int, t: float, eps: float = 1e-12) -> float:
 
     else:
         raise ValueError("which must be 2 or 3")
-    value, _, _ = _sum_with_tail(term, term, eps)
-    return value
+    terms, _ = terms_needed(term, eps)
+    return math.fsum(map(term, range(terms)))
 
 
 def theta2(t: float, eps: float = 1e-12) -> float:
@@ -157,8 +155,8 @@ def big_theta(spec: ThetaSpec, u: float) -> float:
     def bound(m: int) -> float:
         return exp(-t * (2 * m + a) ** 2)
 
-    value, _, _ = _sum_with_tail(term, bound, spec.truncation_eps)
-    return value
+    terms, _ = terms_needed(bound, spec.truncation_eps)
+    return math.fsum(map(term, range(terms)))
 
 
 def _series_ingredients(n: int, two_nu: int, z, w):
@@ -168,47 +166,45 @@ def _series_ingredients(n: int, two_nu: int, z, w):
     return z, w, cos_2dfs(z, w), phase_base(z, w)
 
 
+def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[float], float]:
+    """Spectral-series weights (2m+2nu+n) Gamma-ratio e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]}.
+
+    Returns the weights for m below the truncation verified against eps pi^n,
+    and the tail bound; the Jacobi sup bound P_m^{(a,b)}(1) with
+    (a,b) = (max, min)(n-1, 2nu) makes the bound rigorous.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+    big = two_nu + n
+    qmax = max(n - 1, two_nu)
+    shift = float(two_nu * two_nu + n * n)
+
+    def coef(m: int) -> float:
+        return (2 * m + big) * float(pochhammer(m + two_nu + 1, n - 1))
+
+    def decay(m: int) -> float:
+        return exp(t * (shift - (2 * m + big) ** 2))
+
+    def bound(m: int) -> float:
+        return coef(m) * comb(m + qmax, m) * decay(m)
+
+    terms, tail = terms_needed(bound, eps * pi**n)
+    return [coef(m) * decay(m) for m in range(terms)], tail
+
+
 def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) -> KernelEval:
     """Spectral-series heat kernel H_nu(t,z,w) with verified truncation < eps.
 
     The e^{4t(nu^2+n^2/4)} prefactor is folded into each term, so every
-    exponent is <= 0 and the Jacobi sup bound P_m^{(a,b)}(1) with
-    (a,b) = (max, min)(n-1, 2nu) makes the tail bound rigorous.
+    exponent is <= 0 and the Jacobi sup bound makes the tail bound rigorous.
     """
     _require_time(t)
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     z, w, x, q = _series_ingredients(n, two_nu, z, w)
-    a, b = n - 1, two_nu
-    big = two_nu + n
-    qmax = max(a, b)
-    shift = float(two_nu * two_nu + n * n)
-
-    state = {}
-
-    def term(m: int) -> float:
-        if m == 0:
-            pm = 1.0
-        elif m == 1:
-            pm = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-        else:
-            s = 2.0 * m + a + b
-            c1 = 2.0 * m * (m + a + b) * (s - 2.0)
-            c2 = (s - 1.0) * ((s * (s - 2.0)) * x + a * a - b * b)
-            c3 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * s
-            pm = (c2 * state["p1"] - c3 * state["p2"]) / c1
-        state["p2"] = state.get("p1", 1.0)
-        state["p1"] = pm
-        coef = (2 * m + big) * float(pochhammer(m + two_nu + 1, n - 1))
-        return coef * exp(t * (shift - (2 * m + big) ** 2)) * pm
-
-    def bound(m: int) -> float:
-        coef = (2 * m + big) * float(pochhammer(m + two_nu + 1, n - 1)) * comb(m + qmax, m)
-        return coef * exp(t * (shift - (2 * m + big) ** 2))
-
-    inner, terms, tail = _sum_with_tail(term, bound, eps * pi**n)
+    weights, tail = _series_weights(n, two_nu, t, eps)
+    pvals = jacobi_values(len(weights) - 1, n - 1, two_nu, x)
+    inner = math.fsum(wm * pm for wm, pm in zip(weights, pvals))
     scale = q**two_nu / pi**n
-    return KernelEval(value=complex(scale * inner), terms_used=terms,
+    return KernelEval(value=complex(scale * inner), terms_used=len(weights),
                       error_bound=tail * abs(scale))
 
 
@@ -220,66 +216,60 @@ def heat_kernel_series_grid(two_nu: int, t: float, z: complex, ws: np.ndarray,
     is fixed by the x = 1 bound, uniform over the grid.
     """
     _require_time(t)
-    n = 1
-    big = two_nu + n
-    shift = float(two_nu * two_nu + n * n)
-
-    # truncation from the uniform bound
-    def bound(m: int) -> float:
-        coef = (2 * m + big) * comb(m + max(n - 1, two_nu), m)
-        return coef * exp(t * (shift - (2 * m + big) ** 2))
-
-    _, terms, _ = _sum_with_tail(lambda m: bound(m), bound, eps * pi**n)
-
+    weights, _ = _series_weights(1, two_nu, t, eps)
     zz = abs(z) ** 2
     ww = np.abs(ws) ** 2
     num = 1.0 + z * np.conjugate(ws)
     x = np.clip(2.0 * np.abs(num) ** 2 / ((1.0 + zz) * (1.0 + ww)) - 1.0, -1.0, 1.0)
     q = num / np.sqrt((1.0 + zz) * (1.0 + ww))
-
-    a, b = n - 1, two_nu
-    p_prev = np.ones_like(x)
-    p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    total = np.zeros_like(x)
-    for m in range(terms):
-        if m == 0:
-            pm = p_prev
-        elif m == 1:
-            pm = p
-        else:
-            s = 2.0 * m + a + b
-            c1 = 2.0 * m * (m + a + b) * (s - 2.0)
-            c2 = (s - 1.0) * ((s * (s - 2.0)) * x + a * a - b * b)
-            c3 = 2.0 * (m + a - 1.0) * (m + b - 1.0) * s
-            pm = (c2 * p - c3 * p_prev) / c1
-            p_prev, p = p, pm
-        coef = (2 * m + big) * float(pochhammer(m + two_nu + 1, n - 1))
-        total = total + coef * exp(t * (shift - (2 * m + big) ** 2)) * pm
-    return q**two_nu / pi**n * total
+    return q**two_nu / pi * np.dot(weights, jacobi_values(len(weights) - 1, 0, two_nu, x))
 
 
-def _gegenbauer_weighted_sum(n: int, two_nu: int, t: float,
-                             cosu: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """sum_m (2m+2nu+n) C_{2m}^{n+2nu}(cos u) e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]}.
+def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, float]:
+    """Weights (2m+2nu+n) e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]} of the Gegenbauer sum.
 
-    Returns (values, terms, tail bound); |C_{2m}(x)| <= C_{2m}(1) gives the cut.
+    G(cos u) = sum_m weight_m C_{2m}^{n+2nu}(cos u). Returns the weights for
+    m below the verified truncation, and the tail bound;
+    |C_{2m}(x)| <= C_{2m}(1) gives the cut.
     """
     lam = n + two_nu
-    big = two_nu + n
     shift = float(two_nu * two_nu + n * n)
 
+    def decay(m: int) -> float:
+        return exp(t * (shift - (2 * m + lam) ** 2))
+
     def bound(m: int) -> float:
-        return (2 * m + big) * comb(2 * m + lam - 1, 2 * m) * exp(t * (shift - (2 * m + big) ** 2))
+        return (2 * m + lam) * comb(2 * m + lam - 1, 2 * m) * decay(m)
 
-    tail_eps = 1e-13 * max(1.0, bound(0))
-    _, terms, tail = _sum_with_tail(lambda m: bound(m), bound, tail_eps)
+    terms, tail = terms_needed(bound, 1e-13 * max(1.0, bound(0)))
+    return np.array([(2 * m + lam) * decay(m) for m in range(terms)]), tail
 
-    cvals = gegenbauer_values(2 * (terms - 1), lam, cosu)
-    weights = np.array([
-        (2 * m + big) * exp(t * (shift - (2 * m + big) ** 2)) for m in range(terms)
-    ])
-    g = np.tensordot(weights, cvals[0::2][: terms], axes=(0, 0))
-    return g, terms, tail
+
+def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: float, scale,
+                      start_nodes: int) -> tuple[complex, int, float, float]:
+    """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G(cos rho sin phi) dphi.
+
+    Gauss-Legendre, with the order doubled until the scaled value moves
+    < 1e-9 (cap 1024). Returns (value, terms of G, change at the last
+    doubling, tail bound of G).
+    """
+    weights, tail = _gegenbauer_weights(n, two_nu, t)
+
+    def eval_at(nodes: int):
+        phi, wphi = gauss_legendre(nodes, 0.0, pi / 2)
+        cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, cos_rho * np.sin(phi))
+        g = np.tensordot(weights, cvals[0::2], axes=(0, 0))
+        return scale * float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
+
+    nodes = start_nodes
+    value, change = eval_at(nodes), 0.0
+    while nodes < 1024:
+        nodes *= 2
+        cur = eval_at(nodes)
+        value, change = cur, abs(cur - value)
+        if change < 1e-9:
+            break
+    return value, len(weights), change, tail
 
 
 def _integral_geometry(n: int, two_nu: int, z, w):
@@ -295,21 +285,6 @@ def _integral_geometry(n: int, two_nu: int, z, w):
     cos_rho = sqrt(min(1.0, c2))
     qbar = np.conjugate(phase_base(z, w))
     return cos_rho, qbar
-
-
-def _refine_nodes(eval_at, start_nodes: int) -> tuple[complex, int, float]:
-    """Double Gauss-Legendre order until the value moves < 1e-9 (cap 1024)."""
-    nodes = start_nodes
-    prev = eval_at(nodes)
-    change = float("inf")
-    while nodes < 1024:
-        nodes *= 2
-        cur = eval_at(nodes)
-        change = abs(cur - prev)
-        prev = cur
-        if change < 1e-9:
-            break
-    return prev, nodes, (0.0 if change == float("inf") else change)
 
 
 def heat_kernel_integral(n: int, two_nu: int, t: float, z, w,
@@ -334,21 +309,10 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w,
         / (factorial(2 * two_nu) * pi ** (n + 1))
     )
 
-    terms_tail = {}
-
-    def eval_at(nodes: int) -> complex:
-        phi, wphi = gauss_legendre(nodes, 0.0, pi / 2)
-        cosu = cos_rho * np.sin(phi)
-        g, terms, tail = _gegenbauer_weighted_sum(n, two_nu, t, cosu)
-        terms_tail["terms"] = terms
-        terms_tail["tail"] = tail
-        integral = float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
-        return const * w_factor * integral
-
-    value, _, change = _refine_nodes(eval_at, cfg.nodes)
-    tail_contrib = const * abs(w_factor) * (pi / 2) * terms_tail["tail"]
-    return KernelEval(value=complex(value), terms_used=terms_tail["terms"],
-                      error_bound=change + tail_contrib)
+    value, terms, change, tail = _bracket_integral(n, two_nu, t, cos_rho, const * w_factor,
+                                                   cfg.nodes)
+    tail_contrib = const * abs(w_factor) * (pi / 2) * tail
+    return KernelEval(value=complex(value), terms_used=terms, error_bound=change + tail_contrib)
 
 
 def heat_kernel_integral_hi(n: int, t: float, z, w,
@@ -365,21 +329,10 @@ def heat_kernel_integral_hi(n: int, t: float, z, w,
     cos_rho, _ = _integral_geometry(n, 0, z, w)
     const = (1.0 / (2.0 ** (n - 2) * pi ** (n + 1))) * 2.0 ** (n - 1) * factorial(n - 1)
 
-    terms_tail = {}
-
-    def eval_at(nodes: int) -> complex:
-        phi, wphi = gauss_legendre(nodes, 0.0, pi / 2)
-        cosu = cos_rho * np.sin(phi)
-        g, terms, tail = _gegenbauer_weighted_sum(n, 0, t, cosu)
-        terms_tail["terms"] = terms
-        terms_tail["tail"] = tail
-        # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
-        return complex(const * float(np.sum(wphi * g)))
-
-    value, _, change = _refine_nodes(eval_at, cfg.nodes)
-    tail_contrib = const * (pi / 2) * terms_tail["tail"]
-    return KernelEval(value=complex(value), terms_used=terms_tail["terms"],
-                      error_bound=change + tail_contrib)
+    # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
+    value, terms, change, tail = _bracket_integral(n, 0, t, cos_rho, const, cfg.nodes)
+    tail_contrib = const * (pi / 2) * tail
+    return KernelEval(value=complex(value), terms_used=terms, error_bound=change + tail_contrib)
 
 
 def trace_direct(n: int, two_nu: int, t: float, eps: float = 1e-12) -> float:
@@ -397,5 +350,5 @@ def trace_direct(n: int, two_nu: int, t: float, eps: float = 1e-12) -> float:
         d = dimension_product_form(SpectralPoint(n, two_nu, m))
         return d * exp((t / 4.0) * (shift - (2 * m + n + two_nu) ** 2))
 
-    value, _, _ = _sum_with_tail(term, term, eps)
-    return value
+    terms, _ = terms_needed(term, eps)
+    return math.fsum(map(term, range(terms)))

@@ -24,6 +24,7 @@ __all__ = [
     "DiskIndex",
     "jacobi",
     "jacobi_eval",
+    "jacobi_values",
     "jacobi_at_one",
     "gauss2f1_terminating",
     "normalized_jacobi_R",
@@ -85,19 +86,22 @@ def _jacobi_finite_sum(k: int, alpha, beta, x):
     return total / 2.0**k
 
 
-def _jacobi_recurrence(k: int, alpha: float, beta: float, x):
-    """Three-term recurrence; x may be float, complex, or ndarray."""
-    p_prev = x * 0 + 1.0
-    if k == 0:
-        return p_prev
-    p = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    for i in range(2, k + 1):
+def jacobi_values(kmax: int, alpha, beta, x) -> list:
+    """[P_0, ..., P_kmax]^{(alpha,beta)}(x) by the three-term recurrence.
+
+    x may be float, complex, or ndarray. The recurrence denominators vanish
+    for some negative integer parameters; jacobi() avoids those.
+    """
+    vals = [x * 0 + 1.0]
+    if kmax >= 1:
+        vals.append((alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0)
+    for i in range(2, kmax + 1):
         s = 2.0 * i + alpha + beta
         c1 = 2.0 * i * (i + alpha + beta) * (s - 2.0)
         c2 = (s - 1.0) * ((s * (s - 2.0)) * x + alpha * alpha - beta * beta)
         c3 = 2.0 * (i + alpha - 1.0) * (i + beta - 1.0) * s
-        p, p_prev = (c2 * p - c3 * p_prev) / c1, p
-    return p
+        vals.append((c2 * vals[-1] - c3 * vals[-2]) / c1)
+    return vals
 
 
 def jacobi(k: int, alpha, beta, x):
@@ -111,7 +115,7 @@ def jacobi(k: int, alpha, beta, x):
     if neg_int and not isinstance(x, np.ndarray):
         # recurrence denominators can vanish there; the finite sum cannot
         return _jacobi_finite_sum(k, alpha, beta, x)
-    return _jacobi_recurrence(k, float(a), float(b), x)
+    return jacobi_values(k, float(a), float(b), x)[k]
 
 
 def jacobi_eval(params: JacobiParams, x):
@@ -186,14 +190,7 @@ def gegenbauer_eval(k: int, lam, x):
     """C_k^{lambda}(x) by the standard recurrence; x float or ndarray."""
     if k < 0:
         raise ValueError("Gegenbauer degree must be >= 0")
-    lam = float(lam)
-    c_prev = x * 0 + 1.0
-    if k == 0:
-        return c_prev
-    c = 2.0 * lam * x
-    for i in range(2, k + 1):
-        c, c_prev = (2.0 * x * (i + lam - 1.0) * c - (i + 2.0 * lam - 2.0) * c_prev) / i, c
-    return c
+    return gegenbauer_values(k, lam, x)[k]
 
 
 def gegenbauer_values(kmax: int, lam, x: np.ndarray) -> np.ndarray:

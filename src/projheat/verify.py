@@ -15,8 +15,6 @@ high-precision sums.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -469,31 +467,17 @@ SCOPES = {
 }
 
 
-def worker_count() -> int:
-    """Parallelism cap from PROJHEAT_THREADS (default 4, at least 1)."""
-    raw = os.environ.get("PROJHEAT_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 4
-    except ValueError:
-        return 4
-
-
 def run_verify(scope: str = "all", **kwargs) -> list[Check]:
-    """Run one scope or all of them (scopes in parallel, results in order)."""
+    """Run one scope or all of them, in SCOPES order.
+
+    Each suite receives the keyword arguments among kwargs that it accepts.
+    """
     names = list(SCOPES) if scope == "all" else [scope]
     if any(name not in SCOPES for name in names):
         raise ValueError(f"unknown scope {scope!r}; valid: all, {', '.join(SCOPES)}")
-    suites = []
+    results: list[Check] = []
     for name in names:
         fn = SCOPES[name]
-        accepted = {k: v for k, v in kwargs.items() if k in fn.__code__.co_varnames[: fn.__code__.co_argcount]}
-        suites.append((fn, accepted))
-    if len(suites) == 1:
-        fn, accepted = suites[0]
-        return fn(**accepted)
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(suites))) as pool:
-        futures = [pool.submit(fn, **accepted) for fn, accepted in suites]
-        results: list[Check] = []
-        for fut in futures:
-            results.extend(fut.result())
+        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        results.extend(fn(**{k: v for k, v in kwargs.items() if k in params}))
     return results

@@ -164,3 +164,48 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     assert payload["c"] == ["1/1", "1/12", "7/480"]
+
+
+def test_truncation_failure_exits_2(capsys, monkeypatch):
+    # at t = 1e-9 the absolute tail tolerance is out of reach; a low term cap
+    # makes the failure show at once
+    import projheat.heat
+
+    monkeypatch.setattr(projheat.heat, "_MAX_TERMS", 100)
+    code, out, err = run_cli(capsys, "trace-compare", "--n", "1", "--nu", "0",
+                             "--J", "4", "--t", "1e-9")
+    assert code == 2 and out == ""
+    assert err.startswith("projheat: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("heat-eval", "--n", "1", "--two-nu", "1", "--t", "inf", "--z", "0.3", "--w", "0.1j"),
+    ("heat-eval", "--n", "1", "--two-nu", "1", "--t", "0.5", "--z", "nan", "--w", "0.1j"),
+    ("heat-eval", "--n", "1", "--two-nu", "1", "--t", "0.5", "--z", "0.3", "--w", "0.1j",
+     "--eps", "inf"),
+    ("kernel", "--n", "1", "--two-nu", "0", "--m", "1", "--z", "0.2", "--w", "nan"),
+    ("trace-compare", "--n", "1", "--nu", "0", "--J", "4", "--t", "0.1,inf"),
+], ids=["heat_t_inf", "heat_z_nan", "heat_eps_inf", "kernel_w_nan", "trace_t_inf"])
+def test_non_finite_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("projheat: error: ")
+
+
+def test_json_never_holds_nan(capsys, monkeypatch):
+    from projheat.kernels import KernelEval
+
+    monkeypatch.setattr("projheat.cli.reproducing_kernel",
+                        lambda *args: KernelEval(complex(float("nan"), 0.0), 0, 0.0))
+    code, out, err = run_cli(capsys, "kernel", "--n", "1", "--two-nu", "0", "--m", "0",
+                             "--z", "0", "--w", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("projheat: error: ")
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "dims.json"
+    code, out, err = run_cli(capsys, "dims", "--n", "1", "--two-nu", "0",
+                             "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("projheat: error: cannot write") and err.count("\n") == 1

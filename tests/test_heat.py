@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from projheat.errors import AntipodalDegenerate, NonPositiveTime
+from projheat.errors import AntipodalDegenerate, NonPositiveTime, TruncationFailed
 from projheat.exactnum import bernoulli_number, theta2_series_coefficient
 from projheat.heat import (
     QuadratureConfig,
@@ -19,6 +19,7 @@ from projheat.heat import (
     heat_kernel_integral_hi,
     heat_kernel_series,
     heat_kernel_series_grid,
+    terms_needed,
     theta2,
     theta3,
     theta_deriv,
@@ -42,6 +43,21 @@ def test_time_validation():
         trace_direct(1, 0, 0.0)
     with pytest.raises(NonPositiveTime):
         ThetaSpec(1, 0, -0.1)
+
+
+def test_terms_needed_geometric_cut(monkeypatch):
+    # ratio 1/2: tail 2^-M / (1 - 1/2) < 1e-6 first at M = 21; each bound once
+    seen = []
+
+    def bound(m):
+        seen.append(m)
+        return 0.5**m
+
+    assert terms_needed(bound, 1e-6) == (21, 2.0 * 0.5**21)
+    assert len(seen) == len(set(seen))
+    monkeypatch.setattr("projheat.heat._MAX_TERMS", 50)
+    with pytest.raises(TruncationFailed):
+        terms_needed(lambda m: 1.0, 1e-3)
 
 
 def test_theta_large_t_leading_terms():
