@@ -4,7 +4,7 @@ Eigenvalues, eigenspace dimensions, reproducing kernels, heat kernels in
 two independent representations, spectral traces, and exact small-time
 heat coefficients, each cross-verified against an independent computation
 path. Exact quantities are arbitrary-precision rationals; numerics are
-binary64 with rigorous truncation bounds.
+binary64 with truncation error bounds (rounding not included).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .exactnum import (
     theta2_series_coefficient,
 )
 from .heat import (
-    QuadratureConfig,
     ThetaSpec,
     big_theta,
     heat_kernel_integral,

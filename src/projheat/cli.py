@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import ProjheatError
 from .exactnum import rational_str
-from .heat import QuadratureConfig, heat_kernel_integral, heat_kernel_series, trace_direct
+from .heat import heat_kernel_integral, heat_kernel_series, trace_direct
 from .heatcoeff import asymptotic_trace, heat_coeff_table
 from .kernels import KernelEval, reproducing_kernel
 from .spectrum import (
@@ -181,8 +181,7 @@ def cmd_heat_eval(args) -> int:
         payload["series"] = _kernel_eval_dict(ks)
         rows.append(["series", ks.value.real, ks.value.imag, ks.terms_used, ks.error_bound])
     if args.method in ("integral", "both"):
-        ki = heat_kernel_integral(args.n, args.two_nu, args.t, z, w,
-                                  QuadratureConfig(nodes=args.nodes))
+        ki = heat_kernel_integral(args.n, args.two_nu, args.t, z, w, nodes=args.nodes)
         payload["integral"] = _kernel_eval_dict(ki)
         rows.append(["integral", ki.value.real, ki.value.imag, ki.terms_used, ki.error_bound])
     if args.method == "both":

@@ -8,10 +8,13 @@ into the smooth (cos rho cos phi)^{4nu} dphi). The inner derivative bracket
 (-1/sin u d/du)^{n+2nu} of the lattice theta sum is always realized through
 its exact Gegenbauer form, never by numerical differentiation.
 
-All truncations carry rigorous geometric tail bounds (Jacobi terms are
-bounded by their value at 1, valid for parameters >= 0; theta and trace
-terms are positive). Summation order is fixed and accumulation uses exact
-compensated sums, so results are bit-reproducible.
+All truncations carry geometric tail bounds (Jacobi terms are bounded by
+their value at 1, valid for parameters >= 0; theta and trace terms are
+positive). A KernelEval's error_bound is that tail bound, plus, for the
+integral form, the change at the last node doubling, which is an estimate;
+rounding error is not included. Series and trace sums use math.fsum, the
+quadrature sum uses np.sum; summation order is fixed, so results are
+reproducible for a given numpy.
 
 Everything here is binary64; exact inputs (dimensions, Gamma-quotients)
 are computed rationally and converted once.
@@ -25,15 +28,14 @@ from math import comb, exp, factorial, pi, sqrt
 
 import numpy as np
 
-from .errors import AntipodalDegenerate, DimensionMismatch, NonPositiveTime, TruncationFailed
+from .errors import AntipodalDegenerate, NonPositiveTime, TruncationFailed
 from .exactnum import pochhammer
-from .kernels import KernelEval, as_point, cos_2dfs, herm, phase_base
+from .kernels import KernelEval, double_angle, point_pair
 from .orthopoly import gegenbauer_values, jacobi_values
 from .quadrature import gauss_legendre
 from .spectrum import SpectralPoint, dimension_product_form
 
 __all__ = [
-    "QuadratureConfig",
     "ThetaSpec",
     "theta2",
     "theta3",
@@ -49,19 +51,6 @@ __all__ = [
 
 _MIN_TERMS = 8
 _MAX_TERMS = 200_000
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Gauss-Legendre order for the integral representation (fixed substitution)."""
-
-    nodes: int = 128
-
-    substitution = "cos u = cos rho * sin phi"
-
-    def __post_init__(self) -> None:
-        if self.nodes < 16:
-            raise ValueError("need at least 16 quadrature nodes")
 
 
 @dataclass(frozen=True)
@@ -159,13 +148,6 @@ def big_theta(spec: ThetaSpec, u: float) -> float:
     return math.fsum(map(term, range(terms)))
 
 
-def _series_ingredients(n: int, two_nu: int, z, w):
-    z, w = as_point(z), as_point(w)
-    if len(z) != n or len(w) != n:
-        raise DimensionMismatch(f"expected dimension {n}, got {len(z)} and {len(w)}")
-    return z, w, cos_2dfs(z, w), phase_base(z, w)
-
-
 def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[float], float]:
     """Spectral-series weights (2m+2nu+n) Gamma-ratio e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]}.
 
@@ -199,9 +181,9 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
     exponent is <= 0 and the Jacobi sup bound makes the tail bound rigorous.
     """
     _require_time(t)
-    z, w, x, q = _series_ingredients(n, two_nu, z, w)
+    c2, q = point_pair(n, z, w)
     weights, tail = _series_weights(n, two_nu, t, eps)
-    pvals = jacobi_values(len(weights) - 1, n - 1, two_nu, x)
+    pvals = jacobi_values(len(weights) - 1, n - 1, two_nu, double_angle(c2))
     inner = math.fsum(wm * pm for wm, pm in zip(weights, pvals))
     scale = q**two_nu / pi**n
     return KernelEval(value=complex(scale * inner), terms_used=len(weights),
@@ -249,10 +231,13 @@ def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: float, scale,
                       start_nodes: int) -> tuple[complex, int, float, float]:
     """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G(cos rho sin phi) dphi.
 
-    Gauss-Legendre, with the order doubled until the scaled value moves
-    < 1e-9 (cap 1024). Returns (value, terms of G, change at the last
-    doubling, tail bound of G).
+    Gauss-Legendre from start_nodes in [16, 1024], with the order doubled
+    at least once and then until the scaled value moves < 1e-9 or the order
+    reaches 1024. Returns (value, terms of G, change at the last doubling,
+    tail bound of G).
     """
+    if not 16 <= start_nodes <= 1024:
+        raise ValueError(f"quadrature nodes must be in [16, 1024], got {start_nodes}")
     weights, tail = _gegenbauer_weights(n, two_nu, t)
 
     def eval_at(nodes: int):
@@ -262,33 +247,23 @@ def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: float, scale,
         return scale * float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
 
     nodes = start_nodes
-    value, change = eval_at(nodes), 0.0
-    while nodes < 1024:
+    value = eval_at(nodes)
+    while True:
         nodes *= 2
         cur = eval_at(nodes)
         value, change = cur, abs(cur - value)
-        if change < 1e-9:
-            break
-    return value, len(weights), change, tail
+        if change < 1e-9 or nodes >= 1024:
+            return value, len(weights), change, tail
 
 
-def _integral_geometry(n: int, two_nu: int, z, w):
-    z, w = as_point(z), as_point(w)
-    if len(z) != n or len(w) != n:
-        raise DimensionMismatch(f"expected dimension {n}, got {len(z)} and {len(w)}")
-    az = 1.0 + herm(z, z).real
-    aw = 1.0 + herm(w, w).real
-    num = 1.0 + herm(z, w)
-    c2 = abs(num) ** 2 / (az * aw)
+def _integral_geometry(n: int, z, w) -> tuple[float, complex]:
+    c2, q = point_pair(n, z, w)
     if c2 < 1e-20:
         raise AntipodalDegenerate("1 + <z,w> ~ 0: integral prefactor degenerates")
-    cos_rho = sqrt(min(1.0, c2))
-    qbar = np.conjugate(phase_base(z, w))
-    return cos_rho, qbar
+    return sqrt(min(1.0, c2)), np.conjugate(q)
 
 
-def heat_kernel_integral(n: int, two_nu: int, t: float, z, w,
-                         cfg: QuadratureConfig = QuadratureConfig()) -> KernelEval:
+def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) -> KernelEval:
     """Integral-representation heat kernel, with the exact Gegenbauer bracket.
 
     H_nu(t,z,w) = (2 Gamma(n+2nu) 4^{2nu} (2nu)! / ((4nu)! pi^{n+1}))
@@ -297,9 +272,10 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w,
     with G the weighted Gegenbauer sum and e^{4t(nu^2+n^2/4)} folded into G.
     The constant carries the 1/Gamma(1/2) that the Jacobi-to-Gegenbauer
     integral representation requires (cross-checked against the series).
+    nodes in [16, 1024] is the starting Gauss-Legendre order.
     """
     _require_time(t)
-    cos_rho, qbar = _integral_geometry(n, two_nu, z, w)
+    cos_rho, qbar = _integral_geometry(n, z, w)
     w_factor = qbar ** (-two_nu)
     const = (
         2.0
@@ -310,13 +286,12 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w,
     )
 
     value, terms, change, tail = _bracket_integral(n, two_nu, t, cos_rho, const * w_factor,
-                                                   cfg.nodes)
+                                                   nodes)
     tail_contrib = const * abs(w_factor) * (pi / 2) * tail
     return KernelEval(value=complex(value), terms_used=terms, error_bound=change + tail_contrib)
 
 
-def heat_kernel_integral_hi(n: int, t: float, z, w,
-                            cfg: QuadratureConfig = QuadratureConfig()) -> KernelEval:
+def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 128) -> KernelEval:
     """The nu = 0 integral representation with its classical constant.
 
     H_0 = e^{n^2 t} / (2^{n-2} pi^{n+1}) int_rho^{pi/2}
@@ -326,11 +301,11 @@ def heat_kernel_integral_hi(n: int, t: float, z, w,
     independent check of the general-nu constant at nu = 0.
     """
     _require_time(t)
-    cos_rho, _ = _integral_geometry(n, 0, z, w)
+    cos_rho, _ = _integral_geometry(n, z, w)
     const = (1.0 / (2.0 ** (n - 2) * pi ** (n + 1))) * 2.0 ** (n - 1) * factorial(n - 1)
 
     # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
-    value, terms, change, tail = _bracket_integral(n, 0, t, cos_rho, const, cfg.nodes)
+    value, terms, change, tail = _bracket_integral(n, 0, t, cos_rho, const, nodes)
     tail_contrib = const * (pi / 2) * tail
     return KernelEval(value=complex(value), terms_used=terms, error_bound=change + tail_contrib)
 

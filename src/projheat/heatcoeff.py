@@ -8,10 +8,10 @@ half-integer theta lattice) and nu for even n (the integer lattice).
 Both recurrences carry an overall (-1)^{i-n+1}/(i-n)! and weights
 1/((i-q)(n-1-q)!) on the previously computed c_q. This is the form forced
 by the trace ground truth (and by the proof's ledger in the odd case); the
-published statement differs in two places (an index transposition in the
-odd tail, a sign-flipped bracket in the even tail) and those as-printed
-variants are available behind printed=True so discrepancy reports can show
-computed-versus-printed values side by side.
+published statement differs in two places (1/q! weights in the odd tail,
+B_{2k}(nu) - 2B_{2k} in place of B_{2k}(nu) in the even tail) and those
+as-printed variants are available behind printed=True so discrepancy
+reports can show computed-versus-printed values side by side.
 """
 
 from __future__ import annotations
@@ -26,10 +26,13 @@ from .spectrum import decompose_multiplicity
 
 __all__ = [
     "HeatCoeffTable",
+    "c_head",
     "c_coefficients",
+    "b_from_c",
     "b_coefficients",
     "nu_zero_u",
     "asymptotic_trace",
+    "printed_tau_n4",
     "heat_coeff_table",
 ]
 
@@ -45,38 +48,47 @@ def _check_args(n: int, nu, J: int) -> int:
     return int(nu)
 
 
+def c_head(gamma) -> list[Fraction]:
+    """Head c_i = gamma_{n-1-i} (n-1-i)!/(n-1)!, i < n, of a decomposition list."""
+    n = len(gamma)
+    return [gamma[n - 1 - i] * Fraction(factorial(n - 1 - i), factorial(n - 1)) for i in range(n)]
+
+
 def c_coefficients(n: int, nu, J: int, printed: bool = False) -> list[Fraction]:
     """Exact c_0..c_J for integer nu >= 0.
 
     printed=True reproduces the published tail formulas instead (odd n: the
-    statement's transposed 1/p! weights; even n: the [2B - B(nu)] bracket);
+    statement's transposed 1/q! weights; even n: B_{2k}(nu) - 2B_{2k});
     used only for discrepancy reporting.
     """
     nu = _check_args(n, nu, J)
-    coeffs = decompose_multiplicity(n, nu).coeffs
-    c: list[Fraction] = []
-    for i in range(min(n, J + 1)):
-        c.append(coeffs[n - 1 - i] * Fraction(factorial(n - i - 1), factorial(n - 1)))
+    c = c_head(decompose_multiplicity(n, nu).coeffs)[: J + 1]
     odd = n % 2 == 1
+    arg = Fraction(2 * nu + 1, 2) if odd else nu
     for i in range(n, J + 1):
         acc = Fraction(0)
-        if not printed:
-            for q in range(n):
-                val = bernoulli_polynomial(2 * (i - q), Fraction(2 * nu + 1, 2) if odd else nu)
-                acc += c[q] * val / ((i - q) * factorial(n - 1 - q))
-            c.append(Fraction((-1) ** (i - n + 1)) * acc / factorial(i - n))
-        elif odd:
-            for p in range(n):
-                val = bernoulli_polynomial(2 * (i - p), Fraction(2 * nu + 1, 2))
-                acc += c[p] * val / ((i - p) * factorial(p))
-            c.append(Fraction((-1) ** (i - n + 1)) * acc / factorial(i - n))
-        else:
-            for p in range(n):
-                k = i - p
-                val = 2 * bernoulli_number(2 * k) - bernoulli_polynomial(2 * k, nu)
-                acc += c[p] * val / (k * factorial(n - p - 1))
-            c.append(Fraction((-1) ** (i - n)) * acc / factorial(i - n))
+        for q in range(n):
+            k = i - q
+            val = bernoulli_polynomial(2 * k, arg)
+            if printed and not odd:
+                val -= 2 * bernoulli_number(2 * k)
+            acc += c[q] * val / (k * factorial(q if printed and odd else n - 1 - q))
+        c.append(Fraction((-1) ** (i - n + 1)) * acc / factorial(i - n))
     return c
+
+
+def b_from_c(n: int, nu: int, c, base: Fraction | None = None) -> list[tuple[Fraction, int]]:
+    """b_j = ((4 pi)^n / n!) sum_{i<=j} base^{j-i} c_i / (j-i)!, as (factor, n).
+
+    The theorem's base is n^2/4 + nu^2; other bases serve discrepancy reports.
+    """
+    if base is None:
+        base = Fraction(n * n, 4) + nu * nu
+    return [
+        (Fraction(4**n, factorial(n))
+         * sum((base ** (j - i) * c[i] / factorial(j - i) for i in range(j + 1)), Fraction(0)), n)
+        for j in range(len(c))
+    ]
 
 
 def b_coefficients(n: int, nu, J: int, printed: bool = False) -> list[tuple[Fraction, int]]:
@@ -85,13 +97,7 @@ def b_coefficients(n: int, nu, J: int, printed: bool = False) -> list[tuple[Frac
     b_j = ((4 pi)^n / n!) sum_{i<=j} (n^2/4 + nu^2)^{j-i} c_i / (j-i)!.
     """
     nu_int = _check_args(n, nu, J)
-    c = c_coefficients(n, nu_int, J, printed=printed)
-    shift = Fraction(n * n, 4) + nu_int * nu_int
-    out = []
-    for j in range(J + 1):
-        acc = sum((shift ** (j - i) * c[i] / factorial(j - i) for i in range(j + 1)), Fraction(0))
-        out.append((Fraction(4**n, factorial(n)) * acc, n))
-    return out
+    return b_from_c(n, nu_int, c_coefficients(n, nu_int, J, printed=printed))
 
 
 def nu_zero_u(n: int, J: int) -> list[Fraction]:
@@ -164,55 +170,27 @@ class HeatCoeffTable:
         }
 
 
-def _sect8_printed_head(n: int, nu: int) -> list[Fraction] | None:
-    """Head values as printed in the published n = 4 table (odd in nu)."""
-    if n != 4:
-        return None
-    return [
-        Fraction(1),
-        -Fraction(nu + 2, 3),
-        Fraction(-nu * nu + 2 * nu + 1, 6),
-        Fraction(nu, 6) * (nu * nu - 1),
-    ]
+def printed_tau_n4(nu: int) -> tuple[Fraction, ...]:
+    """The published tau^(nu,4), as printed: odd in nu, so correct only at nu = 0."""
+    return (Fraction(nu) * (nu * nu - 1), Fraction(-nu * nu + 2 * nu + 1), Fraction(-nu - 2),
+            Fraction(1))
 
 
 def heat_coeff_table(n: int, nu, J: int) -> HeatCoeffTable:
     """Assemble the authoritative table plus computed-vs-printed diffs."""
     nu_int = _check_args(n, nu, J)
     c = c_coefficients(n, nu_int, J)
-    b = b_coefficients(n, nu_int, J)
-    diffs: list[dict] = []
-
-    printed = c_coefficients(n, nu_int, J, printed=True)
-    for i, (ours, theirs) in enumerate(zip(c, printed)):
-        if ours != theirs:
-            diffs.append({
-                "quantity": "c",
-                "index": i,
-                "computed": rational_str(ours),
-                "paper_printed": rational_str(theirs),
-                "origin": "theorem tail formula as printed",
-            })
-    head = _sect8_printed_head(n, nu_int)
-    if head is not None:
-        for i, val in enumerate(head[: J + 1]):
-            if c[i] != val:
-                diffs.append({
-                    "quantity": "c",
-                    "index": i,
-                    "computed": rational_str(c[i]),
-                    "paper_printed": rational_str(val),
-                    "origin": "published n=4 head table",
-                })
+    published = [(c_coefficients(n, nu_int, J, printed=True), "theorem tail formula as printed")]
+    if n == 4:
+        published.append((c_head(printed_tau_n4(nu_int)), "published n=4 head table"))
     if nu_int == 0 and n in (1, 2, 3, 4):
-        for i, val in enumerate(nu_zero_u(n, J)):
-            if c[i] != val:
-                diffs.append({
-                    "quantity": "c",
-                    "index": i,
-                    "computed": rational_str(c[i]),
-                    "paper_printed": rational_str(val),
-                    "origin": "published nu=0 reduction u-table",
-                })
-    return HeatCoeffTable(n=n, two_nu=2 * nu_int, J=J, c=tuple(c), b=tuple(b),
-                          paper_reported_diffs=tuple(diffs))
+        published.append((nu_zero_u(n, J), "published nu=0 reduction u-table"))
+    diffs = tuple(
+        {"quantity": "c", "index": i, "computed": rational_str(ours),
+         "paper_printed": rational_str(theirs), "origin": origin}
+        for values, origin in published
+        for i, (ours, theirs) in enumerate(zip(c, values))
+        if ours != theirs
+    )
+    return HeatCoeffTable(n=n, two_nu=2 * nu_int, J=J, c=tuple(c),
+                          b=tuple(b_from_c(n, nu_int, c)), paper_reported_diffs=diffs)

@@ -29,6 +29,8 @@ __all__ = [
     "KernelEval",
     "as_point",
     "herm",
+    "point_pair",
+    "double_angle",
     "fs_distance",
     "cos_2dfs",
     "phase_base",
@@ -65,31 +67,41 @@ def herm(z: ProjPoint, w: ProjPoint) -> complex:
     return sum(a * np.conjugate(b) for a, b in zip(z, w))
 
 
-def _norms(z: ProjPoint, w: ProjPoint) -> tuple[float, float, complex]:
-    zw = herm(z, w)
-    return 1.0 + herm(z, z).real, 1.0 + herm(w, w).real, 1.0 + zw
+def point_pair(n: int, z, w) -> tuple[float, complex]:
+    """(cos^2 d_FS, q) for two chart points, checked to have dimension n.
+
+    cos^2 d_FS = |1+<z,w>|^2 / ((1+|z|^2)(1+|w|^2)) and
+    q = (1+<z,w>) / sqrt((1+|z|^2)(1+|w|^2)), so |q| = cos d_FS.
+    """
+    z, w = as_point(z), as_point(w)
+    if len(z) != n or len(w) != n:
+        raise DimensionMismatch(f"expected dimension {n}, got {len(z)} and {len(w)}")
+    az, aw = 1.0 + herm(z, z).real, 1.0 + herm(w, w).real
+    num = 1.0 + herm(z, w)
+    return abs(num) ** 2 / (az * aw), num / sqrt(az * aw)
+
+
+def double_angle(c2: float) -> float:
+    """cos 2d = 2 cos^2 d - 1 from c2 = cos^2 d, clipped to [-1, 1]."""
+    return min(1.0, max(-1.0, 2.0 * c2 - 1.0))
 
 
 def fs_distance(z, w) -> float:
     """Fubini-Study distance in [0, pi/2]: cos^2 d = |1+<z,w>|^2 / ((1+|z|^2)(1+|w|^2))."""
-    z, w = as_point(z), as_point(w)
-    az, aw, num = _norms(z, w)
-    c2 = abs(num) ** 2 / (az * aw)
-    return acos(sqrt(min(1.0, c2)))
+    z = as_point(z)
+    return acos(sqrt(min(1.0, point_pair(len(z), z, w)[0])))
 
 
 def cos_2dfs(z, w) -> float:
     """cos(2 d_FS(z,w)) = 2|1+<z,w>|^2 / ((1+|z|^2)(1+|w|^2)) - 1, computed directly."""
-    z, w = as_point(z), as_point(w)
-    az, aw, num = _norms(z, w)
-    return min(1.0, max(-1.0, 2.0 * abs(num) ** 2 / (az * aw) - 1.0))
+    z = as_point(z)
+    return double_angle(point_pair(len(z), z, w)[0])
 
 
 def phase_base(z, w) -> complex:
     """q = (1 + herm(z,w)) / sqrt((1+|z|^2)(1+|w|^2)); |q| = cos d_FS."""
-    z, w = as_point(z), as_point(w)
-    az, aw, num = _norms(z, w)
-    return num / sqrt(az * aw)
+    z = as_point(z)
+    return point_pair(len(z), z, w)[1]
 
 
 def reproducing_kernel(n: int, two_nu: int, m: int, z, w) -> KernelEval:
@@ -100,13 +112,10 @@ def reproducing_kernel(n: int, two_nu: int, m: int, z, w) -> KernelEval:
     """
     if two_nu < 0 or m < 0 or n < 1:
         raise ValueError("need n >= 1, 2*nu >= 0, m >= 0")
-    z, w = as_point(z), as_point(w)
-    if len(z) != n or len(w) != n:
-        raise DimensionMismatch(f"expected dimension {n}, got {len(z)} and {len(w)}")
+    c2, q = point_pair(n, z, w)
     gamma_ratio = pochhammer(m + two_nu + 1, n - 1)  # Gamma(m+n+2nu)/Gamma(m+2nu+1)
     pref = (2 * m + two_nu + n) * float(gamma_ratio) / pi**n
-    q = phase_base(z, w)
-    value = pref * q**two_nu * jacobi(m, n - 1, two_nu, cos_2dfs(z, w))
+    value = pref * q**two_nu * jacobi(m, n - 1, two_nu, double_angle(c2))
     return KernelEval(value=complex(value), terms_used=0, error_bound=0.0)
 
 

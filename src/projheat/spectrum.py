@@ -115,20 +115,11 @@ def dimension_poly_form(pt: SpectralPoint) -> int:
 
 
 def _poly_mul_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Multiply a coefficient list (ascending powers) by (r - root)."""
+    """Multiply a coefficient list (ascending powers of x) by (x - root)."""
     out = [Fraction(0)] * (len(coeffs) + 1)
     for i, ci in enumerate(coeffs):
         out[i + 1] += ci
         out[i] -= ci * root
-    return out
-
-
-def _poly_mul_quadratic(coeffs: list[Fraction], rho2: Fraction) -> list[Fraction]:
-    """Multiply a coefficient list in y = r^2 by (y - rho2)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, ci in enumerate(coeffs):
-        out[i + 1] += ci
-        out[i] -= ci * rho2
     return out
 
 
@@ -152,9 +143,9 @@ def _decompose(n: int, two_nu: int) -> tuple[Fraction, ...]:
     else:
         squares = [(nu + i) ** 2 for i in range(n // 2)]
         squares += [(1 - nu + i) ** 2 for i in range(n // 2 - 1)]
-    paired = [Fraction(1)]
+    paired = [Fraction(1)]  # ascending powers of y = r^2
     for rho2 in squares:
-        paired = _poly_mul_quadratic(paired, rho2)
+        paired = _poly_mul_linear(paired, rho2)
     if tuple(paired) != coeffs:
         raise AssertionError("paired-root factorization disagrees with direct expansion")
     return coeffs

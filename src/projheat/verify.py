@@ -30,7 +30,15 @@ from .exactnum import (
     theta2_series_coefficient,
 )
 from .heat import heat_kernel_integral, heat_kernel_integral_hi, heat_kernel_series, theta_deriv, trace_direct
-from .heatcoeff import asymptotic_trace, b_coefficients, c_coefficients, nu_zero_u
+from .heatcoeff import (
+    asymptotic_trace,
+    b_coefficients,
+    b_from_c,
+    c_coefficients,
+    c_head,
+    nu_zero_u,
+    printed_tau_n4,
+)
 from .kernels import (
     fs_distance,
     kernel_diagonal_volume_check,
@@ -124,8 +132,7 @@ def suite_paper8() -> list[Check]:
     # published tau^(nu,4) is odd in nu; equality only at nu = 0
     for nu in (0, 1, 2):
         tau = decompose_multiplicity(4, nu).coeffs
-        printed = (Fraction(nu) * (nu * nu - 1), Fraction(-nu * nu + 2 * nu + 1),
-                   Fraction(-nu - 2), Fraction(1))
+        printed = printed_tau_n4(nu)
         if tau == printed:
             checks.append(_check(f"paper8.tau_n4_nu{nu}", True, "matches published table"))
         else:
@@ -165,11 +172,8 @@ def suite_paper8() -> list[Check]:
     ))
 
     # published b_j^{(0,2)} base writes (1/4)^{j-i}; theorem gives (n^2/4)^{j-i} = 1
-    b = b_coefficients(2, 0, 6)
-    u = c_coefficients(2, 0, 6)
-    printed_b6 = Fraction(16, 2) * sum(
-        Fraction(1, 4) ** (6 - i) * u[i] / factorial(6 - i) for i in range(7)
-    )
+    b = b_from_c(2, 0, c2[:7])
+    printed_b6 = b_from_c(2, 0, c2[:7], base=Fraction(1, 4))[6][0]
     checks.append(Check(
         "paper8.b_n2_base", "WARN" if printed_b6 != b[6][0] else "FAIL",
         f"theorem b_6/pi^2 = {rational_str(b[6][0])}; with the published (1/4)^(j-i) base "
@@ -178,7 +182,7 @@ def suite_paper8() -> list[Check]:
 
     # published n=4 head c-values are odd in nu; report at nu = 1
     c41 = c_coefficients(4, 1, 3)
-    printed_c41 = [Fraction(1), Fraction(-1), Fraction(2, 6), Fraction(0)]
+    printed_c41 = c_head(printed_tau_n4(1))
     checks.append(Check(
         "paper8.c_head_n4_nu1", "WARN" if c41 != printed_c41 else "FAIL",
         f"computed {[rational_str(x) for x in c41]} vs published "

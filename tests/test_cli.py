@@ -192,6 +192,16 @@ def test_non_finite_inputs_exit_2(capsys, argv):
     assert err.startswith("projheat: error: ")
 
 
+def test_heat_eval_rejects_huge_node_count(capsys, monkeypatch):
+    # no quadrature rule may be built for an out-of-range --nodes
+    monkeypatch.setattr("projheat.heat.gauss_legendre", None)
+    code, out, err = run_cli(capsys, "heat-eval", "--n", "1", "--two-nu", "1", "--t", "0.5",
+                             "--z", "0.3", "--w", "0.1j", "--method", "integral",
+                             "--nodes", "100000")
+    assert code == 2 and out == ""
+    assert err.startswith("projheat: error: ") and err.count("\n") == 1
+
+
 def test_json_never_holds_nan(capsys, monkeypatch):
     from projheat.kernels import KernelEval
 

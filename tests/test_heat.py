@@ -9,10 +9,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from projheat import heat
 from projheat.errors import AntipodalDegenerate, NonPositiveTime, TruncationFailed
 from projheat.exactnum import bernoulli_number, theta2_series_coefficient
 from projheat.heat import (
-    QuadratureConfig,
     ThetaSpec,
     big_theta,
     heat_kernel_integral,
@@ -26,7 +26,7 @@ from projheat.heat import (
     trace_direct,
 )
 from projheat.kernels import fs_distance
-from projheat.quadrature import plane_mu1_rule
+from projheat.quadrature import gauss_legendre, plane_mu1_rule
 from projheat.spectrum import SpectralPoint, dimension_product_form, eigenvalue_beta
 
 
@@ -245,9 +245,31 @@ def test_integral_nu0_classical_constant():
         assert abs(hs.value - hh.value) <= 1e-6 * (1 + abs(hs.value))
 
 
-def test_quadrature_config_validation():
+@pytest.mark.parametrize("nodes", [8, 2048])
+def test_quadrature_config_validation(nodes, monkeypatch):
+    # rejected before any rule is built
+    monkeypatch.setattr(heat, "gauss_legendre", None)
     with pytest.raises(ValueError):
-        QuadratureConfig(nodes=8)
+        heat_kernel_integral(1, 1, 0.5, 0.1j, 0.2, nodes=nodes)
+    with pytest.raises(ValueError):
+        heat_kernel_integral_hi(1, 0.5, 0.1j, 0.2, nodes=nodes)
+
+
+@pytest.mark.parametrize("nodes", [16, 1024])
+def test_integral_evaluates_at_least_two_node_counts(nodes, monkeypatch):
+    # the error bound's quadrature term needs a doubling even at the cap
+    seen = []
+
+    def recording(k, a, b):
+        seen.append(k)
+        return gauss_legendre(k, a, b)
+
+    monkeypatch.setattr(heat, "gauss_legendre", recording)
+    k = heat_kernel_integral(1, 1, 0.5, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
+    assert seen[0] == nodes and len(set(seen)) >= 2 and k.error_bound > 0
+    seen.clear()
+    heat_kernel_integral_hi(1, 0.5, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
+    assert seen[0] == nodes and len(set(seen)) >= 2
 
 
 def test_trace_large_t_limit():

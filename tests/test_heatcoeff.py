@@ -9,7 +9,12 @@ from math import factorial, pi
 import pytest
 
 from projheat.errors import NonPositiveTime, UnsupportedN, UnsupportedNu
-from projheat.exactnum import bernoulli_number, bernoulli_polynomial, theta2_series_coefficient
+from projheat.exactnum import (
+    bernoulli_number,
+    bernoulli_polynomial,
+    rational_str,
+    theta2_series_coefficient,
+)
 from projheat.heat import trace_direct
 from projheat.heatcoeff import (
     asymptotic_trace,
@@ -126,6 +131,52 @@ def test_printed_variant_odd_n_differs_only_in_tail():
     printed = c_coefficients(3, 1, 6, printed=True)
     assert exact[:3] == printed[:3]
     assert exact[3:] != printed[3:]
+
+
+# as-printed odd-n tails (transposed 1/q! weights) for nu >= 1, exact
+PRINTED_ODD_N = {
+    (3, 1): ["1/1", "-5/4", "9/32", "2371/16128", "-4783/645120", "5263/315392",
+             "35732513/3542482944"],
+    (3, 2): ["1/1", "-17/4", "225/32", "64523/80640", "-3821311/645120", "11724903/1576960",
+             "-98785477619/17712414720"],
+    (5, 1): ["1/1", "-9/4", "49/32", "-121/384", "75/2048", "3455563/97320960",
+             "3579122377/42509795328"],
+    (5, 2): ["1/1", "-21/4", "329/32", "-3229/384", "3675/2048", "3292874047/97320960",
+             "-3214070982383/42509795328"],
+}
+
+
+@pytest.mark.parametrize("n,nu", sorted(PRINTED_ODD_N))
+def test_printed_variant_odd_n_exact_values(n, nu):
+    printed = c_coefficients(n, nu, 6, printed=True)
+    assert [rational_str(x) for x in printed] == PRINTED_ODD_N[(n, nu)]
+
+
+TAIL = "theorem tail formula as printed"
+HEAD = "published n=4 head table"
+U = "published nu=0 reduction u-table"
+
+# (index, computed, paper_printed, origin) in report order, J = 5
+N4_DIFFS = {
+    0: [(4, "103/15120", "-103/15120", TAIL), (5, "551/83160", "-551/83160", TAIL),
+        (4, "103/15120", "-103/15120", U), (5, "551/83160", "-551/83160", U)],
+    1: [(4, "289/15120", "-289/15120", TAIL), (5, "491/33264", "-491/33264", TAIL),
+        (1, "-5/3", "-1/1", HEAD), (2, "2/3", "1/3", HEAD)],
+    2: [(4, "2497/2160", "-2497/2160", TAIL), (5, "2219/11880", "-2219/11880", TAIL),
+        (1, "-14/3", "-4/3", HEAD), (2, "49/6", "1/6", HEAD), (3, "-6/1", "1/1", HEAD)],
+    3: [(4, "2067169/15120", "1561631/15120", TAIL),
+        (5, "-19631489/166320", "-20285311/166320", TAIL),
+        (1, "-29/3", "-5/3", HEAD), (2, "122/3", "-1/3", HEAD), (3, "-96/1", "4/1", HEAD)],
+}
+
+
+@pytest.mark.parametrize("nu", sorted(N4_DIFFS))
+def test_heat_coeff_table_n4_reported_diffs_exact(nu):
+    diffs = heat_coeff_table(4, nu, 5).paper_reported_diffs
+    assert list(diffs) == [
+        {"quantity": "c", "index": i, "computed": ours, "paper_printed": theirs, "origin": origin}
+        for i, ours, theirs, origin in N4_DIFFS[nu]
+    ]
 
 
 def test_asymptotic_trace_leading_term():
