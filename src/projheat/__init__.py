@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .errors import (
     AntipodalDegenerate,
-    DegenerateNormalization,
     DimensionMismatch,
     IndexOutOfRange,
     NonIntegerDimension,
@@ -23,18 +22,15 @@ from .errors import (
     UnsupportedNu,
 )
 from .exactnum import (
-    Rational,
     bernoulli_number,
     bernoulli_polynomial,
     binomial_general,
-    parse_rational,
     pochhammer,
     power_sum,
     rational_str,
     theta2_series_coefficient,
 )
 from .heat import (
-    ThetaSpec,
     big_theta,
     heat_kernel_integral,
     heat_kernel_integral_hi,
@@ -64,15 +60,9 @@ from .kernels import (
     zaremba_sum_n1,
 )
 from .orthopoly import (
-    DiskIndex,
-    JacobiParams,
-    disk_polynomial,
     gauss2f1_terminating,
     gegenbauer_eval,
     jacobi,
-    jacobi_at_one,
-    jacobi_eval,
-    normalized_jacobi_R,
 )
 from .spectrum import (
     DecompositionPoly,
@@ -82,8 +72,6 @@ from .spectrum import (
     dimension_poly_form,
     dimension_product_form,
     eigenvalue_beta,
-    lambda_cap,
-    landau_tau,
     spherical_harmonic_dims,
 )
 

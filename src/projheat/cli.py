@@ -185,9 +185,7 @@ def cmd_heat_eval(args) -> int:
         payload["integral"] = _kernel_eval_dict(ki)
         rows.append(["integral", ki.value.real, ki.value.imag, ki.terms_used, ki.error_bound])
     if args.method == "both":
-        vs, vi = payload["series"]["value"], payload["integral"]["value"]
-        diff = abs(complex(vs["re"], vs["im"]) - complex(vi["re"], vi["im"]))
-        payload["relDifference"] = diff / (1.0 + abs(complex(vs["re"], vs["im"])))
+        payload["relDifference"] = abs(ks.value - ki.value) / (1.0 + abs(ks.value))
     if args.format == "json":
         _emit_json(payload, args.out)
     else:

@@ -11,10 +11,6 @@ class PoleError(ProjheatError):
     """A lower hypergeometric parameter hit a pole inside the summation range."""
 
 
-class DegenerateNormalization(ProjheatError):
-    """Normalization by a Jacobi value at 1 that is exactly zero."""
-
-
 class NonIntegerDimension(ProjheatError):
     """An eigenspace dimension came out non-integral (input-convention bug)."""
 

@@ -1,7 +1,8 @@
 """Exact rational arithmetic and the Bernoulli-family sequences.
 
-Every exact scalar in the package is a ``fractions.Fraction`` (alias
-``Rational``): always in lowest terms, denominator > 0, zero is 0/1.
+Every exact scalar in the package is a ``fractions.Fraction``: always in
+lowest terms, denominator > 0, zero is 0/1. ``rational_str`` writes one as
+"p/q", and ``Fraction`` reads that form back.
 
 Two distinct Bernoulli-type sequences live here and are never mixed up:
 
@@ -21,10 +22,7 @@ import threading
 from fractions import Fraction
 from math import comb
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "bernoulli_number",
     "bernoulli_polynomial",
     "theta2_series_coefficient",
@@ -32,7 +30,6 @@ __all__ = [
     "binomial_general",
     "power_sum",
     "rational_str",
-    "parse_rational",
 ]
 
 
@@ -147,8 +144,3 @@ def rational_str(x: Fraction | int) -> str:
     """Canonical "p/q" form with an explicit denominator (zero is "0/1")."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    """Inverse of rational_str; also accepts bare integers."""
-    return Fraction(s)

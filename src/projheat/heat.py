@@ -23,20 +23,18 @@ are computed rationally and converted once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import comb, exp, factorial, pi, sqrt
 
 import numpy as np
 
 from .errors import AntipodalDegenerate, NonPositiveTime, TruncationFailed
 from .exactnum import pochhammer
-from .kernels import KernelEval, double_angle, point_pair
+from .kernels import KernelEval, double_angle, pair_terms, point_pair
 from .orthopoly import gegenbauer_values, jacobi_values
 from .quadrature import gauss_legendre
 from .spectrum import SpectralPoint, dimension_product_form
 
 __all__ = [
-    "ThetaSpec",
     "theta2",
     "theta3",
     "theta_deriv",
@@ -53,22 +51,6 @@ _MIN_TERMS = 8
 _MAX_TERMS = 200_000
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
-    """Parameters of the lattice sum Theta_{n+1,nu}(t,u)."""
-
-    n: int
-    two_nu: int
-    t: float
-    truncation_eps: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.t <= 0:
-            raise NonPositiveTime(f"t = {self.t}")
-        if self.truncation_eps <= 0:
-            raise ValueError("truncation_eps must be > 0")
-
-
 def _require_time(t: float) -> None:
     if not t > 0:
         raise NonPositiveTime(f"t = {t}")
@@ -80,8 +62,11 @@ def terms_needed(bound, eps: float) -> tuple[int, float]:
     bound(m) must dominate |term(m)| and have eventually decreasing ratios.
     The cut requires r = bound(M+1)/bound(M) < 0.9 with the next ratio no
     larger, then tail <= bound(M)/(1 - r). Each bound(m) is evaluated once.
-    Returns (M, tail); raises TruncationFailed past _MAX_TERMS terms.
+    Returns (M, tail); raises ValueError unless eps > 0 and TruncationFailed
+    past _MAX_TERMS terms.
     """
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
     b1, b2 = bound(_MIN_TERMS), bound(_MIN_TERMS + 1)
     for terms in range(_MIN_TERMS, _MAX_TERMS + 2):
         b3 = bound(terms + 2)
@@ -133,10 +118,10 @@ def theta3(t: float, eps: float = 1e-12) -> float:
     return theta_deriv(3, 0, t, eps)
 
 
-def big_theta(spec: ThetaSpec, u: float) -> float:
+def big_theta(n: int, two_nu: int, t: float, u: float, eps: float = 1e-12) -> float:
     """Theta_{n+1,nu}(t,u) = sum_m e^{-4t(m+nu+n/2)^2} cos((2m+2nu+n)u)."""
-    a = spec.two_nu + spec.n
-    t = spec.t
+    _require_time(t)
+    a = two_nu + n
 
     def term(m: int) -> float:
         return exp(-t * (2 * m + a) ** 2) * math.cos((2 * m + a) * u)
@@ -144,7 +129,7 @@ def big_theta(spec: ThetaSpec, u: float) -> float:
     def bound(m: int) -> float:
         return exp(-t * (2 * m + a) ** 2)
 
-    terms, _ = terms_needed(bound, spec.truncation_eps)
+    terms, _ = terms_needed(bound, eps)
     return math.fsum(map(term, range(terms)))
 
 
@@ -155,8 +140,6 @@ def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[flo
     and the tail bound; the Jacobi sup bound P_m^{(a,b)}(1) with
     (a,b) = (max, min)(n-1, 2nu) makes the bound rigorous.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     big = two_nu + n
     qmax = max(n - 1, two_nu)
     shift = float(two_nu * two_nu + n * n)
@@ -199,12 +182,9 @@ def heat_kernel_series_grid(two_nu: int, t: float, z: complex, ws: np.ndarray,
     """
     _require_time(t)
     weights, _ = _series_weights(1, two_nu, t, eps)
-    zz = abs(z) ** 2
-    ww = np.abs(ws) ** 2
-    num = 1.0 + z * np.conjugate(ws)
-    x = np.clip(2.0 * np.abs(num) ** 2 / ((1.0 + zz) * (1.0 + ww)) - 1.0, -1.0, 1.0)
-    q = num / np.sqrt((1.0 + zz) * (1.0 + ww))
-    return q**two_nu / pi * np.dot(weights, jacobi_values(len(weights) - 1, 0, two_nu, x))
+    c2, q = pair_terms(1.0 + abs(z) ** 2, 1.0 + np.abs(ws) ** 2, 1.0 + z * np.conjugate(ws))
+    pvals = jacobi_values(len(weights) - 1, 0, two_nu, double_angle(c2))
+    return q**two_nu / pi * np.dot(weights, pvals)
 
 
 def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, float]:
@@ -317,8 +297,6 @@ def trace_direct(n: int, two_nu: int, t: float, eps: float = 1e-12) -> float:
     positive, so the term sequence is its own tail bound.
     """
     _require_time(t)
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     shift = float(n * n + two_nu * two_nu)
 
     def term(m: int) -> float:

@@ -30,10 +30,9 @@ __all__ = [
     "as_point",
     "herm",
     "point_pair",
+    "pair_terms",
     "double_angle",
     "fs_distance",
-    "cos_2dfs",
-    "phase_base",
     "reproducing_kernel",
     "monopole_basis",
     "zaremba_sum_n1",
@@ -76,14 +75,20 @@ def point_pair(n: int, z, w) -> tuple[float, complex]:
     z, w = as_point(z), as_point(w)
     if len(z) != n or len(w) != n:
         raise DimensionMismatch(f"expected dimension {n}, got {len(z)} and {len(w)}")
-    az, aw = 1.0 + herm(z, z).real, 1.0 + herm(w, w).real
-    num = 1.0 + herm(z, w)
-    return abs(num) ** 2 / (az * aw), num / sqrt(az * aw)
+    return pair_terms(1.0 + herm(z, z).real, 1.0 + herm(w, w).real, 1.0 + herm(z, w))
 
 
-def double_angle(c2: float) -> float:
+def pair_terms(az, aw, num):
+    """(cos^2 d_FS, q) from az = 1+|z|^2, aw = 1+|w|^2 and num = 1+<z,w>.
+
+    Scalars or broadcastable arrays; point_pair is the validated entry.
+    """
+    return abs(num) ** 2 / (az * aw), num / np.sqrt(az * aw)
+
+
+def double_angle(c2):
     """cos 2d = 2 cos^2 d - 1 from c2 = cos^2 d, clipped to [-1, 1]."""
-    return min(1.0, max(-1.0, 2.0 * c2 - 1.0))
+    return np.clip(2.0 * c2 - 1.0, -1.0, 1.0)
 
 
 def fs_distance(z, w) -> float:
@@ -92,23 +97,11 @@ def fs_distance(z, w) -> float:
     return acos(sqrt(min(1.0, point_pair(len(z), z, w)[0])))
 
 
-def cos_2dfs(z, w) -> float:
-    """cos(2 d_FS(z,w)) = 2|1+<z,w>|^2 / ((1+|z|^2)(1+|w|^2)) - 1, computed directly."""
-    z = as_point(z)
-    return double_angle(point_pair(len(z), z, w)[0])
-
-
-def phase_base(z, w) -> complex:
-    """q = (1 + herm(z,w)) / sqrt((1+|z|^2)(1+|w|^2)); |q| = cos d_FS."""
-    z = as_point(z)
-    return point_pair(len(z), z, w)[1]
-
-
 def reproducing_kernel(n: int, two_nu: int, m: int, z, w) -> KernelEval:
     """Closed-form reproducing kernel K_{nu,m}(z,w) of the m-th eigenspace.
 
     ((2m+2nu+n) Gamma(m+n+2nu) / (pi^n Gamma(m+2nu+1))) q^{2nu}
-    P_m^{(n-1,2nu)}(cos 2 d_FS), with q the phase base above.
+    P_m^{(n-1,2nu)}(cos 2 d_FS), with q from point_pair.
     """
     if two_nu < 0 or m < 0 or n < 1:
         raise ValueError("need n >= 1, 2*nu >= 0, m >= 0")

@@ -1,63 +1,30 @@
-"""Classical orthogonal polynomials and terminating hypergeometric series.
+"""Jacobi and Gegenbauer polynomials and the terminating 2F1 series.
 
-Evaluations are exact (Fractions in, Fraction out) through the finite-sum
-definitions, and binary64 through three-term recurrences for float, complex,
-or ndarray arguments. Jacobi parameters may be any rationals, including the
-negative integers that appear in monopole harmonics; the finite sum stays
-well defined there because the generalized binomials vanish structurally.
+Jacobi evaluations are exact (Fractions in, Fraction out) through the
+finite-sum definition, and binary64 through the three-term recurrence for
+float, complex, or ndarray arguments. Jacobi parameters may be any
+rationals, including the negative integers that appear in monopole
+harmonics; the finite sum stays well defined there because the generalized
+binomials vanish structurally. The terminating 2F1 is the reference the
+tests check the exact Jacobi path against.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
-from .errors import DegenerateNormalization, PoleError
-from .exactnum import binomial_general, pochhammer
+from .errors import PoleError
+from .exactnum import binomial_general
 
 __all__ = [
-    "JacobiParams",
-    "DiskIndex",
     "jacobi",
-    "jacobi_eval",
     "jacobi_values",
-    "jacobi_at_one",
     "gauss2f1_terminating",
-    "normalized_jacobi_R",
-    "disk_polynomial",
     "gegenbauer_eval",
     "gegenbauer_values",
 ]
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Degree and rational parameters of P_k^{(alpha,beta)}."""
-
-    degree: int
-    alpha: Fraction | int
-    beta: Fraction | int
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("Jacobi degree must be >= 0")
-
-
-@dataclass(frozen=True)
-class DiskIndex:
-    """Bidegree (p, q) and parameter gamma of a disk (Zernike) polynomial."""
-
-    p: int
-    q: int
-    gamma: Fraction | int
-
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
-            raise ValueError("disk polynomial indices must be >= 0")
 
 
 def _is_exact(x) -> bool:
@@ -118,16 +85,6 @@ def jacobi(k: int, alpha, beta, x):
     return jacobi_values(k, float(a), float(b), x)[k]
 
 
-def jacobi_eval(params: JacobiParams, x):
-    """P_k^{(alpha,beta)}(x) for the bundled parameter set."""
-    return jacobi(params.degree, params.alpha, params.beta, x)
-
-
-def jacobi_at_one(params: JacobiParams) -> Fraction:
-    """Exact P_k^{(alpha,beta)}(1) = (alpha+1)_k / k!."""
-    return pochhammer(Fraction(params.alpha) + 1, params.degree) / factorial(params.degree)
-
-
 def gauss2f1_terminating(k: int, b, c, x):
     """Terminating 2F1(-k, b; c; x) = sum_{j<=k} (-k)_j (b)_j / ((c)_j j!) x^j.
 
@@ -155,35 +112,6 @@ def gauss2f1_terminating(k: int, b, c, x):
         xpow = xpow * x
         total = total + (coef * xpow if exact else float(coef) * xpow)
     return total
-
-
-def normalized_jacobi_R(k: int, alpha, beta, u):
-    """R_k^{(alpha,beta)}(u) = P_k^{(alpha,beta)}(u) / P_k^{(alpha,beta)}(1)."""
-    at_one = jacobi_at_one(JacobiParams(k, alpha, beta))
-    if at_one == 0:
-        raise DegenerateNormalization(f"P_{k}^{({alpha},{beta})}(1) = 0")
-    value = jacobi(k, alpha, beta, u)
-    return value / at_one if _is_exact(u) else value / float(at_one)
-
-
-def disk_polynomial(idx: DiskIndex, xi: complex) -> complex:
-    """Disk (Zernike) polynomial R_{p,q}^{gamma}(xi) on the closed unit disk.
-
-    The angular factor |xi|^{|p-q|} e^{i(p-q) arg xi} is computed as an
-    integer power of xi or of its conjugate, so there is no branch to pick.
-    At xi = 0 the continuous limit is used: 0 for p != q.
-    """
-    p, q, gamma = idx.p, idx.q, idx.gamma
-    xi = complex(xi)
-    if abs(xi) > 1 + 1e-12:
-        warnings.warn("disk polynomial evaluated outside the closed unit disk", stacklevel=2)
-    if xi == 0:
-        if p != q:
-            return 0j
-        return complex(normalized_jacobi_R(p, gamma, 0, -1.0))
-    angular = xi ** (p - q) if p >= q else np.conjugate(xi) ** (q - p)
-    radial = normalized_jacobi_R(min(p, q), gamma, abs(p - q), 2.0 * abs(xi) ** 2 - 1.0)
-    return complex(angular * radial)
 
 
 def gegenbauer_eval(k: int, lam, x):

@@ -19,9 +19,7 @@ from .errors import NonIntegerDimension
 __all__ = [
     "SpectralPoint",
     "DecompositionPoly",
-    "lambda_cap",
     "eigenvalue_beta",
-    "landau_tau",
     "dimension_gamma_form",
     "dimension_product_form",
     "dimension_poly_form",
@@ -64,23 +62,10 @@ class DecompositionPoly:
     coeffs: tuple[Fraction, ...]
 
 
-def lambda_cap(n: int, nu: Fraction | int, lam: Fraction | int) -> Fraction:
-    """The spectral parameter map n^2 - lambda^2 + 4 nu^2."""
-    nu, lam = Fraction(nu), Fraction(lam)
-    return n * n - lam * lam + 4 * nu * nu
-
-
 def eigenvalue_beta(pt: SpectralPoint) -> Fraction:
     """Eigenvalue beta_m = -4(m+nu)(m+nu+n) + 4 nu^2 of the m-th eigenspace."""
     s = pt.m + pt.nu
     return -4 * s * (s + pt.n) + 4 * pt.nu * pt.nu
-
-
-def landau_tau(nu: Fraction | int, m: int) -> Fraction:
-    """Spherical Landau level (2m+1) nu + m(m+1) of the n=1 monopole."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return (2 * m + 1) * Fraction(nu) + m * (m + 1)
 
 
 def _as_integer(value: Fraction, pt: SpectralPoint) -> int:

@@ -13,7 +13,6 @@ from projheat import heat
 from projheat.errors import AntipodalDegenerate, NonPositiveTime, TruncationFailed
 from projheat.exactnum import bernoulli_number, theta2_series_coefficient
 from projheat.heat import (
-    ThetaSpec,
     big_theta,
     heat_kernel_integral,
     heat_kernel_integral_hi,
@@ -42,7 +41,19 @@ def test_time_validation():
     with pytest.raises(NonPositiveTime):
         trace_direct(1, 0, 0.0)
     with pytest.raises(NonPositiveTime):
-        ThetaSpec(1, 0, -0.1)
+        big_theta(1, 0, -0.1, 0.3)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda eps: theta_deriv(2, 1, 0.5, eps=eps),
+    lambda eps: big_theta(2, 1, 0.5, 0.3, eps=eps),
+    lambda eps: heat_kernel_series(1, 1, 0.5, (0.3 + 0.2j,), (0.1 - 0.4j,), eps=eps),
+    lambda eps: trace_direct(1, 0, 0.1, eps=eps),
+], ids=["theta_deriv", "big_theta", "heat_kernel_series", "trace_direct"])
+def test_eps_must_be_positive(call, eps):
+    with pytest.raises(ValueError, match="eps must be > 0"):
+        call(eps)
 
 
 def test_terms_needed_geometric_cut(monkeypatch):
@@ -145,8 +156,7 @@ def test_big_theta_derivative_chain():
         rhs *= 2 ** (ell - 1) * factorial(ell - 1)
         assert lhs == pytest.approx(rhs, rel=1e-6)
         # the package entry point agrees with the test-local series
-        spec = ThetaSpec(n, two_nu, t)
-        assert big_theta(spec, u0) == pytest.approx(float(theta_mp(mp.mpf(u0))), rel=1e-10)
+        assert big_theta(n, two_nu, t, u0) == pytest.approx(float(theta_mp(mp.mpf(u0))), rel=1e-10)
 
 
 def test_heat_series_large_t_diagonal():

@@ -11,12 +11,12 @@ import pytest
 from projheat.errors import DimensionMismatch, IndexOutOfRange
 from projheat.exactnum import pochhammer
 from projheat.kernels import (
-    cos_2dfs,
+    double_angle,
     fs_distance,
     kernel_diagonal_volume_check,
     monopole_basis,
     monopole_norm_sq,
-    phase_base,
+    point_pair,
     reproducing_kernel,
     zaremba_sum_n1,
 )
@@ -40,8 +40,9 @@ def test_fs_distance_symmetry_and_consistency():
         z = tuple(complex(a, b) for a, b in rng.normal(0, 1, (2, 2)))
         w = tuple(complex(a, b) for a, b in rng.normal(0, 1, (2, 2)))
         assert fs_distance(z, w) == pytest.approx(fs_distance(w, z))
-        assert cos_2dfs(z, w) == pytest.approx(np.cos(2 * fs_distance(z, w)), abs=1e-12)
-        assert abs(phase_base(z, w)) == pytest.approx(np.cos(fs_distance(z, w)), abs=1e-12)
+        c2, q = point_pair(2, z, w)
+        assert double_angle(c2) == pytest.approx(np.cos(2 * fs_distance(z, w)), abs=1e-12)
+        assert abs(q) == pytest.approx(np.cos(fs_distance(z, w)), abs=1e-12)
 
 
 def test_fs_distance_dimension_mismatch():
@@ -69,7 +70,7 @@ def test_kernel_nu0_koornwinder_form():
         w = tuple(complex(a, b) for a, b in rng.normal(0, 0.6, (n, 2)))
         k = reproducing_kernel(n, 0, m, z, w)
         expected = ((2 * m + n) * factorial(m + n - 1) / (pi**n * factorial(m))
-                    * jacobi(m, n - 1, 0, cos_2dfs(z, w)))
+                    * jacobi(m, n - 1, 0, double_angle(point_pair(n, z, w)[0])))
         assert k.value == pytest.approx(expected, rel=1e-12)
 
 

@@ -13,34 +13,22 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_gegenbauer, eval_jacobi
 
-from projheat.errors import DegenerateNormalization, PoleError
+from projheat.errors import PoleError
 from projheat.exactnum import pochhammer
-from projheat.orthopoly import (
-    DiskIndex,
-    JacobiParams,
-    disk_polynomial,
-    gauss2f1_terminating,
-    gegenbauer_eval,
-    jacobi,
-    jacobi_at_one,
-    jacobi_eval,
-    normalized_jacobi_R,
-)
+from projheat.orthopoly import gauss2f1_terminating, gegenbauer_eval, jacobi
 
 
 def test_jacobi_trivial_and_frozen():
-    assert jacobi_eval(JacobiParams(0, 2, 5), 0.3) == 1.0
+    assert jacobi(0, 2, 5, 0.3) == 1.0
     # Legendre P_2(1/2) = (3x^2-1)/2 = -1/8
-    assert jacobi_eval(JacobiParams(2, 0, 0), Fraction(1, 2)) == Fraction(-1, 8)
+    assert jacobi(2, 0, 0, Fraction(1, 2)) == Fraction(-1, 8)
 
 
 @pytest.mark.parametrize("n,two_nu,m", [(1, 0, 3), (2, 2, 4), (3, 1, 2), (4, 3, 5)])
 def test_jacobi_at_one_matches_pochhammer(n, two_nu, m):
-    params = JacobiParams(m, n - 1, two_nu)
-    expected = pochhammer(n, m) / math.factorial(m)
-    assert jacobi_at_one(params) == expected
-    assert jacobi_eval(params, 1) == expected
-    assert jacobi_at_one(JacobiParams(3, 1, 0)) == 4
+    # P_m^{(n-1,2nu)}(1) = (n)_m / m!
+    assert jacobi(m, n - 1, two_nu, Fraction(1)) == pochhammer(n, m) / math.factorial(m)
+    assert jacobi(3, 1, 0, Fraction(1)) == 4
 
 
 def test_jacobi_float_path_against_scipy():
@@ -114,46 +102,35 @@ def test_pfaff_transformation_exact(k):
         assert lhs == rhs
 
 
-def test_normalized_jacobi_R():
-    assert normalized_jacobi_R(4, Fraction(1, 2), 2, 1) == 1
-    assert normalized_jacobi_R(0, 3, 1, 0.123) == 1.0
-    with pytest.raises(DegenerateNormalization):
-        normalized_jacobi_R(2, -1, 0, Fraction(1, 2))
-
-
 @pytest.mark.parametrize("k", range(7))
 def test_normalized_jacobi_2f1_form(k):
-    # R_k^{(a,b)}(u) = ((1+u)/2)^k 2F1(-k, -k-b; a+1; (u-1)/(u+1));
+    # R_k^{(a,b)}(u) = P_k(u)/P_k(1) = ((1+u)/2)^k 2F1(-k, -k-b; a+1; (u-1)/(u+1));
     # the argument sign follows from Pfaff applied to the classical
-    # 2F1(-k, k+a+b+1; a+1; (1-u)/2) form
+    # 2F1(-k, k+a+b+1; a+1; (1-u)/2) form; P_k^{(a,b)}(1) = (a+1)_k / k!
     a, b = Fraction(2), Fraction(3, 2)
+    at_one = pochhammer(a + 1, k) / math.factorial(k)
     for u in (Fraction(-1, 3), Fraction(0), Fraction(1, 2), Fraction(9, 10)):
-        lhs = normalized_jacobi_R(k, a, b, u)
+        lhs = jacobi(k, a, b, u) / at_one
         rhs = ((1 + u) / 2) ** k * gauss2f1_terminating(k, -k - b, a + 1, (u - 1) / (u + 1))
         assert lhs == rhs
         classic = gauss2f1_terminating(k, k + a + b + 1, a + 1, (1 - u) / 2)
         assert lhs == classic
 
 
-def test_disk_polynomial_basics():
-    assert disk_polynomial(DiskIndex(0, 0, 2), 0.3 + 0.4j) == 1
-    xi = 0.35 - 0.2j
-    assert disk_polynomial(DiskIndex(1, 0, 3), xi) == pytest.approx(xi)
-    assert disk_polynomial(DiskIndex(2, 1, 1), 0j) == 0
-    # p = q at origin: R_p^{(gamma,0)}(-1)
-    val = disk_polynomial(DiskIndex(2, 2, 1), 0j)
-    assert val == pytest.approx(float(normalized_jacobi_R(2, 1, 0, Fraction(-1))))
-
-
-@pytest.mark.filterwarnings("ignore:disk polynomial evaluated")
 @pytest.mark.parametrize("s,t", [(s, t) for s in range(7) for t in range(7)])
 def test_disk_polynomial_2f1_identity(s, t):
-    # 2F1(-s,-t; gamma+1; y) = (1-y)^{(s+t)/2} R_{s,t}^gamma((1-y)^{-1/2})
+    # 2F1(-s,-t; gamma+1; y) = (1-y)^{(s+t)/2} R_{s,t}^gamma((1-y)^{-1/2}), where on
+    # real xi the disk polynomial is xi^d P_k^{(gamma,d)}(2xi^2-1) / P_k^{(gamma,d)}(1)
+    # with k = min(s,t), d = |s-t|; this checks the float Jacobi recurrence
+    # against the terminating 2F1, also at arguments 2xi^2-1 > 1
     gamma = Fraction(3, 2)
+    k, d = min(s, t), abs(s - t)
+    at_one = float(pochhammer(gamma + 1, k) / math.factorial(k))
     for y in (-0.7, 0.2, 0.64):
         lhs = gauss2f1_terminating(s, Fraction(-t), gamma + 1, y)
         xi = (1 - y) ** -0.5
-        rhs = (1 - y) ** ((s + t) / 2) * disk_polynomial(DiskIndex(s, t, gamma), xi)
+        disk = xi**d * jacobi(k, gamma, d, 2.0 * xi**2 - 1.0) / at_one
+        rhs = (1 - y) ** ((s + t) / 2) * disk
         assert complex(lhs) == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 

@@ -16,26 +16,8 @@ from projheat.spectrum import (
     dimension_poly_form,
     dimension_product_form,
     eigenvalue_beta,
-    lambda_cap,
-    landau_tau,
     spherical_harmonic_dims,
 )
-
-
-def test_lambda_cap_examples():
-    assert lambda_cap(1, 0, 1) == 0
-    assert lambda_cap(2, 1, 0) == 8
-    # relation to the n=1 Landau levels: -Lambda/4 = tau_m at lambda = 2(m+nu)+1
-    for two_nu in range(5):
-        nu = Fraction(two_nu, 2)
-        for m in range(6):
-            lam = 2 * (m + nu) + 1
-            assert -lambda_cap(1, nu, lam) / 4 == landau_tau(nu, m)
-
-
-def test_landau_tau_examples():
-    assert landau_tau(Fraction(3, 2), 0) == Fraction(3, 2)
-    assert landau_tau(Fraction(1, 2), 2) == Fraction(17, 2)
 
 
 def test_eigenvalue_beta_examples():
@@ -43,9 +25,10 @@ def test_eigenvalue_beta_examples():
         for m in range(5):
             assert eigenvalue_beta(SpectralPoint(n, 0, m)) == -4 * m * (m + n)
     assert eigenvalue_beta(SpectralPoint(2, 2, 1)) == -28
-    # beta_m = Lambda_{n,nu}(2(m+nu)+n)
+    # beta_m = Lambda_{n,nu}(lambda) = n^2 - lambda^2 + 4 nu^2 at lambda = 2(m+nu)+n
     pt = SpectralPoint(3, 3, 4)
-    assert eigenvalue_beta(pt) == lambda_cap(3, pt.nu, 2 * (4 + pt.nu) + 3)
+    lam = 2 * (pt.m + pt.nu) + pt.n
+    assert eigenvalue_beta(pt) == pt.n**2 - lam**2 + 4 * pt.nu**2
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=6),
