@@ -61,7 +61,6 @@ from .kernels import (
 )
 from .orthopoly import (
     gauss2f1_terminating,
-    gegenbauer_eval,
     jacobi,
 )
 from .spectrum import (

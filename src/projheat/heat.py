@@ -23,13 +23,13 @@ are computed rationally and converted once.
 from __future__ import annotations
 
 import math
-from math import comb, exp, factorial, pi, sqrt
+from math import comb, exp, factorial, pi
 
 import numpy as np
 
 from .errors import AntipodalDegenerate, NonPositiveTime, TruncationFailed
 from .exactnum import pochhammer
-from .kernels import KernelEval, double_angle, pair_terms, point_pair
+from .kernels import KernelEval, double_angle, pair_terms, point_pair, single_angle
 from .orthopoly import gegenbauer_values, jacobi_values
 from .quadrature import gauss_legendre
 from .spectrum import SpectralPoint, dimension_product_form
@@ -213,8 +213,9 @@ def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: float, scale,
 
     Gauss-Legendre from start_nodes in [16, 1024], with the order doubled
     at least once and then until the scaled value moves < 1e-9 or the order
-    reaches 1024. Returns (value, terms of G, change at the last doubling,
-    tail bound of G).
+    is 1024 or more, so the last rule has up to 2048 nodes (a start of 1024
+    evaluates 1024 and 2048). Returns (value, terms of G, change at the last
+    doubling, tail bound of G).
     """
     if not 16 <= start_nodes <= 1024:
         raise ValueError(f"quadrature nodes must be in [16, 1024], got {start_nodes}")
@@ -240,7 +241,7 @@ def _integral_geometry(n: int, z, w) -> tuple[float, complex]:
     c2, q = point_pair(n, z, w)
     if c2 < 1e-20:
         raise AntipodalDegenerate("1 + <z,w> ~ 0: integral prefactor degenerates")
-    return sqrt(min(1.0, c2)), np.conjugate(q)
+    return single_angle(c2), np.conjugate(q)
 
 
 def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) -> KernelEval:

@@ -31,6 +31,7 @@ __all__ = [
     "herm",
     "point_pair",
     "pair_terms",
+    "single_angle",
     "double_angle",
     "fs_distance",
     "reproducing_kernel",
@@ -66,8 +67,10 @@ def herm(z: ProjPoint, w: ProjPoint) -> complex:
     return sum(a * np.conjugate(b) for a, b in zip(z, w))
 
 
-def point_pair(n: int, z, w) -> tuple[float, complex]:
+def point_pair(n: int, z, w) -> tuple[np.float64, np.complex128]:
     """(cos^2 d_FS, q) for two chart points, checked to have dimension n.
+
+    Both are numpy scalars, because herm sums numpy products.
 
     cos^2 d_FS = |1+<z,w>|^2 / ((1+|z|^2)(1+|w|^2)) and
     q = (1+<z,w>) / sqrt((1+|z|^2)(1+|w|^2)), so |q| = cos d_FS.
@@ -86,6 +89,11 @@ def pair_terms(az, aw, num):
     return abs(num) ** 2 / (az * aw), num / np.sqrt(az * aw)
 
 
+def single_angle(c2) -> float:
+    """cos d = sqrt(c2) from c2 = cos^2 d, clipped to at most 1."""
+    return sqrt(min(1.0, c2))
+
+
 def double_angle(c2):
     """cos 2d = 2 cos^2 d - 1 from c2 = cos^2 d, clipped to [-1, 1]."""
     return np.clip(2.0 * c2 - 1.0, -1.0, 1.0)
@@ -94,7 +102,7 @@ def double_angle(c2):
 def fs_distance(z, w) -> float:
     """Fubini-Study distance in [0, pi/2]: cos^2 d = |1+<z,w>|^2 / ((1+|z|^2)(1+|w|^2))."""
     z = as_point(z)
-    return acos(sqrt(min(1.0, point_pair(len(z), z, w)[0])))
+    return acos(single_angle(point_pair(len(z), z, w)[0]))
 
 
 def reproducing_kernel(n: int, two_nu: int, m: int, z, w) -> KernelEval:
@@ -112,27 +120,38 @@ def reproducing_kernel(n: int, two_nu: int, m: int, z, w) -> KernelEval:
     return KernelEval(value=complex(value), terms_used=0, error_bound=0.0)
 
 
-def monopole_basis(two_nu: int, m: int, k: int, z: complex) -> complex:
+def monopole_basis(two_nu: int, m: int, k: int,
+                   z: complex | np.ndarray) -> complex | np.ndarray:
     """Monopole harmonic Phi_k^{nu,m}(z) on the n=1 chart, -m <= k <= 2nu+m.
 
-    Negative k is the literal z^k; the Jacobi factor P_m^{(k,2nu-k)} carries
-    a structural zero of order |k| at z = 0, so the product is regular.
+    z is a complex scalar, or an ndarray evaluated elementwise (complex
+    result of the same shape). Negative k is the literal z^k; the Jacobi
+    factor P_m^{(k,2nu-k)} carries a structural zero of order |k| at z = 0,
+    so the product is regular.
     """
     if two_nu < 0 or m < 0:
         raise ValueError("need 2*nu >= 0 and m >= 0")
     if not -m <= k <= two_nu + m:
         raise IndexOutOfRange(f"k={k} outside [{-m}, {two_nu + m}]")
-    z = complex(z)
     norm = sqrt(
         (two_nu + 2 * m + 1)
         * factorial(two_nu + m)
         * factorial(m)
         / (factorial(m + k) * factorial(two_nu + m - k))
     )
+    # the value at z = 0: P_m^{(k,2nu-k)}(1) = (k+1)_m/m! vanishes for -m <= k < 0
+    at_origin = complex(norm) if k == 0 else 0j
+    if isinstance(z, np.ndarray):
+        z = z.astype(complex)
+        origin = z == 0
+        if origin.any():
+            inner = monopole_basis(two_nu, m, k, np.where(origin, 1.0, z))
+            return np.where(origin, at_origin, inner)
+    else:
+        z = complex(z)
+        if z == 0:
+            return at_origin
     zz = (z * z.conjugate()).real
-    if z == 0:
-        # P_m^{(k,2nu-k)}(1) = (k+1)_m/m! vanishes for -m <= k < 0
-        return complex(norm) if k == 0 else 0j
     s = (1.0 - zz) / (1.0 + zz)
     return norm * (1.0 + zz) ** (-two_nu / 2.0) * z**k * jacobi(m, k, two_nu - k, s)
 
@@ -153,10 +172,11 @@ def zaremba_sum_n1(two_nu: int, m: int, z: complex, w: complex) -> complex:
 def monopole_norm_sq(two_nu: int, m: int, k: int, nr: int = 400) -> float:
     """Numerical ||Phi_k^{nu,m}||^2 against dmu_1/pi (radial Gauss-Legendre).
 
-    |Phi_k| depends only on |z|, so the angular integral is exact.
+    |Phi_k| depends only on |z|, so the angular integral is exact; Phi_k is
+    evaluated on all nr radii in one call.
     """
     rho, wgt = radial_mu1_rule(nr)
-    vals = np.array([abs(monopole_basis(two_nu, m, k, complex(r, 0.0))) ** 2 for r in rho])
+    vals = np.abs(monopole_basis(two_nu, m, k, rho)) ** 2
     return float(np.sum(vals * wgt) / pi)
 
 

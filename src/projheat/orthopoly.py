@@ -4,14 +4,17 @@ Jacobi evaluations are exact (Fractions in, Fraction out) through the
 finite-sum definition, and binary64 through the three-term recurrence for
 float, complex, or ndarray arguments. Jacobi parameters may be any
 rationals, including the negative integers that appear in monopole
-harmonics; the finite sum stays well defined there because the generalized
-binomials vanish structurally. The terminating 2F1 is the reference the
-tests check the exact Jacobi path against.
+harmonics; there the recurrence denominators can vanish, so binary64
+arguments go through the finite sum as well, which stays well defined
+because the generalized binomials vanish structurally. The finite-sum
+weights are built once per (k, alpha, beta). The terminating 2F1 is the
+reference the tests check the exact Jacobi path against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +25,6 @@ __all__ = [
     "jacobi",
     "jacobi_values",
     "gauss2f1_terminating",
-    "gegenbauer_eval",
     "gegenbauer_values",
 ]
 
@@ -31,22 +33,27 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-def _jacobi_finite_sum(k: int, alpha, beta, x):
+@lru_cache(maxsize=128)
+def _finite_sum_coeffs(k: int, alpha: Fraction, beta: Fraction) -> tuple[Fraction, ...]:
+    """C(k+a, j) C(k+b, k-j) for j = 0..k, the weights of _jacobi_finite_sum."""
+    return tuple(binomial_general(alpha + k, j) * binomial_general(beta + k, k - j)
+                 for j in range(k + 1))
+
+
+def _jacobi_finite_sum(k: int, alpha: Fraction, beta: Fraction, x):
     """2^{-k} sum_j C(k+a, j) C(k+b, k-j) (x+1)^j (x-1)^{k-j}.
 
-    Valid for arbitrary rational parameters; x exact or floating.
+    Valid for arbitrary rational parameters; x exact, floating or ndarray.
     """
-    exact = _is_exact(x)
-    coeffs = [binomial_general(Fraction(alpha) + k, j) * binomial_general(Fraction(beta) + k, k - j)
-              for j in range(k + 1)]
-    if exact:
+    coeffs = _finite_sum_coeffs(k, alpha, beta)
+    if _is_exact(x):
         xx = Fraction(x)
         total = Fraction(0)
         for j, c in enumerate(coeffs):
             if c:
                 total += c * (xx + 1) ** j * (xx - 1) ** (k - j)
         return total / 2**k
-    total = 0.0
+    total = x * 0 + 0.0  # keeps an ndarray's shape when every weight vanishes
     for j, c in enumerate(coeffs):
         if c:
             total = total + float(c) * (x + 1.0) ** j * (x - 1.0) ** (k - j)
@@ -75,13 +82,11 @@ def jacobi(k: int, alpha, beta, x):
     """P_k^{(alpha,beta)}(x); exact for exact x, binary64 otherwise."""
     if k < 0:
         raise ValueError("Jacobi degree must be >= 0")
-    if _is_exact(x):
-        return _jacobi_finite_sum(k, alpha, beta, x)
     a, b = Fraction(alpha), Fraction(beta)
     neg_int = (a.denominator == 1 and a < 0) or (b.denominator == 1 and b < 0)
-    if neg_int and not isinstance(x, np.ndarray):
-        # recurrence denominators can vanish there; the finite sum cannot
-        return _jacobi_finite_sum(k, alpha, beta, x)
+    if neg_int or _is_exact(x):
+        # recurrence denominators can vanish at negative integers; the finite sum cannot
+        return _jacobi_finite_sum(k, a, b, x)
     return jacobi_values(k, float(a), float(b), x)[k]
 
 
@@ -112,13 +117,6 @@ def gauss2f1_terminating(k: int, b, c, x):
         xpow = xpow * x
         total = total + (coef * xpow if exact else float(coef) * xpow)
     return total
-
-
-def gegenbauer_eval(k: int, lam, x):
-    """C_k^{lambda}(x) by the standard recurrence; x float or ndarray."""
-    if k < 0:
-        raise ValueError("Gegenbauer degree must be >= 0")
-    return gegenbauer_values(k, lam, x)[k]
 
 
 def gegenbauer_values(kmax: int, lam, x: np.ndarray) -> np.ndarray:

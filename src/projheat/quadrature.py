@@ -9,6 +9,8 @@ sin(theta) cos(theta) dtheta, so the rule converges spectrally.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["gauss_legendre", "radial_mu1_rule", "plane_mu1_rule"]
@@ -25,11 +27,21 @@ def radial_mu1_rule(nr: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Radii and weights so that sum f(rho) w = integral_C f(|z|) dmu_1(z).
 
     Only valid for radially symmetric integrands (the 2*pi angular factor
-    is folded into the weights).
+    is folded into the weights). The arrays are built once per nr and are
+    read-only.
     """
+    return _radial_mu1_arrays(nr)
+
+
+# radial_mu1_rule stays a plain function over this cache, so it keeps the
+# __code__ that perfbench/tracer.py's probes copy.
+@lru_cache(maxsize=8)
+def _radial_mu1_arrays(nr: int) -> tuple[np.ndarray, np.ndarray]:
     theta, wt = gauss_legendre(nr, 0.0, np.pi / 2)
     rho = np.tan(theta)
     w = 2.0 * np.pi * wt * np.sin(theta) * np.cos(theta)
+    rho.flags.writeable = False
+    w.flags.writeable = False
     return rho, w
 
 

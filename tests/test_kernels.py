@@ -96,6 +96,15 @@ def test_monopole_basis_values_and_range():
     assert monopole_basis(2, 1, 2, 0j) == 0
 
 
+@pytest.mark.parametrize("two_nu,m,k", [(0, 0, 0), (2, 1, -1), (1, 2, -2), (3, 2, 4), (2, 2, 1)])
+def test_monopole_basis_ndarray_matches_scalars(two_nu, m, k):
+    z = np.array([0j, 0.3 + 0.2j, -1.1 + 0.5j, 2.0, -0.4j])
+    values = monopole_basis(two_nu, m, k, z)
+    assert values.shape == z.shape and values.dtype == complex
+    for zi, vi in zip(z, values):
+        assert vi == pytest.approx(monopole_basis(two_nu, m, k, complex(zi)), rel=1e-13, abs=1e-15)
+
+
 def test_monopole_norms_smoke():
     for two_nu, m, k in [(0, 1, 0), (1, 0, 1), (2, 1, -1), (3, 2, 4)]:
         assert monopole_norm_sq(two_nu, m, k) == pytest.approx(1.0, abs=1e-10)

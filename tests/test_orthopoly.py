@@ -15,7 +15,7 @@ from scipy.special import eval_gegenbauer, eval_jacobi
 
 from projheat.errors import PoleError
 from projheat.exactnum import pochhammer
-from projheat.orthopoly import gauss2f1_terminating, gegenbauer_eval, jacobi
+from projheat.orthopoly import gauss2f1_terminating, gegenbauer_values, jacobi
 
 
 def test_jacobi_trivial_and_frozen():
@@ -50,6 +50,18 @@ def test_jacobi_exact_and_float_paths_agree():
             exact = jacobi(k, Fraction(3, 2), 2, x)
             floating = jacobi(k, Fraction(3, 2), 2, float(x))
             assert floating == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("k,a,b", [(2, -1, -1), (1, -1, -1), (3, -2, 4), (3, 1, -3),
+                                   (4, -2, -3), (2, Fraction(1, 2), -1)])
+def test_jacobi_ndarray_negative_integer_parameter_matches_scalars(k, a, b):
+    # an ndarray once went through the recurrence, whose c1 vanishes here (NaN)
+    x = np.linspace(-1.0, 1.0, 9)
+    values = jacobi(k, a, b, x)
+    assert values.shape == x.shape
+    for xi, vi in zip(x, values):
+        assert vi == pytest.approx(jacobi(k, a, b, float(xi)), rel=1e-13, abs=1e-14)
+    assert jacobi(2, -1, -1, np.array([0.3]))[0] == pytest.approx(-0.2275, rel=1e-13)
 
 
 def test_jacobi_negative_integer_parameter_structural_zero():
@@ -135,16 +147,16 @@ def test_disk_polynomial_2f1_identity(s, t):
 
 
 def test_gegenbauer_examples_and_scipy():
-    assert gegenbauer_eval(0, 2, 0.4) == 1.0
-    assert gegenbauer_eval(1, 2, 0.25) == pytest.approx(1.0)
+    assert gegenbauer_values(0, 2, 0.4)[0] == 1.0
+    assert gegenbauer_values(1, 2, 0.25)[1] == pytest.approx(1.0)
     for x in (-0.8, 0.1, 0.9):
-        assert gegenbauer_eval(2, 1, x) == pytest.approx(4 * x * x - 1)
+        assert gegenbauer_values(2, 1, x)[2] == pytest.approx(4 * x * x - 1)
     rng = np.random.default_rng(5)
     for _ in range(40):
         k = int(rng.integers(0, 14))
         lam = float(rng.uniform(0.5, 6.0))
         x = float(rng.uniform(-1, 1))
-        assert gegenbauer_eval(k, lam, x) == pytest.approx(
+        assert gegenbauer_values(k, lam, x)[k] == pytest.approx(
             eval_gegenbauer(k, lam, x), rel=1e-10, abs=1e-10)
 
 
@@ -165,7 +177,7 @@ def test_gegenbauer_sine_derivative_connection(l, k):
     with mp.workdps(40):
         for u0 in (0.3, 0.7, 1.1):
             lhs = _nested_sine_derivative(l, k + l + 1, u0)
-            rhs = 2**l * math.factorial(l) * gegenbauer_eval(k, l + 1, math.cos(u0))
+            rhs = 2**l * math.factorial(l) * gegenbauer_values(k, l + 1, math.cos(u0))[k]
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
 

@@ -1,4 +1,5 @@
-"""Public surface: every exported name exists, and so does every benchmark probe."""
+"""Public surface: every exported name exists, every benchmark probe is a plain
+function, and the cached radial rule is built once and read-only."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import projheat
+from projheat import kernels, quadrature
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(projheat.__path__) if m.name != "__main__")
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -37,3 +39,28 @@ def test_all_names_resolve_and_star_import(name):
 def test_tracer_probe_targets_resolve(module, function):
     target = getattr(importlib.import_module(f"projheat.{module}"), function, None)
     assert callable(target), f"perfbench/tracer.py probes missing projheat.{module}.{function}"
+    # a probe copies fn.__code__; an lru_cache wrapper has none
+    assert hasattr(target, "__code__"), f"projheat.{module}.{function} has no __code__"
+
+
+def test_monopole_norms_build_the_radial_rule_once(monkeypatch):
+    seen = []
+    gauss_legendre = quadrature.gauss_legendre
+
+    def recording(k, a, b):
+        seen.append(k)
+        return gauss_legendre(k, a, b)
+
+    quadrature._radial_mu1_arrays.cache_clear()
+    monkeypatch.setattr(quadrature, "gauss_legendre", recording)
+    for k in (-1, 0, 1, 2):
+        assert kernels.monopole_norm_sq(1, 1, k, nr=96) == pytest.approx(1.0, abs=1e-10)
+    assert seen == [96]
+
+
+def test_radial_rule_arrays_reject_writes():
+    rho, w = quadrature.radial_mu1_rule(32)
+    assert rho is quadrature.radial_mu1_rule(32)[0]
+    for arr in (rho, w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
