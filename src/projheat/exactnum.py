@@ -12,13 +12,14 @@ Two distinct Bernoulli-type sequences live here and are never mixed up:
   ((-1)^d/(d+1)) (1 - 2^{-2d-1}) B_{2d+2} that appears as the small-time
   Taylor tail of the lattice theta series sum (2j+1) e^{-(j+1/2)^2 t}.
 
-Both caches grow under a lock and are append-only, so values are safe for
-concurrent reads once computed.
+Both sequences are memoized in append-only module lists that the two
+functions grow on demand. Each entry is stored with a slice assignment at
+its own index, so a racing grower that stored it first is overwritten by
+the same value, and no lock is needed.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb
 
@@ -33,58 +34,33 @@ __all__ = [
 ]
 
 
-class _BernoulliCache:
-    """Memoized B_0..B_D plus the rescaled theta-series sequence."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._standard: list[Fraction] = [Fraction(1)]
-        self._theta2: list[Fraction] = []
-
-    def standard(self, d: int) -> Fraction:
-        if d >= len(self._standard):
-            with self._lock:
-                while len(self._standard) <= d:
-                    m = len(self._standard)
-                    # defining recursion: sum_{k=0}^{m} C(m+1, k) B_k = 0
-                    acc = Fraction(0)
-                    for k, bk in enumerate(self._standard):
-                        if bk:
-                            acc += comb(m + 1, k) * bk
-                    self._standard.append(-acc / (m + 1))
-        return self._standard[d]
-
-    def theta2(self, d: int) -> Fraction:
-        if d >= len(self._theta2):
-            self.standard(2 * d + 2)
-            with self._lock:
-                while len(self._theta2) <= d:
-                    j = len(self._theta2)
-                    b = self._standard[2 * j + 2]
-                    scale = Fraction((-1) ** j, j + 1) * (1 - Fraction(1, 2 ** (2 * j + 1)))
-                    self._theta2.append(scale * b)
-        return self._theta2[d]
-
-
-_CACHE = _BernoulliCache()
+_STANDARD: list[Fraction] = [Fraction(1)]  # B_0, B_1, ...
+_THETA2: list[Fraction] = []
 
 
 def bernoulli_number(d: int) -> Fraction:
     """Standard Bernoulli number B_d (convention B_1 = -1/2)."""
     if d < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    return _CACHE.standard(d)
+    while len(_STANDARD) <= d:
+        m = len(_STANDARD)
+        # defining recursion: sum_{k=0}^{m} C(m+1, k) B_k = 0
+        acc = Fraction(0)
+        for k, bk in enumerate(_STANDARD[:m]):
+            if bk:
+                acc += comb(m + 1, k) * bk
+        _STANDARD[m:m + 1] = [-acc / (m + 1)]
+    return _STANDARD[d]
 
 
 def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
     """Exact value of the Bernoulli polynomial B_d(x) = sum C(d,k) B_k x^{d-k}."""
     if d < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    bernoulli_number(d)  # warm cache in one lock pass
+    bernoulli_number(d)  # grow B_0..B_d once
     x = Fraction(x)
     acc = Fraction(0)
-    for k in range(d + 1):
-        bk = _CACHE.standard(k)
+    for k, bk in enumerate(_STANDARD[:d + 1]):
         if bk:
             acc += comb(d, k) * bk * x ** (d - k)
     return acc
@@ -98,7 +74,12 @@ def theta2_series_coefficient(d: int) -> Fraction:
     """
     if d < 0:
         raise ValueError("index must be >= 0")
-    return _CACHE.theta2(d)
+    bernoulli_number(2 * d + 2)
+    while len(_THETA2) <= d:
+        j = len(_THETA2)
+        scale = Fraction((-1) ** j, j + 1) * (1 - Fraction(1, 2 ** (2 * j + 1)))
+        _THETA2[j:j + 1] = [scale * _STANDARD[2 * j + 2]]
+    return _THETA2[d]
 
 
 def pochhammer(a: Fraction | int, k: int) -> Fraction:

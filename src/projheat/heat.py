@@ -133,6 +133,13 @@ def big_theta(n: int, two_nu: int, t: float, u: float, eps: float = 1e-12) -> fl
     return math.fsum(map(term, range(terms)))
 
 
+def _gaussian(n: int, two_nu: int, t: float):
+    """m -> e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]} <= 1, the Gaussian-in-m spectral weight."""
+    shift = float(two_nu * two_nu + n * n)
+    big = two_nu + n
+    return lambda m: exp(t * (shift - (2 * m + big) ** 2))
+
+
 def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[float], float]:
     """Spectral-series weights (2m+2nu+n) Gamma-ratio e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]}.
 
@@ -142,13 +149,10 @@ def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[flo
     """
     big = two_nu + n
     qmax = max(n - 1, two_nu)
-    shift = float(two_nu * two_nu + n * n)
+    decay = _gaussian(n, two_nu, t)
 
     def coef(m: int) -> float:
         return (2 * m + big) * float(pochhammer(m + two_nu + 1, n - 1))
-
-    def decay(m: int) -> float:
-        return exp(t * (shift - (2 * m + big) ** 2))
 
     def bound(m: int) -> float:
         return coef(m) * comb(m + qmax, m) * decay(m)
@@ -195,10 +199,7 @@ def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, floa
     |C_{2m}(x)| <= C_{2m}(1) gives the cut.
     """
     lam = n + two_nu
-    shift = float(two_nu * two_nu + n * n)
-
-    def decay(m: int) -> float:
-        return exp(t * (shift - (2 * m + lam) ** 2))
+    decay = _gaussian(n, two_nu, t)
 
     def bound(m: int) -> float:
         return (2 * m + lam) * comb(2 * m + lam - 1, 2 * m) * decay(m)
@@ -298,11 +299,10 @@ def trace_direct(n: int, two_nu: int, t: float, eps: float = 1e-12) -> float:
     positive, so the term sequence is its own tail bound.
     """
     _require_time(t)
-    shift = float(n * n + two_nu * two_nu)
+    decay = _gaussian(n, two_nu, t / 4.0)
 
     def term(m: int) -> float:
-        d = dimension_product_form(SpectralPoint(n, two_nu, m))
-        return d * exp((t / 4.0) * (shift - (2 * m + n + two_nu) ** 2))
+        return dimension_product_form(SpectralPoint(n, two_nu, m)) * decay(m)
 
     terms, _ = terms_needed(term, eps)
     return math.fsum(map(term, range(terms)))

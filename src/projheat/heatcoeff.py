@@ -10,8 +10,8 @@ Both recurrences carry an overall (-1)^{i-n+1}/(i-n)! and weights
 by the trace ground truth (and by the proof's ledger in the odd case); the
 published statement differs in two places (1/q! weights in the odd tail,
 B_{2k}(nu) - 2B_{2k} in place of B_{2k}(nu) in the even tail) and those
-as-printed variants are available behind printed=True so discrepancy
-reports can show computed-versus-printed values side by side.
+as-printed variants are available behind c_coefficients(printed=True), so
+discrepancy reports can show computed-versus-printed values side by side.
 """
 
 from __future__ import annotations
@@ -91,13 +91,13 @@ def b_from_c(n: int, nu: int, c, base: Fraction | None = None) -> list[tuple[Fra
     ]
 
 
-def b_coefficients(n: int, nu, J: int, printed: bool = False) -> list[tuple[Fraction, int]]:
+def b_coefficients(n: int, nu, J: int) -> list[tuple[Fraction, int]]:
     """b_j as (rational factor, pi power n): b_j = factor * pi^n.
 
     b_j = ((4 pi)^n / n!) sum_{i<=j} (n^2/4 + nu^2)^{j-i} c_i / (j-i)!.
     """
     nu_int = _check_args(n, nu, J)
-    return b_from_c(n, nu_int, c_coefficients(n, nu_int, J, printed=printed))
+    return b_from_c(n, nu_int, c_coefficients(n, nu_int, J))
 
 
 def nu_zero_u(n: int, J: int) -> list[Fraction]:

@@ -126,10 +126,48 @@ def test_bad_flag_values_exit_2(capsys):
     assert run_cli(capsys, "coeffs", "--n", "2", "--nu", "-1", "--J", "3")[0] == 2
 
 
+# the minimal valid flags of each subcommand that has a bounded flag
+VALID = {
+    "coeffs": {"--n": "1", "--nu": "0", "--J": "2"},
+    "dims": {"--n": "1", "--two-nu": "0", "--m-max": "2"},
+    "decomp": {"--n": "1", "--two-nu": "0"},
+    "kernel": {"--n": "1", "--two-nu": "0", "--m": "0", "--z": "0.1", "--w": "0.2j"},
+    "heat-eval": {"--n": "1", "--two-nu": "0", "--t": "0.5", "--z": "0.1", "--w": "0.2j",
+                  "--eps": "1e-10"},
+    "trace-compare": {"--n": "1", "--nu": "0", "--J": "2", "--t": "0.1", "--eps": "1e-12"},
+}
+BELOW_BOUND = {"--n": "0", "--two-nu": "-1", "--m": "-1", "--m-max": "-1", "--J": "-1",
+               "--nu": "-1", "--t": "0", "--eps": "0"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    pytest.param(command, flag, id=command + flag)
+    for command, flags in VALID.items() for flag in flags if flag in BELOW_BOUND
+])
+def test_every_flag_bound_exits_2(capsys, monkeypatch, command, flag):
+    # the parser rejects the value before any command runs
+    import projheat.cli
+
+    for name in vars(projheat.cli).copy():
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(projheat.cli, name, None)
+    flags = {**VALID[command], flag: BELOW_BOUND[flag]}
+    code, out, err = run_cli(capsys, command, *(f"{k}={v}" for k, v in flags.items()))
+    assert code == 2 and out == ""
+    assert err.startswith("projheat: error: ") and err.count("\n") == 1
+
+
 def test_unknown_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["coeffs", "--bogus", "1"])
     assert exc.value.code == 2
+
+
+def test_non_integer_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["coeffs", "--n", "x", "--nu", "0", "--J", "1"])
+    assert exc.value.code == 2
+    assert "argument --n: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_verify_single_scope(capsys):
@@ -202,15 +240,17 @@ def test_heat_eval_rejects_huge_node_count(capsys, monkeypatch):
     assert err.startswith("projheat: error: ") and err.count("\n") == 1
 
 
-def test_json_never_holds_nan(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_json_never_holds_nan(capsys, monkeypatch, fmt):
+    # neither output format may carry a non-finite float
     from projheat.kernels import KernelEval
 
     monkeypatch.setattr("projheat.cli.reproducing_kernel",
                         lambda *args: KernelEval(complex(float("nan"), 0.0), 0, 0.0))
     code, out, err = run_cli(capsys, "kernel", "--n", "1", "--two-nu", "0", "--m", "0",
-                             "--z", "0", "--w", "0")
+                             "--z", "0", "--w", "0", "--format", fmt)
     assert code == 2 and out == ""
-    assert err.startswith("projheat: error: ")
+    assert err.startswith("projheat: error: ") and err.count("\n") == 1
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

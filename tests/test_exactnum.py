@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -144,8 +145,25 @@ def test_rational_serialization_round_trip():
     assert rational_str(Fraction(0)) == "0/1"
 
 
-def test_cache_safe_under_concurrent_growth():
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(bernoulli_number, [80] * 16))
-    assert len(set(results)) == 1
-    assert results[0] == bernoulli_number(80)
+def test_cache_safe_under_concurrent_growth(monkeypatch):
+    # the memo lists grow without a lock: threads racing from empty lists,
+    # switching every microsecond, must still leave each value at its index
+    import projheat.exactnum as exactnum
+
+    monkeypatch.setattr(exactnum, "_STANDARD", [Fraction(1)])
+    monkeypatch.setattr(exactnum, "_THETA2", [])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(bernoulli_number, [80] * 16))
+            thetas = list(pool.map(theta2_series_coefficient, [30] * 16))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(results)) == 1 and len(set(thetas)) == 1
+    oracle = akiyama_tanigawa(80)
+    assert exactnum._STANDARD[:81] == [-b if d == 1 else b for d, b in enumerate(oracle)]
+    assert exactnum._THETA2 == [
+        Fraction((-1) ** d, d + 1) * (1 - Fraction(1, 2 ** (2 * d + 1))) * oracle[2 * d + 2]
+        for d in range(31)
+    ]
