@@ -42,6 +42,7 @@ from .heat import (
 )
 from .heatcoeff import (
     HeatCoeffTable,
+    asymptotic_sum,
     asymptotic_trace,
     b_coefficients,
     c_coefficients,

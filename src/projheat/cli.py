@@ -25,7 +25,7 @@ from pathlib import Path
 from .errors import ProjheatError
 from .exactnum import rational_str
 from .heat import heat_kernel_integral, heat_kernel_series, trace_direct
-from .heatcoeff import asymptotic_trace, heat_coeff_table
+from .heatcoeff import asymptotic_sum, b_coefficients, heat_coeff_table
 from .kernels import KernelEval, reproducing_kernel
 from .spectrum import (
     SpectralPoint,
@@ -155,10 +155,11 @@ def cmd_heat_eval(args):
 
 
 def cmd_trace_compare(args):
+    b = b_coefficients(args.n, args.nu, args.J)
     rows = []
     for t in args.t:
         direct = trace_direct(args.n, 2 * args.nu, t, eps=args.eps)
-        asym = asymptotic_trace(args.n, args.nu, t, args.J)
+        asym = asymptotic_sum(args.n, b, t)
         abs_err = abs(direct - asym)
         scaled = abs_err * (4 * pi * t) ** args.n / t ** (args.J + 1)
         rows.append([t, direct, asym, abs_err, scaled])
@@ -235,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_point, required=True)
     p.add_argument("--method", choices=("series", "integral", "both"), default="both")
     p.add_argument("--eps", type=_positive_float("--eps"), default=1e-10)
-    p.add_argument("--nodes", type=int, default=128)
+    p.add_argument("--nodes", type=_checked("--nodes", int, lambda v: 16 <= v <= 1024,
+                                            "in [16, 1024]"), default=128)
 
     p = add_command("trace-compare", cmd_trace_compare, "direct trace vs asymptotic expansion",
                     "--n", "--nu", "--J")
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("verify", cmd_verify, "run cross-representation verification suites")
     p.add_argument("--scope", choices=("all", *SCOPES), default="all")
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--nmax", type=_int_at_least("--nmax", 1), default=6)
     p.add_argument("--seed", type=int, default=2024)
 
     for p in sub.choices.values():

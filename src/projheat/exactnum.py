@@ -13,15 +13,16 @@ Two distinct Bernoulli-type sequences live here and are never mixed up:
   Taylor tail of the lattice theta series sum (2j+1) e^{-(j+1/2)^2 t}.
 
 Both sequences are memoized in append-only module lists that the two
-functions grow on demand. Each entry is stored with a slice assignment at
-its own index, so a racing grower that stored it first is overwritten by
-the same value, and no lock is needed.
+functions grow on demand. Each step reads the list length once and stores
+its entry with a slice assignment at that index, so a racing grower that
+stored it first is overwritten by the same value, no list grows past the
+index asked for, and no lock is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 __all__ = [
     "bernoulli_number",
@@ -42,8 +43,7 @@ def bernoulli_number(d: int) -> Fraction:
     """Standard Bernoulli number B_d (convention B_1 = -1/2)."""
     if d < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    while len(_STANDARD) <= d:
-        m = len(_STANDARD)
+    while (m := len(_STANDARD)) <= d:
         # defining recursion: sum_{k=0}^{m} C(m+1, k) B_k = 0
         acc = Fraction(0)
         for k, bk in enumerate(_STANDARD[:m]):
@@ -54,16 +54,26 @@ def bernoulli_number(d: int) -> Fraction:
 
 
 def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
-    """Exact value of the Bernoulli polynomial B_d(x) = sum C(d,k) B_k x^{d-k}."""
+    """Exact value of the Bernoulli polynomial B_d(x) = sum C(d,k) B_k x^{d-k}.
+
+    With x = p/q and L the lcm of the denominators of B_0..B_d, the sum is
+    the integer sum_k C(d,k) (L B_k) p^{d-k} q^k over L q^d, built by Horner's
+    rule in p; only the final quotient is a Fraction.
+    """
     if d < 0:
         raise ValueError("Bernoulli index must be >= 0")
     bernoulli_number(d)  # grow B_0..B_d once
     x = Fraction(x)
-    acc = Fraction(0)
-    for k, bk in enumerate(_STANDARD[:d + 1]):
+    p, q = x.numerator, x.denominator
+    coeffs = _STANDARD[:d + 1]
+    common = lcm(*(bk.denominator for bk in coeffs))
+    acc, q_k = 0, 1
+    for k, bk in enumerate(coeffs):
+        acc *= p
         if bk:
-            acc += comb(d, k) * bk * x ** (d - k)
-    return acc
+            acc += comb(d, k) * bk.numerator * (common // bk.denominator) * q_k
+        q_k *= q
+    return Fraction(acc, common * q**d)
 
 
 def theta2_series_coefficient(d: int) -> Fraction:
@@ -75,8 +85,7 @@ def theta2_series_coefficient(d: int) -> Fraction:
     if d < 0:
         raise ValueError("index must be >= 0")
     bernoulli_number(2 * d + 2)
-    while len(_THETA2) <= d:
-        j = len(_THETA2)
+    while (j := len(_THETA2)) <= d:
         scale = Fraction((-1) ** j, j + 1) * (1 - Fraction(1, 2 ** (2 * j + 1)))
         _THETA2[j:j + 1] = [scale * _STANDARD[2 * j + 2]]
     return _THETA2[d]

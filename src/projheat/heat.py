@@ -17,7 +17,7 @@ quadrature sum uses np.sum; summation order is fixed, so results are
 reproducible for a given numpy.
 
 Everything here is binary64; exact inputs (dimensions, Gamma-quotients)
-are computed rationally and converted once.
+are computed in integers or rationals and converted once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .exactnum import pochhammer
 from .kernels import KernelEval, double_angle, pair_terms, point_pair, single_angle
 from .orthopoly import gegenbauer_values, jacobi_values
 from .quadrature import gauss_legendre
-from .spectrum import SpectralPoint, dimension_product_form
+from .spectrum import SpectralPoint, _product_dimension
 
 __all__ = [
     "theta2",
@@ -296,13 +296,19 @@ def trace_direct(n: int, two_nu: int, t: float, eps: float = 1e-12) -> float:
     """Tr exp(t Delta_nu / 4) by direct spectral summation, tail bound < eps.
 
     Terms are dim(A_m^nu) e^{(t/4)[(n^2+(2nu)^2) - (2m+n+2nu)^2]}; they are
-    positive, so the term sequence is its own tail bound.
+    positive, so the term sequence is its own tail bound. Each term is
+    built once, in order of m, and the truncation test and the sum read
+    the same values.
     """
     _require_time(t)
+    SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     decay = _gaussian(n, two_nu, t / 4.0)
+    values: list[float] = []
 
     def term(m: int) -> float:
-        return dimension_product_form(SpectralPoint(n, two_nu, m)) * decay(m)
+        while (k := len(values)) <= m:
+            values.append(_product_dimension(n, two_nu, k) * decay(k))
+        return values[m]
 
     terms, _ = terms_needed(term, eps)
-    return math.fsum(map(term, range(terms)))
+    return math.fsum(values[:terms])

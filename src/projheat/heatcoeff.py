@@ -31,6 +31,7 @@ __all__ = [
     "b_from_c",
     "b_coefficients",
     "nu_zero_u",
+    "asymptotic_sum",
     "asymptotic_trace",
     "printed_tau_n4",
     "heat_coeff_table",
@@ -54,6 +55,30 @@ def c_head(gamma) -> list[Fraction]:
     return [gamma[n - 1 - i] * Fraction(factorial(n - 1 - i), factorial(n - 1)) for i in range(n)]
 
 
+def _tail_bernoulli(n: int, nu: int, J: int) -> list[Fraction]:
+    """B_{2k}(arg), k = 1..J, at index k-1: every value the tail i = n..J uses.
+
+    arg is nu + 1/2 for odd n and nu for even n.
+    """
+    arg = Fraction(2 * nu + 1, 2) if n % 2 else Fraction(nu)
+    return [bernoulli_polynomial(2 * k, arg) for k in range(1, J + 1)]
+
+
+def _c_with_tail(n: int, nu: int, J: int, bern: list[Fraction], printed: bool) -> list[Fraction]:
+    """c_0..c_J from the head and the tail recurrence over bern = _tail_bernoulli(n, nu, J)."""
+    c = c_head(decompose_multiplicity(n, nu).coeffs)[: J + 1]
+    odd = n % 2 == 1
+    if printed and not odd:
+        bern = [v - 2 * bernoulli_number(2 * k) for k, v in enumerate(bern, 1)]
+    for i in range(n, J + 1):
+        acc = Fraction(0)
+        for q in range(n):
+            k = i - q
+            acc += c[q] * bern[k - 1] / (k * factorial(q if printed and odd else n - 1 - q))
+        c.append(Fraction((-1) ** (i - n + 1)) * acc / factorial(i - n))
+    return c
+
+
 def c_coefficients(n: int, nu, J: int, printed: bool = False) -> list[Fraction]:
     """Exact c_0..c_J for integer nu >= 0.
 
@@ -62,19 +87,7 @@ def c_coefficients(n: int, nu, J: int, printed: bool = False) -> list[Fraction]:
     used only for discrepancy reporting.
     """
     nu = _check_args(n, nu, J)
-    c = c_head(decompose_multiplicity(n, nu).coeffs)[: J + 1]
-    odd = n % 2 == 1
-    arg = Fraction(2 * nu + 1, 2) if odd else nu
-    for i in range(n, J + 1):
-        acc = Fraction(0)
-        for q in range(n):
-            k = i - q
-            val = bernoulli_polynomial(2 * k, arg)
-            if printed and not odd:
-                val -= 2 * bernoulli_number(2 * k)
-            acc += c[q] * val / (k * factorial(q if printed and odd else n - 1 - q))
-        c.append(Fraction((-1) ** (i - n + 1)) * acc / factorial(i - n))
-    return c
+    return _c_with_tail(n, nu, J, _tail_bernoulli(n, nu, J), printed)
 
 
 def b_from_c(n: int, nu: int, c, base: Fraction | None = None) -> list[tuple[Fraction, int]]:
@@ -84,11 +97,12 @@ def b_from_c(n: int, nu: int, c, base: Fraction | None = None) -> list[tuple[Fra
     """
     if base is None:
         base = Fraction(n * n, 4) + nu * nu
-    return [
-        (Fraction(4**n, factorial(n))
-         * sum((base ** (j - i) * c[i] / factorial(j - i) for i in range(j + 1)), Fraction(0)), n)
-        for j in range(len(c))
-    ]
+    steps = [Fraction(1)]  # base^k / k!
+    for k in range(1, len(c)):
+        steps.append(steps[-1] * base / k)
+    scale = Fraction(4**n, factorial(n))
+    return [(scale * sum((steps[j - i] * c[i] for i in range(j + 1)), Fraction(0)), n)
+            for j in range(len(c))]
 
 
 def b_coefficients(n: int, nu, J: int) -> list[tuple[Fraction, int]]:
@@ -139,13 +153,17 @@ def nu_zero_u(n: int, J: int) -> list[Fraction]:
     return u
 
 
-def asymptotic_trace(n: int, nu, t: float, J: int) -> float:
-    """(4 pi t)^{-n} sum_{j<=J} b_j t^j from the exact coefficient table."""
+def asymptotic_sum(n: int, b, t: float) -> float:
+    """(4 pi t)^{-n} sum_j b_j t^j for a table b of (factor, n) pairs, in binary64."""
     if t <= 0:
         raise NonPositiveTime(f"t = {t}")
-    b = b_coefficients(n, nu, J)
     total = sum(float(factor) * pi**n * t**j for j, (factor, _) in enumerate(b))
     return total / (4 * pi * t) ** n
+
+
+def asymptotic_trace(n: int, nu, t: float, J: int) -> float:
+    """(4 pi t)^{-n} sum_{j<=J} b_j t^j from the exact coefficient table."""
+    return asymptotic_sum(n, b_coefficients(n, nu, J), t)
 
 
 @dataclass(frozen=True)
@@ -179,8 +197,10 @@ def printed_tau_n4(nu: int) -> tuple[Fraction, ...]:
 def heat_coeff_table(n: int, nu, J: int) -> HeatCoeffTable:
     """Assemble the authoritative table plus computed-vs-printed diffs."""
     nu_int = _check_args(n, nu, J)
-    c = c_coefficients(n, nu_int, J)
-    published = [(c_coefficients(n, nu_int, J, printed=True), "theorem tail formula as printed")]
+    bern = _tail_bernoulli(n, nu_int, J)
+    c = _c_with_tail(n, nu_int, J, bern, printed=False)
+    published = [(_c_with_tail(n, nu_int, J, bern, printed=True),
+                  "theorem tail formula as printed")]
     if n == 4:
         published.append((c_head(printed_tau_n4(nu_int)), "published n=4 head table"))
     if nu_int == 0 and n in (1, 2, 3, 4):

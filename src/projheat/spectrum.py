@@ -82,13 +82,22 @@ def dimension_gamma_form(pt: SpectralPoint) -> int:
     return _as_integer(Fraction(num, den), pt)
 
 
+def _product_dimension(n: int, two_nu: int, m: int) -> int:
+    """The product form in integers: exact division, else NonIntegerDimension."""
+    num = 2 * m + n + two_nu
+    for j in range(1, n):
+        num *= (m + j) * (m + two_nu + j)
+    den = factorial(n) * factorial(n - 1)
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
+        raise NonIntegerDimension(f"dimension {Fraction(num, den)} at "
+                                  f"{SpectralPoint(n, two_nu, m)} is not a positive integer")
+    return dim
+
+
 def dimension_product_form(pt: SpectralPoint) -> int:
     """dim A_m^nu via the product form (2m+n+2nu)/(n!(n-1)!) prod (m+j)(m+2nu+j)."""
-    n, tn, m = pt.n, pt.two_nu, pt.m
-    num = 2 * m + n + tn
-    for j in range(1, n):
-        num *= (m + j) * (m + tn + j)
-    return _as_integer(Fraction(num, factorial(n) * factorial(n - 1)), pt)
+    return _product_dimension(pt.n, pt.two_nu, pt.m)
 
 
 def dimension_poly_form(pt: SpectralPoint) -> int:

@@ -133,11 +133,12 @@ VALID = {
     "decomp": {"--n": "1", "--two-nu": "0"},
     "kernel": {"--n": "1", "--two-nu": "0", "--m": "0", "--z": "0.1", "--w": "0.2j"},
     "heat-eval": {"--n": "1", "--two-nu": "0", "--t": "0.5", "--z": "0.1", "--w": "0.2j",
-                  "--eps": "1e-10"},
+                  "--eps": "1e-10", "--nodes": "16"},
     "trace-compare": {"--n": "1", "--nu": "0", "--J": "2", "--t": "0.1", "--eps": "1e-12"},
+    "verify": {"--nmax": "1"},
 }
 BELOW_BOUND = {"--n": "0", "--two-nu": "-1", "--m": "-1", "--m-max": "-1", "--J": "-1",
-               "--nu": "-1", "--t": "0", "--eps": "0"}
+               "--nu": "-1", "--t": "0", "--eps": "0", "--nmax": "0", "--nodes": "15"}
 
 
 @pytest.mark.parametrize("command,flag", [
@@ -231,13 +232,35 @@ def test_non_finite_inputs_exit_2(capsys, argv):
 
 
 def test_heat_eval_rejects_huge_node_count(capsys, monkeypatch):
-    # no quadrature rule may be built for an out-of-range --nodes
+    # the parser rejects --nodes: neither the series nor any quadrature rule runs
+    monkeypatch.setattr("projheat.cli.heat_kernel_series", None)
     monkeypatch.setattr("projheat.heat.gauss_legendre", None)
     code, out, err = run_cli(capsys, "heat-eval", "--n", "1", "--two-nu", "1", "--t", "0.5",
-                             "--z", "0.3", "--w", "0.1j", "--method", "integral",
+                             "--z", "0.3", "--w", "0.1j", "--method", "both",
                              "--nodes", "100000")
     assert code == 2 and out == ""
-    assert err.startswith("projheat: error: ") and err.count("\n") == 1
+    assert err == "projheat: error: --nodes must be in [16, 1024]\n"
+
+
+def test_trace_compare_builds_b_once(capsys, monkeypatch):
+    # one exact b table per op, however many times it is evaluated at
+    import sys
+
+    from projheat.heatcoeff import b_coefficients
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return b_coefficients(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("projheat") and getattr(module, "b_coefficients", None) is b_coefficients:
+            monkeypatch.setattr(module, "b_coefficients", counting)
+    code, out, _ = run_cli(capsys, "trace-compare", "--n", "2", "--nu", "1", "--J", "6",
+                           "--t", "0.1,0.01,0.001")
+    assert code == 0 and len(json.loads(out)["rows"]) == 3
+    assert calls == [(2, 1, 6)]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

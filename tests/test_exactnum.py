@@ -67,6 +67,18 @@ def test_bernoulli_polynomial_difference_equation(d, x):
     assert bernoulli_polynomial(d, x + 1) - bernoulli_polynomial(d, x) == d * x ** (d - 1)
 
 
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                               Fraction(7, 2), Fraction(4), Fraction(-5, 3), Fraction(22, 7)])
+def test_bernoulli_polynomial_textbook_sum(x):
+    # term by term sum C(d,k) B_k x^{d-k} over the independent oracle
+    oracle = akiyama_tanigawa(90)
+    numbers = [-b if k == 1 else b for k, b in enumerate(oracle)]
+    for d in range(91):
+        textbook = sum((math.comb(d, k) * numbers[k] * x ** (d - k) for k in range(d + 1)),
+                       Fraction(0))
+        assert bernoulli_polynomial(d, x) == textbook
+
+
 def test_theta2_series_coefficient_values():
     assert theta2_series_coefficient(0) == Fraction(1, 12)
     assert theta2_series_coefficient(1) == Fraction(7, 480)
@@ -148,22 +160,25 @@ def test_rational_serialization_round_trip():
 def test_cache_safe_under_concurrent_growth(monkeypatch):
     # the memo lists grow without a lock: threads racing from empty lists,
     # switching every microsecond, must still leave each value at its index
+    # and grow no list past the index asked for. One race over-grows only
+    # now and then, so 300 short races run before the one to B_80.
     import projheat.exactnum as exactnum
 
-    monkeypatch.setattr(exactnum, "_STANDARD", [Fraction(1)])
-    monkeypatch.setattr(exactnum, "_THETA2", [])
+    oracle = akiyama_tanigawa(80)
+    standard = [-b if d == 1 else b for d, b in enumerate(oracle)]
+    theta2 = [Fraction((-1) ** d, d + 1) * (1 - Fraction(1, 2 ** (2 * d + 1))) * oracle[2 * d + 2]
+              for d in range(31)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(bernoulli_number, [80] * 16))
-            thetas = list(pool.map(theta2_series_coefficient, [30] * 16))
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            for d, dt in [(10, 4)] * 300 + [(80, 30)]:
+                monkeypatch.setattr(exactnum, "_STANDARD", [Fraction(1)])
+                monkeypatch.setattr(exactnum, "_THETA2", [])
+                results = list(pool.map(bernoulli_number, [d] * 64))
+                thetas = list(pool.map(theta2_series_coefficient, [dt] * 64))
+                assert results == [standard[d]] * 64 and thetas == [theta2[dt]] * 64
+                assert exactnum._STANDARD == standard[:d + 1]
+                assert exactnum._THETA2 == theta2[:dt + 1]
     finally:
         sys.setswitchinterval(interval)
-    assert len(set(results)) == 1 and len(set(thetas)) == 1
-    oracle = akiyama_tanigawa(80)
-    assert exactnum._STANDARD[:81] == [-b if d == 1 else b for d, b in enumerate(oracle)]
-    assert exactnum._THETA2 == [
-        Fraction((-1) ** d, d + 1) * (1 - Fraction(1, 2 ** (2 * d + 1))) * oracle[2 * d + 2]
-        for d in range(31)
-    ]

@@ -26,7 +26,12 @@ from projheat.heat import (
 )
 from projheat.kernels import fs_distance
 from projheat.quadrature import gauss_legendre, plane_mu1_rule
-from projheat.spectrum import SpectralPoint, dimension_product_form, eigenvalue_beta
+from projheat.spectrum import (
+    SpectralPoint,
+    dimension_gamma_form,
+    dimension_product_form,
+    eigenvalue_beta,
+)
 
 
 def test_time_validation():
@@ -293,6 +298,22 @@ def test_trace_direct_against_inline_sum():
     brute = math.fsum((2 * m + 3) * exp((0.25 + 1) * t) * exp(-((m + 1.5) ** 2) * t)
                       for m in range(400))
     assert trace_direct(1, 2, t) == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trace_direct_bit_identical_to_gamma_form_sum(n):
+    # the same truncation and fsum over terms built from the Gamma-quotient
+    # dimensions: every float must agree exactly
+    for two_nu in range(9):
+        for t in (1.0, 0.1, 0.01, 0.001):
+            shift = float(two_nu * two_nu + n * n)
+
+            def term(m):
+                dim = dimension_gamma_form(SpectralPoint(n, two_nu, m))
+                return dim * exp(t / 4.0 * (shift - (2 * m + two_nu + n) ** 2))
+
+            count, _ = terms_needed(term, 1e-12)
+            assert trace_direct(n, two_nu, t) == math.fsum(map(term, range(count)))
 
 
 def test_trace_exponents_match_eigenvalues():

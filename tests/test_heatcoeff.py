@@ -242,6 +242,24 @@ def test_b_rationality_and_scaling():
         assert factor == expected
 
 
+@pytest.mark.parametrize("n,nu,J", [(1, 0, 12), (2, 1, 10), (3, 2, 8), (4, 0, 9), (6, 3, 20),
+                                    (5, 1, 3)])
+def test_table_evaluates_each_bernoulli_value_once(monkeypatch, n, nu, J):
+    # the theorem and the as-printed tails share one B_{2k}(arg) per k = 1..J
+    import projheat.heatcoeff
+
+    args = []
+
+    def counting(d, x):
+        args.append((d, x))
+        return bernoulli_polynomial(d, x)
+
+    monkeypatch.setattr(projheat.heatcoeff, "bernoulli_polynomial", counting)
+    table = heat_coeff_table(n, nu, J)
+    assert len(args) <= J and len(set(args)) == len(args)
+    assert list(table.c) == c_coefficients(n, nu, J)
+
+
 def test_asymptotic_trace_value_pipeline():
     # float evaluation equals the explicit formula
     n, nu, J, t = 2, 1, 4, 0.1
