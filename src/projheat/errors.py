@@ -24,7 +24,7 @@ class IndexOutOfRange(ProjheatError):
 
 
 class NonPositiveTime(ProjheatError):
-    """Heat-flow time parameter t must be strictly positive."""
+    """Heat-flow time parameter t must be finite and strictly positive."""
 
 
 class AntipodalDegenerate(ProjheatError):

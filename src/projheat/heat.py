@@ -52,7 +52,8 @@ _MAX_TERMS = 200_000
 
 
 def _require_time(t: float) -> None:
-    if not t > 0:
+    """The one rule for a time: t must be finite and > 0, else NonPositiveTime."""
+    if not 0 < t < math.inf:
         raise NonPositiveTime(f"t = {t}")
 
 
@@ -121,6 +122,7 @@ def theta3(t: float, eps: float = 1e-12) -> float:
 def big_theta(n: int, two_nu: int, t: float, u: float, eps: float = 1e-12) -> float:
     """Theta_{n+1,nu}(t,u) = sum_m e^{-4t(m+nu+n/2)^2} cos((2m+2nu+n)u)."""
     _require_time(t)
+    SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     a = two_nu + n
 
     def term(m: int) -> float:
@@ -168,6 +170,7 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
     exponent is <= 0 and the Jacobi sup bound makes the tail bound rigorous.
     """
     _require_time(t)
+    SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     c2, q = point_pair(n, z, w)
     weights, tail = _series_weights(n, two_nu, t, eps)
     pvals = jacobi_values(len(weights) - 1, n - 1, two_nu, double_angle(c2))
@@ -185,6 +188,7 @@ def heat_kernel_series_grid(two_nu: int, t: float, z: complex, ws: np.ndarray,
     is fixed by the x = 1 bound, uniform over the grid.
     """
     _require_time(t)
+    SpectralPoint(1, two_nu, 0)  # rejects 2nu < 0
     weights, _ = _series_weights(1, two_nu, t, eps)
     c2, q = pair_terms(1.0 + abs(z) ** 2, 1.0 + np.abs(ws) ** 2, 1.0 + z * np.conjugate(ws))
     pvals = jacobi_values(len(weights) - 1, 0, two_nu, double_angle(c2))
@@ -257,6 +261,7 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) 
     nodes in [16, 1024] is the starting Gauss-Legendre order.
     """
     _require_time(t)
+    SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     cos_rho, qbar = _integral_geometry(n, z, w)
     w_factor = qbar ** (-two_nu)
     const = (
@@ -283,6 +288,7 @@ def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 128) -> KernelE
     independent check of the general-nu constant at nu = 0.
     """
     _require_time(t)
+    SpectralPoint(n, 0, 0)  # rejects n < 1
     cos_rho, _ = _integral_geometry(n, z, w)
     const = (1.0 / (2.0 ** (n - 2) * pi ** (n + 1))) * 2.0 ** (n - 1) * factorial(n - 1)
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, pi
 
-from .errors import NonPositiveTime, UnsupportedN, UnsupportedNu
+from .errors import UnsupportedN, UnsupportedNu
 from .exactnum import bernoulli_number, bernoulli_polynomial, rational_str, theta2_series_coefficient
+from .heat import _require_time
 from .spectrum import decompose_multiplicity
 
 __all__ = [
@@ -155,8 +156,7 @@ def nu_zero_u(n: int, J: int) -> list[Fraction]:
 
 def asymptotic_sum(n: int, b, t: float) -> float:
     """(4 pi t)^{-n} sum_j b_j t^j for a table b of (factor, n) pairs, in binary64."""
-    if t <= 0:
-        raise NonPositiveTime(f"t = {t}")
+    _require_time(t)
     total = sum(float(factor) * pi**n * t**j for j, (factor, _) in enumerate(b))
     return total / (4 * pi * t) ** n
 

@@ -23,6 +23,7 @@ from .errors import DimensionMismatch, IndexOutOfRange
 from .exactnum import pochhammer
 from .orthopoly import jacobi
 from .quadrature import radial_mu1_rule
+from .spectrum import SpectralPoint
 
 __all__ = [
     "ProjPoint",
@@ -111,8 +112,7 @@ def reproducing_kernel(n: int, two_nu: int, m: int, z, w) -> KernelEval:
     ((2m+2nu+n) Gamma(m+n+2nu) / (pi^n Gamma(m+2nu+1))) q^{2nu}
     P_m^{(n-1,2nu)}(cos 2 d_FS), with q from point_pair.
     """
-    if two_nu < 0 or m < 0 or n < 1:
-        raise ValueError("need n >= 1, 2*nu >= 0, m >= 0")
+    SpectralPoint(n, two_nu, m)  # rejects n < 1, 2nu < 0, m < 0
     c2, q = point_pair(n, z, w)
     gamma_ratio = pochhammer(m + two_nu + 1, n - 1)  # Gamma(m+n+2nu)/Gamma(m+2nu+1)
     pref = (2 * m + two_nu + n) * float(gamma_ratio) / pi**n
@@ -129,8 +129,7 @@ def monopole_basis(two_nu: int, m: int, k: int,
     factor P_m^{(k,2nu-k)} carries a structural zero of order |k| at z = 0,
     so the product is regular.
     """
-    if two_nu < 0 or m < 0:
-        raise ValueError("need 2*nu >= 0 and m >= 0")
+    SpectralPoint(1, two_nu, m)  # rejects 2nu < 0 and m < 0
     if not -m <= k <= two_nu + m:
         raise IndexOutOfRange(f"k={k} outside [{-m}, {two_nu + m}]")
     norm = sqrt(
@@ -186,8 +185,7 @@ def kernel_diagonal_volume_check(n: int, two_nu: int, m: int) -> Fraction:
     Equals (2m+2nu+n) Gamma(m+n+2nu) (n)_m / (n! Gamma(m+2nu+1) m!), which the
     tests require to match the eigenspace dimension exactly.
     """
-    if n < 1 or two_nu < 0 or m < 0:
-        raise ValueError("need n >= 1, 2*nu >= 0, m >= 0")
+    SpectralPoint(n, two_nu, m)  # rejects n < 1, 2nu < 0, m < 0
     gamma_ratio = pochhammer(m + two_nu + 1, n - 1)
     jac_at_one = pochhammer(n, m) / factorial(m)  # P_m^{(n-1,2nu)}(1)
     return (2 * m + two_nu + n) * gamma_ratio * jac_at_one / factorial(n)

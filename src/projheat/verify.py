@@ -11,13 +11,18 @@ t = 0.01 the truncation error is ~1e-20, far below binary64 resolution,
 so the order-t^{J+1} scaling can only be observed in extended precision.
 The binary64 entry points are separately checked against the same
 high-precision sums.
+
+Each tolerance check reports the worst error over its grid and where it
+occurred, from one reducer (_worst): the first of equal errors wins, and a
+NaN wins and stays, so a NaN measurement FAILs its check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, isnan
 
 import numpy as np
 from mpmath import mp, mpf
@@ -54,7 +59,7 @@ from .spectrum import (
     dimension_product_form,
 )
 
-__all__ = ["Check", "SCOPES", "run_verify", "suite_trace_scaled_errors"]
+__all__ = ["Check", "SCOPES", "run_verify"]
 
 
 @dataclass(frozen=True)
@@ -71,20 +76,31 @@ def _check(name: str, ok: bool, detail: str) -> Check:
     return Check(name, "PASS" if ok else "FAIL", detail)
 
 
+def _worst(pairs, floor: float = 0.0) -> tuple[float, object]:
+    """The largest error among (error, location) pairs, and its location.
+
+    Starts from (floor, None). The first of equal errors wins; a NaN wins
+    and stays, so the tolerance test on it fails. Every pair is drawn.
+    """
+    worst, at = floor, None
+    for err, where in pairs:
+        if not (isnan(worst) or err <= worst):
+            worst, at = err, where
+    return worst, at
+
+
 # ---------------------------------------------------------------- dims
 
-def suite_dims(nmax: int = 6, two_nu_max: int = 8, m_max: int = 30) -> list[Check]:
-    """Exact triple agreement: Gamma form = product form = decomposition form."""
+def suite_dims(nmax: int) -> list[Check]:
+    """Gamma form = product form = decomposition form for n <= nmax, 2nu <= 8, m <= 30."""
     bad = []
     count = 0
-    for n in range(1, nmax + 1):
-        for tn in range(two_nu_max + 1):
-            for m in range(m_max + 1):
-                pt = SpectralPoint(n, tn, m)
-                g, p, s = dimension_gamma_form(pt), dimension_product_form(pt), dimension_poly_form(pt)
-                count += 1
-                if not (g == p == s and g > 0):
-                    bad.append((pt, g, p, s))
+    for n, tn, m in product(range(1, nmax + 1), range(9), range(31)):
+        pt = SpectralPoint(n, tn, m)
+        g, p, s = dimension_gamma_form(pt), dimension_product_form(pt), dimension_poly_form(pt)
+        count += 1
+        if not (g == p == s and g > 0):
+            bad.append((pt, g, p, s))
     return [_check(
         "dims.triple_agreement",
         not bad,
@@ -193,21 +209,20 @@ def suite_paper8() -> list[Check]:
 
 # ---------------------------------------------------------------- zaremba
 
-def suite_zaremba(seed: int = 2024, pairs: int = 20) -> list[Check]:
+def suite_zaremba(seed: int) -> list[Check]:
     """The n=1 monopole Zaremba sum equals the closed-form kernel."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_at = None
-    for tn in range(5):
-        for m in range(4):
-            for _ in range(pairs):
-                z = complex(*rng.normal(0.0, 0.8, 2))
-                w = complex(*rng.normal(0.0, 0.8, 2))
-                s = zaremba_sum_n1(tn, m, z, w)
-                k = reproducing_kernel(1, tn, m, z, w).value
-                rel = abs(s - k) / (1.0 + abs(k))
-                if rel > worst:
-                    worst, worst_at = rel, (tn, m)
+    pairs = 20
+
+    def rel(tn: int, m: int) -> float:
+        z = complex(*rng.normal(0.0, 0.8, 2))
+        w = complex(*rng.normal(0.0, 0.8, 2))
+        s = zaremba_sum_n1(tn, m, z, w)
+        k = reproducing_kernel(1, tn, m, z, w).value
+        return abs(s - k) / (1.0 + abs(k))
+
+    worst, worst_at = _worst((rel(tn, m), (tn, m))
+                             for tn, m, _ in product(range(5), range(4), range(pairs)))
     return [_check(
         "zaremba.lemma_n1", worst <= 1e-10,
         f"max |sum - closed|/(1+|closed|) = {worst:.3e} at (2nu, m) = {worst_at} "
@@ -225,34 +240,26 @@ def _sample_pair(rng, n: int, rho_max: float = 1.2):
             return z, w
 
 
-def suite_heat(seed: int = 2024, pairs: int = 5) -> list[Check]:
+def suite_heat(seed: int) -> list[Check]:
     """Spectral series vs integral representation (and the nu=0 classical form)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_at = None
-    for n in (1, 2):
-        for tn in (0, 1, 2):
-            for t in (0.3, 0.5, 1.0):
-                for _ in range(pairs):
-                    z, w = _sample_pair(rng, n)
-                    hs = heat_kernel_series(n, tn, t, z, w).value
-                    hi = heat_kernel_integral(n, tn, t, z, w).value
-                    rel = abs(hs - hi) / (1.0 + abs(hs))
-                    if rel > worst:
-                        worst, worst_at = rel, (n, tn, t)
+
+    def rel(n: int, tn: int, t: float, classical: bool = False) -> float:
+        z, w = _sample_pair(rng, n)
+        hs = heat_kernel_series(n, tn, t, z, w).value
+        hi = (heat_kernel_integral_hi(n, t, z, w) if classical
+              else heat_kernel_integral(n, tn, t, z, w)).value
+        return abs(hs - hi) / (1.0 + abs(hs))
+
+    worst, worst_at = _worst((rel(n, tn, t), (n, tn, t)) for n, tn, t, _ in
+                             product((1, 2), (0, 1, 2), (0.3, 0.5, 1.0), range(5)))
     checks = [_check(
         "heat.series_vs_integral", worst <= 1e-6,
         f"max |series - integral|/(1+|series|) = {worst:.3e} at (n, 2nu, t) = {worst_at} "
         "over n in {1,2}, 2nu in {0,1,2}, t in {0.3,0.5,1.0} (tol 1e-6)",
     )]
-    worst = 0.0
-    for n in (1, 2):
-        for t in (0.3, 1.0):
-            for _ in range(3):
-                z, w = _sample_pair(rng, n)
-                hs = heat_kernel_series(n, 0, t, z, w).value
-                hh = heat_kernel_integral_hi(n, t, z, w).value
-                worst = max(worst, abs(hs - hh) / (1.0 + abs(hs)))
+    worst, _ = _worst((rel(n, 0, t, classical=True), (n, t))
+                      for n, t, _ in product((1, 2), (0.3, 1.0), range(3)))
     checks.append(_check(
         "heat.irhk_hi_nu0", worst <= 1e-6,
         f"classical nu=0 integral form vs series: max rel diff {worst:.3e} (tol 1e-6)",
@@ -282,52 +289,46 @@ def _asymptotic_trace_mp(n: int, nu: int, t: mpf, J: int) -> mpf:
     return total / (4 * mp.pi * t) ** n
 
 
-def suite_trace_scaled_errors(
-    grid=((1, 0), (1, 1), (2, 0), (2, 1), (3, 0)),
-    orders=(4, 6, 8),
-    times=(0.1, 0.05, 0.02, 0.01),
-    dps: int = 60,
-) -> dict:
-    """Scaled truncation errors E(t,J) (4 pi t)^n / t^{J+1} on the test grid."""
+_TRACE_GRID = ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0))  # (n, nu)
+
+
+def _trace_scaled_errors() -> dict:
+    """Scaled truncation errors E(t,J) (4 pi t)^n / t^{J+1} in 60 digits.
+
+    Keyed by (n, nu, J) over _TRACE_GRID and J in {4, 6, 8}; one value per
+    t in (0.1, 0.05, 0.02, 0.01).
+    """
     out = {}
-    with mp.workdps(dps):
-        for n, nu in grid:
-            direct = {t: _trace_direct_mp(n, 2 * nu, mpf(t)) for t in times}
-            for J in orders:
-                scaled = []
-                for t in times:
-                    tt = mpf(t)
-                    err = abs(direct[t] - _asymptotic_trace_mp(n, nu, tt, J))
-                    scaled.append(float(err * (4 * mp.pi * tt) ** n / tt ** (J + 1)))
-                out[(n, nu, J)] = scaled
+    with mp.workdps(60):
+        times = [mpf(t) for t in (0.1, 0.05, 0.02, 0.01)]
+        for n, nu in _TRACE_GRID:
+            direct = [_trace_direct_mp(n, 2 * nu, t) for t in times]
+            for J in (4, 6, 8):
+                out[(n, nu, J)] = [
+                    float(abs(d - _asymptotic_trace_mp(n, nu, t, J)) * (4 * mp.pi * t) ** n
+                          / t ** (J + 1))
+                    for d, t in zip(direct, times)]
     return out
 
 
 def suite_trace() -> list[Check]:
     """Order-t^{J+1} truncation of the asymptotic trace, plus binary64 checks."""
-    times = (0.1, 0.05, 0.02, 0.01)
-    scaled = suite_trace_scaled_errors(times=times)
-    worst_ratio = 1.0
-    worst_at = None
-    for key, vals in scaled.items():
-        for a, b in zip(vals, vals[1:]):
-            ratio = max(a / b, b / a)
-            if ratio > worst_ratio:
-                worst_ratio, worst_at = ratio, key
+    worst_ratio, worst_at = _worst(
+        ((max(a / b, b / a), key) for key, vals in _trace_scaled_errors().items()
+         for a, b in zip(vals, vals[1:])), floor=1.0)
     checks = [_check(
         "trace.scaled_error_order", worst_ratio < 4.0,
         f"scaled error E(t,J)(4 pi t)^n/t^(J+1) varies by <= {worst_ratio:.3f} "
         f"between successive t (limit 4) over the (n,nu,J) grid; worst at {worst_at}",
     )]
 
-    worst = 0.0
     with mp.workdps(40):
-        for n, nu in ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0)):
-            for t in (0.1, 0.05):
-                ref = float(_trace_direct_mp(n, 2 * nu, mpf(t)))
-                worst = max(worst, abs(trace_direct(n, 2 * nu, t) - ref) / ref)
-                ref_a = float(_asymptotic_trace_mp(n, nu, mpf(t), 6))
-                worst = max(worst, abs(asymptotic_trace(n, nu, t, 6) - ref_a) / abs(ref_a))
+        worst, _ = _worst(
+            (abs(fast - ref) / abs(ref), (n, nu, t))
+            for (n, nu), t in product(_TRACE_GRID, (0.1, 0.05))
+            for fast, ref in (
+                (trace_direct(n, 2 * nu, t), float(_trace_direct_mp(n, 2 * nu, mpf(t)))),
+                (asymptotic_trace(n, nu, t, 6), float(_asymptotic_trace_mp(n, nu, mpf(t), 6)))))
     checks.append(_check(
         "trace.binary64_vs_mp", worst <= 1e-12,
         f"binary64 trace_direct/asymptotic_trace vs 40-digit reference: "
@@ -361,27 +362,20 @@ def _theta3_asym(l: int, t: float, terms: int) -> tuple[float, float]:
     return val, omitted
 
 
-def suite_theta(t: float = 0.05, terms: int = 6) -> list[Check]:
-    """Small-time theta-derivative asymptotics at the stated truncation."""
+def suite_theta() -> list[Check]:
+    """Small-time theta-derivative asymptotics at t = 0.05, 6 terms."""
+    t, terms = 0.05, 6
     checks = []
-    ok = True
-    detail = []
-    for p in range(4):
-        exact = theta_deriv(2, p, t, eps=1e-14)
-        asym, omitted = _theta2_asym(p, t, terms)
-        good = abs(exact - asym) <= 1.5 * omitted
-        ok &= good
-        detail.append(f"p={p}: |diff|={abs(exact - asym):.2e} within 1.5x omitted {omitted:.2e}")
-    checks.append(_check("theta.theta2_asymptotics", ok, "; ".join(detail)))
-    ok = True
-    detail = []
-    for l in range(4):
-        exact = theta_deriv(3, l, t, eps=1e-14)
-        asym, omitted = _theta3_asym(l, t, terms)
-        good = abs(exact - asym) <= 1.5 * omitted
-        ok &= good
-        detail.append(f"l={l}: |diff|={abs(exact - asym):.2e} within 1.5x omitted {omitted:.2e}")
-    checks.append(_check("theta.theta3_asymptotics", ok, "; ".join(detail)))
+    for which, label, asymptotic in ((2, "p", _theta2_asym), (3, "l", _theta3_asym)):
+        ok = True
+        detail = []
+        for p in range(4):
+            exact = theta_deriv(which, p, t, eps=1e-14)
+            asym, omitted = asymptotic(p, t, terms)
+            ok &= abs(exact - asym) <= 1.5 * omitted
+            detail.append(f"{label}={p}: |diff|={abs(exact - asym):.2e} "
+                          f"within 1.5x omitted {omitted:.2e}")
+        checks.append(_check(f"theta.theta{which}_asymptotics", ok, "; ".join(detail)))
 
     # the published theta_3 correction-series sign fails by O(1); report it
     exact = theta_deriv(3, 0, t, eps=1e-14)
@@ -445,14 +439,9 @@ def suite_bernoulli() -> list[Check]:
 
 def suite_monopole() -> list[Check]:
     """Monopole-harmonic L2 normalization under the volume-normalized measure."""
-    worst = 0.0
-    worst_at = None
-    for tn in range(4):
-        for m in range(3):
-            for k in range(-m, tn + m + 1):
-                err = abs(monopole_norm_sq(tn, m, k) ** 0.5 - 1.0)
-                if err > worst:
-                    worst, worst_at = err, (tn, m, k)
+    worst, worst_at = _worst((abs(monopole_norm_sq(tn, m, k) ** 0.5 - 1.0), (tn, m, k))
+                             for tn in range(4) for m in range(3)
+                             for k in range(-m, tn + m + 1))
     return [_check(
         "monopole.normalization", worst <= 1e-8,
         f"max | ||Phi|| - 1 | = {worst:.3e} at (2nu, m, k) = {worst_at} (tol 1e-8)",
@@ -471,17 +460,14 @@ SCOPES = {
 }
 
 
-def run_verify(scope: str = "all", **kwargs) -> list[Check]:
+def run_verify(scope: str = "all", nmax: int = 6, seed: int = 2024) -> list[Check]:
     """Run one scope or all of them, in SCOPES order.
 
-    Each suite receives the keyword arguments among kwargs that it accepts.
+    nmax goes to the dims suite and seed to the zaremba and heat suites; the
+    other suites take no arguments. A check whose measurement is NaN FAILs.
     """
     names = list(SCOPES) if scope == "all" else [scope]
     if any(name not in SCOPES for name in names):
         raise ValueError(f"unknown scope {scope!r}; valid: all, {', '.join(SCOPES)}")
-    results: list[Check] = []
-    for name in names:
-        fn = SCOPES[name]
-        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        results.extend(fn(**{k: v for k, v in kwargs.items() if k in params}))
-    return results
+    args = {"dims": (nmax,), "zaremba": (seed,), "heat": (seed,)}
+    return [check for name in names for check in SCOPES[name](*args.get(name, ()))]

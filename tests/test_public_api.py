@@ -1,17 +1,31 @@
 """Public surface: every exported name exists, every benchmark probe is a plain
-function, and the cached radial rule is built once and read-only."""
+function, the cached radial rule is built once and read-only, and every entry
+that takes a spectral label or a time applies the one rule for it."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import projheat
 from projheat import kernels, quadrature
+from projheat.errors import NonPositiveTime
+from projheat.heat import (
+    big_theta,
+    heat_kernel_integral,
+    heat_kernel_integral_hi,
+    heat_kernel_series,
+    heat_kernel_series_grid,
+    theta_deriv,
+    trace_direct,
+)
+from projheat.heatcoeff import asymptotic_sum, asymptotic_trace, b_coefficients
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(projheat.__path__) if m.name != "__main__")
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -64,3 +78,37 @@ def test_radial_rule_arrays_reject_writes():
     for arr in (rho, w):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+Z, W = (0.3 + 0.2j,), (0.1 - 0.4j,)
+# entry -> (call(n, two_nu, t), the arguments the entry takes)
+LABELLED = {
+    "heat_kernel_series": (lambda n, two_nu, t: heat_kernel_series(n, two_nu, t, Z, W),
+                           "n two_nu t"),
+    "heat_kernel_series_grid": (lambda n, two_nu, t: heat_kernel_series_grid(
+        two_nu, t, 0.3j, np.array([0.1, 0.2j])), "two_nu t"),
+    "heat_kernel_integral": (lambda n, two_nu, t: heat_kernel_integral(n, two_nu, t, Z, W),
+                             "n two_nu t"),
+    "heat_kernel_integral_hi": (lambda n, two_nu, t: heat_kernel_integral_hi(n, t, Z, W), "n t"),
+    "big_theta": (lambda n, two_nu, t: big_theta(n, two_nu, t, 0.3), "n two_nu t"),
+    "theta_deriv": (lambda n, two_nu, t: theta_deriv(2, 1, t), "t"),
+    "trace_direct": (lambda n, two_nu, t: trace_direct(n, two_nu, t), "n two_nu t"),
+    "asymptotic_trace": (lambda n, two_nu, t: asymptotic_trace(n, 0, t, 4), "n t"),
+    "asymptotic_sum": (lambda n, two_nu, t: asymptotic_sum(1, b_coefficients(1, 0, 4), t), "t"),
+    "reproducing_kernel": (lambda n, two_nu, t: kernels.reproducing_kernel(n, two_nu, 0, Z, W),
+                           "n two_nu"),
+    "kernel_diagonal_volume_check": (
+        lambda n, two_nu, t: kernels.kernel_diagonal_volume_check(n, two_nu, 0), "n two_nu"),
+    "monopole_basis": (lambda n, two_nu, t: kernels.monopole_basis(two_nu, 0, 0, 0.3j), "two_nu"),
+}
+BAD = {"n": [0], "two_nu": [-1], "t": [0.0, math.nan, math.inf]}
+CASES = [(entry, arg, bad) for entry, (_, takes) in LABELLED.items()
+         for arg in takes.split() for bad in BAD[arg]]
+
+
+@pytest.mark.parametrize("entry,arg,bad", CASES, ids=[f"{e}-{a}={b}" for e, a, b in CASES])
+def test_label_and_time_rules(entry, arg, bad):
+    call, _ = LABELLED[entry]
+    args = {"n": 1, "two_nu": 1, "t": 0.5, arg: bad}
+    with pytest.raises(NonPositiveTime if arg == "t" else ValueError):
+        call(**args)
