@@ -12,16 +12,15 @@ Two distinct Bernoulli-type sequences live here and are never mixed up:
   ((-1)^d/(d+1)) (1 - 2^{-2d-1}) B_{2d+2} that appears as the small-time
   Taylor tail of the lattice theta series sum (2j+1) e^{-(j+1/2)^2 t}.
 
-Both sequences are memoized in append-only module lists that the two
-functions grow on demand. Each step reads the list length once and stores
-its entry with a slice assignment at that index, so a racing grower that
-stored it first is overwritten by the same value, no list grows past the
-index asked for, and no lock is needed.
+Both sequences are memoized with ``functools.lru_cache``, which is
+thread-safe: threads racing on a cold index may each compute it, but they
+store the same value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 
 __all__ = [
@@ -35,22 +34,18 @@ __all__ = [
 ]
 
 
-_STANDARD: list[Fraction] = [Fraction(1)]  # B_0, B_1, ...
-_THETA2: list[Fraction] = []
-
-
+@lru_cache(maxsize=None)
 def bernoulli_number(d: int) -> Fraction:
     """Standard Bernoulli number B_d (convention B_1 = -1/2)."""
     if d < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    while (m := len(_STANDARD)) <= d:
-        # defining recursion: sum_{k=0}^{m} C(m+1, k) B_k = 0
-        acc = Fraction(0)
-        for k, bk in enumerate(_STANDARD[:m]):
-            if bk:
-                acc += comb(m + 1, k) * bk
-        _STANDARD[m:m + 1] = [-acc / (m + 1)]
-    return _STANDARD[d]
+    if d == 0:
+        return Fraction(1)
+    # defining recursion sum_{k=0}^{d} C(d+1, k) B_k = 0, over k in increasing
+    # order so that a cold cache recurses at most two deep; B_k = 0 for odd k > 1
+    acc = sum((comb(d + 1, k) * bernoulli_number(k) for k in range(d) if k < 2 or k % 2 == 0),
+              Fraction(0))
+    return -acc / (d + 1)
 
 
 def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
@@ -62,10 +57,9 @@ def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
     """
     if d < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    bernoulli_number(d)  # grow B_0..B_d once
     x = Fraction(x)
     p, q = x.numerator, x.denominator
-    coeffs = _STANDARD[:d + 1]
+    coeffs = [bernoulli_number(k) for k in range(d + 1)]
     common = lcm(*(bk.denominator for bk in coeffs))
     acc, q_k = 0, 1
     for k, bk in enumerate(coeffs):
@@ -76,6 +70,7 @@ def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
     return Fraction(acc, common * q**d)
 
 
+@lru_cache(maxsize=None)
 def theta2_series_coefficient(d: int) -> Fraction:
     """Rescaled sequence ((-1)^d/(d+1)) (1 - 2^{-2d-1}) B_{2d+2}.
 
@@ -84,11 +79,8 @@ def theta2_series_coefficient(d: int) -> Fraction:
     """
     if d < 0:
         raise ValueError("index must be >= 0")
-    bernoulli_number(2 * d + 2)
-    while (j := len(_THETA2)) <= d:
-        scale = Fraction((-1) ** j, j + 1) * (1 - Fraction(1, 2 ** (2 * j + 1)))
-        _THETA2[j:j + 1] = [scale * _STANDARD[2 * j + 2]]
-    return _THETA2[d]
+    scale = Fraction((-1) ** d, d + 1) * (1 - Fraction(1, 2 ** (2 * d + 1)))
+    return scale * bernoulli_number(2 * d + 2)
 
 
 def pochhammer(a: Fraction | int, k: int) -> Fraction:

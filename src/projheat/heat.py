@@ -57,28 +57,28 @@ def _require_time(t: float) -> None:
         raise NonPositiveTime(f"t = {t}")
 
 
-def terms_needed(bound, eps: float) -> tuple[int, float]:
-    """Number of terms M >= _MIN_TERMS whose verified geometric tail is < eps.
+def terms_needed(bound, eps: float) -> tuple[list[float], float]:
+    """The M >= _MIN_TERMS leading bounds whose verified geometric tail is < eps.
 
     bound(m) must dominate |term(m)| and have eventually decreasing ratios.
     The cut requires r = bound(M+1)/bound(M) < 0.9 with the next ratio no
-    larger, then tail <= bound(M)/(1 - r). Each bound(m) is evaluated once.
-    Returns (M, tail); raises ValueError unless eps > 0 and TruncationFailed
-    past _MAX_TERMS terms.
+    larger, then tail <= bound(M)/(1 - r). Each bound(m) is evaluated once,
+    in order of m. Returns ([bound(0), ..., bound(M-1)], tail); raises
+    ValueError unless eps > 0 and TruncationFailed past _MAX_TERMS terms.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    b1, b2 = bound(_MIN_TERMS), bound(_MIN_TERMS + 1)
+    values = [bound(m) for m in range(_MIN_TERMS + 2)]
     for terms in range(_MIN_TERMS, _MAX_TERMS + 2):
-        b3 = bound(terms + 2)
+        values.append(bound(terms + 2))
+        b1, b2, b3 = values[terms:]
         if b1 == 0.0:
-            return terms, 0.0
+            return values[:terms], 0.0
         r1, r2 = b2 / b1, (b3 / b2 if b2 > 0 else 0.0)
         if r1 < 0.9 and r2 <= r1 * (1 + 1e-12):
             tail = b1 / (1.0 - r1)
             if tail < eps:
-                return terms, tail
-        b1, b2 = b2, b3
+                return values[:terms], tail
     raise TruncationFailed(f"series tail bound not below {eps:g} within {_MAX_TERMS} terms")
 
 
@@ -105,8 +105,8 @@ def theta_deriv(which: int, p: int, t: float, eps: float = 1e-12) -> float:
 
     else:
         raise ValueError("which must be 2 or 3")
-    terms, _ = terms_needed(term, eps)
-    return math.fsum(map(term, range(terms)))
+    values, _ = terms_needed(term, eps)
+    return math.fsum(values)
 
 
 def theta2(t: float, eps: float = 1e-12) -> float:
@@ -124,15 +124,8 @@ def big_theta(n: int, two_nu: int, t: float, u: float, eps: float = 1e-12) -> fl
     _require_time(t)
     SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     a = two_nu + n
-
-    def term(m: int) -> float:
-        return exp(-t * (2 * m + a) ** 2) * math.cos((2 * m + a) * u)
-
-    def bound(m: int) -> float:
-        return exp(-t * (2 * m + a) ** 2)
-
-    terms, _ = terms_needed(bound, eps)
-    return math.fsum(map(term, range(terms)))
+    bounds, _ = terms_needed(lambda m: exp(-t * (2 * m + a) ** 2), eps)
+    return math.fsum(b * math.cos((2 * m + a) * u) for m, b in enumerate(bounds))
 
 
 def _gaussian(n: int, two_nu: int, t: float):
@@ -159,8 +152,8 @@ def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[flo
     def bound(m: int) -> float:
         return coef(m) * comb(m + qmax, m) * decay(m)
 
-    terms, tail = terms_needed(bound, eps * pi**n)
-    return [coef(m) * decay(m) for m in range(terms)], tail
+    bounds, tail = terms_needed(bound, eps * pi**n)
+    return [coef(m) * decay(m) for m in range(len(bounds))], tail
 
 
 def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) -> KernelEval:
@@ -208,8 +201,8 @@ def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, floa
     def bound(m: int) -> float:
         return (2 * m + lam) * comb(2 * m + lam - 1, 2 * m) * decay(m)
 
-    terms, tail = terms_needed(bound, 1e-13 * max(1.0, bound(0)))
-    return np.array([(2 * m + lam) * decay(m) for m in range(terms)]), tail
+    bounds, tail = terms_needed(bound, 1e-13 * max(1.0, bound(0)))
+    return np.array([(2 * m + lam) * decay(m) for m in range(len(bounds))]), tail
 
 
 def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: float, scale,
@@ -302,19 +295,11 @@ def trace_direct(n: int, two_nu: int, t: float, eps: float = 1e-12) -> float:
     """Tr exp(t Delta_nu / 4) by direct spectral summation, tail bound < eps.
 
     Terms are dim(A_m^nu) e^{(t/4)[(n^2+(2nu)^2) - (2m+n+2nu)^2]}; they are
-    positive, so the term sequence is its own tail bound. Each term is
-    built once, in order of m, and the truncation test and the sum read
-    the same values.
+    positive, so the term sequence is its own tail bound, and the sum reads
+    the terms terms_needed evaluated.
     """
     _require_time(t)
     SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     decay = _gaussian(n, two_nu, t / 4.0)
-    values: list[float] = []
-
-    def term(m: int) -> float:
-        while (k := len(values)) <= m:
-            values.append(_product_dimension(n, two_nu, k) * decay(k))
-        return values[m]
-
-    terms, _ = terms_needed(term, eps)
-    return math.fsum(values[:terms])
+    values, _ = terms_needed(lambda m: _product_dimension(n, two_nu, m) * decay(m), eps)
+    return math.fsum(values)

@@ -23,7 +23,7 @@ from math import factorial, pi
 from .errors import UnsupportedN, UnsupportedNu
 from .exactnum import bernoulli_number, bernoulli_polynomial, rational_str, theta2_series_coefficient
 from .heat import _require_time
-from .spectrum import decompose_multiplicity
+from .spectrum import SpectralPoint, decompose_multiplicity
 
 __all__ = [
     "HeatCoeffTable",
@@ -40,8 +40,7 @@ __all__ = [
 
 
 def _check_args(n: int, nu, J: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    SpectralPoint(n, 0, 0)  # rejects n < 1
     if J < 0:
         raise ValueError("J must be >= 0")
     nu = Fraction(nu)
@@ -163,6 +162,7 @@ def asymptotic_sum(n: int, b, t: float) -> float:
 
 def asymptotic_trace(n: int, nu, t: float, J: int) -> float:
     """(4 pi t)^{-n} sum_{j<=J} b_j t^j from the exact coefficient table."""
+    _require_time(t)
     return asymptotic_sum(n, b_coefficients(n, nu, J), t)
 
 

@@ -282,9 +282,9 @@ def _trace_direct_mp(n: int, two_nu: int, t: mpf) -> mpf:
         m += 1
 
 
-def _asymptotic_trace_mp(n: int, nu: int, t: mpf, J: int) -> mpf:
+def _asymptotic_trace_mp(n: int, b, t: mpf) -> mpf:
     total = mpf(0)
-    for j, (factor, p) in enumerate(b_coefficients(n, nu, J)):
+    for j, (factor, p) in enumerate(b):
         total += mpf(factor.numerator) / factor.denominator * mp.pi**p * t**j
     return total / (4 * mp.pi * t) ** n
 
@@ -304,8 +304,9 @@ def _trace_scaled_errors() -> dict:
         for n, nu in _TRACE_GRID:
             direct = [_trace_direct_mp(n, 2 * nu, t) for t in times]
             for J in (4, 6, 8):
+                b = b_coefficients(n, nu, J)
                 out[(n, nu, J)] = [
-                    float(abs(d - _asymptotic_trace_mp(n, nu, t, J)) * (4 * mp.pi * t) ** n
+                    float(abs(d - _asymptotic_trace_mp(n, b, t)) * (4 * mp.pi * t) ** n
                           / t ** (J + 1))
                     for d, t in zip(direct, times)]
     return out
@@ -328,7 +329,8 @@ def suite_trace() -> list[Check]:
             for (n, nu), t in product(_TRACE_GRID, (0.1, 0.05))
             for fast, ref in (
                 (trace_direct(n, 2 * nu, t), float(_trace_direct_mp(n, 2 * nu, mpf(t)))),
-                (asymptotic_trace(n, nu, t, 6), float(_asymptotic_trace_mp(n, nu, mpf(t), 6)))))
+                (asymptotic_trace(n, nu, t, 6),
+                 float(_asymptotic_trace_mp(n, b_coefficients(n, nu, 6), mpf(t))))))
     checks.append(_check(
         "trace.binary64_vs_mp", worst <= 1e-12,
         f"binary64 trace_direct/asymptotic_trace vs 40-digit reference: "

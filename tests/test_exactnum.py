@@ -157,13 +157,10 @@ def test_rational_serialization_round_trip():
     assert rational_str(Fraction(0)) == "0/1"
 
 
-def test_cache_safe_under_concurrent_growth(monkeypatch):
-    # the memo lists grow without a lock: threads racing from empty lists,
-    # switching every microsecond, must still leave each value at its index
-    # and grow no list past the index asked for. One race over-grows only
-    # now and then, so 300 short races run before the one to B_80.
-    import projheat.exactnum as exactnum
-
+def test_cache_safe_under_concurrent_growth():
+    # threads racing from empty caches, switching every microsecond, must
+    # each get the right value and leave the right B_0..B_d cached. Each race
+    # interleaves differently, so 300 short races run before the one to B_80.
     oracle = akiyama_tanigawa(80)
     standard = [-b if d == 1 else b for d, b in enumerate(oracle)]
     theta2 = [Fraction((-1) ** d, d + 1) * (1 - Fraction(1, 2 ** (2 * d + 1))) * oracle[2 * d + 2]
@@ -173,12 +170,11 @@ def test_cache_safe_under_concurrent_growth(monkeypatch):
     try:
         with ThreadPoolExecutor(max_workers=16) as pool:
             for d, dt in [(10, 4)] * 300 + [(80, 30)]:
-                monkeypatch.setattr(exactnum, "_STANDARD", [Fraction(1)])
-                monkeypatch.setattr(exactnum, "_THETA2", [])
+                bernoulli_number.cache_clear()
+                theta2_series_coefficient.cache_clear()
                 results = list(pool.map(bernoulli_number, [d] * 64))
                 thetas = list(pool.map(theta2_series_coefficient, [dt] * 64))
                 assert results == [standard[d]] * 64 and thetas == [theta2[dt]] * 64
-                assert exactnum._STANDARD == standard[:d + 1]
-                assert exactnum._THETA2 == theta2[:dt + 1]
+                assert [bernoulli_number(k) for k in range(d + 1)] == standard[:d + 1]
     finally:
         sys.setswitchinterval(interval)

@@ -62,15 +62,16 @@ def test_eps_must_be_positive(call, eps):
 
 
 def test_terms_needed_geometric_cut(monkeypatch):
-    # ratio 1/2: tail 2^-M / (1 - 1/2) < 1e-6 first at M = 21; each bound once
+    # ratio 1/2: tail 2^-M / (1 - 1/2) < 1e-6 first at M = 21; the bounds
+    # below the cut come back, and each bound is evaluated once, in order
     seen = []
 
     def bound(m):
         seen.append(m)
         return 0.5**m
 
-    assert terms_needed(bound, 1e-6) == (21, 2.0 * 0.5**21)
-    assert len(seen) == len(set(seen))
+    assert terms_needed(bound, 1e-6) == ([0.5**m for m in range(21)], 2.0 * 0.5**21)
+    assert seen == list(range(len(seen)))
     monkeypatch.setattr("projheat.heat._MAX_TERMS", 50)
     with pytest.raises(TruncationFailed):
         terms_needed(lambda m: 1.0, 1e-3)
@@ -312,8 +313,8 @@ def test_trace_direct_bit_identical_to_gamma_form_sum(n):
                 dim = dimension_gamma_form(SpectralPoint(n, two_nu, m))
                 return dim * exp(t / 4.0 * (shift - (2 * m + two_nu + n) ** 2))
 
-            count, _ = terms_needed(term, 1e-12)
-            assert trace_direct(n, two_nu, t) == math.fsum(map(term, range(count)))
+            values, _ = terms_needed(term, 1e-12)
+            assert trace_direct(n, two_nu, t) == math.fsum(map(term, range(len(values))))
 
 
 def test_trace_exponents_match_eigenvalues():

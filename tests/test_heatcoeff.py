@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial, pi
+from math import factorial, inf, nan, pi
 
 import pytest
 
+from projheat import heatcoeff
 from projheat.errors import NonPositiveTime, UnsupportedN, UnsupportedNu
 from projheat.exactnum import (
     bernoulli_number,
@@ -186,6 +187,16 @@ def test_asymptotic_trace_leading_term():
         assert asymptotic_trace(n, 0, t, 0) == pytest.approx(1.0 / (factorial(n) * t**n))
     with pytest.raises(NonPositiveTime):
         asymptotic_trace(1, 0, 0.0, 4)
+
+
+def test_asymptotic_trace_checks_time_before_building_the_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("b_coefficients built before t was checked")
+
+    monkeypatch.setattr(heatcoeff, "b_coefficients", no_table)
+    for t in (0.0, -1.0, nan, inf):
+        with pytest.raises(NonPositiveTime):
+            asymptotic_trace(1, 0, t, 40)
 
 
 @pytest.mark.parametrize("n,nu", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)])
