@@ -9,6 +9,8 @@ binary64 with truncation error bounds (rounding not included).
 
 from __future__ import annotations
 
+import importlib
+
 from .errors import (
     AntipodalDegenerate,
     DimensionMismatch,
@@ -30,16 +32,6 @@ from .exactnum import (
     rational_str,
     theta2_series_coefficient,
 )
-from .heat import (
-    big_theta,
-    heat_kernel_integral,
-    heat_kernel_integral_hi,
-    heat_kernel_series,
-    theta2,
-    theta3,
-    theta_deriv,
-    trace_direct,
-)
 from .heatcoeff import (
     HeatCoeffTable,
     asymptotic_sum,
@@ -48,21 +40,6 @@ from .heatcoeff import (
     c_coefficients,
     heat_coeff_table,
     nu_zero_u,
-)
-from .kernels import (
-    KernelEval,
-    ProjPoint,
-    as_point,
-    fs_distance,
-    herm,
-    kernel_diagonal_volume_check,
-    monopole_basis,
-    reproducing_kernel,
-    zaremba_sum_n1,
-)
-from .orthopoly import (
-    gauss2f1_terminating,
-    jacobi,
 )
 from .spectrum import (
     DecompositionPoly,
@@ -74,5 +51,72 @@ from .spectrum import (
     eigenvalue_beta,
     spherical_harmonic_dims,
 )
+from .theta import big_theta, theta2, theta3, theta_deriv, trace_direct
+
+# The numpy-backed names, bound on first access (PEP 562), so that
+# ``import projheat`` and the exact-table commands load neither numpy nor
+# mpmath. A lookup imports only the module that defines the name.
+_LAZY = {
+    "heat": ("heat_kernel_integral", "heat_kernel_integral_hi", "heat_kernel_series"),
+    "kernels": ("KernelEval", "ProjPoint", "as_point", "fs_distance", "herm",
+                "kernel_diagonal_volume_check", "monopole_basis", "reproducing_kernel",
+                "zaremba_sum_n1"),
+    "orthopoly": ("gauss2f1_terminating", "jacobi"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "AntipodalDegenerate",
+    "DimensionMismatch",
+    "IndexOutOfRange",
+    "NonIntegerDimension",
+    "NonPositiveTime",
+    "PoleError",
+    "ProjheatError",
+    "TruncationFailed",
+    "UnsupportedN",
+    "UnsupportedNu",
+    "bernoulli_number",
+    "bernoulli_polynomial",
+    "binomial_general",
+    "pochhammer",
+    "power_sum",
+    "rational_str",
+    "theta2_series_coefficient",
+    "HeatCoeffTable",
+    "asymptotic_sum",
+    "asymptotic_trace",
+    "b_coefficients",
+    "c_coefficients",
+    "heat_coeff_table",
+    "nu_zero_u",
+    "DecompositionPoly",
+    "SpectralPoint",
+    "decompose_multiplicity",
+    "dimension_gamma_form",
+    "dimension_poly_form",
+    "dimension_product_form",
+    "eigenvalue_beta",
+    "spherical_harmonic_dims",
+    "big_theta",
+    "theta2",
+    "theta3",
+    "theta_deriv",
+    "trace_direct",
+    *_LAZY_MODULE,
+]
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -7,6 +7,10 @@ header and rows, optionally an exit code), and ``_render`` writes it as JSON
 round-trip decimals, so identical flags give byte-identical output. Neither
 format holds NaN or Infinity; a non-finite value exits 2 instead. Exit
 codes: 0 success, 1 verification failure, 2 usage or validation error.
+
+``kernel``, ``heat-eval`` and ``verify`` import their numeric modules when
+they run, so ``coeffs``, ``dims``, ``decomp`` and ``trace-compare`` load
+neither numpy nor mpmath.
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ import sys
 from fractions import Fraction
 from math import pi
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ProjheatError
 from .exactnum import rational_str
-from .heat import heat_kernel_integral, heat_kernel_series, trace_direct
 from .heatcoeff import asymptotic_sum, b_coefficients, heat_coeff_table
-from .kernels import KernelEval, reproducing_kernel
 from .spectrum import (
     SpectralPoint,
     decompose_multiplicity,
@@ -34,9 +37,16 @@ from .spectrum import (
     dimension_poly_form,
     dimension_product_form,
 )
-from .verify import SCOPES, run_verify
+from .theta import trace_direct
+
+if TYPE_CHECKING:
+    from .kernels import KernelEval
 
 __all__ = ["main", "build_parser"]
+
+# verify.SCOPES's keys in order (a test keeps them equal), so that building the
+# parser does not import verify, and with it numpy and mpmath.
+SCOPE_NAMES = ("dims", "paper8", "zaremba", "heat", "trace", "theta", "bernoulli", "monopole")
 
 
 class ValidationError(Exception):
@@ -130,6 +140,8 @@ def cmd_decomp(args):
 
 
 def cmd_kernel(args):
+    from .kernels import reproducing_kernel
+
     k = reproducing_kernel(args.n, args.two_nu, args.m, args.z, args.w)
     payload = {"n": args.n, "twoNu": args.two_nu, "m": args.m, "z": _coords(args.z),
                "w": _coords(args.w), **_kernel_eval_dict(k)}
@@ -138,6 +150,8 @@ def cmd_kernel(args):
 
 
 def cmd_heat_eval(args):
+    from .heat import heat_kernel_integral, heat_kernel_series
+
     n, two_nu, t, z, w = args.n, args.two_nu, args.t, args.z, args.w
     payload = {"n": n, "twoNu": two_nu, "t": t, "z": _coords(z), "w": _coords(w)}
     rows = []
@@ -170,6 +184,8 @@ def cmd_trace_compare(args):
 
 
 def cmd_verify(args):
+    from .verify import run_verify
+
     checks = run_verify(args.scope, nmax=args.nmax, seed=args.seed)
     counts = {s.lower(): sum(c.status == s for c in checks) for s in ("PASS", "WARN", "FAIL")}
     payload = {"scope": args.scope, "checks": [c.to_dict() for c in checks], "counts": counts}
@@ -246,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_positive_float("--eps"), default=1e-12)
 
     p = add_command("verify", cmd_verify, "run cross-representation verification suites")
-    p.add_argument("--scope", choices=("all", *SCOPES), default="all")
+    p.add_argument("--scope", choices=("all", *SCOPE_NAMES), default="all")
     p.add_argument("--nmax", type=_int_at_least("--nmax", 1), default=6)
     p.add_argument("--seed", type=int, default=2024)
 

@@ -22,8 +22,8 @@ from math import factorial, pi
 
 from .errors import UnsupportedN, UnsupportedNu
 from .exactnum import bernoulli_number, bernoulli_polynomial, rational_str, theta2_series_coefficient
-from .heat import _require_time
 from .spectrum import SpectralPoint, decompose_multiplicity
+from .theta import _require_time
 
 __all__ = [
     "HeatCoeffTable",

@@ -171,6 +171,28 @@ def test_non_integer_flag_is_usage_error(capsys):
     assert "argument --n: invalid int value: 'x'" in capsys.readouterr().err
 
 
+def test_scope_names_match_verify():
+    # the parser's --scope choices come from cli.SCOPE_NAMES, not from verify
+    from projheat import cli, verify
+
+    assert cli.SCOPE_NAMES == tuple(verify.SCOPES)
+
+
+def test_unknown_scope_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scope", "bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: projheat verify [-h]\n"
+        "                       [--scope {all,dims,paper8,zaremba,heat,trace,theta,bernoulli,monopole}]\n"
+        "                       [--nmax NMAX] [--seed SEED] [--format {json,csv}]\n"
+        "                       [--out OUT]\n"
+        "projheat verify: error: argument --scope: invalid choice: 'bogus' (choose from 'all', "
+        "'dims', 'paper8', 'zaremba', 'heat', 'trace', 'theta', 'bernoulli', 'monopole')\n"
+    )
+
+
 def test_verify_single_scope(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "bernoulli")
     assert code == 0
@@ -208,9 +230,9 @@ def test_output_to_file(tmp_path, capsys):
 def test_truncation_failure_exits_2(capsys, monkeypatch):
     # at t = 1e-9 the absolute tail tolerance is out of reach; a low term cap
     # makes the failure show at once
-    import projheat.heat
+    import projheat.theta
 
-    monkeypatch.setattr(projheat.heat, "_MAX_TERMS", 100)
+    monkeypatch.setattr(projheat.theta, "_MAX_TERMS", 100)
     code, out, err = run_cli(capsys, "trace-compare", "--n", "1", "--nu", "0",
                              "--J", "4", "--t", "1e-9")
     assert code == 2 and out == ""
@@ -233,7 +255,7 @@ def test_non_finite_inputs_exit_2(capsys, argv):
 
 def test_heat_eval_rejects_huge_node_count(capsys, monkeypatch):
     # the parser rejects --nodes: neither the series nor any quadrature rule runs
-    monkeypatch.setattr("projheat.cli.heat_kernel_series", None)
+    monkeypatch.setattr("projheat.heat.heat_kernel_series", None)
     monkeypatch.setattr("projheat.heat.gauss_legendre", None)
     code, out, err = run_cli(capsys, "heat-eval", "--n", "1", "--two-nu", "1", "--t", "0.5",
                              "--z", "0.3", "--w", "0.1j", "--method", "both",
@@ -268,7 +290,7 @@ def test_json_never_holds_nan(capsys, monkeypatch, fmt):
     # neither output format may carry a non-finite float
     from projheat.kernels import KernelEval
 
-    monkeypatch.setattr("projheat.cli.reproducing_kernel",
+    monkeypatch.setattr("projheat.kernels.reproducing_kernel",
                         lambda *args: KernelEval(complex(float("nan"), 0.0), 0, 0.0))
     code, out, err = run_cli(capsys, "kernel", "--n", "1", "--two-nu", "0", "--m", "0",
                              "--z", "0", "--w", "0", "--format", fmt)

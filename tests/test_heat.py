@@ -72,7 +72,7 @@ def test_terms_needed_geometric_cut(monkeypatch):
 
     assert terms_needed(bound, 1e-6) == ([0.5**m for m in range(21)], 2.0 * 0.5**21)
     assert seen == list(range(len(seen)))
-    monkeypatch.setattr("projheat.heat._MAX_TERMS", 50)
+    monkeypatch.setattr("projheat.theta._MAX_TERMS", 50)
     with pytest.raises(TruncationFailed):
         terms_needed(lambda m: 1.0, 1e-3)
 
