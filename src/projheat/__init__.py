@@ -13,6 +13,7 @@ import importlib
 
 from .errors import (
     AntipodalDegenerate,
+    Binary64Overflow,
     DimensionMismatch,
     IndexOutOfRange,
     NonIntegerDimension,
@@ -69,6 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntipodalDegenerate",
+    "Binary64Overflow",
     "DimensionMismatch",
     "IndexOutOfRange",
     "NonIntegerDimension",

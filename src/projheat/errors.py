@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class ProjheatError(Exception):
     """Base class for all package-specific errors."""
@@ -41,3 +43,16 @@ class UnsupportedN(ProjheatError):
 
 class TruncationFailed(ProjheatError):
     """A series tail bound did not fall below its tolerance within the term cap."""
+
+
+class Binary64Overflow(ProjheatError):
+    """An exact intermediate (a Gamma ratio or factorial quotient) exceeds binary64."""
+
+
+@contextmanager
+def binary64_range(what: str):
+    """Re-raise an OverflowError from the block as Binary64Overflow naming ``what``."""
+    try:
+        yield
+    except OverflowError:
+        raise Binary64Overflow(f"{what} exceeds the binary64 range") from None

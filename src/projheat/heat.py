@@ -31,7 +31,7 @@ from math import comb, factorial, pi
 
 import numpy as np
 
-from .errors import AntipodalDegenerate
+from .errors import AntipodalDegenerate, binary64_range
 from .exactnum import pochhammer
 from .kernels import KernelEval, double_angle, pair_terms, point_pair, single_angle
 from .orthopoly import gegenbauer_values, jacobi_values
@@ -67,20 +67,23 @@ def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[flo
 
     Returns the weights for m below the truncation verified against eps pi^n,
     and the tail bound; the Jacobi sup bound P_m^{(a,b)}(1) with
-    (a,b) = (max, min)(n-1, 2nu) makes the bound rigorous.
+    (a,b) = (max, min)(n-1, 2nu) makes the bound rigorous. Each weight is
+    kept from the one bound(m) call that terms_needed makes per m.
     """
     big = two_nu + n
     qmax = max(n - 1, two_nu)
     decay = _gaussian(n, two_nu, t)
-
-    def coef(m: int) -> float:
-        return (2 * m + big) * float(pochhammer(m + two_nu + 1, n - 1))
+    weights = []
 
     def bound(m: int) -> float:
-        return coef(m) * comb(m + qmax, m) * decay(m)
+        coef = (2 * m + big) * float(pochhammer(m + two_nu + 1, n - 1))
+        gauss = decay(m)
+        weights.append(coef * gauss)
+        return coef * comb(m + qmax, m) * gauss
 
-    bounds, tail = terms_needed(bound, eps * pi**n)
-    return [coef(m) * decay(m) for m in range(len(bounds))], tail
+    with binary64_range("a series weight (2m+2nu+n) Gamma(m+n+2nu)/Gamma(m+2nu+1)"):
+        bounds, tail = terms_needed(bound, eps * pi**n)
+    return weights[:len(bounds)], tail
 
 
 def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) -> KernelEval:
@@ -120,16 +123,20 @@ def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, floa
 
     G(cos u) = sum_m weight_m C_{2m}^{n+2nu}(cos u). Returns the weights for
     m below the verified truncation, and the tail bound;
-    |C_{2m}(x)| <= C_{2m}(1) gives the cut.
+    |C_{2m}(x)| <= C_{2m}(1) gives the cut. Each weight is kept from the
+    bound(m) call that computed its Gaussian.
     """
     lam = n + two_nu
     decay = _gaussian(n, two_nu, t)
+    weights = {}
 
     def bound(m: int) -> float:
-        return (2 * m + lam) * comb(2 * m + lam - 1, 2 * m) * decay(m)
+        gauss = decay(m)
+        weights[m] = (2 * m + lam) * gauss
+        return (2 * m + lam) * comb(2 * m + lam - 1, 2 * m) * gauss
 
     bounds, tail = terms_needed(bound, 1e-13 * max(1.0, bound(0)))
-    return np.array([(2 * m + lam) * decay(m) for m in range(len(bounds))]), tail
+    return np.array([weights[m] for m in range(len(bounds))]), tail
 
 
 def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: float, scale,
@@ -184,13 +191,14 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) 
     SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     cos_rho, qbar = _integral_geometry(n, z, w)
     w_factor = qbar ** (-two_nu)
-    const = (
-        2.0
-        * factorial(n + two_nu - 1)
-        * 4.0**two_nu
-        * factorial(two_nu)
-        / (factorial(2 * two_nu) * pi ** (n + 1))
-    )
+    with binary64_range("the integral-form constant 2 Gamma(n+2nu) 4^{2nu} (2nu)!/(4nu)!"):
+        const = (
+            2.0
+            * factorial(n + two_nu - 1)
+            * 4.0**two_nu
+            * factorial(two_nu)
+            / (factorial(2 * two_nu) * pi ** (n + 1))
+        )
 
     value, terms, change, tail = _bracket_integral(n, two_nu, t, cos_rho, const * w_factor,
                                                    nodes)
@@ -210,7 +218,8 @@ def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 128) -> KernelE
     _require_time(t)
     SpectralPoint(n, 0, 0)  # rejects n < 1
     cos_rho, _ = _integral_geometry(n, z, w)
-    const = (1.0 / (2.0 ** (n - 2) * pi ** (n + 1))) * 2.0 ** (n - 1) * factorial(n - 1)
+    with binary64_range("the classical constant 2^{n-1} (n-1)!/(2^{n-2} pi^{n+1})"):
+        const = (1.0 / (2.0 ** (n - 2) * pi ** (n + 1))) * 2.0 ** (n - 1) * factorial(n - 1)
 
     # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
     value, terms, change, tail = _bracket_integral(n, 0, t, cos_rho, const, nodes)

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import acos, factorial, pi, sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch, IndexOutOfRange, binary64_range
 from .exactnum import pochhammer
 from .orthopoly import jacobi
 from .quadrature import radial_mu1_rule
@@ -115,7 +116,8 @@ def reproducing_kernel(n: int, two_nu: int, m: int, z, w) -> KernelEval:
     SpectralPoint(n, two_nu, m)  # rejects n < 1, 2nu < 0, m < 0
     c2, q = point_pair(n, z, w)
     gamma_ratio = pochhammer(m + two_nu + 1, n - 1)  # Gamma(m+n+2nu)/Gamma(m+2nu+1)
-    pref = (2 * m + two_nu + n) * float(gamma_ratio) / pi**n
+    with binary64_range("the kernel prefactor (2m+2nu+n) Gamma(m+n+2nu)/Gamma(m+2nu+1)/pi^n"):
+        pref = (2 * m + two_nu + n) * float(gamma_ratio) / pi**n
     value = pref * q**two_nu * jacobi(m, n - 1, two_nu, double_angle(c2))
     return KernelEval(value=complex(value), terms_used=0, error_bound=0.0)
 
@@ -129,17 +131,7 @@ def monopole_basis(two_nu: int, m: int, k: int,
     factor P_m^{(k,2nu-k)} carries a structural zero of order |k| at z = 0,
     so the product is regular.
     """
-    SpectralPoint(1, two_nu, m)  # rejects 2nu < 0 and m < 0
-    if not -m <= k <= two_nu + m:
-        raise IndexOutOfRange(f"k={k} outside [{-m}, {two_nu + m}]")
-    norm = sqrt(
-        (two_nu + 2 * m + 1)
-        * factorial(two_nu + m)
-        * factorial(m)
-        / (factorial(m + k) * factorial(two_nu + m - k))
-    )
-    # the value at z = 0: P_m^{(k,2nu-k)}(1) = (k+1)_m/m! vanishes for -m <= k < 0
-    at_origin = complex(norm) if k == 0 else 0j
+    norm, at_origin = _monopole_constants(two_nu, m, k)
     if isinstance(z, np.ndarray):
         z = z.astype(complex)
         origin = z == 0
@@ -153,6 +145,24 @@ def monopole_basis(two_nu: int, m: int, k: int,
     zz = (z * z.conjugate()).real
     s = (1.0 - zz) / (1.0 + zz)
     return norm * (1.0 + zz) ** (-two_nu / 2.0) * z**k * jacobi(m, k, two_nu - k, s)
+
+
+# monopole_basis stays a plain function over this cache, so it keeps the
+# __code__ that perfbench/tracer.py's probes copy.
+@lru_cache(maxsize=256, typed=True)
+def _monopole_constants(two_nu: int, m: int, k: int) -> tuple[float, complex]:
+    """The checked (2nu, m, k): the norm of Phi_k^{nu,m}, and its value at z = 0."""
+    SpectralPoint(1, two_nu, m)  # rejects 2nu < 0 and m < 0
+    if not -m <= k <= two_nu + m:
+        raise IndexOutOfRange(f"k={k} outside [{-m}, {two_nu + m}]")
+    norm = sqrt(
+        (two_nu + 2 * m + 1)
+        * factorial(two_nu + m)
+        * factorial(m)
+        / (factorial(m + k) * factorial(two_nu + m - k))
+    )
+    # the value at z = 0: P_m^{(k,2nu-k)}(1) = (k+1)_m/m! vanishes for -m <= k < 0
+    return norm, (complex(norm) if k == 0 else 0j)
 
 
 def zaremba_sum_n1(two_nu: int, m: int, z: complex, w: complex) -> complex:

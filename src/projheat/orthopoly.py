@@ -82,12 +82,20 @@ def jacobi(k: int, alpha, beta, x):
     """P_k^{(alpha,beta)}(x); exact for exact x, binary64 otherwise."""
     if k < 0:
         raise ValueError("Jacobi degree must be >= 0")
-    a, b = Fraction(alpha), Fraction(beta)
-    neg_int = (a.denominator == 1 and a < 0) or (b.denominator == 1 and b < 0)
+    a, b, neg_int = _jacobi_parameters(alpha, beta)
     if neg_int or _is_exact(x):
         # recurrence denominators can vanish at negative integers; the finite sum cannot
         return _jacobi_finite_sum(k, a, b, x)
     return jacobi_values(k, float(a), float(b), x)[k]
+
+
+# jacobi stays a plain function over this cache, so it keeps the __code__
+# that perfbench/tracer.py's probes copy.
+@lru_cache(maxsize=256)
+def _jacobi_parameters(alpha, beta) -> tuple[Fraction, Fraction, bool]:
+    """(alpha, beta) as Fractions, and whether either is a negative integer."""
+    a, b = Fraction(alpha), Fraction(beta)
+    return a, b, (a.denominator == 1 and a < 0) or (b.denominator == 1 and b < 0)
 
 
 def gauss2f1_terminating(k: int, b, c, x):

@@ -15,6 +15,10 @@ high-precision sums.
 Each tolerance check reports the worst error over its grid and where it
 occurred, from one reducer (_worst): the first of equal errors wins, and a
 NaN wins and stays, so a NaN measurement FAILs its check.
+
+numpy, mpmath, ``heat`` and ``kernels`` are imported by the suites and mp
+helpers that use them, so the exact suites (dims, paper8, theta) load
+neither numpy nor mpmath, and the trace suite loads mpmath only.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, isnan
-
-import numpy as np
-from mpmath import mp, mpf
+from typing import TYPE_CHECKING
 
 from .exactnum import (
     bernoulli_number,
@@ -34,7 +36,6 @@ from .exactnum import (
     rational_str,
     theta2_series_coefficient,
 )
-from .heat import heat_kernel_integral, heat_kernel_integral_hi, heat_kernel_series, theta_deriv, trace_direct
 from .heatcoeff import (
     asymptotic_trace,
     b_coefficients,
@@ -44,13 +45,6 @@ from .heatcoeff import (
     nu_zero_u,
     printed_tau_n4,
 )
-from .kernels import (
-    fs_distance,
-    kernel_diagonal_volume_check,
-    monopole_norm_sq,
-    reproducing_kernel,
-    zaremba_sum_n1,
-)
 from .spectrum import (
     SpectralPoint,
     decompose_multiplicity,
@@ -58,6 +52,10 @@ from .spectrum import (
     dimension_poly_form,
     dimension_product_form,
 )
+from .theta import theta_deriv, trace_direct
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 __all__ = ["Check", "SCOPES", "run_verify"]
 
@@ -211,6 +209,10 @@ def suite_paper8() -> list[Check]:
 
 def suite_zaremba(seed: int) -> list[Check]:
     """The n=1 monopole Zaremba sum equals the closed-form kernel."""
+    import numpy as np
+
+    from .kernels import reproducing_kernel, zaremba_sum_n1
+
     rng = np.random.default_rng(seed)
     pairs = 20
 
@@ -233,6 +235,8 @@ def suite_zaremba(seed: int) -> list[Check]:
 # ---------------------------------------------------------------- heat kernels
 
 def _sample_pair(rng, n: int, rho_max: float = 1.2):
+    from .kernels import fs_distance
+
     while True:
         z = tuple(complex(a, b) for a, b in rng.normal(0.0, 0.6, (n, 2)))
         w = tuple(complex(a, b) for a, b in rng.normal(0.0, 0.6, (n, 2)))
@@ -242,6 +246,10 @@ def _sample_pair(rng, n: int, rho_max: float = 1.2):
 
 def suite_heat(seed: int) -> list[Check]:
     """Spectral series vs integral representation (and the nu=0 classical form)."""
+    import numpy as np
+
+    from .heat import heat_kernel_integral, heat_kernel_integral_hi, heat_kernel_series
+
     rng = np.random.default_rng(seed)
 
     def rel(n: int, tn: int, t: float, classical: bool = False) -> float:
@@ -270,19 +278,33 @@ def suite_heat(seed: int) -> list[Check]:
 # ---------------------------------------------------------------- trace
 
 def _trace_direct_mp(n: int, two_nu: int, t: mpf) -> mpf:
-    shift = mpf(n * n + two_nu * two_nu) / 4
+    """The direct trace at the working precision, summed to 10 digits past it.
+
+    The Gaussian e_m = e^{t[(n^2+(2nu)^2)/4 - (2m+n+2nu)^2/4]} goes by
+    e_{m+1} = e_m g_m and g_{m+1} = g_m e^{-2t}, from g_0 = e^{-(n+2nu+1)t}.
+    """
+    from mpmath import mp, mpf
+
+    a = n + two_nu
+    gauss = mp.exp((mpf(n * n + two_nu * two_nu) / 4 - mpf(a * a) / 4) * t)
+    step = mp.exp(-(a + 1) * t)
+    ratio = mp.exp(-2 * t)
+    cut = mpf(10) ** (-(mp.dps + 10))
     total = mpf(0)
     m = 0
     while True:
-        d = dimension_product_form(SpectralPoint(n, two_nu, m))
-        term = d * mp.exp((shift - mpf((2 * m + n + two_nu) ** 2) / 4) * t)
+        term = dimension_product_form(SpectralPoint(n, two_nu, m)) * gauss
         total += term
-        if m >= 8 and term < total * mpf(10) ** (-(mp.dps + 10)):
+        if m >= 8 and term < total * cut:
             return total
+        gauss *= step
+        step *= ratio
         m += 1
 
 
 def _asymptotic_trace_mp(n: int, b, t: mpf) -> mpf:
+    from mpmath import mp, mpf
+
     total = mpf(0)
     for j, (factor, p) in enumerate(b):
         total += mpf(factor.numerator) / factor.denominator * mp.pi**p * t**j
@@ -298,6 +320,8 @@ def _trace_scaled_errors() -> dict:
     Keyed by (n, nu, J) over _TRACE_GRID and J in {4, 6, 8}; one value per
     t in (0.1, 0.05, 0.02, 0.01).
     """
+    from mpmath import mp, mpf
+
     out = {}
     with mp.workdps(60):
         times = [mpf(t) for t in (0.1, 0.05, 0.02, 0.01)]
@@ -314,6 +338,8 @@ def _trace_scaled_errors() -> dict:
 
 def suite_trace() -> list[Check]:
     """Order-t^{J+1} truncation of the asymptotic trace, plus binary64 checks."""
+    from mpmath import mp, mpf
+
     worst_ratio, worst_at = _worst(
         ((max(a / b, b / a), key) for key, vals in _trace_scaled_errors().items()
          for a, b in zip(vals, vals[1:])), floor=1.0)
@@ -398,6 +424,8 @@ def suite_theta() -> list[Check]:
 
 def suite_bernoulli() -> list[Check]:
     """Exact Bernoulli identities and the kernel-diagonal dimension check."""
+    from .kernels import kernel_diagonal_volume_check
+
     checks = []
     ok = all(
         bernoulli_polynomial(2 * d + 2, Fraction(1, 2))
@@ -441,6 +469,8 @@ def suite_bernoulli() -> list[Check]:
 
 def suite_monopole() -> list[Check]:
     """Monopole-harmonic L2 normalization under the volume-normalized measure."""
+    from .kernels import monopole_norm_sq
+
     worst, worst_at = _worst((abs(monopole_norm_sq(tn, m, k) ** 0.5 - 1.0), (tn, m, k))
                              for tn in range(4) for m in range(3)
                              for k in range(-m, tn + m + 1))

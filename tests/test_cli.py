@@ -253,6 +253,25 @@ def test_non_finite_inputs_exit_2(capsys, argv):
     assert err.startswith("projheat: error: ")
 
 
+_Z200 = ",".join(["0.01"] * 200)
+_W200 = ",".join(["0.02"] * 200)
+
+
+@pytest.mark.parametrize("argv", [
+    ("heat-eval", "--n", "1", "--two-nu", "86", "--t", "0.5", "--z", "0.3+0.2j",
+     "--w", "0.1-0.4j"),
+    ("kernel", "--n", "200", "--two-nu", "0", "--m", "1", "--z", _Z200, "--w", _W200),
+    ("heat-eval", "--method", "series", "--n", "200", "--two-nu", "0", "--t", "0.5",
+     "--z", _Z200, "--w", _W200),
+], ids=["integral_constant_2nu86", "kernel_gamma_ratio_n200", "series_weight_n200"])
+def test_binary64_overflow_exits_2(capsys, argv):
+    # an exact factor past binary64 is a typed error: one line, no traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("projheat: error: ") and err.count("\n") == 1
+    assert err.endswith("exceeds the binary64 range\n")
+
+
 def test_heat_eval_rejects_huge_node_count(capsys, monkeypatch):
     # the parser rejects --nodes: neither the series nor any quadrature rule runs
     monkeypatch.setattr("projheat.heat.heat_kernel_series", None)

@@ -335,3 +335,58 @@ def test_normal_convergence_term_bounds():
     k2 = heat_kernel_series(1, 2, 0.3, z, w, eps=1e-12)
     assert k2.terms_used >= k1.terms_used
     assert abs(k1.value - k2.value) <= k1.error_bound + 1e-12
+
+
+def _count_bounds(monkeypatch, evaluated: list):
+    """Make heat's terms_needed record each m whose bound it evaluates."""
+    def counting(bound, eps):
+        def recorded(m):
+            evaluated.append(m)
+            return bound(m)
+        return terms_needed(recorded, eps)
+    monkeypatch.setattr(heat, "terms_needed", counting)
+
+
+@pytest.mark.parametrize("n,two_nu,t", [(1, 0, 0.5), (2, 3, 0.1), (4, 1, 0.02)])
+def test_series_weights_reuse_each_bound_evaluation(monkeypatch, n, two_nu, t):
+    # one Gamma ratio and one Gaussian per bound evaluated, and the weights are
+    # coef(m) * decay(m) bit for bit
+    from projheat.exactnum import pochhammer
+    from projheat.theta import _gaussian
+
+    evaluated, ratios, gaussians = [], [], []
+    _count_bounds(monkeypatch, evaluated)
+    monkeypatch.setattr(heat, "pochhammer", lambda a, k: ratios.append(a) or pochhammer(a, k))
+    monkeypatch.setattr(heat, "_gaussian", lambda *args: (
+        lambda m: gaussians.append(m) or _gaussian(*args)(m)))
+    weights, _ = heat._series_weights(n, two_nu, t, 1e-10)
+    assert len(ratios) == len(gaussians) == len(evaluated) > len(weights)
+    decay = _gaussian(n, two_nu, t)
+    assert weights == [(2 * m + two_nu + n) * float(pochhammer(m + two_nu + 1, n - 1)) * decay(m)
+                       for m in range(len(weights))]
+
+
+@pytest.mark.parametrize("n,two_nu,t", [(1, 0, 0.5), (2, 3, 0.1), (3, 1, 0.02)])
+def test_gegenbauer_weights_reuse_each_bound_evaluation(monkeypatch, n, two_nu, t):
+    # one Gaussian per bound evaluated (bound(0) twice: once for the tolerance)
+    from projheat.theta import _gaussian
+
+    evaluated, gaussians = [], []
+    _count_bounds(monkeypatch, evaluated)
+    monkeypatch.setattr(heat, "_gaussian", lambda *args: (
+        lambda m: gaussians.append(m) or _gaussian(*args)(m)))
+    weights, _ = heat._gegenbauer_weights(n, two_nu, t)
+    assert gaussians == [0, *evaluated]
+    decay = _gaussian(n, two_nu, t)
+    assert weights.tolist() == [(2 * m + n + two_nu) * decay(m) for m in range(len(weights))]
+
+
+def test_classical_constant_overflow_is_typed():
+    # (n-1)! passes binary64 at n = 172: a typed error, as in the general-nu form
+    from projheat.errors import Binary64Overflow
+
+    z, w = (0.01,) * 172, (0.02,) * 172
+    with pytest.raises(Binary64Overflow, match="classical constant"):
+        heat_kernel_integral_hi(172, 0.5, z, w)
+    with pytest.raises(Binary64Overflow, match="integral-form constant"):
+        heat_kernel_integral(172, 0, 0.5, z, w)

@@ -96,6 +96,16 @@ def test_monopole_basis_values_and_range():
     assert monopole_basis(2, 1, 2, 0j) == 0
 
 
+def test_monopole_basis_checks_its_labels_on_every_call():
+    # the per-(2nu, m, k) constants are cached; a rejected label never is
+    monopole_basis(2, 1, 0, 0.3 + 0j)
+    for _ in range(2):
+        with pytest.raises(IndexOutOfRange):
+            monopole_basis(2, 1, 4, 0.3 + 0j)
+        with pytest.raises(ValueError):
+            monopole_basis(-1, 0, 0, 0.3 + 0j)
+
+
 @pytest.mark.parametrize("two_nu,m,k", [(0, 0, 0), (2, 1, -1), (1, 2, -2), (3, 2, 4), (2, 2, 1)])
 def test_monopole_basis_ndarray_matches_scalars(two_nu, m, k):
     z = np.array([0j, 0.3 + 0.2j, -1.1 + 0.5j, 2.0, -0.4j])

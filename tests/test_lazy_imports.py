@@ -2,8 +2,9 @@
 
 ``import projheat`` binds the exact modules eagerly and the numpy-backed
 names (heat, kernels, orthopoly) on first access. The exact-table commands
-load neither numpy nor mpmath, and only ``verify`` loads mpmath. Checks of
-what a command imports run in a fresh interpreter, because this process has
+load neither numpy nor mpmath, and only ``verify`` loads mpmath: its suites
+import what they use, so the exact scopes load neither. Checks of what a
+command imports run in a fresh interpreter, because this process has
 already imported everything.
 """
 
@@ -25,7 +26,7 @@ SRC = str(Path(projheat.__file__).resolve().parent.parent)
 # Every name the package bound when it imported all its modules eagerly, by
 # defining module as the package imports it.
 PUBLIC = {
-    "errors": ("AntipodalDegenerate", "DimensionMismatch", "IndexOutOfRange",
+    "errors": ("AntipodalDegenerate", "Binary64Overflow", "DimensionMismatch", "IndexOutOfRange",
                "NonIntegerDimension", "NonPositiveTime", "PoleError", "ProjheatError",
                "TruncationFailed", "UnsupportedN", "UnsupportedNu"),
     "exactnum": ("bernoulli_number", "bernoulli_polynomial", "binomial_general", "pochhammer",
@@ -57,6 +58,9 @@ NUMERIC_COMMANDS = {
                   "--w=0.2,-0.4j"],
     "kernel": ["kernel", "--n=1", "--two-nu=2", "--m=1", "--z=0.3+0.2j", "--w=0.1-0.4j"],
 }
+
+# What a fresh `verify --scope` of each scope that needs no numpy loads of the two.
+VERIFY_SCOPES = {"dims": [], "paper8": [], "theta": [], "trace": ["mpmath"]}
 
 
 def _fresh(code: str):
@@ -133,3 +137,16 @@ print(json.dumps(report))
         assert report[step] == [], f"{step} loaded {report[step]}"
     for step in NUMERIC_COMMANDS:
         assert report[step] == ["numpy"], f"{step} loaded {report[step]}"
+
+
+@pytest.mark.parametrize("scope,heavy", VERIFY_SCOPES.items())
+def test_verify_scope_import_boundary(scope, heavy):
+    # one fresh interpreter per scope, so no earlier scope has loaded anything
+    report = _fresh(f"""
+import contextlib, io, json, sys
+import projheat.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = projheat.cli.main(["verify", "--scope", {scope!r}])
+print(json.dumps([code, sorted({{"numpy", "mpmath"}} & set(sys.modules))]))
+""")
+    assert report == [0, heavy]
