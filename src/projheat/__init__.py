@@ -52,7 +52,7 @@ from .spectrum import (
     eigenvalue_beta,
     spherical_harmonic_dims,
 )
-from .theta import big_theta, theta2, theta3, theta_deriv, trace_direct
+from .theta import theta_deriv, trace_direct
 
 # The numpy-backed names, bound on first access (PEP 562), so that
 # ``import projheat`` and the exact-table commands load neither numpy nor
@@ -102,9 +102,6 @@ __all__ = [
     "dimension_product_form",
     "eigenvalue_beta",
     "spherical_harmonic_dims",
-    "big_theta",
-    "theta2",
-    "theta3",
     "theta_deriv",
     "trace_direct",
     *_LAZY_MODULE,

@@ -27,7 +27,7 @@ from math import pi
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ProjheatError
+from .errors import Binary64Overflow, ProjheatError, binary64_range
 from .exactnum import rational_str
 from .heatcoeff import asymptotic_sum, b_coefficients, heat_coeff_table
 from .spectrum import (
@@ -175,7 +175,11 @@ def cmd_trace_compare(args):
         direct = trace_direct(args.n, 2 * args.nu, t, eps=args.eps)
         asym = asymptotic_sum(args.n, b, t)
         abs_err = abs(direct - asym)
-        scaled = abs_err * (4 * pi * t) ** args.n / t ** (args.J + 1)
+        with binary64_range("the scaled error's (4 pi t)^n / t^{J+1}"):
+            scale, power = (4 * pi * t) ** args.n, t ** (args.J + 1)
+        if power == 0.0:
+            raise Binary64Overflow("the scaled error's t^{-(J+1)} exceeds the binary64 range")
+        scaled = abs_err * scale / power
         rows.append([t, direct, asym, abs_err, scaled])
     payload = {"n": args.n, "nu": args.nu, "J": args.J,
                "rows": [dict(zip(("t", "direct", "asymptotic", "absErr", "scaledErr"), r))

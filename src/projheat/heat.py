@@ -9,9 +9,9 @@ into the smooth (cos rho cos phi)^{4nu} dphi). The inner derivative bracket
 its exact Gegenbauer form, never by numerical differentiation.
 
 The theta sums, the direct trace and the truncation routine live in the
-numpy-free ``theta`` module; this module re-exports them (theta2, theta3,
-theta_deriv, big_theta, trace_direct, terms_needed), so ``heat`` stays the
-one import for the whole heat subsystem.
+numpy-free ``theta`` module; this module re-exports them (theta_deriv,
+trace_direct, terms_needed), so ``heat`` stays the one import for the whole
+heat subsystem.
 
 All truncations carry geometric tail bounds (Jacobi terms are bounded by
 their value at 1, valid for parameters >= 0). A KernelEval's error_bound
@@ -33,28 +33,15 @@ import numpy as np
 
 from .errors import AntipodalDegenerate, binary64_range
 from .exactnum import pochhammer
-from .kernels import KernelEval, double_angle, pair_terms, point_pair, single_angle
+from .kernels import KernelEval, double_angle, point_pair, single_angle
 from .orthopoly import gegenbauer_values, jacobi_values
 from .quadrature import gauss_legendre
 from .spectrum import SpectralPoint
-from .theta import (
-    _gaussian,
-    _require_time,
-    big_theta,
-    terms_needed,
-    theta2,
-    theta3,
-    theta_deriv,
-    trace_direct,
-)
+from .theta import _gaussian, _require_time, terms_needed, theta_deriv, trace_direct
 
 __all__ = [
-    "theta2",
-    "theta3",
     "theta_deriv",
-    "big_theta",
     "heat_kernel_series",
-    "heat_kernel_series_grid",
     "heat_kernel_integral",
     "heat_kernel_integral_hi",
     "trace_direct",
@@ -101,21 +88,6 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
     scale = q**two_nu / pi**n
     return KernelEval(value=complex(scale * inner), terms_used=len(weights),
                       error_bound=tail * abs(scale))
-
-
-def heat_kernel_series_grid(two_nu: int, t: float, z: complex, ws: np.ndarray,
-                            eps: float = 1e-10) -> np.ndarray:
-    """Vectorized n=1 heat-kernel series at one source z over a grid of w.
-
-    Used by the quadrature cross-checks (mass, semigroup); truncation order
-    is fixed by the x = 1 bound, uniform over the grid.
-    """
-    _require_time(t)
-    SpectralPoint(1, two_nu, 0)  # rejects 2nu < 0
-    weights, _ = _series_weights(1, two_nu, t, eps)
-    c2, q = pair_terms(1.0 + abs(z) ** 2, 1.0 + np.abs(ws) ** 2, 1.0 + z * np.conjugate(ws))
-    pvals = jacobi_values(len(weights) - 1, 0, two_nu, double_angle(c2))
-    return q**two_nu / pi * np.dot(weights, pvals)
 
 
 def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, float]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, pi
 
-from .errors import UnsupportedN, UnsupportedNu
+from .errors import Binary64Overflow, UnsupportedN, UnsupportedNu, binary64_range
 from .exactnum import bernoulli_number, bernoulli_polynomial, rational_str, theta2_series_coefficient
 from .spectrum import SpectralPoint, decompose_multiplicity
 from .theta import _require_time
@@ -154,10 +154,17 @@ def nu_zero_u(n: int, J: int) -> list[Fraction]:
 
 
 def asymptotic_sum(n: int, b, t: float) -> float:
-    """(4 pi t)^{-n} sum_j b_j t^j for a table b of (factor, n) pairs, in binary64."""
+    """(4 pi t)^{-n} sum_j b_j t^j for a table b of (factor, n) pairs, in binary64.
+
+    A term or (4 pi t)^{-n} outside binary64 raises Binary64Overflow.
+    """
     _require_time(t)
-    total = sum(float(factor) * pi**n * t**j for j, (factor, _) in enumerate(b))
-    return total / (4 * pi * t) ** n
+    with binary64_range("a term b_j t^j or (4 pi t)^n"):
+        total = sum(float(factor) * pi**n * t**j for j, (factor, _) in enumerate(b))
+        denominator = (4 * pi * t) ** n
+    if denominator == 0.0:
+        raise Binary64Overflow("(4 pi t)^{-n} exceeds the binary64 range")
+    return total / denominator
 
 
 def asymptotic_trace(n: int, nu, t: float, J: int) -> float:

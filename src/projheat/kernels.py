@@ -32,7 +32,6 @@ __all__ = [
     "as_point",
     "herm",
     "point_pair",
-    "pair_terms",
     "single_angle",
     "double_angle",
     "fs_distance",
@@ -80,14 +79,7 @@ def point_pair(n: int, z, w) -> tuple[np.float64, np.complex128]:
     z, w = as_point(z), as_point(w)
     if len(z) != n or len(w) != n:
         raise DimensionMismatch(f"expected dimension {n}, got {len(z)} and {len(w)}")
-    return pair_terms(1.0 + herm(z, z).real, 1.0 + herm(w, w).real, 1.0 + herm(z, w))
-
-
-def pair_terms(az, aw, num):
-    """(cos^2 d_FS, q) from az = 1+|z|^2, aw = 1+|w|^2 and num = 1+<z,w>.
-
-    Scalars or broadcastable arrays; point_pair is the validated entry.
-    """
+    az, aw, num = 1.0 + herm(z, z).real, 1.0 + herm(w, w).real, 1.0 + herm(z, w)
     return abs(num) ** 2 / (az * aw), num / np.sqrt(az * aw)
 
 

@@ -46,11 +46,12 @@ def _radial_mu1_arrays(nr: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def plane_mu1_rule(nr: int = 200, ntheta: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened complex nodes and weights for integral_C f(z) dmu_1(z)."""
-    theta, wt = gauss_legendre(nr, 0.0, np.pi / 2)
-    rho = np.tan(theta)
-    wr = wt * np.sin(theta) * np.cos(theta)
+    """Flattened complex nodes and weights for integral_C f(z) dmu_1(z).
+
+    The radii are radial_mu1_rule's; each radial weight is split evenly over
+    ntheta equispaced angles, radius by radius.
+    """
+    rho, wr = _radial_mu1_arrays(nr)
     ang = 2.0 * np.pi * np.arange(ntheta) / ntheta
     pts = rho[:, None] * np.exp(1j * ang)[None, :]
-    w = wr[:, None] * np.full(ntheta, 2.0 * np.pi / ntheta)[None, :]
-    return pts.ravel(), w.ravel()
+    return pts.ravel(), np.repeat(wr / ntheta, ntheta)

@@ -2,11 +2,11 @@
 
 This is the numpy-free half of the heat subsystem: the time rule, the one
 tail-truncation routine, the theta sums and their t-derivatives, the
-Theta_{n+1,nu}(t,u) sum, the Gaussian-in-m spectral weight and the direct
-trace Tr exp(t Delta_nu / 4). It imports only the standard library,
-``errors`` and ``spectrum``, so the exact-table commands (``coeffs``,
-``dims``, ``decomp``, ``trace-compare``) load neither numpy nor mpmath.
-``heat`` imports everything here and re-exports the public names.
+Gaussian-in-m spectral weight and the direct trace Tr exp(t Delta_nu / 4).
+It imports only the standard library, ``errors`` and ``spectrum``, so the
+exact-table commands (``coeffs``, ``dims``, ``decomp``, ``trace-compare``)
+load neither numpy nor mpmath. ``heat`` imports everything here and
+re-exports the public names.
 
 Every truncation carries a geometric tail bound, and every term is
 positive or bounded by a positive term, so the bound is rigorous up to
@@ -19,14 +19,11 @@ from __future__ import annotations
 import math
 from math import exp
 
-from .errors import NonPositiveTime, TruncationFailed
+from .errors import NonPositiveTime, TruncationFailed, binary64_range
 from .spectrum import SpectralPoint, _product_dimension
 
 __all__ = [
-    "theta2",
-    "theta3",
     "theta_deriv",
-    "big_theta",
     "trace_direct",
     "terms_needed",
 ]
@@ -93,25 +90,6 @@ def theta_deriv(which: int, p: int, t: float, eps: float = 1e-12) -> float:
     return math.fsum(values)
 
 
-def theta2(t: float, eps: float = 1e-12) -> float:
-    """Jacobi-type theta sum (2j+1) e^{-(j+1/2)^2 t}."""
-    return theta_deriv(2, 0, t, eps)
-
-
-def theta3(t: float, eps: float = 1e-12) -> float:
-    """Jacobi-type theta sum 2 sum_{l>=1} l e^{-l^2 t}."""
-    return theta_deriv(3, 0, t, eps)
-
-
-def big_theta(n: int, two_nu: int, t: float, u: float, eps: float = 1e-12) -> float:
-    """Theta_{n+1,nu}(t,u) = sum_m e^{-4t(m+nu+n/2)^2} cos((2m+2nu+n)u)."""
-    _require_time(t)
-    SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
-    a = two_nu + n
-    bounds, _ = terms_needed(lambda m: exp(-t * (2 * m + a) ** 2), eps)
-    return math.fsum(b * math.cos((2 * m + a) * u) for m, b in enumerate(bounds))
-
-
 def _gaussian(n: int, two_nu: int, t: float):
     """m -> e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]} <= 1, the Gaussian-in-m spectral weight."""
     shift = float(two_nu * two_nu + n * n)
@@ -129,5 +107,6 @@ def trace_direct(n: int, two_nu: int, t: float, eps: float = 1e-12) -> float:
     _require_time(t)
     SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     decay = _gaussian(n, two_nu, t / 4.0)
-    values, _ = terms_needed(lambda m: _product_dimension(n, two_nu, m) * decay(m), eps)
+    with binary64_range("a trace term dim(A_m^nu) times its Gaussian weight"):
+        values, _ = terms_needed(lambda m: _product_dimension(n, two_nu, m) * decay(m), eps)
     return math.fsum(values)

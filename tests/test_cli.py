@@ -263,9 +263,14 @@ _W200 = ",".join(["0.02"] * 200)
     ("kernel", "--n", "200", "--two-nu", "0", "--m", "1", "--z", _Z200, "--w", _W200),
     ("heat-eval", "--method", "series", "--n", "200", "--two-nu", "0", "--t", "0.5",
      "--z", _Z200, "--w", _W200),
-], ids=["integral_constant_2nu86", "kernel_gamma_ratio_n200", "series_weight_n200"])
+    ("trace-compare", "--n", "1", "--nu", "1", "--J", "300", "--t", "0.1"),
+    ("trace-compare", "--n", "1", "--nu", "1", "--J", "60", "--t", "1e-6"),
+    ("trace-compare", "--n", "200", "--nu", "0", "--J", "0", "--t", "0.001"),
+], ids=["integral_constant_2nu86", "kernel_gamma_ratio_n200", "series_weight_n200",
+        "trace_compare_coefficient_J300", "trace_compare_scaled_error_t1e-6",
+        "trace_compare_trace_term_n200"])
 def test_binary64_overflow_exits_2(capsys, argv):
-    # an exact factor past binary64 is a typed error: one line, no traceback
+    # a quantity past binary64 is a typed error: one line, no traceback
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("projheat: error: ") and err.count("\n") == 1

@@ -13,14 +13,10 @@ from projheat import heat
 from projheat.errors import AntipodalDegenerate, NonPositiveTime, TruncationFailed
 from projheat.exactnum import bernoulli_number, theta2_series_coefficient
 from projheat.heat import (
-    big_theta,
     heat_kernel_integral,
     heat_kernel_integral_hi,
     heat_kernel_series,
-    heat_kernel_series_grid,
     terms_needed,
-    theta2,
-    theta3,
     theta_deriv,
     trace_direct,
 )
@@ -36,7 +32,7 @@ from projheat.spectrum import (
 
 def test_time_validation():
     with pytest.raises(NonPositiveTime):
-        theta2(0.0)
+        theta_deriv(2, 0, 0.0)
     with pytest.raises(NonPositiveTime):
         theta_deriv(3, 1, -0.5)
     with pytest.raises(NonPositiveTime):
@@ -45,17 +41,14 @@ def test_time_validation():
         heat_kernel_integral(1, 0, -1.0, 0j, 0.1 + 0j)
     with pytest.raises(NonPositiveTime):
         trace_direct(1, 0, 0.0)
-    with pytest.raises(NonPositiveTime):
-        big_theta(1, 0, -0.1, 0.3)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("call", [
     lambda eps: theta_deriv(2, 1, 0.5, eps=eps),
-    lambda eps: big_theta(2, 1, 0.5, 0.3, eps=eps),
     lambda eps: heat_kernel_series(1, 1, 0.5, (0.3 + 0.2j,), (0.1 - 0.4j,), eps=eps),
     lambda eps: trace_direct(1, 0, 0.1, eps=eps),
-], ids=["theta_deriv", "big_theta", "heat_kernel_series", "trace_direct"])
+], ids=["theta_deriv", "heat_kernel_series", "trace_direct"])
 def test_eps_must_be_positive(call, eps):
     with pytest.raises(ValueError, match="eps must be > 0"):
         call(eps)
@@ -79,13 +72,13 @@ def test_terms_needed_geometric_cut(monkeypatch):
 
 def test_theta_large_t_leading_terms():
     t = 8.0
-    assert theta3(t) - 2 * exp(-t) == pytest.approx(4 * exp(-4 * t), rel=1e-3)
-    assert theta2(t) == pytest.approx(exp(-t / 4), rel=1e-5)
+    assert theta_deriv(3, 0, t) - 2 * exp(-t) == pytest.approx(4 * exp(-4 * t), rel=1e-3)
+    assert theta_deriv(2, 0, t) == pytest.approx(exp(-t / 4), rel=1e-5)
 
 
 def test_theta_eps_controls_tail():
-    loose = theta2(0.08, eps=1e-6)
-    tight = theta2(0.08, eps=1e-14)
+    loose = theta_deriv(2, 0, 0.08, eps=1e-6)
+    tight = theta_deriv(2, 0, 0.08, eps=1e-14)
     assert abs(loose - tight) < 1e-6
 
 
@@ -161,8 +154,6 @@ def test_big_theta_derivative_chain():
                     * exp(-4 * t * (m + (two_nu + n) / 2) ** 2))
         rhs *= 2 ** (ell - 1) * factorial(ell - 1)
         assert lhs == pytest.approx(rhs, rel=1e-6)
-        # the package entry point agrees with the test-local series
-        assert big_theta(n, two_nu, t, u0) == pytest.approx(float(theta_mp(mp.mpf(u0))), rel=1e-10)
 
 
 def test_heat_series_large_t_diagonal():
@@ -183,31 +174,26 @@ def test_heat_series_error_bound_honored():
     assert ks.error_bound < 1e-8
 
 
+def _series_on_grid(t: float, z: complex, us: np.ndarray) -> np.ndarray:
+    """The n=1, nu=0 series H_0(t, z, u) at each node u."""
+    return np.array([heat_kernel_series(1, 0, t, z, u).value for u in us])
+
+
 def test_heat_series_mass_is_one():
     # int H_0(t, z, w) dmu_1(w) = 1 (constants are the m=0 eigenspace)
-    us, wgt = plane_mu1_rule(200, 200)
+    us, wgt = plane_mu1_rule(32, 32)
     for t in (0.5, 1.0):
-        vals = heat_kernel_series_grid(0, t, 0.3 + 0.2j, us)
+        vals = _series_on_grid(t, 0.3 + 0.2j, us)
         assert np.sum(vals * wgt).real == pytest.approx(1.0, abs=1e-6)
-
-
-def test_heat_series_grid_matches_scalar():
-    rng = np.random.default_rng(21)
-    z = complex(*rng.normal(0, 0.5, 2))
-    us = np.array([complex(*rng.normal(0, 0.8, 2)) for _ in range(4)])
-    grid = heat_kernel_series_grid(2, 0.7, z, us)
-    for i, u in enumerate(us):
-        scalar = heat_kernel_series(1, 2, 0.7, z, u).value
-        assert grid[i] == pytest.approx(scalar, rel=1e-10)
 
 
 def test_heat_semigroup_property():
     # int H_0(s,z,u) H_0(t,u,w) dmu_1(u) = H_0(s+t,z,w)
-    us, wgt = plane_mu1_rule(200, 200)
+    us, wgt = plane_mu1_rule(32, 32)
     z, w = 0.25 + 0.1j, -0.3 + 0.4j
     s, t = 0.4, 0.7
-    left = heat_kernel_series_grid(0, s, z, us)
-    right = heat_kernel_series_grid(0, t, w, us)  # H_0 symmetric at nu=0
+    left = _series_on_grid(s, z, us)
+    right = _series_on_grid(t, w, us)  # H_0 symmetric at nu=0
     integral = np.sum(left * right * wgt)
     target = heat_kernel_series(1, 0, s + t, z, w).value
     assert abs(integral - target) <= 1e-5 * (1 + abs(target))
@@ -390,3 +376,11 @@ def test_classical_constant_overflow_is_typed():
         heat_kernel_integral_hi(172, 0.5, z, w)
     with pytest.raises(Binary64Overflow, match="integral-form constant"):
         heat_kernel_integral(172, 0, 0.5, z, w)
+
+
+def test_trace_term_overflow_is_typed():
+    # on P^200, dim(A_m^0) passes binary64 while its Gaussian weight is still > 0
+    from projheat.errors import Binary64Overflow
+
+    with pytest.raises(Binary64Overflow, match="trace term"):
+        trace_direct(200, 0, 0.001)

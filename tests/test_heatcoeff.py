@@ -9,7 +9,7 @@ from math import factorial, inf, nan, pi
 import pytest
 
 from projheat import heatcoeff
-from projheat.errors import NonPositiveTime, UnsupportedN, UnsupportedNu
+from projheat.errors import Binary64Overflow, NonPositiveTime, UnsupportedN, UnsupportedNu
 from projheat.exactnum import (
     bernoulli_number,
     bernoulli_polynomial,
@@ -18,6 +18,7 @@ from projheat.exactnum import (
 )
 from projheat.heat import trace_direct
 from projheat.heatcoeff import (
+    asymptotic_sum,
     asymptotic_trace,
     b_coefficients,
     c_coefficients,
@@ -199,7 +200,17 @@ def test_asymptotic_trace_checks_time_before_building_the_table(monkeypatch):
             asymptotic_trace(1, 0, t, 40)
 
 
-@pytest.mark.parametrize("n,nu", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)])
+def test_asymptotic_sum_outside_binary64_is_typed():
+    # a coefficient past binary64, and (4 pi t)^200 underflowing to 0.0
+    with pytest.raises(Binary64Overflow, match="b_j t\\^j"):
+        asymptotic_sum(1, [(Fraction(1), 1), (Fraction(10) ** 400, 1)], 0.1)
+    with pytest.raises(Binary64Overflow, match="\\(4 pi t\\)\\^\\{-n\\}"):
+        asymptotic_sum(200, [(Fraction(1), 200)], 0.001)
+    # in range, the same table gives a value
+    assert asymptotic_sum(1, [(Fraction(1), 1)], 0.1) == pi / (4 * pi * 0.1)
+
+
+@pytest.mark.parametrize("n,nu",[(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)])
 def test_asymptotic_trace_approximates_direct(n, nu):
     t = 0.05
     direct = trace_direct(n, 2 * nu, t)

@@ -31,8 +31,8 @@ PUBLIC = {
                "TruncationFailed", "UnsupportedN", "UnsupportedNu"),
     "exactnum": ("bernoulli_number", "bernoulli_polynomial", "binomial_general", "pochhammer",
                  "power_sum", "rational_str", "theta2_series_coefficient"),
-    "heat": ("big_theta", "heat_kernel_integral", "heat_kernel_integral_hi",
-             "heat_kernel_series", "theta2", "theta3", "theta_deriv", "trace_direct"),
+    "heat": ("heat_kernel_integral", "heat_kernel_integral_hi", "heat_kernel_series",
+             "theta_deriv", "trace_direct"),
     "heatcoeff": ("HeatCoeffTable", "asymptotic_sum", "asymptotic_trace", "b_coefficients",
                   "c_coefficients", "heat_coeff_table", "nu_zero_u"),
     "kernels": ("KernelEval", "ProjPoint", "as_point", "fs_distance", "herm",

@@ -1,6 +1,7 @@
-"""Public surface: every exported name exists, every benchmark probe is a plain
-function, the cached radial rule is built once and read-only, and every entry
-that takes a spectral label or a time applies the one rule for it."""
+"""Public surface: every exported name exists and has a caller, every benchmark
+probe is a plain function, the cached radial rule is built once, read-only and
+shared by the plane rule, and every entry that takes a spectral label or a
+time applies the one rule for it."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import ast
 import importlib
 import math
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,18 +19,25 @@ import projheat
 from projheat import kernels, quadrature
 from projheat.errors import NonPositiveTime
 from projheat.heat import (
-    big_theta,
     heat_kernel_integral,
     heat_kernel_integral_hi,
     heat_kernel_series,
-    heat_kernel_series_grid,
     theta_deriv,
     trace_direct,
 )
 from projheat.heatcoeff import asymptotic_sum, asymptotic_trace, b_coefficients
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(projheat.__path__) if m.name != "__main__")
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+# Public names that no module, benchmark script or README line uses, each
+# kept for the tests that need it as an independent reference.
+LIBRARY_ONLY = {
+    "gauss2f1_terminating": "the terminating 2F1 the exact Jacobi path is tested against",
+    "plane_mu1_rule": "the plane quadrature behind the projection, mass and semigroup tests",
+    "spherical_harmonic_dims": "the independent dimension oracle in test_spectrum.py",
+}
 
 
 def _tracer_functions() -> tuple[tuple[str, str], ...]:
@@ -47,6 +56,39 @@ def test_all_names_resolve_and_star_import(name):
     assert not missing, f"projheat.{name}.__all__ names missing attributes: {missing}"
     namespace: dict = {}
     exec(f"from projheat.{name} import *", namespace)
+
+
+def _public_names() -> set[str]:
+    """Every name in projheat.__all__ and in each projheat.<module>.__all__."""
+    names = set(projheat.__all__)
+    for name in MODULES:
+        names.update(getattr(importlib.import_module(f"projheat.{name}"), "__all__", ()))
+    return names
+
+
+def _names_in_use() -> set[str]:
+    """Every Name and Attribute of the package's and the benchmark's sources.
+
+    An import binds an alias, not a Name, so a re-export alone is no use.
+    """
+    paths = [*(ROOT / "src" / "projheat").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    public = _public_names()
+    covered = _names_in_use() | set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    unused = sorted(public - covered - LIBRARY_ONLY.keys())
+    assert not unused, f"public names with no caller, README line or LIBRARY_ONLY entry: {unused}"
+    stale = sorted(name for name in LIBRARY_ONLY if name not in public or name in covered)
+    assert not stale, f"LIBRARY_ONLY entries that are not public or have a caller: {stale}"
 
 
 @pytest.mark.parametrize("module,function", _tracer_functions())
@@ -80,17 +122,23 @@ def test_radial_rule_arrays_reject_writes():
             arr[0] = 1.0
 
 
+@pytest.mark.parametrize("nr,ntheta", [(32, 32), (200, 200), (17, 5)])
+def test_plane_rule_splits_the_radial_rule_over_angles(nr, ntheta):
+    rho, wr = quadrature.radial_mu1_rule(nr)
+    pts, w = quadrature.plane_mu1_rule(nr, ntheta)
+    pts, w = pts.reshape(nr, ntheta), w.reshape(nr, ntheta)
+    assert np.array_equal(pts[:, 0].real, rho) and not pts[:, 0].imag.any()
+    assert np.all(np.abs(w.sum(axis=1) - wr) <= 1e-15 * wr)
+
+
 Z, W = (0.3 + 0.2j,), (0.1 - 0.4j,)
 # entry -> (call(n, two_nu, t), the arguments the entry takes)
 LABELLED = {
     "heat_kernel_series": (lambda n, two_nu, t: heat_kernel_series(n, two_nu, t, Z, W),
                            "n two_nu t"),
-    "heat_kernel_series_grid": (lambda n, two_nu, t: heat_kernel_series_grid(
-        two_nu, t, 0.3j, np.array([0.1, 0.2j])), "two_nu t"),
     "heat_kernel_integral": (lambda n, two_nu, t: heat_kernel_integral(n, two_nu, t, Z, W),
                              "n two_nu t"),
     "heat_kernel_integral_hi": (lambda n, two_nu, t: heat_kernel_integral_hi(n, t, Z, W), "n t"),
-    "big_theta": (lambda n, two_nu, t: big_theta(n, two_nu, t, 0.3), "n two_nu t"),
     "theta_deriv": (lambda n, two_nu, t: theta_deriv(2, 1, t), "t"),
     "trace_direct": (lambda n, two_nu, t: trace_direct(n, two_nu, t), "n two_nu t"),
     "asymptotic_trace": (lambda n, two_nu, t: asymptotic_trace(n, 0, t, 4), "n t"),
