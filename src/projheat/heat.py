@@ -20,6 +20,11 @@ node doubling, which is an estimate; rounding error is not included. The
 series sum uses math.fsum, the quadrature sum uses np.sum; summation order
 is fixed, so results are reproducible for a given numpy.
 
+The integral form also takes (P, n) arrays of point pairs. Each quadrature
+order then builds one Gauss-Legendre rule and evaluates every pair still
+open on one (pairs x nodes) array. Each pair keeps its own node doubling,
+so its value and bound are bit-identical to a call on that pair alone.
+
 Everything here is binary64; exact inputs (dimensions, Gamma-quotients)
 are computed in integers or rationals and converted once.
 """
@@ -31,7 +36,7 @@ from math import comb, factorial, pi
 
 import numpy as np
 
-from .errors import AntipodalDegenerate, binary64_range
+from .errors import AntipodalDegenerate, DimensionMismatch, binary64_range
 from .exactnum import pochhammer
 from .kernels import KernelEval, double_angle, point_pair, single_angle
 from .orthopoly import gegenbauer_values, jacobi_values
@@ -111,34 +116,45 @@ def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, floa
     return np.array([weights[m] for m in range(len(bounds))]), tail
 
 
-def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: float, scale,
-                      start_nodes: int) -> tuple[complex, int, float, float]:
-    """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G(cos rho sin phi) dphi.
+def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: np.ndarray, scale,
+                      start_nodes: int) -> tuple[np.ndarray, int, np.ndarray, float]:
+    """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G(cos rho sin phi) dphi for each pair.
 
+    cos_rho holds one entry per pair, scale one per pair or one for all.
     Gauss-Legendre from start_nodes in [16, 1024], with the order doubled
-    at least once and then until the scaled value moves < 1e-9 or the order
-    is 1024 or more, so the last rule has up to 2048 nodes (a start of 1024
-    evaluates 1024 and 2048). Returns (value, terms of G, change at the last
-    doubling, tail bound of G).
+    at least once and then until the pair's scaled value moves < 1e-9 or the
+    order is 1024 or more, so the last rule has up to 2048 nodes (a start of
+    1024 evaluates 1024 and 2048). Each order builds one rule and evaluates
+    the pairs still open on one (pairs x nodes) array; a stopped pair keeps
+    its own last value and change. Returns (values, terms of G, change at
+    each pair's last doubling, tail bound of G).
     """
     if not 16 <= start_nodes <= 1024:
         raise ValueError(f"quadrature nodes must be in [16, 1024], got {start_nodes}")
     weights, tail = _gegenbauer_weights(n, two_nu, t)
+    scale = np.broadcast_to(scale, cos_rho.shape)
 
-    def eval_at(nodes: int):
+    def eval_at(nodes: int, pairs: np.ndarray) -> np.ndarray:
         phi, wphi = gauss_legendre(nodes, 0.0, pi / 2)
-        cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, cos_rho * np.sin(phi))
+        c = cos_rho[pairs, None]
+        cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, c * np.sin(phi))
         g = np.tensordot(weights, cvals[0::2], axes=(0, 0))
-        return scale * float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
+        return scale[pairs] * np.sum(wphi * (c * np.cos(phi)) ** (2 * two_nu) * g, axis=1)
 
     nodes = start_nodes
-    value = eval_at(nodes)
-    while True:
+    open_pairs = np.arange(cos_rho.size)
+    values = eval_at(nodes, open_pairs)
+    changes = np.zeros(cos_rho.shape)
+    while open_pairs.size:
         nodes *= 2
-        cur = eval_at(nodes)
-        value, change = cur, abs(cur - value)
-        if change < 1e-9 or nodes >= 1024:
-            return value, len(weights), change, tail
+        cur = eval_at(nodes, open_pairs)
+        # abs of each scalar, as a one-pair call takes it: the array abs rounds differently
+        changes[open_pairs] = [abs(c - v) for c, v in zip(cur, values[open_pairs])]
+        values[open_pairs] = cur
+        if nodes >= 1024:
+            break
+        open_pairs = open_pairs[~(changes[open_pairs] < 1e-9)]
+    return values, len(weights), changes, tail
 
 
 def _integral_geometry(n: int, z, w) -> tuple[float, complex]:
@@ -146,6 +162,38 @@ def _integral_geometry(n: int, z, w) -> tuple[float, complex]:
     if c2 < 1e-20:
         raise AntipodalDegenerate("1 + <z,w> ~ 0: integral prefactor degenerates")
     return single_angle(c2), np.conjugate(q)
+
+
+def _integral_pairs(n: int, z, w) -> tuple[np.ndarray, list[complex], bool]:
+    """cos rho and conj(q) of each pair, and whether z and w came as (P, n) rows.
+
+    z and w are one pair of chart points, or two 2-D ndarrays with one point
+    per row and the same number of rows; each pair goes through the scalar
+    _integral_geometry.
+    """
+    def is_rows(x) -> bool:
+        return isinstance(x, np.ndarray) and x.ndim == 2
+
+    rows = is_rows(z) or is_rows(w)
+    if rows and not (is_rows(z) and is_rows(w) and len(z) == len(w)):
+        raise DimensionMismatch(f"z and w must both be (P, n) arrays of pairs, "
+                                f"got shapes {np.shape(z)} and {np.shape(w)}")
+    geometry = [_integral_geometry(n, a, b) for a, b in (zip(z, w) if rows else [(z, w)])]
+    return np.array([cos_rho for cos_rho, _ in geometry]), [qbar for _, qbar in geometry], rows
+
+
+def _finite(const: float) -> float:
+    """const, or OverflowError when its float product has run to inf."""
+    if not math.isfinite(const):
+        raise OverflowError
+    return const
+
+
+def _integral_eval(values: np.ndarray, terms: int, bounds: list, rows: bool) -> KernelEval:
+    if rows:
+        return KernelEval(value=values.astype(complex), terms_used=terms,
+                          error_bound=np.array(bounds, dtype=float))
+    return KernelEval(value=complex(values[0]), terms_used=terms, error_bound=float(bounds[0]))
 
 
 def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) -> KernelEval:
@@ -158,13 +206,19 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) 
     The constant carries the 1/Gamma(1/2) that the Jacobi-to-Gegenbauer
     integral representation requires (cross-checked against the series).
     nodes in [16, 1024] is the starting Gauss-Legendre order.
+
+    z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
+    row; value and error_bound are then shape-(P,) arrays, each entry
+    bit-identical to the call on that row's pair alone (each pair keeps its
+    own node doubling). A degenerate row raises AntipodalDegenerate.
     """
     _require_time(t)
     SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
-    cos_rho, qbar = _integral_geometry(n, z, w)
-    w_factor = qbar ** (-two_nu)
+    cos_rho, qbars, rows = _integral_pairs(n, z, w)
+    w_factors = [qbar ** (-two_nu) for qbar in qbars]
     with binary64_range("the integral-form constant 2 Gamma(n+2nu) 4^{2nu} (2nu)!/(4nu)!"):
-        const = (
+        # at 2nu = 85 the product runs to inf before the quotient brings it to ~3.3
+        const = _finite(
             2.0
             * factorial(n + two_nu - 1)
             * 4.0**two_nu
@@ -172,10 +226,11 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) 
             / (factorial(2 * two_nu) * pi ** (n + 1))
         )
 
-    value, terms, change, tail = _bracket_integral(n, two_nu, t, cos_rho, const * w_factor,
-                                                   nodes)
-    tail_contrib = const * abs(w_factor) * (pi / 2) * tail
-    return KernelEval(value=complex(value), terms_used=terms, error_bound=change + tail_contrib)
+    values, terms, changes, tail = _bracket_integral(
+        n, two_nu, t, cos_rho, np.array([const * w_factor for w_factor in w_factors]), nodes)
+    bounds = [change + const * abs(w_factor) * (pi / 2) * tail
+              for change, w_factor in zip(changes, w_factors)]
+    return _integral_eval(values, terms, bounds, rows)
 
 
 def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 128) -> KernelEval:
@@ -185,16 +240,17 @@ def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 128) -> KernelE
           (cos^2 rho - cos^2 u)^{-1/2} (-1/sin u d/du)^n Theta_{n+1} (-d cos u),
     with the derivative bracket replaced by 2^{n-1} (n-1)! times the
     Gegenbauer sum. Kept as a literal transcription so it is a genuinely
-    independent check of the general-nu constant at nu = 0.
+    independent check of the general-nu constant at nu = 0. z and w may be
+    (P, n) arrays of pairs, as in heat_kernel_integral.
     """
     _require_time(t)
     SpectralPoint(n, 0, 0)  # rejects n < 1
-    cos_rho, _ = _integral_geometry(n, z, w)
+    cos_rho, _, rows = _integral_pairs(n, z, w)
     with binary64_range("the classical constant 2^{n-1} (n-1)!/(2^{n-2} pi^{n+1})"):
-        const = (1.0 / (2.0 ** (n - 2) * pi ** (n + 1))) * 2.0 ** (n - 1) * factorial(n - 1)
+        const = _finite(
+            (1.0 / (2.0 ** (n - 2) * pi ** (n + 1))) * 2.0 ** (n - 1) * factorial(n - 1))
 
     # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
-    value, terms, change, tail = _bracket_integral(n, 0, t, cos_rho, const, nodes)
+    values, terms, changes, tail = _bracket_integral(n, 0, t, cos_rho, const, nodes)
     tail_contrib = const * (pi / 2) * tail
-    return KernelEval(value=complex(value), terms_used=terms, error_bound=change + tail_contrib)
-
+    return _integral_eval(values, terms, [change + tail_contrib for change in changes], rows)

@@ -47,7 +47,11 @@ ProjPoint = tuple[complex, ...]
 
 @dataclass(frozen=True)
 class KernelEval:
-    """Kernel value with truncation metadata (0 terms for closed forms)."""
+    """Kernel value with truncation metadata (0 terms for closed forms).
+
+    The heat integral forms, given (P, n) rows of pairs, hold shape-(P,)
+    arrays in value and error_bound.
+    """
 
     value: complex
     terms_used: int

@@ -245,29 +245,36 @@ def _sample_pair(rng, n: int, rho_max: float = 1.2):
 
 
 def suite_heat(seed: int) -> list[Check]:
-    """Spectral series vs integral representation (and the nu=0 classical form)."""
+    """Spectral series vs integral representation (and the nu=0 classical form).
+
+    Each (n, 2nu, t) cell draws its pairs in turn, then integrates them in
+    one array call; the series is summed pair by pair.
+    """
     import numpy as np
 
     from .heat import heat_kernel_integral, heat_kernel_integral_hi, heat_kernel_series
 
     rng = np.random.default_rng(seed)
 
-    def rel(n: int, tn: int, t: float, classical: bool = False) -> float:
-        z, w = _sample_pair(rng, n)
-        hs = heat_kernel_series(n, tn, t, z, w).value
-        hi = (heat_kernel_integral_hi(n, t, z, w) if classical
-              else heat_kernel_integral(n, tn, t, z, w)).value
-        return abs(hs - hi) / (1.0 + abs(hs))
+    def rels(n: int, tn: int, t: float, count: int, classical: bool = False):
+        pairs = [_sample_pair(rng, n) for _ in range(count)]
+        z, w = map(np.array, zip(*pairs))  # (count, n) rows
+        integral = (heat_kernel_integral_hi(n, t, z, w) if classical
+                    else heat_kernel_integral(n, tn, t, z, w)).value
+        for (zk, wk), hi in zip(pairs, integral):
+            hs = heat_kernel_series(n, tn, t, zk, wk).value
+            yield abs(hs - hi) / (1.0 + abs(hs))
 
-    worst, worst_at = _worst((rel(n, tn, t), (n, tn, t)) for n, tn, t, _ in
-                             product((1, 2), (0, 1, 2), (0.3, 0.5, 1.0), range(5)))
+    worst, worst_at = _worst((rel, (n, tn, t))
+                             for n, tn, t in product((1, 2), (0, 1, 2), (0.3, 0.5, 1.0))
+                             for rel in rels(n, tn, t, 5))
     checks = [_check(
         "heat.series_vs_integral", worst <= 1e-6,
         f"max |series - integral|/(1+|series|) = {worst:.3e} at (n, 2nu, t) = {worst_at} "
         "over n in {1,2}, 2nu in {0,1,2}, t in {0.3,0.5,1.0} (tol 1e-6)",
     )]
-    worst, _ = _worst((rel(n, 0, t, classical=True), (n, t))
-                      for n, t, _ in product((1, 2), (0.3, 1.0), range(3)))
+    worst, _ = _worst((rel, (n, t)) for n, t in product((1, 2), (0.3, 1.0))
+                      for rel in rels(n, 0, t, 3, classical=True))
     checks.append(_check(
         "heat.irhk_hi_nu0", worst <= 1e-6,
         f"classical nu=0 integral form vs series: max rel diff {worst:.3e} (tol 1e-6)",

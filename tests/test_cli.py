@@ -257,17 +257,21 @@ _Z200 = ",".join(["0.01"] * 200)
 _W200 = ",".join(["0.02"] * 200)
 
 
+@pytest.mark.filterwarnings("error")  # a warning on the way to the error fails the case
 @pytest.mark.parametrize("argv", [
     ("heat-eval", "--n", "1", "--two-nu", "86", "--t", "0.5", "--z", "0.3+0.2j",
      "--w", "0.1-0.4j"),
+    # the float product of the constant's factorials overflows before the quotient
+    ("heat-eval", "--method", "integral", "--n", "1", "--two-nu", "85", "--t", "0.5",
+     "--z", "0.3+0.2j", "--w", "0.1-0.4j"),
     ("kernel", "--n", "200", "--two-nu", "0", "--m", "1", "--z", _Z200, "--w", _W200),
     ("heat-eval", "--method", "series", "--n", "200", "--two-nu", "0", "--t", "0.5",
      "--z", _Z200, "--w", _W200),
     ("trace-compare", "--n", "1", "--nu", "1", "--J", "300", "--t", "0.1"),
     ("trace-compare", "--n", "1", "--nu", "1", "--J", "60", "--t", "1e-6"),
     ("trace-compare", "--n", "200", "--nu", "0", "--J", "0", "--t", "0.001"),
-], ids=["integral_constant_2nu86", "kernel_gamma_ratio_n200", "series_weight_n200",
-        "trace_compare_coefficient_J300", "trace_compare_scaled_error_t1e-6",
+], ids=["integral_constant_2nu86", "integral_constant_2nu85", "kernel_gamma_ratio_n200",
+        "series_weight_n200", "trace_compare_coefficient_J300", "trace_compare_scaled_error_t1e-6",
         "trace_compare_trace_term_n200"])
 def test_binary64_overflow_exits_2(capsys, argv):
     # a quantity past binary64 is a typed error: one line, no traceback

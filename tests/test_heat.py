@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from projheat import heat
-from projheat.errors import AntipodalDegenerate, NonPositiveTime, TruncationFailed
+from projheat.errors import (
+    AntipodalDegenerate,
+    DimensionMismatch,
+    NonPositiveTime,
+    TruncationFailed,
+)
 from projheat.exactnum import bernoulli_number, theta2_series_coefficient
 from projheat.heat import (
     heat_kernel_integral,
@@ -272,6 +277,101 @@ def test_integral_evaluates_at_least_two_node_counts(nodes, monkeypatch):
     seen.clear()
     heat_kernel_integral_hi(1, 0.5, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
     assert seen[0] == nodes and len(set(seen)) >= 2
+
+
+def _rows(*points, n: int) -> np.ndarray:
+    return np.array([[p] * n for p in points], dtype=complex)
+
+
+# (form, n, 2nu, t, z rows, w rows, last order of each one-pair call): pairs
+# near the diagonal need more nodes, so each batch stops its pairs at different orders
+ROW_BATCHES = [
+    ("general", 3, 1, 1e-3, _rows(0.4 - 0.3j, 0.1, 0.3 + 0.2j, n=3),
+     _rows(0.4 - 0.3j, 0.12, 0.1 - 0.4j, n=3), [512, 1024, 256]),
+    ("classical", 2, 0, 7e-4, _rows(0.4 - 0.3j, 0.1, 0.3 + 0.2j, n=2),
+     _rows(0.4 - 0.3j, 0.12, 0.1 - 0.4j, n=2), [512, 256, 256]),
+]
+
+
+def _integral_form(form: str, n: int, two_nu: int, t: float):
+    if form == "general":
+        return lambda z, w: heat_kernel_integral(n, two_nu, t, z, w)
+    return lambda z, w: heat_kernel_integral_hi(n, t, z, w)
+
+
+@pytest.mark.parametrize("form,n,two_nu,t,z,w,orders", ROW_BATCHES,
+                         ids=[b[0] for b in ROW_BATCHES])
+def test_integral_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu, t, z, w,
+                                                        orders):
+    integral = _integral_form(form, n, two_nu, t)
+    seen = []
+
+    def recording(k, a, b):
+        seen.append(k)
+        return gauss_legendre(k, a, b)
+
+    monkeypatch.setattr(heat, "gauss_legendre", recording)
+    rows = integral(z, w)
+    assert seen == [128 * 2**i for i in range(len(seen))] and seen[-1] == max(orders)
+    assert rows.value.shape == rows.error_bound.shape == (len(z),)
+    assert rows.value.dtype == complex and rows.error_bound.dtype == float
+    last = []
+    for k in range(len(z)):
+        seen.clear()
+        one = integral(tuple(z[k]), tuple(w[k]))
+        last.append(seen[-1])
+        assert np.array([one.value]).tobytes() == rows.value[k:k + 1].tobytes()
+        assert np.array([one.error_bound]).tobytes() == rows.error_bound[k:k + 1].tobytes()
+        assert one.terms_used == rows.terms_used
+    assert last == orders
+
+
+def _one_pair_bracket(n, two_nu, t, cos_rho, scale, nodes):
+    # the loop version the array form replaced: one pair, one rule per doubling
+    from projheat.orthopoly import gegenbauer_values
+
+    weights, tail = heat._gegenbauer_weights(n, two_nu, t)
+
+    def eval_at(k):
+        phi, wphi = gauss_legendre(k, 0.0, pi / 2)
+        cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, cos_rho * np.sin(phi))
+        g = np.tensordot(weights, cvals[0::2], axes=(0, 0))
+        return scale * float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
+
+    value = eval_at(nodes)
+    while True:
+        nodes *= 2
+        cur = eval_at(nodes)
+        value, change = cur, abs(cur - value)
+        if change < 1e-9 or nodes >= 1024:
+            return value, len(weights), change, tail
+
+
+@pytest.mark.parametrize("n,two_nu,t,nodes", [(1, 1, 0.3, 16), (2, 2, 0.05, 16), (3, 0, 0.5, 128)])
+def test_bracket_integral_equals_the_one_pair_loop_bit_for_bit(n, two_nu, t, nodes):
+    rng = np.random.default_rng(n * 10 + two_nu)
+    cos_rho = rng.uniform(0.3, 1.0, 12)
+    scale = rng.normal(size=12) + 1j * rng.normal(size=12)
+    values, terms, changes, tail = heat._bracket_integral(n, two_nu, t, cos_rho, scale, nodes)
+    for k in range(12):
+        value, terms_k, change, tail_k = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k],
+                                                           nodes)
+        assert values[k:k + 1].tobytes() == np.array([value]).tobytes()
+        assert changes[k:k + 1].tobytes() == np.array([change]).tobytes()
+        assert (terms, tail) == (terms_k, tail_k)
+
+
+@pytest.mark.parametrize("form", ["general", "classical"])
+def test_integral_rows_reject_degenerate_and_misshapen_pairs(form):
+    integral = _integral_form(form, 1, 0, 0.5)
+    z = np.array([[0.3 + 0.2j], [1.0]])
+    with pytest.raises(AntipodalDegenerate):
+        integral(z, np.array([[0.1 - 0.4j], [-1.0]]))  # the second row is antipodal
+    for bad_w in (np.array([[0.1, 0.2], [0.3, 0.4]]),  # rows of width 2 on P^1
+                  np.array([[0.1 - 0.4j]]),  # one row against two
+                  (0.1 - 0.4j,)):  # one point against rows
+        with pytest.raises(DimensionMismatch):
+            integral(z, bad_w)
 
 
 def test_trace_large_t_limit():
