@@ -20,10 +20,14 @@ node doubling, which is an estimate; rounding error is not included. The
 series sum uses math.fsum, the quadrature sum uses np.sum; summation order
 is fixed, so results are reproducible for a given numpy.
 
-The integral form also takes (P, n) arrays of point pairs. Each quadrature
-order then builds one Gauss-Legendre rule and evaluates every pair still
-open on one (pairs x nodes) array. Each pair keeps its own node doubling,
-so its value and bound are bit-identical to a call on that pair alone.
+Both forms also take (P, n) arrays of point pairs, and the integral form
+then one time per row as well. The series builds its weights once and
+sums each pair as a one-pair call does. The integral form builds one
+Gegenbauer weight vector per distinct time; each quadrature order builds
+one Gauss-Legendre rule for all of them, and each time evaluates its pairs
+still open on one (pairs x nodes) array. Each pair keeps its own node
+doubling, so its value and bound are bit-identical to a call on that pair
+alone.
 
 Everything here is binary64; exact inputs (dimensions, Gamma-quotients)
 are computed in integers or rationals and converted once.
@@ -83,16 +87,28 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
 
     The e^{4t(nu^2+n^2/4)} prefactor is folded into each term, so every
     exponent is <= 0 and the Jacobi sup bound makes the tail bound rigorous.
+
+    z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
+    row; the weights are then built once, value and error_bound are
+    shape-(P,) arrays, each entry bit-identical to the call on that row's
+    pair alone, and terms_used stays one int.
     """
     _require_time(t)
     SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
-    c2, q = point_pair(n, z, w)
+    pairs, rows = _pairs(z, w)
+    geometry = [point_pair(n, a, b) for a, b in pairs]
     weights, tail = _series_weights(n, two_nu, t, eps)
-    pvals = jacobi_values(len(weights) - 1, n - 1, two_nu, double_angle(c2))
-    inner = math.fsum(wm * pm for wm, pm in zip(weights, pvals))
-    scale = q**two_nu / pi**n
-    return KernelEval(value=complex(scale * inner), terms_used=len(weights),
-                      error_bound=tail * abs(scale))
+    values, bounds = [], []
+    for c2, q in geometry:
+        pvals = jacobi_values(len(weights) - 1, n - 1, two_nu, double_angle(c2))
+        inner = math.fsum(wm * pm for wm, pm in zip(weights, pvals))
+        scale = q**two_nu / pi**n
+        values.append(complex(scale * inner))
+        bounds.append(tail * abs(scale))
+    if rows:
+        return KernelEval(value=np.array(values, dtype=complex), terms_used=len(weights),
+                          error_bound=np.array(bounds, dtype=float))
+    return KernelEval(value=values[0], terms_used=len(weights), error_bound=bounds[0])
 
 
 def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, float]:
@@ -116,45 +132,57 @@ def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, floa
     return np.array([weights[m] for m in range(len(bounds))]), tail
 
 
-def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: np.ndarray, scale,
-                      start_nodes: int) -> tuple[np.ndarray, int, np.ndarray, float]:
-    """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G(cos rho sin phi) dphi for each pair.
+def _bracket_integral(n: int, two_nu: int, times: list, time_of: np.ndarray, cos_rho: np.ndarray,
+                      scale, start_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                        np.ndarray]:
+    """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G_t(cos rho sin phi) dphi for each pair.
 
-    cos_rho holds one entry per pair, scale one per pair or one for all.
-    Gauss-Legendre from start_nodes in [16, 1024], with the order doubled
-    at least once and then until the pair's scaled value moves < 1e-9 or the
-    order is 1024 or more, so the last rule has up to 2048 nodes (a start of
-    1024 evaluates 1024 and 2048). Each order builds one rule and evaluates
-    the pairs still open on one (pairs x nodes) array; a stopped pair keeps
-    its own last value and change. Returns (values, terms of G, change at
-    each pair's last doubling, tail bound of G).
+    cos_rho holds one entry per pair, scale one per pair or one for all;
+    pair k integrates at time times[time_of[k]]. Gauss-Legendre from
+    start_nodes in [16, 1024], with the order doubled at least once and then
+    until the pair's scaled value moves < 1e-9 or the order is 1024 or more,
+    so the last rule has up to 2048 nodes (a start of 1024 evaluates 1024
+    and 2048). The pairs of one time form a group with one G, built once.
+    Each order builds one rule, and each group evaluates its pairs still
+    open on one (pairs x nodes) array; a stopped pair keeps its own last
+    value and change. Returns (values, change at each pair's last doubling,
+    terms of G and tail bound of G for each time).
     """
     if not 16 <= start_nodes <= 1024:
         raise ValueError(f"quadrature nodes must be in [16, 1024], got {start_nodes}")
-    weights, tail = _gegenbauer_weights(n, two_nu, t)
+    cuts = [_gegenbauer_weights(n, two_nu, t) for t in times]
+    groups = [(weights, np.flatnonzero(time_of == k)) for k, (weights, _) in enumerate(cuts)]
     scale = np.broadcast_to(scale, cos_rho.shape)
 
-    def eval_at(nodes: int, pairs: np.ndarray) -> np.ndarray:
-        phi, wphi = gauss_legendre(nodes, 0.0, pi / 2)
+    def eval_at(phi, wphi, weights: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         c = cos_rho[pairs, None]
         cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, c * np.sin(phi))
         g = np.tensordot(weights, cvals[0::2], axes=(0, 0))
         return scale[pairs] * np.sum(wphi * (c * np.cos(phi)) ** (2 * two_nu) * g, axis=1)
 
     nodes = start_nodes
-    open_pairs = np.arange(cos_rho.size)
-    values = eval_at(nodes, open_pairs)
+    rule = gauss_legendre(nodes, 0.0, pi / 2)
+    values = np.empty(cos_rho.shape, dtype=np.result_type(scale, float))
+    for weights, pairs in groups:
+        values[pairs] = eval_at(*rule, weights, pairs)
     changes = np.zeros(cos_rho.shape)
-    while open_pairs.size:
+    while groups:
         nodes *= 2
-        cur = eval_at(nodes, open_pairs)
-        # abs of each scalar, as a one-pair call takes it: the array abs rounds differently
-        changes[open_pairs] = [abs(c - v) for c, v in zip(cur, values[open_pairs])]
-        values[open_pairs] = cur
+        rule = gauss_legendre(nodes, 0.0, pi / 2)
+        open_groups = []
+        for weights, pairs in groups:
+            cur = eval_at(*rule, weights, pairs)
+            # abs of each scalar, as a one-pair call takes it: the array abs rounds differently
+            changes[pairs] = [abs(c - v) for c, v in zip(cur, values[pairs])]
+            values[pairs] = cur
+            pairs = pairs[~(changes[pairs] < 1e-9)]
+            if pairs.size:
+                open_groups.append((weights, pairs))
         if nodes >= 1024:
             break
-        open_pairs = open_pairs[~(changes[open_pairs] < 1e-9)]
-    return values, len(weights), changes, tail
+        groups = open_groups
+    return (values, changes, np.array([len(weights) for weights, _ in cuts]),
+            np.array([tail for _, tail in cuts]))
 
 
 def _integral_geometry(n: int, z, w) -> tuple[float, complex]:
@@ -164,12 +192,11 @@ def _integral_geometry(n: int, z, w) -> tuple[float, complex]:
     return single_angle(c2), np.conjugate(q)
 
 
-def _integral_pairs(n: int, z, w) -> tuple[np.ndarray, list[complex], bool]:
-    """cos rho and conj(q) of each pair, and whether z and w came as (P, n) rows.
+def _pairs(z, w) -> tuple[list, bool]:
+    """The (z, w) pairs, and whether z and w came as (P, n) rows.
 
     z and w are one pair of chart points, or two 2-D ndarrays with one point
-    per row and the same number of rows; each pair goes through the scalar
-    _integral_geometry.
+    per row and the same number of rows.
     """
     def is_rows(x) -> bool:
         return isinstance(x, np.ndarray) and x.ndim == 2
@@ -178,8 +205,37 @@ def _integral_pairs(n: int, z, w) -> tuple[np.ndarray, list[complex], bool]:
     if rows and not (is_rows(z) and is_rows(w) and len(z) == len(w)):
         raise DimensionMismatch(f"z and w must both be (P, n) arrays of pairs, "
                                 f"got shapes {np.shape(z)} and {np.shape(w)}")
-    geometry = [_integral_geometry(n, a, b) for a, b in (zip(z, w) if rows else [(z, w)])]
-    return np.array([cos_rho for cos_rho, _ in geometry]), [qbar for _, qbar in geometry], rows
+    return (list(zip(z, w)) if rows else [(z, w)]), rows
+
+
+def _require_times(t) -> None:
+    """_require_time for a scalar t, or for each entry of a sequence of times."""
+    for tk in (np.asarray(t, dtype=float).ravel().tolist() if np.ndim(t) else [t]):
+        _require_time(tk)
+
+
+def _integral_rows(n: int, t, z, w) -> tuple[np.ndarray, list[complex], list, np.ndarray, bool,
+                                             bool]:
+    """cos rho and conj(q) of each pair, its time, and how the inputs came.
+
+    Returns (cos rho, conj(q), the distinct times in order of first
+    appearance, each pair's index into them, whether z and w came as rows,
+    whether t came as one time per row). Each pair goes through the scalar
+    _integral_geometry; a time per row needs (P, n) rows and P times.
+    """
+    pairs, rows = _pairs(z, w)
+    geometry = [_integral_geometry(n, a, b) for a, b in pairs]
+    cos_rho = np.array([cos_rho for cos_rho, _ in geometry])
+    qbars = [qbar for _, qbar in geometry]
+    if not np.ndim(t):
+        return cos_rho, qbars, [t], np.zeros(len(pairs), dtype=int), rows, False
+    if not (rows and np.shape(t) == (len(pairs),)):
+        raise DimensionMismatch(f"t must hold one time per row of z and w, got shape "
+                                f"{np.shape(t)} for {len(pairs) if rows else 'one'} pair(s)")
+    first = {}
+    time_of = np.array([first.setdefault(tk, len(first))
+                        for tk in np.asarray(t, dtype=float).tolist()], dtype=int)
+    return cos_rho, qbars, list(first), time_of, rows, True
 
 
 def _finite(const: float) -> float:
@@ -189,11 +245,15 @@ def _finite(const: float) -> float:
     return const
 
 
-def _integral_eval(values: np.ndarray, terms: int, bounds: list, rows: bool) -> KernelEval:
+def _integral_eval(values: np.ndarray, terms: np.ndarray, time_of: np.ndarray, bounds: list,
+                   rows: bool, row_times: bool) -> KernelEval:
+    """The KernelEval of the integral forms; terms holds one count per distinct time."""
+    terms_used = terms[time_of] if row_times else int(terms[0])
     if rows:
-        return KernelEval(value=values.astype(complex), terms_used=terms,
+        return KernelEval(value=values.astype(complex), terms_used=terms_used,
                           error_bound=np.array(bounds, dtype=float))
-    return KernelEval(value=complex(values[0]), terms_used=terms, error_bound=float(bounds[0]))
+    return KernelEval(value=complex(values[0]), terms_used=terms_used,
+                      error_bound=float(bounds[0]))
 
 
 def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) -> KernelEval:
@@ -210,11 +270,14 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) 
     z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
     row; value and error_bound are then shape-(P,) arrays, each entry
     bit-identical to the call on that row's pair alone (each pair keeps its
-    own node doubling). A degenerate row raises AntipodalDegenerate.
+    own node doubling). With rows, t may also be a length-P sequence or 1-D
+    array, one time per row: the rows of one time share their G, each order
+    builds one rule for all times, and terms_used is then a shape-(P,) int
+    array. A degenerate row raises AntipodalDegenerate.
     """
-    _require_time(t)
+    _require_times(t)
     SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
-    cos_rho, qbars, rows = _integral_pairs(n, z, w)
+    cos_rho, qbars, times, time_of, rows, row_times = _integral_rows(n, t, z, w)
     w_factors = [qbar ** (-two_nu) for qbar in qbars]
     with binary64_range("the integral-form constant 2 Gamma(n+2nu) 4^{2nu} (2nu)!/(4nu)!"):
         # at 2nu = 85 the product runs to inf before the quotient brings it to ~3.3
@@ -226,11 +289,12 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) 
             / (factorial(2 * two_nu) * pi ** (n + 1))
         )
 
-    values, terms, changes, tail = _bracket_integral(
-        n, two_nu, t, cos_rho, np.array([const * w_factor for w_factor in w_factors]), nodes)
+    values, changes, terms, tails = _bracket_integral(
+        n, two_nu, times, time_of, cos_rho,
+        np.array([const * w_factor for w_factor in w_factors]), nodes)
     bounds = [change + const * abs(w_factor) * (pi / 2) * tail
-              for change, w_factor in zip(changes, w_factors)]
-    return _integral_eval(values, terms, bounds, rows)
+              for change, w_factor, tail in zip(changes, w_factors, tails[time_of].tolist())]
+    return _integral_eval(values, terms, time_of, bounds, rows, row_times)
 
 
 def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 128) -> KernelEval:
@@ -241,16 +305,19 @@ def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 128) -> KernelE
     with the derivative bracket replaced by 2^{n-1} (n-1)! times the
     Gegenbauer sum. Kept as a literal transcription so it is a genuinely
     independent check of the general-nu constant at nu = 0. z and w may be
-    (P, n) arrays of pairs, as in heat_kernel_integral.
+    (P, n) arrays of pairs, and t then one time per row, as in
+    heat_kernel_integral.
     """
-    _require_time(t)
+    _require_times(t)
     SpectralPoint(n, 0, 0)  # rejects n < 1
-    cos_rho, _, rows = _integral_pairs(n, z, w)
+    cos_rho, _, times, time_of, rows, row_times = _integral_rows(n, t, z, w)
     with binary64_range("the classical constant 2^{n-1} (n-1)!/(2^{n-2} pi^{n+1})"):
         const = _finite(
             (1.0 / (2.0 ** (n - 2) * pi ** (n + 1))) * 2.0 ** (n - 1) * factorial(n - 1))
 
     # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
-    values, terms, changes, tail = _bracket_integral(n, 0, t, cos_rho, const, nodes)
-    tail_contrib = const * (pi / 2) * tail
-    return _integral_eval(values, terms, [change + tail_contrib for change in changes], rows)
+    values, changes, terms, tails = _bracket_integral(n, 0, times, time_of, cos_rho, const,
+                                                      nodes)
+    bounds = [change + const * (pi / 2) * tail
+              for change, tail in zip(changes, tails[time_of].tolist())]
+    return _integral_eval(values, terms, time_of, bounds, rows, row_times)

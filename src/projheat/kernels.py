@@ -49,8 +49,9 @@ ProjPoint = tuple[complex, ...]
 class KernelEval:
     """Kernel value with truncation metadata (0 terms for closed forms).
 
-    The heat integral forms, given (P, n) rows of pairs, hold shape-(P,)
-    arrays in value and error_bound.
+    The heat kernels, given (P, n) rows of pairs, hold shape-(P,) arrays in
+    value and error_bound; the integral forms, given one time per row, hold
+    one in terms_used too.
     """
 
     value: complex

@@ -315,6 +315,7 @@ def test_integral_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, tw
     assert seen == [128 * 2**i for i in range(len(seen))] and seen[-1] == max(orders)
     assert rows.value.shape == rows.error_bound.shape == (len(z),)
     assert rows.value.dtype == complex and rows.error_bound.dtype == float
+    assert isinstance(rows.terms_used, int)  # one time for all rows
     last = []
     for k in range(len(z)):
         seen.clear()
@@ -352,13 +353,14 @@ def test_bracket_integral_equals_the_one_pair_loop_bit_for_bit(n, two_nu, t, nod
     rng = np.random.default_rng(n * 10 + two_nu)
     cos_rho = rng.uniform(0.3, 1.0, 12)
     scale = rng.normal(size=12) + 1j * rng.normal(size=12)
-    values, terms, changes, tail = heat._bracket_integral(n, two_nu, t, cos_rho, scale, nodes)
+    values, changes, terms, tails = heat._bracket_integral(n, two_nu, [t], np.zeros(12, int),
+                                                           cos_rho, scale, nodes)
     for k in range(12):
         value, terms_k, change, tail_k = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k],
                                                            nodes)
         assert values[k:k + 1].tobytes() == np.array([value]).tobytes()
         assert changes[k:k + 1].tobytes() == np.array([change]).tobytes()
-        assert (terms, tail) == (terms_k, tail_k)
+        assert (terms.tolist(), tails.tolist()) == ([terms_k], [tail_k])
 
 
 @pytest.mark.parametrize("form", ["general", "classical"])
@@ -372,6 +374,99 @@ def test_integral_rows_reject_degenerate_and_misshapen_pairs(form):
                   (0.1 - 0.4j,)):  # one point against rows
         with pytest.raises(DimensionMismatch):
             integral(z, bad_w)
+
+
+# one time per row, unsorted and repeated: rows near the diagonal at small t need more nodes
+ROW_TIMES = [1e-3, 7e-4, 0.5, 0.05, 1e-3, 0.5]
+
+
+def _row_time_batch(n: int):
+    points = (0.4 - 0.3j, 0.1, 0.3 + 0.2j)
+    partners = (0.4 - 0.3j, 0.12, 0.1 - 0.4j)
+    return _rows(*points, *points, n=n), _rows(*partners, *partners[::-1], n=n)
+
+
+def _integral_at(form: str, n: int, two_nu: int):
+    if form == "general":
+        return lambda t, z, w: heat_kernel_integral(n, two_nu, t, z, w)
+    return lambda t, z, w: heat_kernel_integral_hi(n, t, z, w)
+
+
+@pytest.mark.parametrize("form,n,two_nu", [("general", 3, 1), ("general", 3, 2),
+                                           ("classical", 3, 0)])
+@pytest.mark.parametrize("as_array", [True, False], ids=["ndarray", "list"])
+def test_integral_row_times_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu,
+                                                             as_array):
+    integral = _integral_at(form, n, two_nu)
+    z, w = _row_time_batch(n)
+    seen = []
+
+    def recording(k, a, b):
+        seen.append(k)
+        return gauss_legendre(k, a, b)
+
+    monkeypatch.setattr(heat, "gauss_legendre", recording)
+    rows = integral(np.array(ROW_TIMES) if as_array else ROW_TIMES, z, w)
+    rules = list(seen)
+    assert rows.value.shape == rows.error_bound.shape == rows.terms_used.shape == (len(z),)
+    assert rows.terms_used.dtype.kind == "i"
+    last, terms = [], []
+    for k, t in enumerate(ROW_TIMES):
+        seen.clear()
+        one = integral(t, tuple(z[k]), tuple(w[k]))
+        last.append(seen[-1])
+        terms.append(one.terms_used)
+        assert np.array([one.value]).tobytes() == rows.value[k:k + 1].tobytes()
+        assert np.array([one.error_bound]).tobytes() == rows.error_bound[k:k + 1].tobytes()
+    assert rows.terms_used.tolist() == terms and len(set(terms)) == 4  # one G per time
+    assert len(set(last)) >= 2  # the rows stop at different orders
+    assert rules == [128 * 2**i for i in range(len(rules))] and rules[-1] == max(last)
+
+
+@pytest.mark.parametrize("n,two_nu,t", [(1, 1, 0.5), (2, 0, 1e-3), (3, 2, 0.05)])
+def test_series_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, n, two_nu, t):
+    z, w = _row_time_batch(n)
+    built = []
+    monkeypatch.setattr(heat, "_series_weights",
+                        lambda *args, f=heat._series_weights: built.append(args) or f(*args))
+    rows = heat_kernel_series(n, two_nu, t, z, w)
+    assert len(built) == 1
+    assert rows.value.shape == rows.error_bound.shape == (len(z),)
+    assert rows.value.dtype == complex and rows.error_bound.dtype == float
+    assert isinstance(rows.terms_used, int)
+    for k in range(len(z)):
+        one = heat_kernel_series(n, two_nu, t, tuple(z[k]), tuple(w[k]))
+        assert np.array([one.value]).tobytes() == rows.value[k:k + 1].tobytes()
+        assert np.array([one.error_bound]).tobytes() == rows.error_bound[k:k + 1].tobytes()
+        assert one.terms_used == rows.terms_used
+
+
+def test_series_rows_reject_misshapen_pairs():
+    z = np.array([[0.3 + 0.2j], [0.5j]])
+    for bad_w in (np.array([[0.1 - 0.4j]]), (0.1 - 0.4j,)):
+        with pytest.raises(DimensionMismatch):
+            heat_kernel_series(1, 1, 0.5, z, bad_w)
+
+
+@pytest.mark.parametrize("form", ["general", "classical"])
+def test_integral_row_times_reject_misshapen_times(form):
+    integral = _integral_at(form, 1, 1)
+    z, w = _row_time_batch(1)
+    for t, zs, ws in ((ROW_TIMES[:1], (0.3 + 0.2j,), (0.1 - 0.4j,)),  # times without rows
+                      (ROW_TIMES[:-1], z, w),  # one time short
+                      (ROW_TIMES + [0.5], z, w),  # one time over
+                      (np.array([ROW_TIMES]), z, w)):  # a (1, P) array
+        with pytest.raises(DimensionMismatch):
+            integral(t, zs, ws)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("form", ["general", "classical"])
+def test_integral_row_times_reject_bad_entries(form, bad):
+    integral = _integral_at(form, 1, 1)
+    z, w = _row_time_batch(1)
+    with pytest.raises(NonPositiveTime):
+        integral(ROW_TIMES[:3] + [bad] + ROW_TIMES[4:], z, w)
 
 
 def test_trace_large_t_limit():
