@@ -26,7 +26,11 @@ class IndexOutOfRange(ProjheatError):
 
 
 class NonPositiveTime(ProjheatError):
-    """Heat-flow time parameter t must be finite and strictly positive."""
+    """Heat-flow time t must be one real number, finite and strictly positive.
+
+    Also raised for a t that is not one real number: a sequence, an array
+    with an axis, a complex number or a string.
+    """
 
 
 class AntipodalDegenerate(ProjheatError):

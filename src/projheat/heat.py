@@ -6,7 +6,9 @@ integrates a Gegenbauer series against the endpoint-substituted weight
 (cos u = cos rho sin phi turns (cos^2 rho - cos^2 u)^{2nu-1/2} (-d cos u)
 into the smooth (cos rho cos phi)^{4nu} dphi). The inner derivative bracket
 (-1/sin u d/du)^{n+2nu} of the lattice theta sum is always realized through
-its exact Gegenbauer form, never by numerical differentiation.
+its exact Gegenbauer form, never by numerical differentiation. The
+classical nu = 0 integral form shares the general form's driver, and only
+its literal constant differs, so the two constants check each other.
 
 The theta sums, the direct trace and the truncation routine live in the
 numpy-free ``theta`` module; this module re-exports them (theta_deriv,
@@ -20,14 +22,14 @@ node doubling, which is an estimate; rounding error is not included. The
 series sum uses math.fsum, the quadrature sum uses np.sum; summation order
 is fixed, so results are reproducible for a given numpy.
 
-Both forms also take (P, n) arrays of point pairs, and the integral form
+Every form also takes (P, n) arrays of point pairs, and the integral forms
 then one time per row as well. The series builds its weights once and
-sums each pair as a one-pair call does. The integral form builds one
+sums each pair as a one-pair call does. The integral driver builds one
 Gegenbauer weight vector per distinct time; each quadrature order builds
 one Gauss-Legendre rule for all of them, and each time evaluates its pairs
 still open on one (pairs x nodes) array. Each pair keeps its own node
 doubling, so its value and bound are bit-identical to a call on that pair
-alone.
+alone. One packer builds the KernelEval of every form.
 
 Everything here is binary64; exact inputs (dimensions, Gamma-quotients)
 are computed in integers or rationals and converted once.
@@ -105,10 +107,7 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
         scale = q**two_nu / pi**n
         values.append(complex(scale * inner))
         bounds.append(tail * abs(scale))
-    if rows:
-        return KernelEval(value=np.array(values, dtype=complex), terms_used=len(weights),
-                          error_bound=np.array(bounds, dtype=float))
-    return KernelEval(value=values[0], terms_used=len(weights), error_bound=bounds[0])
+    return _packed(rows, values, len(weights), bounds)
 
 
 def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, float]:
@@ -208,52 +207,47 @@ def _pairs(z, w) -> tuple[list, bool]:
     return (list(zip(z, w)) if rows else [(z, w)]), rows
 
 
-def _require_times(t) -> None:
-    """_require_time for a scalar t, or for each entry of a sequence of times."""
-    for tk in (np.asarray(t, dtype=float).ravel().tolist() if np.ndim(t) else [t]):
-        _require_time(tk)
-
-
-def _integral_rows(n: int, t, z, w) -> tuple[np.ndarray, list[complex], list, np.ndarray, bool,
-                                             bool]:
-    """cos rho and conj(q) of each pair, its time, and how the inputs came.
-
-    Returns (cos rho, conj(q), the distinct times in order of first
-    appearance, each pair's index into them, whether z and w came as rows,
-    whether t came as one time per row). Each pair goes through the scalar
-    _integral_geometry; a time per row needs (P, n) rows and P times.
-    """
-    pairs, rows = _pairs(z, w)
-    geometry = [_integral_geometry(n, a, b) for a, b in pairs]
-    cos_rho = np.array([cos_rho for cos_rho, _ in geometry])
-    qbars = [qbar for _, qbar in geometry]
-    if not np.ndim(t):
-        return cos_rho, qbars, [t], np.zeros(len(pairs), dtype=int), rows, False
-    if not (rows and np.shape(t) == (len(pairs),)):
-        raise DimensionMismatch(f"t must hold one time per row of z and w, got shape "
-                                f"{np.shape(t)} for {len(pairs) if rows else 'one'} pair(s)")
-    first = {}
-    time_of = np.array([first.setdefault(tk, len(first))
-                        for tk in np.asarray(t, dtype=float).tolist()], dtype=int)
-    return cos_rho, qbars, list(first), time_of, rows, True
-
-
-def _finite(const: float) -> float:
-    """const, or OverflowError when its float product has run to inf."""
-    if not math.isfinite(const):
-        raise OverflowError
-    return const
-
-
-def _integral_eval(values: np.ndarray, terms: np.ndarray, time_of: np.ndarray, bounds: list,
-                   rows: bool, row_times: bool) -> KernelEval:
-    """The KernelEval of the integral forms; terms holds one count per distinct time."""
-    terms_used = terms[time_of] if row_times else int(terms[0])
+def _packed(rows: bool, values, terms_used, bounds) -> KernelEval:
+    """One pair's KernelEval, or with rows shape-(P,) value and error_bound arrays."""
     if rows:
-        return KernelEval(value=values.astype(complex), terms_used=terms_used,
+        return KernelEval(value=np.array(values, dtype=complex), terms_used=terms_used,
                           error_bound=np.array(bounds, dtype=float))
     return KernelEval(value=complex(values[0]), terms_used=terms_used,
                       error_bound=float(bounds[0]))
+
+
+def _integral(n: int, two_nu: int, t, z, w, nodes: int, what: str, constant) -> KernelEval:
+    """const conj(q)^{-2nu} int_0^{pi/2} (cos rho cos phi)^{4nu} G(u(phi)) dphi, both forms.
+
+    Checks the time or each row's time, the labels, the rows, each pair's
+    geometry and the time shape, in that order; then const = constant(),
+    whose overflow raises Binary64Overflow naming what.
+    """
+    times = np.ravel(t).tolist()
+    for tk in times:
+        _require_time(tk)
+    SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
+    pairs, rows = _pairs(z, w)
+    geometry = [_integral_geometry(n, a, b) for a, b in pairs]
+    row_times = bool(np.ndim(t))
+    if row_times and not (rows and np.shape(t) == (len(pairs),)):
+        raise DimensionMismatch(f"t must hold one time per row of z and w, got shape "
+                                f"{np.shape(t)} for {len(pairs) if rows else 'one'} pair(s)")
+    first = {}
+    time_of = np.broadcast_to(np.array([first.setdefault(tk, len(first)) for tk in times],
+                                       dtype=int), len(pairs))  # a scalar t serves every pair
+    w_factors = [qbar ** (-two_nu) for _, qbar in geometry]  # exactly 1 at nu = 0
+    with binary64_range(what):
+        const = constant()
+        if not math.isfinite(const):
+            raise OverflowError
+
+    values, changes, terms, tails = _bracket_integral(
+        n, two_nu, list(first), time_of, np.array([cos_rho for cos_rho, _ in geometry]),
+        np.array([const * w_factor for w_factor in w_factors]), nodes)
+    bounds = [change + const * abs(w_factor) * (pi / 2) * tail
+              for change, w_factor, tail in zip(changes, w_factors, tails[time_of].tolist())]
+    return _packed(rows, values, terms[time_of] if row_times else int(terms[0]), bounds)
 
 
 def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) -> KernelEval:
@@ -275,26 +269,14 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 128) 
     builds one rule for all times, and terms_used is then a shape-(P,) int
     array. A degenerate row raises AntipodalDegenerate.
     """
-    _require_times(t)
-    SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
-    cos_rho, qbars, times, time_of, rows, row_times = _integral_rows(n, t, z, w)
-    w_factors = [qbar ** (-two_nu) for qbar in qbars]
-    with binary64_range("the integral-form constant 2 Gamma(n+2nu) 4^{2nu} (2nu)!/(4nu)!"):
-        # at 2nu = 85 the product runs to inf before the quotient brings it to ~3.3
-        const = _finite(
-            2.0
-            * factorial(n + two_nu - 1)
-            * 4.0**two_nu
-            * factorial(two_nu)
-            / (factorial(2 * two_nu) * pi ** (n + 1))
-        )
-
-    values, changes, terms, tails = _bracket_integral(
-        n, two_nu, times, time_of, cos_rho,
-        np.array([const * w_factor for w_factor in w_factors]), nodes)
-    bounds = [change + const * abs(w_factor) * (pi / 2) * tail
-              for change, w_factor, tail in zip(changes, w_factors, tails[time_of].tolist())]
-    return _integral_eval(values, terms, time_of, bounds, rows, row_times)
+    # at 2nu = 85 the product runs to inf before the quotient brings it to ~3.3
+    return _integral(n, two_nu, t, z, w, nodes,
+                     "the integral-form constant 2 Gamma(n+2nu) 4^{2nu} (2nu)!/(4nu)!",
+                     lambda: 2.0
+                     * factorial(n + two_nu - 1)
+                     * 4.0**two_nu
+                     * factorial(two_nu)
+                     / (factorial(2 * two_nu) * pi ** (n + 1)))
 
 
 def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 128) -> KernelEval:
@@ -308,16 +290,8 @@ def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 128) -> KernelE
     (P, n) arrays of pairs, and t then one time per row, as in
     heat_kernel_integral.
     """
-    _require_times(t)
-    SpectralPoint(n, 0, 0)  # rejects n < 1
-    cos_rho, _, times, time_of, rows, row_times = _integral_rows(n, t, z, w)
-    with binary64_range("the classical constant 2^{n-1} (n-1)!/(2^{n-2} pi^{n+1})"):
-        const = _finite(
-            (1.0 / (2.0 ** (n - 2) * pi ** (n + 1))) * 2.0 ** (n - 1) * factorial(n - 1))
-
     # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
-    values, changes, terms, tails = _bracket_integral(n, 0, times, time_of, cos_rho, const,
-                                                      nodes)
-    bounds = [change + const * (pi / 2) * tail
-              for change, tail in zip(changes, tails[time_of].tolist())]
-    return _integral_eval(values, terms, time_of, bounds, rows, row_times)
+    return _integral(n, 0, t, z, w, nodes,
+                     "the classical constant 2^{n-1} (n-1)!/(2^{n-2} pi^{n+1})",
+                     lambda: (1.0 / (2.0 ** (n - 2) * pi ** (n + 1)))
+                     * 2.0 ** (n - 1) * factorial(n - 1))

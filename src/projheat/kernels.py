@@ -49,9 +49,11 @@ ProjPoint = tuple[complex, ...]
 class KernelEval:
     """Kernel value with truncation metadata (0 terms for closed forms).
 
-    The heat kernels, given (P, n) rows of pairs, hold shape-(P,) arrays in
-    value and error_bound; the integral forms, given one time per row, hold
-    one in terms_used too.
+    On one pair: a complex value, an int terms_used, a float error_bound.
+    A heat kernel given (P, n) rows of pairs holds shape-(P,) arrays in
+    value (complex) and error_bound (float), one entry per row; terms_used
+    stays one int, except for an integral form given one time per row,
+    where it is a shape-(P,) int array of each row's Gegenbauer terms.
     """
 
     value: complex

@@ -17,6 +17,7 @@ once each, in order of m.
 from __future__ import annotations
 
 import math
+import numbers
 from math import exp
 
 from .errors import NonPositiveTime, TruncationFailed, binary64_range
@@ -33,9 +34,15 @@ _MAX_TERMS = 200_000
 
 
 def _require_time(t: float) -> None:
-    """The one rule for a time: t must be finite and > 0, else NonPositiveTime."""
-    if not 0 < t < math.inf:
-        raise NonPositiveTime(f"t = {t}")
+    """The one rule for a time: t must be one real number in (0, inf), else NonPositiveTime.
+
+    Any real scalar passes (an int, a Fraction, a numpy float, a 0-d real
+    array); a sequence, an array with an axis, a complex number or a string
+    is not one time.
+    """
+    value = t.item() if getattr(t, "shape", None) == () else t
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise NonPositiveTime(f"t = {t!r}")
 
 
 def terms_needed(bound, eps: float) -> tuple[list[float], float]:

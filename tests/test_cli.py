@@ -172,7 +172,8 @@ def test_non_integer_flag_is_usage_error(capsys):
 
 
 def test_scope_names_match_verify():
-    # the parser's --scope choices come from cli.SCOPE_NAMES, not from verify
+    # the parser's --scope choices come from cli.SCOPE_NAMES, not from verify, so
+    # the other commands skip verify's own import (it loads neither numpy nor mpmath)
     from projheat import cli, verify
 
     assert cli.SCOPE_NAMES == tuple(verify.SCOPES)

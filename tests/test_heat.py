@@ -45,6 +45,8 @@ def test_time_validation():
     with pytest.raises(NonPositiveTime):
         heat_kernel_integral(1, 0, -1.0, 0j, 0.1 + 0j)
     with pytest.raises(NonPositiveTime):
+        heat_kernel_integral_hi(1, -1.0, 0j, 0.1 + 0j)
+    with pytest.raises(NonPositiveTime):
         trace_direct(1, 0, 0.0)
 
 
@@ -230,6 +232,8 @@ def test_integral_coincident_points():
 def test_integral_antipodal_degenerate():
     with pytest.raises(AntipodalDegenerate):
         heat_kernel_integral(1, 1, 0.5, (1.0 + 0j,), (-1.0 + 0j,))
+    with pytest.raises(AntipodalDegenerate):
+        heat_kernel_integral_hi(1, 0.5, (1.0 + 0j,), (-1.0 + 0j,))
 
 
 def test_series_diagonal_real_positive():
@@ -250,6 +254,19 @@ def test_integral_nu0_classical_constant():
         hs = heat_kernel_series(n, 0, 0.4, z, w)
         hh = heat_kernel_integral_hi(n, 0.4, z, w)
         assert abs(hs.value - hh.value) <= 1e-6 * (1 + abs(hs.value))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_classical_and_general_forms_agree_to_rounding_at_nu0(n):
+    # the forms share everything but the constant's expression, whose binary64
+    # values differ in their last bit at n = 7 and n = 9
+    z, w = _rows(0.1 + 0.05j, 0.3, -0.2j, n=n), _rows(0.05 - 0.1j, 0.25, 0.1j, n=n)
+    calls = [(0.5, tuple(z[0]), tuple(w[0])), ([0.5, 0.1, 0.5], z, w)]  # one pair; row times
+    for t, zs, ws in calls:
+        hi = np.atleast_1d(heat_kernel_integral_hi(n, t, zs, ws).value)
+        gen = np.atleast_1d(heat_kernel_integral(n, 0, t, zs, ws).value)
+        assert np.all(np.abs(hi - gen) <= 4 * 2.0**-53 * np.abs(hi))
+        assert np.array_equal(hi, gen) == (n not in (7, 9))
 
 
 @pytest.mark.parametrize("nodes", [8, 2048])

@@ -149,7 +149,7 @@ LABELLED = {
         lambda n, two_nu, t: kernels.kernel_diagonal_volume_check(n, two_nu, 0), "n two_nu"),
     "monopole_basis": (lambda n, two_nu, t: kernels.monopole_basis(two_nu, 0, 0, 0.3j), "two_nu"),
 }
-BAD = {"n": [0], "two_nu": [-1], "t": [0.0, math.nan, math.inf]}
+BAD = {"n": [0], "two_nu": [-1], "t": [0.0, math.nan, math.inf, 0.5 + 0j]}
 CASES = [(entry, arg, bad) for entry, (_, takes) in LABELLED.items()
          for arg in takes.split() for bad in BAD[arg]]
 
@@ -160,3 +160,25 @@ def test_label_and_time_rules(entry, arg, bad):
     args = {"n": 1, "two_nu": 1, "t": 0.5, arg: bad}
     with pytest.raises(NonPositiveTime if arg == "t" else ValueError):
         call(**args)
+
+
+# a sequence of times is a shape question at the integral forms, which take one time per row
+ONE_TIME = [e for e, (_, takes) in LABELLED.items() if "t" in takes.split() and "integral" not in e]
+NOT_ONE_TIME = {"list": [0.5, 0.1], "tuple": (0.5,), "ndarray1": np.array([0.5]),
+                "ndarray2": np.array([0.5, 0.2])}
+
+
+@pytest.mark.parametrize("t", NOT_ONE_TIME.values(), ids=NOT_ONE_TIME.keys())
+@pytest.mark.parametrize("entry", ONE_TIME)
+def test_time_that_is_not_one_number_is_typed(entry, t):
+    call, _ = LABELLED[entry]
+    with pytest.raises(NonPositiveTime):
+        call(n=1, two_nu=1, t=t)
+
+
+@pytest.mark.parametrize("entry", ONE_TIME)
+def test_time_of_any_real_scalar_type_is_accepted(entry):
+    call, _ = LABELLED[entry]
+    assert call(n=1, two_nu=1, t=np.float64(0.5)) == call(n=1, two_nu=1, t=0.5)
+    assert call(n=1, two_nu=1, t=np.array(0.5)) == call(n=1, two_nu=1, t=0.5)  # 0-d
+    assert call(n=1, two_nu=1, t=1) == call(n=1, two_nu=1, t=1.0)
