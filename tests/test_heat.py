@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from math import exp, factorial, pi
 
@@ -279,9 +280,8 @@ def test_quadrature_config_validation(nodes, monkeypatch):
         heat_kernel_integral_hi(1, 0.5, 0.1j, 0.2, nodes=nodes)
 
 
-@pytest.mark.parametrize("nodes", [16, 1024])
-def test_integral_evaluates_at_least_two_node_counts(nodes, monkeypatch):
-    # the error bound's quadrature term needs a doubling even at the cap
+def _recording_rules(monkeypatch) -> list:
+    """The orders of the Gauss-Legendre rules heat builds from here on."""
     seen = []
 
     def recording(k, a, b):
@@ -289,24 +289,47 @@ def test_integral_evaluates_at_least_two_node_counts(nodes, monkeypatch):
         return gauss_legendre(k, a, b)
 
     monkeypatch.setattr(heat, "gauss_legendre", recording)
-    k = heat_kernel_integral(1, 1, 0.5, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
-    assert seen[0] == nodes and len(set(seen)) >= 2 and k.error_bound > 0
-    seen.clear()
-    heat_kernel_integral_hi(1, 0.5, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
-    assert seen[0] == nodes and len(set(seen)) >= 2
+    return seen
+
+
+def _certified_order(n: int, two_nu: int, t: float, nodes: int = 16) -> int:
+    return heat._gauss_order(n, two_nu, heat._gegenbauer_weights(n, two_nu, t)[0], nodes)[0]
+
+
+@pytest.mark.parametrize("nodes", [16, 1024])
+def test_integral_builds_one_rule_of_the_certified_order(nodes, monkeypatch):
+    # one rule of max(nodes, certified order): 16 nodes certify t = 0.5, so nodes = 1024
+    # builds only a 1024-node rule, while t = 1e-3 needs more than 16
+    assert _certified_order(1, 1, 0.5) == _certified_order(1, 0, 0.5) == 16
+    assert 16 < _certified_order(1, 1, 1e-3) < 1024 and 16 < _certified_order(1, 0, 1e-3) < 1024
+    seen = _recording_rules(monkeypatch)
+    for t in (0.5, 1e-3):
+        seen.clear()
+        k = heat_kernel_integral(1, 1, t, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
+        assert seen == [max(nodes, _certified_order(1, 1, t))] and k.error_bound > 0
+        seen.clear()
+        heat_kernel_integral_hi(1, t, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
+        assert seen == [max(nodes, _certified_order(1, 0, t))]
+
+
+def test_integral_whose_sum_underflows_builds_the_minimum_rule(monkeypatch):
+    # at t = 1000 and 2nu = 3 every Gegenbauer weight underflows to 0: nothing to certify
+    assert not heat._gegenbauer_weights(1, 3, 1000.0)[0].any()
+    seen = _recording_rules(monkeypatch)
+    k = heat_kernel_integral(1, 3, 1000.0, 0.3 + 0.2j, 0.1 - 0.4j, nodes=32)
+    assert seen == [32] and (k.value, k.error_bound) == (0.0, 0.0)
 
 
 def _rows(*points, n: int) -> np.ndarray:
     return np.array([[p] * n for p in points], dtype=complex)
 
 
-# (form, n, 2nu, t, z rows, w rows, last order of each one-pair call): pairs
-# near the diagonal need more nodes, so each batch stops its pairs at different orders
+# (form, n, 2nu, t, z rows, w rows): pairs near and far from the diagonal at small t
 ROW_BATCHES = [
     ("general", 3, 1, 1e-3, _rows(0.4 - 0.3j, 0.1, 0.3 + 0.2j, n=3),
-     _rows(0.4 - 0.3j, 0.12, 0.1 - 0.4j, n=3), [512, 1024, 256]),
+     _rows(0.4 - 0.3j, 0.12, 0.1 - 0.4j, n=3)),
     ("classical", 2, 0, 7e-4, _rows(0.4 - 0.3j, 0.1, 0.3 + 0.2j, n=2),
-     _rows(0.4 - 0.3j, 0.12, 0.1 - 0.4j, n=2), [512, 256, 256]),
+     _rows(0.4 - 0.3j, 0.12, 0.1 - 0.4j, n=2)),
 ]
 
 
@@ -316,53 +339,36 @@ def _integral_form(form: str, n: int, two_nu: int, t: float):
     return lambda z, w: heat_kernel_integral_hi(n, t, z, w)
 
 
-@pytest.mark.parametrize("form,n,two_nu,t,z,w,orders", ROW_BATCHES,
-                         ids=[b[0] for b in ROW_BATCHES])
-def test_integral_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu, t, z, w,
-                                                        orders):
+@pytest.mark.parametrize("form,n,two_nu,t,z,w", ROW_BATCHES, ids=[b[0] for b in ROW_BATCHES])
+def test_integral_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu, t, z, w):
     integral = _integral_form(form, n, two_nu, t)
-    seen = []
-
-    def recording(k, a, b):
-        seen.append(k)
-        return gauss_legendre(k, a, b)
-
-    monkeypatch.setattr(heat, "gauss_legendre", recording)
+    order = _certified_order(n, two_nu, t)
+    seen = _recording_rules(monkeypatch)
     rows = integral(z, w)
-    assert seen == [128 * 2**i for i in range(len(seen))] and seen[-1] == max(orders)
+    assert seen == [order]
     assert rows.value.shape == rows.error_bound.shape == (len(z),)
     assert rows.value.dtype == complex and rows.error_bound.dtype == float
     assert isinstance(rows.terms_used, int)  # one time for all rows
-    last = []
     for k in range(len(z)):
         seen.clear()
         one = integral(tuple(z[k]), tuple(w[k]))
-        last.append(seen[-1])
+        assert seen == [order]
         assert np.array([one.value]).tobytes() == rows.value[k:k + 1].tobytes()
         assert np.array([one.error_bound]).tobytes() == rows.error_bound[k:k + 1].tobytes()
         assert one.terms_used == rows.terms_used
-    assert last == orders
 
 
 def _one_pair_bracket(n, two_nu, t, cos_rho, scale, nodes):
-    # the loop version the array form replaced: one pair, one rule per doubling
+    # one pair on its own rule of max(nodes, certified order)
     from projheat.orthopoly import gegenbauer_values
 
     weights, tail = heat._gegenbauer_weights(n, two_nu, t)
-
-    def eval_at(k):
-        phi, wphi = gauss_legendre(k, 0.0, pi / 2)
-        cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, cos_rho * np.sin(phi))
-        g = np.tensordot(weights, cvals[0::2], axes=(0, 0))
-        return scale * float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
-
-    value = eval_at(nodes)
-    while True:
-        nodes *= 2
-        cur = eval_at(nodes)
-        value, change = cur, abs(cur - value)
-        if change < 1e-9 or nodes >= 1024:
-            return value, len(weights), change, tail
+    order, quad = heat._gauss_order(n, two_nu, weights, nodes)
+    phi, wphi = gauss_legendre(order, 0.0, pi / 2)
+    cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, cos_rho * np.sin(phi))
+    g = sum(wm * cm for wm, cm in zip(weights, cvals[0::2]))
+    value = scale * float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
+    return value, len(weights), quad, tail
 
 
 @pytest.mark.parametrize("n,two_nu,t,nodes", [(1, 1, 0.3, 16), (2, 2, 0.05, 16), (3, 0, 0.5, 128)])
@@ -370,14 +376,52 @@ def test_bracket_integral_equals_the_one_pair_loop_bit_for_bit(n, two_nu, t, nod
     rng = np.random.default_rng(n * 10 + two_nu)
     cos_rho = rng.uniform(0.3, 1.0, 12)
     scale = rng.normal(size=12) + 1j * rng.normal(size=12)
-    values, changes, terms, tails = heat._bracket_integral(n, two_nu, [t], np.zeros(12, int),
-                                                           cos_rho, scale, nodes)
+    values, quads, terms, tails = heat._bracket_integral(n, two_nu, [t], np.zeros(12, int),
+                                                         cos_rho, scale, nodes)
     for k in range(12):
-        value, terms_k, change, tail_k = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k],
-                                                           nodes)
+        value, terms_k, quad, tail_k = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k],
+                                                         nodes)
         assert values[k:k + 1].tobytes() == np.array([value]).tobytes()
-        assert changes[k:k + 1].tobytes() == np.array([change]).tobytes()
-        assert (terms.tolist(), tails.tolist()) == ([terms_k], [tail_k])
+        assert (quads.tolist(), terms.tolist(), tails.tolist()) == ([quad], [terms_k], [tail_k])
+
+
+@functools.cache
+def _reference_rule() -> tuple[np.ndarray, np.ndarray]:
+    # 2048 nodes on [0, pi/2]: 32 panels of 64-node Gauss-Legendre. numpy's own
+    # 2048-node rule errs by ~1.6e-13 relative on cos^10, far above the rounding
+    # allowance below; its 64-node rule is accurate to a few ulps
+    edges = np.linspace(0.0, pi / 2, 33)
+    rules = [gauss_legendre(64, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    return np.concatenate([r[0] for r in rules]), np.concatenate([r[1] for r in rules])
+
+
+def _bracket_parts(n, two_nu, weights, cos_rho, phi, wphi):
+    # the bracket integral of each cos rho, sum w|f|, and sum w|x df/dx| at x = cos rho sin phi
+    from projheat.orthopoly import gegenbauer_values
+
+    lam, c = n + two_nu, cos_rho[:, None]
+    x = c * np.sin(phi)
+    cvals = gegenbauer_values(2 * len(weights) - 2, lam, x)[0::2]
+    dvals = gegenbauer_values(max(2 * len(weights) - 3, 0), lam + 1, x)[1::2]
+    g = sum(wm * cm for wm, cm in zip(weights, cvals))
+    dg = sum(2 * lam * wm * dm for wm, dm in zip(weights[1:], dvals))  # C_k' = 2lam C_{k-1}^{lam+1}
+    f = (c * np.cos(phi)) ** (2 * two_nu)
+    return (np.sum(wphi * f * g, axis=1), np.sum(wphi * np.abs(f * g), axis=1),
+            np.sum(wphi * np.abs(f * x * dg), axis=1))
+
+
+@pytest.mark.parametrize("t", [1.0, 0.1, 0.01, 1e-3])
+@pytest.mark.parametrize("two_nu", [0, 1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certified_quadrature_term_bounds_the_error(n, two_nu, t):
+    # |I_N - I_2048| <= quadrature term + 64 2^-53 (sum w|f| + sum w|x df/dx|): the rounding
+    # allowance covers the sum and a few ulps of the argument x = cos rho sin phi, to which
+    # G is sensitive near the diagonal at small t (G'/G ~ 1/(2t))
+    cos_rho = np.array([0.9999, 0.5, 0.1])
+    values, quads, _, _ = heat._bracket_integral(n, two_nu, [t], np.zeros(3, int), cos_rho, 1.0, 16)
+    weights, _ = heat._gegenbauer_weights(n, two_nu, t)
+    reference, size, sensitivity = _bracket_parts(n, two_nu, weights, cos_rho, *_reference_rule())
+    assert np.all(np.abs(values - reference) <= quads[0] + 64 * 2.0**-53 * (size + sensitivity))
 
 
 @pytest.mark.parametrize("form", ["general", "classical"])
@@ -393,7 +437,7 @@ def test_integral_rows_reject_degenerate_and_misshapen_pairs(form):
             integral(z, bad_w)
 
 
-# one time per row, unsorted and repeated: rows near the diagonal at small t need more nodes
+# one time per row, unsorted and repeated: the smaller times need more nodes
 ROW_TIMES = [1e-3, 7e-4, 0.5, 0.05, 1e-3, 0.5]
 
 
@@ -416,28 +460,22 @@ def test_integral_row_times_equal_one_pair_calls_bit_for_bit(monkeypatch, form, 
                                                              as_array):
     integral = _integral_at(form, n, two_nu)
     z, w = _row_time_batch(n)
-    seen = []
-
-    def recording(k, a, b):
-        seen.append(k)
-        return gauss_legendre(k, a, b)
-
-    monkeypatch.setattr(heat, "gauss_legendre", recording)
+    seen = _recording_rules(monkeypatch)
     rows = integral(np.array(ROW_TIMES) if as_array else ROW_TIMES, z, w)
     rules = list(seen)
     assert rows.value.shape == rows.error_bound.shape == rows.terms_used.shape == (len(z),)
     assert rows.terms_used.dtype.kind == "i"
-    last, terms = [], []
+    orders, terms = [], []
     for k, t in enumerate(ROW_TIMES):
         seen.clear()
         one = integral(t, tuple(z[k]), tuple(w[k]))
-        last.append(seen[-1])
+        orders += seen
         terms.append(one.terms_used)
         assert np.array([one.value]).tobytes() == rows.value[k:k + 1].tobytes()
         assert np.array([one.error_bound]).tobytes() == rows.error_bound[k:k + 1].tobytes()
     assert rows.terms_used.tolist() == terms and len(set(terms)) == 4  # one G per time
-    assert len(set(last)) >= 2  # the rows stop at different orders
-    assert rules == [128 * 2**i for i in range(len(rules))] and rules[-1] == max(last)
+    assert orders == [_certified_order(n, two_nu, t) for t in ROW_TIMES]
+    assert rules == list(dict.fromkeys(orders)) and len(rules) >= 3  # one rule per order
 
 
 @pytest.mark.parametrize("n,two_nu,t", [(1, 1, 0.5), (2, 0, 1e-3), (3, 2, 0.05)])

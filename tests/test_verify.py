@@ -99,8 +99,8 @@ def _heat_checks_one_pair_at_a_time(seed: int) -> list[verify.Check]:
 
 @pytest.mark.parametrize("seed", [1, 7, 12345])
 def test_heat_suite_integrates_each_cell_in_one_call(monkeypatch, seed):
-    # 22 (n, 2nu, t) cells, each stopping at 256 nodes, in 8 integral calls (one per
-    # (n, 2nu), one time per row): two rules per call, one weight vector of each kind per cell
+    # 22 (n, 2nu, t) cells, each certified by 16 nodes, in 8 integral calls (one per
+    # (n, 2nu), one time per row): one rule per call, one weight vector of each kind per cell
     from projheat import heat
 
     rules, weights, series_weights = [], [], []
@@ -111,7 +111,7 @@ def test_heat_suite_integrates_each_cell_in_one_call(monkeypatch, seed):
     monkeypatch.setattr(heat, "_series_weights",
                         lambda *args, f=heat._series_weights: series_weights.append(args) or f(*args))
     checks = verify.run_verify("heat", seed=seed)
-    assert rules == [128, 256] * 8
+    assert rules == [16] * 8
     cells = ([(n, tn, t) for n, tn, t in product((1, 2), (0, 1, 2), (0.3, 0.5, 1.0))]
              + [(n, 0, t) for n, t in product((1, 2), (0.3, 1.0))])
     assert weights == cells and [args[:3] for args in series_weights] == cells
