@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_positive_float("--eps"), default=1e-10)
     p.add_argument("--nodes", type=_checked("--nodes", int, lambda v: 16 <= v <= 1024,
                                             "in [16, 1024]"), default=16,
-                   help="minimum Gauss-Legendre order of the integral form; one rule of "
-                        "max(nodes, certified order) nodes is built, and its certified "
-                        "quadrature term (Trefethen Thm 19.3) joins errorBound; rounding "
-                        "is not included")
+                   help="minimum order of the integral form's quadrature: one midpoint "
+                        "rule of max(nodes, exact order) nodes is built, which integrates "
+                        "the Gegenbauer bracket exactly, so errorBound is the truncation "
+                        "tail alone; rounding is not included")
 
     p = add_command("trace-compare", cmd_trace_compare, "direct trace vs asymptotic expansion",
                     "--n", "--nu", "--J")

@@ -17,20 +17,20 @@ heat subsystem.
 
 All truncations carry geometric tail bounds (Jacobi terms are bounded by
 their value at 1, valid for parameters >= 0). A KernelEval's error_bound
-is that tail bound, plus, for the integral form, a certified quadrature
-term: the Gauss-Legendre order is sized from G's terms so that Trefethen's
-Bernstein-ellipse bound (Approximation Theory and Approximation Practice,
-Thm 19.3) reaches ~1e-15 of the integrand's scale, and that bound is
-reported. Rounding error is not included. The series sum uses math.fsum,
-the quadrature sum uses np.sum; summation order is fixed, so results are
-reproducible for a given numpy.
+is that tail bound. The integral form's quadrature adds nothing to it: the
+integrand (cos rho cos phi)^{4nu} G(cos rho sin phi) is a polynomial in
+sin^2 phi, of degree 2nu + (terms of G) - 1, so a cosine polynomial of
+that degree in 2 phi, and a midpoint rule of more than half that many
+nodes integrates it exactly. Rounding error is not included. The series
+sum uses math.fsum, the quadrature sum uses np.sum; summation order is
+fixed, so results are reproducible for a given numpy.
 
 Every form also takes (P, n) arrays of point pairs, and the integral forms
 then one time per row as well. The series builds its weights once and
 sums each pair as a one-pair call does. The integral driver builds one
-Gegenbauer weight vector and one Gauss-Legendre order per distinct time;
-the call builds one rule per distinct order, and each time evaluates its
-pairs on one (pairs x nodes) array. The order depends on the time and the
+Gegenbauer weight vector and one midpoint order per distinct time; the
+call builds one rule per distinct order, and each time evaluates its pairs
+on one (pairs x nodes) array. The order depends on the time and the
 minimum order only, not on the pair, so each row's value and bound are
 bit-identical to a call on that pair alone. One packer builds the
 KernelEval of every form.
@@ -50,7 +50,7 @@ from .errors import AntipodalDegenerate, DimensionMismatch, binary64_range
 from .exactnum import pochhammer
 from .kernels import KernelEval, double_angle, point_pair, single_angle
 from .orthopoly import gegenbauer_values, jacobi_values
-from .quadrature import gauss_legendre
+from .quadrature import midpoint_rule
 from .spectrum import SpectralPoint
 from .theta import _gaussian, _require_time, terms_needed, theta_deriv, trace_direct
 
@@ -135,83 +135,41 @@ def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, floa
     return np.array([weights[m] for m in range(len(bounds))]), tail
 
 
-# Bernstein-ellipse parameters r tried when sizing a Gauss rule: a geometric grid
-_RADII = 2.0 ** (np.arange(1, 57) / 8)
-_MAX_NODES = 2048
+def _exact_order(two_nu: int, terms: int, min_nodes: int) -> int:
+    """Midpoint order that integrates the bracket of a G of the given terms exactly.
 
-
-def _gauss_order(n: int, two_nu: int, weights: np.ndarray, min_nodes: int) -> tuple[int, float]:
-    """Gauss-Legendre order for int_0^{pi/2} (cos phi)^{4nu} G(sin phi) dphi, and its error bound.
-
-    phi = (pi/4)(1+s) maps [-1, 1] onto [0, pi/2]; on the Bernstein ellipse
-    E_r, |Im phi| <= y = (pi/4)(r - 1/r)/2, so |sin phi| and |cos phi| are at
-    most R = cosh y, and |C_{2m}^lam(z)| <= D_{2m}(|z|), where D_k is the
-    Gegenbauer recurrence with its minus sign made a plus (all coefficients
-    of C_k taken positive). So the integrand is at most
-    R^{4nu} sum_m weight_m D_{2m}(R) on E_r, and an N-node rule errs by at
-    most (64/15)(pi/4) max|f| r^{-2N}/(r^2-1) (Trefethen, Approximation
-    Theory and Approximation Practice, Thm 19.3). The integrand at
-    cos rho = c <= 1 is bounded by the same numbers, so the order depends on
-    (n, 2nu, t, min_nodes) only. The order is the smallest N >= min_nodes
-    whose bound, minimised over a grid of r, is at most
-    1e-15 (pi/2) sum_m weight_m C_{2m}(1), capped at 2048 nodes; the bound
-    returned is the one at that order, so at the cap it may exceed the
-    target. Everything is done in logarithms, so nothing overflows.
+    (cos phi)^{4nu} = (1 - sin^2 phi)^{2nu} and the even G of degree
+    2 (terms - 1) make the integrand a polynomial of degree
+    K = 2nu + terms - 1 in sin^2 phi = (1 - cos 2 phi) / 2, so a cosine
+    polynomial of degree K in 2 phi; the midpoint rule of N nodes on
+    [0, pi/2] is exact for it once 2N > K. The order is the larger of that
+    and min_nodes, and depends on (2nu, terms, min_nodes) only.
     """
-    if not weights.any():  # G vanishes in binary64: any rule is exact
-        return min_nodes, 0.0
-    lam = n + two_nu
-    with np.errstate(divide="ignore"):  # a weight that underflows to 0 is a zero term
-        log_w = np.log(weights)
-    k = np.arange(1, 2 * len(weights) - 1)
-    log_c1 = np.concatenate(([0.0], np.cumsum(np.log((k + 2 * lam - 1) / k))))[0::2]
-    log_target = math.log(1e-15 * pi / 2) + _log_sum_exp(log_w + log_c1)
-
-    r = _RADII
-    big_r = np.cosh(pi / 8 * (r - 1 / r))
-    # ratios[k-1] = D_k / D_{k-1}: k D_k = 2(k+lam-1) R D_{k-1} + (k+2lam-2) D_{k-2}, D_0 = 1
-    ratios = np.outer(2.0 * (k + lam - 1) / k, big_r)
-    for i in range(1, len(k)):
-        ratios[i] += (i + 2 * lam - 1) / (i + 1) / ratios[i - 1]
-    log_d = np.concatenate((np.zeros((1, len(r))), np.cumsum(np.log(ratios), axis=0)))[0::2]
-    log_max_f = 2 * two_nu * np.log(big_r) + _log_sum_exp(log_w[:, None] + log_d)
-    log_scale = math.log(64 / 15 * pi / 4) + log_max_f - np.log(r * r - 1)
-    needed = np.ceil((log_scale - log_target) / (2 * np.log(r)))
-    order = int(min(max(min_nodes, needed.min()), _MAX_NODES))
-    with np.errstate(over="ignore"):  # a bound past binary64 is reported as inf
-        return order, float(np.exp(np.min(log_scale - 2 * order * np.log(r))))
-
-
-def _log_sum_exp(x: np.ndarray) -> np.ndarray:
-    """log sum exp(x) over axis 0, with -inf entries counting as zero terms."""
-    top = x.max(axis=0)
-    return top + np.log(np.sum(np.exp(x - top), axis=0))
+    return max(min_nodes, (two_nu + terms - 1) // 2 + 1)
 
 
 def _bracket_integral(n: int, two_nu: int, times: list, time_of: np.ndarray, cos_rho: np.ndarray,
-                      scale, min_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                      np.ndarray]:
+                      scale, min_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G_t(cos rho sin phi) dphi for each pair.
 
     cos_rho holds one entry per pair, in [0, 1], scale one per pair or one
     for all; pair k integrates at time times[time_of[k]]. The pairs of one
-    time form a group with one G, built once, and one Gauss-Legendre order,
-    max(min_nodes, the certified order of _gauss_order), min_nodes in
-    [16, 1024]. The call builds one rule per distinct order, and each group
+    time form a group with one G, built once, and one midpoint order,
+    _exact_order's, at least min_nodes in [16, 1024], so the quadrature is
+    exact. The call builds one rule per distinct order, and each group
     evaluates its pairs on one (pairs x nodes) array. Returns (values, and
-    for each time the certified quadrature bound of the unscaled integral,
-    the terms of G and the tail bound of G).
+    for each time the terms of G and the tail bound of G).
     """
     if not 16 <= min_nodes <= 1024:
         raise ValueError(f"quadrature nodes must be in [16, 1024], got {min_nodes}")
     cuts = [_gegenbauer_weights(n, two_nu, t) for t in times]
-    sized = [_gauss_order(n, two_nu, weights, min_nodes) for weights, _ in cuts]
     scale = np.broadcast_to(scale, cos_rho.shape)
     values = np.empty(cos_rho.shape, dtype=np.result_type(scale, float))
     rules = {}
-    for k, ((weights, _), (order, _)) in enumerate(zip(cuts, sized)):
+    for k, (weights, _) in enumerate(cuts):
+        order = _exact_order(two_nu, len(weights), min_nodes)
         if order not in rules:
-            rules[order] = gauss_legendre(order, 0.0, pi / 2)
+            rules[order] = midpoint_rule(order, 0.0, pi / 2)
         phi, wphi = rules[order]
         pairs = np.flatnonzero(time_of == k)
         c = cos_rho[pairs, None]
@@ -220,8 +178,8 @@ def _bracket_integral(n: int, two_nu: int, times: list, time_of: np.ndarray, cos
         # the row count: so a row sums as a one-pair call does
         g = sum(wm * cm for wm, cm in zip(weights, cvals[0::2]))
         values[pairs] = scale[pairs] * np.sum(wphi * (c * np.cos(phi)) ** (2 * two_nu) * g, axis=1)
-    return (values, np.array([bound for _, bound in sized]),
-            np.array([len(weights) for weights, _ in cuts]), np.array([tail for _, tail in cuts]))
+    return (values, np.array([len(weights) for weights, _ in cuts]),
+            np.array([tail for _, tail in cuts]))
 
 
 def _integral_geometry(n: int, z, w) -> tuple[float, complex]:
@@ -282,11 +240,11 @@ def _integral(n: int, two_nu: int, t, z, w, nodes: int, what: str, constant) -> 
         if not math.isfinite(const):
             raise OverflowError
 
-    values, quads, terms, tails = _bracket_integral(
+    values, terms, tails = _bracket_integral(
         n, two_nu, list(first), time_of, np.array([cos_rho for cos_rho, _ in geometry]),
         np.array([const * w_factor for w_factor in w_factors]), nodes)
-    bounds = [const * abs(w_factor) * (quad + (pi / 2) * tail) for w_factor, quad, tail
-              in zip(w_factors, quads[time_of].tolist(), tails[time_of].tolist())]
+    bounds = [const * abs(w_factor) * (pi / 2) * tail
+              for w_factor, tail in zip(w_factors, tails[time_of].tolist())]
     return _packed(rows, values, terms[time_of] if row_times else int(terms[0]), bounds)
 
 
@@ -299,10 +257,11 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 16) -
     with G the weighted Gegenbauer sum and e^{4t(nu^2+n^2/4)} folded into G.
     The constant carries the 1/Gamma(1/2) that the Jacobi-to-Gegenbauer
     integral representation requires (cross-checked against the series).
-    nodes in [16, 1024] is the minimum Gauss-Legendre order: one rule of
-    max(nodes, certified order) nodes, at most 2048, is built, and its
-    certified quadrature bound (Trefethen Thm 19.3) joins error_bound;
-    rounding is not included.
+    nodes in [16, 1024] is the minimum order of the one midpoint rule built,
+    which has max(nodes, exact order) nodes: the integrand is a cosine
+    polynomial of known degree (see _exact_order), so the quadrature is
+    exact and error_bound is the truncation tail of G alone; rounding is
+    not included.
 
     z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
     row; value and error_bound are then shape-(P,) arrays, each entry

@@ -5,6 +5,9 @@ Gauss-Legendre in radius after the substitution rho = tan(theta) mapping
 [0, inf) to [0, pi/2), periodic trapezoid in angle. Under that substitution
 the mu_1 radial weight rho (1+rho^2)^{-2} drho collapses to the smooth
 sin(theta) cos(theta) dtheta, so the rule converges spectrally.
+
+The midpoint rule serves integrands that are cosine polynomials: on
+[0, pi] it integrates cos(j x) exactly for every j below twice its order.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["gauss_legendre", "radial_mu1_rule", "plane_mu1_rule"]
+__all__ = ["gauss_legendre", "midpoint_rule", "radial_mu1_rule", "plane_mu1_rule"]
 
 
 def gauss_legendre(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -21,6 +24,17 @@ def gauss_legendre(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarr
     x, w = np.polynomial.legendre.leggauss(nodes)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+def midpoint_rule(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the nodes-point midpoint rule on [a, b].
+
+    With x = pi (s - a) / (b - a), the rule integrates cos(j x) exactly for
+    0 <= j < 2 nodes: at the nodes x_i = (2i+1) pi / (2 nodes) the sum of
+    cos(j x_i) vanishes unless j is a multiple of 2 nodes.
+    """
+    h = (b - a) / nodes
+    return a + h * (np.arange(nodes) + 0.5), np.full(nodes, h)
 
 
 def radial_mu1_rule(nr: int = 200) -> tuple[np.ndarray, np.ndarray]:

@@ -249,7 +249,7 @@ def suite_heat(seed: int) -> list[Check]:
 
     Each (n, 2nu) draws the pairs of its (n, 2nu, t) cells in turn, then
     integrates all of them in one array call with one time per row, which
-    builds one rule per distinct Gauss-Legendre order. The series is summed
+    builds one rule per distinct midpoint order. The series is summed
     in one call per cell. Errors are reduced cell by cell, pair by pair.
     """
     import numpy as np

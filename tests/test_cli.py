@@ -285,7 +285,7 @@ def test_binary64_overflow_exits_2(capsys, argv):
 def test_heat_eval_rejects_huge_node_count(capsys, monkeypatch):
     # the parser rejects --nodes: neither the series nor any quadrature rule runs
     monkeypatch.setattr("projheat.heat.heat_kernel_series", None)
-    monkeypatch.setattr("projheat.heat.gauss_legendre", None)
+    monkeypatch.setattr("projheat.heat.midpoint_rule", None)
     code, out, err = run_cli(capsys, "heat-eval", "--n", "1", "--two-nu", "1", "--t", "0.5",
                              "--z", "0.3", "--w", "0.1j", "--method", "both",
                              "--nodes", "100000")

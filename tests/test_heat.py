@@ -27,7 +27,7 @@ from projheat.heat import (
     trace_direct,
 )
 from projheat.kernels import fs_distance
-from projheat.quadrature import gauss_legendre, plane_mu1_rule
+from projheat.quadrature import gauss_legendre, midpoint_rule, plane_mu1_rule
 from projheat.spectrum import (
     SpectralPoint,
     dimension_gamma_form,
@@ -273,7 +273,7 @@ def test_classical_and_general_forms_agree_to_rounding_at_nu0(n):
 @pytest.mark.parametrize("nodes", [8, 2048])
 def test_quadrature_config_validation(nodes, monkeypatch):
     # rejected before any rule is built
-    monkeypatch.setattr(heat, "gauss_legendre", None)
+    monkeypatch.setattr(heat, "midpoint_rule", None)
     with pytest.raises(ValueError):
         heat_kernel_integral(1, 1, 0.5, 0.1j, 0.2, nodes=nodes)
     with pytest.raises(ValueError):
@@ -281,39 +281,41 @@ def test_quadrature_config_validation(nodes, monkeypatch):
 
 
 def _recording_rules(monkeypatch) -> list:
-    """The orders of the Gauss-Legendre rules heat builds from here on."""
+    """The orders of the midpoint rules heat builds from here on."""
     seen = []
 
     def recording(k, a, b):
         seen.append(k)
-        return gauss_legendre(k, a, b)
+        return midpoint_rule(k, a, b)
 
-    monkeypatch.setattr(heat, "gauss_legendre", recording)
+    monkeypatch.setattr(heat, "midpoint_rule", recording)
     return seen
 
 
-def _certified_order(n: int, two_nu: int, t: float, nodes: int = 16) -> int:
-    return heat._gauss_order(n, two_nu, heat._gegenbauer_weights(n, two_nu, t)[0], nodes)[0]
+def _exact_order(n: int, two_nu: int, t: float, nodes: int = 16) -> int:
+    # more than half the integrand's degree 2nu + terms - 1 in sin^2 phi, and at least nodes
+    terms = len(heat._gegenbauer_weights(n, two_nu, t)[0])
+    return max(nodes, (two_nu + terms - 1) // 2 + 1)
 
 
 @pytest.mark.parametrize("nodes", [16, 1024])
-def test_integral_builds_one_rule_of_the_certified_order(nodes, monkeypatch):
-    # one rule of max(nodes, certified order): 16 nodes certify t = 0.5, so nodes = 1024
+def test_integral_builds_one_rule_of_the_exact_order(nodes, monkeypatch):
+    # one rule of max(nodes, exact order): 16 nodes are exact at t = 0.5, so nodes = 1024
     # builds only a 1024-node rule, while t = 1e-3 needs more than 16
-    assert _certified_order(1, 1, 0.5) == _certified_order(1, 0, 0.5) == 16
-    assert 16 < _certified_order(1, 1, 1e-3) < 1024 and 16 < _certified_order(1, 0, 1e-3) < 1024
+    assert _exact_order(1, 1, 0.5) == _exact_order(1, 0, 0.5) == 16
+    assert 16 < _exact_order(1, 1, 1e-3) < 1024 and 16 < _exact_order(1, 0, 1e-3) < 1024
     seen = _recording_rules(monkeypatch)
     for t in (0.5, 1e-3):
         seen.clear()
         k = heat_kernel_integral(1, 1, t, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
-        assert seen == [max(nodes, _certified_order(1, 1, t))] and k.error_bound > 0
+        assert seen == [_exact_order(1, 1, t, nodes)] and k.error_bound > 0
         seen.clear()
         heat_kernel_integral_hi(1, t, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
-        assert seen == [max(nodes, _certified_order(1, 0, t))]
+        assert seen == [_exact_order(1, 0, t, nodes)]
 
 
 def test_integral_whose_sum_underflows_builds_the_minimum_rule(monkeypatch):
-    # at t = 1000 and 2nu = 3 every Gegenbauer weight underflows to 0: nothing to certify
+    # at t = 1000 and 2nu = 3 every Gegenbauer weight underflows to 0
     assert not heat._gegenbauer_weights(1, 3, 1000.0)[0].any()
     seen = _recording_rules(monkeypatch)
     k = heat_kernel_integral(1, 3, 1000.0, 0.3 + 0.2j, 0.1 - 0.4j, nodes=32)
@@ -342,7 +344,7 @@ def _integral_form(form: str, n: int, two_nu: int, t: float):
 @pytest.mark.parametrize("form,n,two_nu,t,z,w", ROW_BATCHES, ids=[b[0] for b in ROW_BATCHES])
 def test_integral_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu, t, z, w):
     integral = _integral_form(form, n, two_nu, t)
-    order = _certified_order(n, two_nu, t)
+    order = _exact_order(n, two_nu, t)
     seen = _recording_rules(monkeypatch)
     rows = integral(z, w)
     assert seen == [order]
@@ -359,16 +361,15 @@ def test_integral_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, tw
 
 
 def _one_pair_bracket(n, two_nu, t, cos_rho, scale, nodes):
-    # one pair on its own rule of max(nodes, certified order)
+    # one pair on its own rule of max(nodes, exact order)
     from projheat.orthopoly import gegenbauer_values
 
     weights, tail = heat._gegenbauer_weights(n, two_nu, t)
-    order, quad = heat._gauss_order(n, two_nu, weights, nodes)
-    phi, wphi = gauss_legendre(order, 0.0, pi / 2)
+    phi, wphi = midpoint_rule(_exact_order(n, two_nu, t, nodes), 0.0, pi / 2)
     cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, cos_rho * np.sin(phi))
     g = sum(wm * cm for wm, cm in zip(weights, cvals[0::2]))
     value = scale * float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
-    return value, len(weights), quad, tail
+    return value, len(weights), tail
 
 
 @pytest.mark.parametrize("n,two_nu,t,nodes", [(1, 1, 0.3, 16), (2, 2, 0.05, 16), (3, 0, 0.5, 128)])
@@ -376,27 +377,27 @@ def test_bracket_integral_equals_the_one_pair_loop_bit_for_bit(n, two_nu, t, nod
     rng = np.random.default_rng(n * 10 + two_nu)
     cos_rho = rng.uniform(0.3, 1.0, 12)
     scale = rng.normal(size=12) + 1j * rng.normal(size=12)
-    values, quads, terms, tails = heat._bracket_integral(n, two_nu, [t], np.zeros(12, int),
-                                                         cos_rho, scale, nodes)
+    values, terms, tails = heat._bracket_integral(n, two_nu, [t], np.zeros(12, int), cos_rho,
+                                                  scale, nodes)
     for k in range(12):
-        value, terms_k, quad, tail_k = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k],
-                                                         nodes)
+        value, terms_k, tail_k = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k], nodes)
         assert values[k:k + 1].tobytes() == np.array([value]).tobytes()
-        assert (quads.tolist(), terms.tolist(), tails.tolist()) == ([quad], [terms_k], [tail_k])
+        assert (terms.tolist(), tails.tolist()) == ([terms_k], [tail_k])
 
 
 @functools.cache
 def _reference_rule() -> tuple[np.ndarray, np.ndarray]:
-    # 2048 nodes on [0, pi/2]: 32 panels of 64-node Gauss-Legendre. numpy's own
-    # 2048-node rule errs by ~1.6e-13 relative on cos^10, far above the rounding
-    # allowance below; its 64-node rule is accurate to a few ulps
+    # 2048 nodes on [0, pi/2], independent of the midpoint rule: 32 panels of 64-node
+    # Gauss-Legendre. numpy's own 2048-node rule errs by ~1.6e-13 relative on cos^10, far
+    # above the rounding allowance below; its 64-node rule is accurate to a few ulps
     edges = np.linspace(0.0, pi / 2, 33)
     rules = [gauss_legendre(64, a, b) for a, b in zip(edges[:-1], edges[1:])]
     return np.concatenate([r[0] for r in rules]), np.concatenate([r[1] for r in rules])
 
 
 def _bracket_parts(n, two_nu, weights, cos_rho, phi, wphi):
-    # the bracket integral of each cos rho, sum w|f|, and sum w|x df/dx| at x = cos rho sin phi
+    # for each cos rho: the bracket integral, the integral of its terms' absolute sum
+    # |f| sum_m |w_m C_2m(x)|, and sum w|x df/dx|, at x = cos rho sin phi
     from projheat.orthopoly import gegenbauer_values
 
     lam, c = n + two_nu, cos_rho[:, None]
@@ -404,24 +405,59 @@ def _bracket_parts(n, two_nu, weights, cos_rho, phi, wphi):
     cvals = gegenbauer_values(2 * len(weights) - 2, lam, x)[0::2]
     dvals = gegenbauer_values(max(2 * len(weights) - 3, 0), lam + 1, x)[1::2]
     g = sum(wm * cm for wm, cm in zip(weights, cvals))
+    g_terms = sum(np.abs(wm * cm) for wm, cm in zip(weights, cvals))
     dg = sum(2 * lam * wm * dm for wm, dm in zip(weights[1:], dvals))  # C_k' = 2lam C_{k-1}^{lam+1}
     f = (c * np.cos(phi)) ** (2 * two_nu)
-    return (np.sum(wphi * f * g, axis=1), np.sum(wphi * np.abs(f * g), axis=1),
+    return (np.sum(wphi * f * g, axis=1), np.sum(wphi * f * g_terms, axis=1),
             np.sum(wphi * np.abs(f * x * dg), axis=1))
 
 
 @pytest.mark.parametrize("t", [1.0, 0.1, 0.01, 1e-3])
 @pytest.mark.parametrize("two_nu", [0, 1, 2, 5])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_certified_quadrature_term_bounds_the_error(n, two_nu, t):
-    # |I_N - I_2048| <= quadrature term + 64 2^-53 (sum w|f| + sum w|x df/dx|): the rounding
-    # allowance covers the sum and a few ulps of the argument x = cos rho sin phi, to which
-    # G is sensitive near the diagonal at small t (G'/G ~ 1/(2t))
+def test_certified_quadrature_rule_is_exact(n, two_nu, t):
+    # the quadrature term is 0, so |I_N - I_2048| <= 64 2^-53 (terms + sum w|x df/dx|):
+    # rounding alone, in G's terms, which cancel far from the diagonal at small t, and in a
+    # few ulps of the argument x = cos rho sin phi, to which G is sensitive near the
+    # diagonal (G'/G ~ 1/(2t)). The worst case uses 3.1 of the 64
     cos_rho = np.array([0.9999, 0.5, 0.1])
-    values, quads, _, _ = heat._bracket_integral(n, two_nu, [t], np.zeros(3, int), cos_rho, 1.0, 16)
+    values, _, _ = heat._bracket_integral(n, two_nu, [t], np.zeros(3, int), cos_rho, 1.0, 16)
     weights, _ = heat._gegenbauer_weights(n, two_nu, t)
-    reference, size, sensitivity = _bracket_parts(n, two_nu, weights, cos_rho, *_reference_rule())
-    assert np.all(np.abs(values - reference) <= quads[0] + 64 * 2.0**-53 * (size + sensitivity))
+    reference, terms, sensitivity = _bracket_parts(n, two_nu, weights, cos_rho,
+                                                   *_reference_rule())
+    assert np.all(np.abs(values - reference) <= 64 * 2.0**-53 * (terms + sensitivity))
+
+
+@pytest.mark.parametrize("nodes", [1, 4, 16, 33])
+def test_midpoint_rule_integrates_cosines_below_twice_its_order(nodes):
+    # sum w cos(2j phi) over [0, pi/2] is the integral, 0, for 0 < j < 2 nodes, and
+    # -pi/2 at j = 2 nodes, where every node sits on a trough
+    phi, w = midpoint_rule(nodes, 0.0, pi / 2)
+    sums = [np.sum(w * np.cos(2 * j * phi)) for j in range(2 * nodes + 1)]
+    assert sums[0] == pytest.approx(pi / 2, rel=1e-15)
+    assert np.all(np.abs(sums[1:-1]) <= 1e-14) and sums[-1] == pytest.approx(-pi / 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("two_nu", [0, 1, 2, 5])
+@pytest.mark.parametrize("terms", [1, 2, 3, 6, 7])
+def test_exact_order_is_the_fewest_nodes_that_integrate_the_bracket(two_nu, terms):
+    # with G's top term alone, the midpoint rule of heat's order is exact (to rounding) and
+    # one node fewer, which aliases the integrand's top cosine, is not
+    from projheat.orthopoly import gegenbauer_values
+
+    n, mp.mp.dps = 1, 30
+    lam, degree = n + two_nu, 2 * (terms - 1)
+    exact = float(mp.quad(lambda p: mp.cos(p) ** (2 * two_nu) * mp.gegenbauer(degree, lam, mp.sin(p)),
+                          [0, mp.pi / 2]))
+    order = heat._exact_order(two_nu, terms, 1)
+    assert order == (two_nu + terms - 1) // 2 + 1
+    errors = []
+    for nodes in (order, order - 1):
+        phi, w = midpoint_rule(max(nodes, 1), 0.0, pi / 2)
+        f = np.cos(phi) ** (2 * two_nu) * gegenbauer_values(degree, lam, np.sin(phi))[-1]
+        errors.append(abs(np.sum(w * f) - exact) / np.sum(w * np.abs(f)))
+    assert errors[0] <= 1e-12
+    assert order == 1 or errors[1] >= 1e-3
 
 
 @pytest.mark.parametrize("form", ["general", "classical"])
@@ -474,7 +510,7 @@ def test_integral_row_times_equal_one_pair_calls_bit_for_bit(monkeypatch, form, 
         assert np.array([one.value]).tobytes() == rows.value[k:k + 1].tobytes()
         assert np.array([one.error_bound]).tobytes() == rows.error_bound[k:k + 1].tobytes()
     assert rows.terms_used.tolist() == terms and len(set(terms)) == 4  # one G per time
-    assert orders == [_certified_order(n, two_nu, t) for t in ROW_TIMES]
+    assert orders == [_exact_order(n, two_nu, t) for t in ROW_TIMES]
     assert rules == list(dict.fromkeys(orders)) and len(rules) >= 3  # one rule per order
 
 
