@@ -11,10 +11,6 @@ Two distinct Bernoulli-type sequences live here and are never mixed up:
 * ``theta2_series_coefficient(d)`` -- the rescaled sequence
   ((-1)^d/(d+1)) (1 - 2^{-2d-1}) B_{2d+2} that appears as the small-time
   Taylor tail of the lattice theta series sum (2j+1) e^{-(j+1/2)^2 t}.
-
-Both sequences are memoized with ``functools.lru_cache``, which is
-thread-safe: threads racing on a cold index may each compute it, but they
-store the same value.
 """
 
 from __future__ import annotations

@@ -25,13 +25,12 @@ nodes integrates it exactly. Rounding error is not included. The series
 sum uses math.fsum, the quadrature sum uses np.sum; summation order is
 fixed, so results are reproducible for a given numpy.
 
-Every form also takes (P, n) arrays of point pairs, and the integral forms
-then one time per row as well. The series builds its weights once and
-sums each pair as a one-pair call does. The integral driver builds one
-Gegenbauer weight vector and one midpoint order per distinct time; the
-call builds one rule per distinct order, and each time evaluates its pairs
-on one (pairs x nodes) array. The order depends on the time and the
-minimum order only, not on the pair, so each row's value and bound are
+Every form takes one time, and also (P, n) arrays of point pairs, which
+share it. The series builds its weights once and sums each pair as a
+one-pair call does. The integral driver builds one Gegenbauer weight
+vector, one midpoint order and one rule, and evaluates every pair on one
+(pairs x nodes) array. The order depends on the time and the minimum
+order only, not on the pair, so each row's value and bound are
 bit-identical to a call on that pair alone. One packer builds the
 KernelEval of every form.
 
@@ -42,6 +41,7 @@ are computed in integers or rationals and converted once.
 from __future__ import annotations
 
 import math
+import operator
 from math import comb, factorial, pi
 
 import numpy as np
@@ -117,10 +117,13 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
 def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, float]:
     """Weights (2m+2nu+n) e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]} of the Gegenbauer sum.
 
-    G(cos u) = sum_m weight_m C_{2m}^{n+2nu}(cos u). Returns the weights for
-    m below the verified truncation, and the tail bound;
-    |C_{2m}(x)| <= C_{2m}(1) gives the cut. Each weight is kept from the
-    bound(m) call that computed its Gaussian.
+    G(cos u) = sum_m weight_m C_{2m}^{lam}(cos u), lam = n + 2nu. Returns the
+    weights for m below the verified truncation, and the tail bound. The
+    cut bounds |C_{2m}^{lam}| by comb(2m+lam-1, 2m) = C_{2m}^{lam/2}(1),
+    which is below the sup C_{2m}^{lam}(1) = comb(2m+2lam-1, 2m) once
+    m >= 1, so the tail bound and the terms kept under-report (ROADMAP
+    item 2). Each weight is kept from the bound(m) call that computed its
+    Gaussian.
     """
     lam = n + two_nu
     decay = _gaussian(n, two_nu, t)
@@ -148,38 +151,30 @@ def _exact_order(two_nu: int, terms: int, min_nodes: int) -> int:
     return max(min_nodes, (two_nu + terms - 1) // 2 + 1)
 
 
-def _bracket_integral(n: int, two_nu: int, times: list, time_of: np.ndarray, cos_rho: np.ndarray,
-                      scale, min_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: np.ndarray, scale,
+                      min_nodes: int) -> tuple[np.ndarray, int, float]:
     """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G_t(cos rho sin phi) dphi for each pair.
 
     cos_rho holds one entry per pair, in [0, 1], scale one per pair or one
-    for all; pair k integrates at time times[time_of[k]]. The pairs of one
-    time form a group with one G, built once, and one midpoint order,
-    _exact_order's, at least min_nodes in [16, 1024], so the quadrature is
-    exact. The call builds one rule per distinct order, and each group
-    evaluates its pairs on one (pairs x nodes) array. Returns (values, and
-    for each time the terms of G and the tail bound of G).
+    for all. The call builds one G and one midpoint rule, of _exact_order's
+    order, at least min_nodes in [16, 1024], so the quadrature is exact, and
+    evaluates every pair on one (pairs x nodes) array. Returns (values, the
+    terms of G, the tail bound of G).
     """
-    if not 16 <= min_nodes <= 1024:
+    try:
+        min_nodes = operator.index(min_nodes)  # a numpy integer passes
+    except TypeError:  # 16.5, 32.0: not an integer
+        pass
+    if not (isinstance(min_nodes, int) and 16 <= min_nodes <= 1024):
         raise ValueError(f"quadrature nodes must be in [16, 1024], got {min_nodes}")
-    cuts = [_gegenbauer_weights(n, two_nu, t) for t in times]
-    scale = np.broadcast_to(scale, cos_rho.shape)
-    values = np.empty(cos_rho.shape, dtype=np.result_type(scale, float))
-    rules = {}
-    for k, (weights, _) in enumerate(cuts):
-        order = _exact_order(two_nu, len(weights), min_nodes)
-        if order not in rules:
-            rules[order] = midpoint_rule(order, 0.0, pi / 2)
-        phi, wphi = rules[order]
-        pairs = np.flatnonzero(time_of == k)
-        c = cos_rho[pairs, None]
-        cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, c * np.sin(phi))
-        # summed term by term, not by BLAS, whose order of summation can depend on
-        # the row count: so a row sums as a one-pair call does
-        g = sum(wm * cm for wm, cm in zip(weights, cvals[0::2]))
-        values[pairs] = scale[pairs] * np.sum(wphi * (c * np.cos(phi)) ** (2 * two_nu) * g, axis=1)
-    return (values, np.array([len(weights) for weights, _ in cuts]),
-            np.array([tail for _, tail in cuts]))
+    weights, tail = _gegenbauer_weights(n, two_nu, t)
+    phi, wphi = midpoint_rule(_exact_order(two_nu, len(weights), min_nodes), 0.0, pi / 2)
+    c = cos_rho[:, None]
+    cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, c * np.sin(phi))
+    # summed term by term, not by BLAS, whose order of summation can depend on
+    # the row count: so a row sums as a one-pair call does
+    g = sum(wm * cm for wm, cm in zip(weights, cvals[0::2]))
+    return scale * np.sum(wphi * (c * np.cos(phi)) ** (2 * two_nu) * g, axis=1), len(weights), tail
 
 
 def _integral_geometry(n: int, z, w) -> tuple[float, complex]:
@@ -214,38 +209,29 @@ def _packed(rows: bool, values, terms_used, bounds) -> KernelEval:
                       error_bound=float(bounds[0]))
 
 
-def _integral(n: int, two_nu: int, t, z, w, nodes: int, what: str, constant) -> KernelEval:
+def _integral(n: int, two_nu: int, t: float, z, w, nodes: int, what: str,
+              constant) -> KernelEval:
     """const conj(q)^{-2nu} int_0^{pi/2} (cos rho cos phi)^{4nu} G(u(phi)) dphi, both forms.
 
-    Checks the time or each row's time, the labels, the rows, each pair's
-    geometry and the time shape, in that order; then const = constant(),
-    whose overflow raises Binary64Overflow naming what.
+    Checks the time, the labels, the rows and each pair's geometry, in that
+    order; then const = constant(), whose overflow raises Binary64Overflow
+    naming what, and then nodes.
     """
-    times = np.ravel(t).tolist()
-    for tk in times:
-        _require_time(tk)
+    _require_time(t)
     SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     pairs, rows = _pairs(z, w)
     geometry = [_integral_geometry(n, a, b) for a, b in pairs]
-    row_times = bool(np.ndim(t))
-    if row_times and not (rows and np.shape(t) == (len(pairs),)):
-        raise DimensionMismatch(f"t must hold one time per row of z and w, got shape "
-                                f"{np.shape(t)} for {len(pairs) if rows else 'one'} pair(s)")
-    first = {}
-    time_of = np.broadcast_to(np.array([first.setdefault(tk, len(first)) for tk in times],
-                                       dtype=int), len(pairs))  # a scalar t serves every pair
     w_factors = [qbar ** (-two_nu) for _, qbar in geometry]  # exactly 1 at nu = 0
     with binary64_range(what):
         const = constant()
         if not math.isfinite(const):
             raise OverflowError
 
-    values, terms, tails = _bracket_integral(
-        n, two_nu, list(first), time_of, np.array([cos_rho for cos_rho, _ in geometry]),
+    values, terms, tail = _bracket_integral(
+        n, two_nu, t, np.array([cos_rho for cos_rho, _ in geometry]),
         np.array([const * w_factor for w_factor in w_factors]), nodes)
-    bounds = [const * abs(w_factor) * (pi / 2) * tail
-              for w_factor, tail in zip(w_factors, tails[time_of].tolist())]
-    return _packed(rows, values, terms[time_of] if row_times else int(terms[0]), bounds)
+    bounds = [const * abs(w_factor) * (pi / 2) * tail for w_factor in w_factors]
+    return _packed(rows, values, terms, bounds)
 
 
 def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 16) -> KernelEval:
@@ -263,13 +249,14 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 16) -
     exact and error_bound is the truncation tail of G alone; rounding is
     not included.
 
+    nodes must be an integer (a numpy integer passes); anything else raises
+    ValueError before G or the rule is built.
+
     z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
-    row; value and error_bound are then shape-(P,) arrays, each entry
-    bit-identical to the call on that row's pair alone (the order depends
-    on the time, not the pair). With rows, t may also be a length-P sequence
-    or 1-D array, one time per row: the rows of one time share their G and
-    their order, the call builds one rule per distinct order, and
-    terms_used is then a shape-(P,) int array. A degenerate row raises
+    row, all at the one time t: they share its G and its rule. value and
+    error_bound are then shape-(P,) arrays, each entry bit-identical to the
+    call on that row's pair alone (the order depends on the time, not the
+    pair), and terms_used stays one int. A degenerate row raises
     AntipodalDegenerate.
     """
     # at 2nu = 85 the product runs to inf before the quotient brings it to ~3.3
@@ -290,8 +277,7 @@ def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 16) -> KernelEv
     with the derivative bracket replaced by 2^{n-1} (n-1)! times the
     Gegenbauer sum. Kept as a literal transcription so it is a genuinely
     independent check of the general-nu constant at nu = 0. z and w may be
-    (P, n) arrays of pairs, and t then one time per row, as in
-    heat_kernel_integral.
+    (P, n) arrays of pairs at the one time t, as in heat_kernel_integral.
     """
     # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
     return _integral(n, 0, t, z, w, nodes,

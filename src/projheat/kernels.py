@@ -50,10 +50,9 @@ class KernelEval:
     """Kernel value with truncation metadata (0 terms for closed forms).
 
     On one pair: a complex value, an int terms_used, a float error_bound.
-    A heat kernel given (P, n) rows of pairs holds shape-(P,) arrays in
-    value (complex) and error_bound (float), one entry per row; terms_used
-    stays one int, except for an integral form given one time per row,
-    where it is a shape-(P,) int array of each row's Gegenbauer terms.
+    A heat kernel given (P, n) rows of pairs, all at its one time, holds
+    shape-(P,) arrays in value (complex) and error_bound (float), one entry
+    per row; terms_used stays one int.
     """
 
     value: complex

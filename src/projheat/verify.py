@@ -247,10 +247,9 @@ def _sample_pair(rng, n: int, rho_max: float = 1.2):
 def suite_heat(seed: int) -> list[Check]:
     """Spectral series vs integral representation (and the nu=0 classical form).
 
-    Each (n, 2nu) draws the pairs of its (n, 2nu, t) cells in turn, then
-    integrates all of them in one array call with one time per row, which
-    builds one rule per distinct midpoint order. The series is summed
-    in one call per cell. Errors are reduced cell by cell, pair by pair.
+    Each (n, 2nu, t) cell draws its pairs, then integrates them in one
+    array call and sums their series in one call, both on the same rows.
+    Errors are reduced cell by cell, pair by pair.
     """
     import numpy as np
 
@@ -259,17 +258,14 @@ def suite_heat(seed: int) -> list[Check]:
     rng = np.random.default_rng(seed)
 
     def rels(n: int, tn: int, times: tuple, count: int, classical: bool = False):
-        pairs = [_sample_pair(rng, n) for _ in times for _ in range(count)]
-        z, w = map(np.array, zip(*pairs))  # (len(times) * count, n) rows, cell by cell
-        t = np.repeat(times, count)
-        integral = (heat_kernel_integral_hi(n, t, z, w) if classical
-                    else heat_kernel_integral(n, tn, t, z, w)).value
-        for k, tk in enumerate(times):
-            cell = slice(k * count, (k + 1) * count)
-            series = heat_kernel_series(n, tn, tk, z[cell], w[cell]).value
+        for t in times:
+            z, w = map(np.array, zip(*(_sample_pair(rng, n) for _ in range(count))))  # (count, n)
+            integral = (heat_kernel_integral_hi(n, t, z, w) if classical
+                        else heat_kernel_integral(n, tn, t, z, w)).value
+            series = heat_kernel_series(n, tn, t, z, w).value
             # tolist: Python complex, as the one-pair series returns, so abs rounds alike
-            for hs, hi in zip(series.tolist(), integral[cell]):
-                yield abs(hs - hi) / (1.0 + abs(hs)), tk
+            for hs, hi in zip(series.tolist(), integral):
+                yield abs(hs - hi) / (1.0 + abs(hs)), t
 
     worst, worst_at = _worst((rel, (n, tn, t)) for n, tn in product((1, 2), (0, 1, 2))
                              for rel, t in rels(n, tn, (0.3, 0.5, 1.0), 5))

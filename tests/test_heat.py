@@ -262,7 +262,7 @@ def test_classical_and_general_forms_agree_to_rounding_at_nu0(n):
     # the forms share everything but the constant's expression, whose binary64
     # values differ in their last bit at n = 7 and n = 9
     z, w = _rows(0.1 + 0.05j, 0.3, -0.2j, n=n), _rows(0.05 - 0.1j, 0.25, 0.1j, n=n)
-    calls = [(0.5, tuple(z[0]), tuple(w[0])), ([0.5, 0.1, 0.5], z, w)]  # one pair; row times
+    calls = [(0.5, tuple(z[0]), tuple(w[0])), (0.5, z, w), (0.1, z, w)]  # one pair; rows twice
     for t, zs, ws in calls:
         hi = np.atleast_1d(heat_kernel_integral_hi(n, t, zs, ws).value)
         gen = np.atleast_1d(heat_kernel_integral(n, 0, t, zs, ws).value)
@@ -270,9 +270,10 @@ def test_classical_and_general_forms_agree_to_rounding_at_nu0(n):
         assert np.array_equal(hi, gen) == (n not in (7, 9))
 
 
-@pytest.mark.parametrize("nodes", [8, 2048])
+@pytest.mark.parametrize("nodes", [8, 2048, 16.5, 32.0])
 def test_quadrature_config_validation(nodes, monkeypatch):
-    # rejected before any rule is built
+    # out of range or not an integer: rejected before any weight or rule is built
+    monkeypatch.setattr(heat, "_gegenbauer_weights", None)
     monkeypatch.setattr(heat, "midpoint_rule", None)
     with pytest.raises(ValueError):
         heat_kernel_integral(1, 1, 0.5, 0.1j, 0.2, nodes=nodes)
@@ -298,10 +299,10 @@ def _exact_order(n: int, two_nu: int, t: float, nodes: int = 16) -> int:
     return max(nodes, (two_nu + terms - 1) // 2 + 1)
 
 
-@pytest.mark.parametrize("nodes", [16, 1024])
+@pytest.mark.parametrize("nodes", [16, 1024, np.int64(1024)], ids=["16", "1024", "int64-1024"])
 def test_integral_builds_one_rule_of_the_exact_order(nodes, monkeypatch):
     # one rule of max(nodes, exact order): 16 nodes are exact at t = 0.5, so nodes = 1024
-    # builds only a 1024-node rule, while t = 1e-3 needs more than 16
+    # builds only a 1024-node rule, while t = 1e-3 needs more than 16; a numpy integer passes
     assert _exact_order(1, 1, 0.5) == _exact_order(1, 0, 0.5) == 16
     assert 16 < _exact_order(1, 1, 1e-3) < 1024 and 16 < _exact_order(1, 0, 1e-3) < 1024
     seen = _recording_rules(monkeypatch)
@@ -326,35 +327,56 @@ def _rows(*points, n: int) -> np.ndarray:
     return np.array([[p] * n for p in points], dtype=complex)
 
 
-# (form, n, 2nu, t, z rows, w rows): pairs near and far from the diagonal at small t
-ROW_BATCHES = [
-    ("general", 3, 1, 1e-3, _rows(0.4 - 0.3j, 0.1, 0.3 + 0.2j, n=3),
-     _rows(0.4 - 0.3j, 0.12, 0.1 - 0.4j, n=3)),
-    ("classical", 2, 0, 7e-4, _rows(0.4 - 0.3j, 0.1, 0.3 + 0.2j, n=2),
-     _rows(0.4 - 0.3j, 0.12, 0.1 - 0.4j, n=2)),
-]
+def _row_batch(n: int):
+    # pairs near and far from the diagonal, and the same points with the partners reversed
+    points = (0.4 - 0.3j, 0.1, 0.3 + 0.2j)
+    partners = (0.4 - 0.3j, 0.12, 0.1 - 0.4j)
+    return _rows(*points, *points, n=n), _rows(*partners, *partners[::-1], n=n)
 
 
-def _integral_form(form: str, n: int, two_nu: int, t: float):
-    if form == "general":
-        return lambda z, w: heat_kernel_integral(n, two_nu, t, z, w)
-    return lambda z, w: heat_kernel_integral_hi(n, t, z, w)
+def _heat_form(form: str, n: int, two_nu: int, t: float):
+    return {"general": lambda z, w: heat_kernel_integral(n, two_nu, t, z, w),
+            "classical": lambda z, w: heat_kernel_integral_hi(n, t, z, w),
+            "series": lambda z, w: heat_kernel_series(n, two_nu, t, z, w)}[form]
 
 
-@pytest.mark.parametrize("form,n,two_nu,t,z,w", ROW_BATCHES, ids=[b[0] for b in ROW_BATCHES])
-def test_integral_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu, t, z, w):
-    integral = _integral_form(form, n, two_nu, t)
-    order = _exact_order(n, two_nu, t)
-    seen = _recording_rules(monkeypatch)
-    rows = integral(z, w)
-    assert seen == [order]
+def _recording_builds(monkeypatch) -> list:
+    """What heat builds from here on: each rule's order, and each weight vector's arguments."""
+    built = []
+    for name in ("midpoint_rule", "_gegenbauer_weights", "_series_weights"):
+        monkeypatch.setattr(heat, name, lambda *args, name=name, f=getattr(heat, name):
+                            built.append((name, *args)) or f(*args))
+    return built
+
+
+# (form, n, 2nu, t): the integral forms at small t, where the rule needs more than 16 nodes
+ROW_BATCHES = [("general", 3, 1, 1e-3), ("classical", 2, 0, 7e-4),
+               ("series", 1, 1, 0.5), ("series", 2, 0, 1e-3), ("series", 3, 2, 0.05)]
+
+
+@pytest.mark.parametrize("form,n,two_nu,t", ROW_BATCHES,
+                         ids=["-".join(map(str, batch)) for batch in ROW_BATCHES])
+def test_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu, t):
+    # a call on rows builds once what a one-pair call builds: the series its weights, an
+    # integral its G and its one rule
+    heat_form = _heat_form(form, n, two_nu, t)
+    z, w = _row_batch(n)
+    built = _recording_builds(monkeypatch)
+    rows = heat_form(z, w)
+    once = list(built)
+    if form == "series":
+        assert [b[0] for b in once] == ["_series_weights"]
+    else:
+        assert once == [("_gegenbauer_weights", n, two_nu, t),
+                        ("midpoint_rule", _exact_order(n, two_nu, t), 0.0, pi / 2)]
+        assert _exact_order(n, two_nu, t) > 16
     assert rows.value.shape == rows.error_bound.shape == (len(z),)
     assert rows.value.dtype == complex and rows.error_bound.dtype == float
-    assert isinstance(rows.terms_used, int)  # one time for all rows
+    assert isinstance(rows.terms_used, int)
     for k in range(len(z)):
-        seen.clear()
-        one = integral(tuple(z[k]), tuple(w[k]))
-        assert seen == [order]
+        built.clear()
+        one = heat_form(tuple(z[k]), tuple(w[k]))
+        assert built == once
         assert np.array([one.value]).tobytes() == rows.value[k:k + 1].tobytes()
         assert np.array([one.error_bound]).tobytes() == rows.error_bound[k:k + 1].tobytes()
         assert one.terms_used == rows.terms_used
@@ -377,12 +399,11 @@ def test_bracket_integral_equals_the_one_pair_loop_bit_for_bit(n, two_nu, t, nod
     rng = np.random.default_rng(n * 10 + two_nu)
     cos_rho = rng.uniform(0.3, 1.0, 12)
     scale = rng.normal(size=12) + 1j * rng.normal(size=12)
-    values, terms, tails = heat._bracket_integral(n, two_nu, [t], np.zeros(12, int), cos_rho,
-                                                  scale, nodes)
+    values, terms, tail = heat._bracket_integral(n, two_nu, t, cos_rho, scale, nodes)
     for k in range(12):
         value, terms_k, tail_k = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k], nodes)
         assert values[k:k + 1].tobytes() == np.array([value]).tobytes()
-        assert (terms.tolist(), tails.tolist()) == ([terms_k], [tail_k])
+        assert (terms, tail) == (terms_k, tail_k)
 
 
 @functools.cache
@@ -421,7 +442,7 @@ def test_certified_quadrature_rule_is_exact(n, two_nu, t):
     # few ulps of the argument x = cos rho sin phi, to which G is sensitive near the
     # diagonal (G'/G ~ 1/(2t)). The worst case uses 3.1 of the 64
     cos_rho = np.array([0.9999, 0.5, 0.1])
-    values, _, _ = heat._bracket_integral(n, two_nu, [t], np.zeros(3, int), cos_rho, 1.0, 16)
+    values, _, _ = heat._bracket_integral(n, two_nu, t, cos_rho, 1.0, 16)
     weights, _ = heat._gegenbauer_weights(n, two_nu, t)
     reference, terms, sensitivity = _bracket_parts(n, two_nu, weights, cos_rho,
                                                    *_reference_rule())
@@ -462,7 +483,7 @@ def test_exact_order_is_the_fewest_nodes_that_integrate_the_bracket(two_nu, term
 
 @pytest.mark.parametrize("form", ["general", "classical"])
 def test_integral_rows_reject_degenerate_and_misshapen_pairs(form):
-    integral = _integral_form(form, 1, 0, 0.5)
+    integral = _heat_form(form, 1, 0, 0.5)
     z = np.array([[0.3 + 0.2j], [1.0]])
     with pytest.raises(AntipodalDegenerate):
         integral(z, np.array([[0.1 - 0.4j], [-1.0]]))  # the second row is antipodal
@@ -473,91 +494,11 @@ def test_integral_rows_reject_degenerate_and_misshapen_pairs(form):
             integral(z, bad_w)
 
 
-# one time per row, unsorted and repeated: the smaller times need more nodes
-ROW_TIMES = [1e-3, 7e-4, 0.5, 0.05, 1e-3, 0.5]
-
-
-def _row_time_batch(n: int):
-    points = (0.4 - 0.3j, 0.1, 0.3 + 0.2j)
-    partners = (0.4 - 0.3j, 0.12, 0.1 - 0.4j)
-    return _rows(*points, *points, n=n), _rows(*partners, *partners[::-1], n=n)
-
-
-def _integral_at(form: str, n: int, two_nu: int):
-    if form == "general":
-        return lambda t, z, w: heat_kernel_integral(n, two_nu, t, z, w)
-    return lambda t, z, w: heat_kernel_integral_hi(n, t, z, w)
-
-
-@pytest.mark.parametrize("form,n,two_nu", [("general", 3, 1), ("general", 3, 2),
-                                           ("classical", 3, 0)])
-@pytest.mark.parametrize("as_array", [True, False], ids=["ndarray", "list"])
-def test_integral_row_times_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu,
-                                                             as_array):
-    integral = _integral_at(form, n, two_nu)
-    z, w = _row_time_batch(n)
-    seen = _recording_rules(monkeypatch)
-    rows = integral(np.array(ROW_TIMES) if as_array else ROW_TIMES, z, w)
-    rules = list(seen)
-    assert rows.value.shape == rows.error_bound.shape == rows.terms_used.shape == (len(z),)
-    assert rows.terms_used.dtype.kind == "i"
-    orders, terms = [], []
-    for k, t in enumerate(ROW_TIMES):
-        seen.clear()
-        one = integral(t, tuple(z[k]), tuple(w[k]))
-        orders += seen
-        terms.append(one.terms_used)
-        assert np.array([one.value]).tobytes() == rows.value[k:k + 1].tobytes()
-        assert np.array([one.error_bound]).tobytes() == rows.error_bound[k:k + 1].tobytes()
-    assert rows.terms_used.tolist() == terms and len(set(terms)) == 4  # one G per time
-    assert orders == [_exact_order(n, two_nu, t) for t in ROW_TIMES]
-    assert rules == list(dict.fromkeys(orders)) and len(rules) >= 3  # one rule per order
-
-
-@pytest.mark.parametrize("n,two_nu,t", [(1, 1, 0.5), (2, 0, 1e-3), (3, 2, 0.05)])
-def test_series_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, n, two_nu, t):
-    z, w = _row_time_batch(n)
-    built = []
-    monkeypatch.setattr(heat, "_series_weights",
-                        lambda *args, f=heat._series_weights: built.append(args) or f(*args))
-    rows = heat_kernel_series(n, two_nu, t, z, w)
-    assert len(built) == 1
-    assert rows.value.shape == rows.error_bound.shape == (len(z),)
-    assert rows.value.dtype == complex and rows.error_bound.dtype == float
-    assert isinstance(rows.terms_used, int)
-    for k in range(len(z)):
-        one = heat_kernel_series(n, two_nu, t, tuple(z[k]), tuple(w[k]))
-        assert np.array([one.value]).tobytes() == rows.value[k:k + 1].tobytes()
-        assert np.array([one.error_bound]).tobytes() == rows.error_bound[k:k + 1].tobytes()
-        assert one.terms_used == rows.terms_used
-
-
 def test_series_rows_reject_misshapen_pairs():
     z = np.array([[0.3 + 0.2j], [0.5j]])
     for bad_w in (np.array([[0.1 - 0.4j]]), (0.1 - 0.4j,)):
         with pytest.raises(DimensionMismatch):
             heat_kernel_series(1, 1, 0.5, z, bad_w)
-
-
-@pytest.mark.parametrize("form", ["general", "classical"])
-def test_integral_row_times_reject_misshapen_times(form):
-    integral = _integral_at(form, 1, 1)
-    z, w = _row_time_batch(1)
-    for t, zs, ws in ((ROW_TIMES[:1], (0.3 + 0.2j,), (0.1 - 0.4j,)),  # times without rows
-                      (ROW_TIMES[:-1], z, w),  # one time short
-                      (ROW_TIMES + [0.5], z, w),  # one time over
-                      (np.array([ROW_TIMES]), z, w)):  # a (1, P) array
-        with pytest.raises(DimensionMismatch):
-            integral(t, zs, ws)
-
-
-@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
-@pytest.mark.parametrize("form", ["general", "classical"])
-def test_integral_row_times_reject_bad_entries(form, bad):
-    integral = _integral_at(form, 1, 1)
-    z, w = _row_time_batch(1)
-    with pytest.raises(NonPositiveTime):
-        integral(ROW_TIMES[:3] + [bad] + ROW_TIMES[4:], z, w)
 
 
 def test_trace_large_t_limit():

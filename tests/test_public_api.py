@@ -162,8 +162,7 @@ def test_label_and_time_rules(entry, arg, bad):
         call(**args)
 
 
-# a sequence of times is a shape question at the integral forms, which take one time per row
-ONE_TIME = [e for e, (_, takes) in LABELLED.items() if "t" in takes.split() and "integral" not in e]
+ONE_TIME = [e for e, (_, takes) in LABELLED.items() if "t" in takes.split()]
 NOT_ONE_TIME = {"list": [0.5, 0.1], "tuple": (0.5,), "ndarray1": np.array([0.5]),
                 "ndarray2": np.array([0.5, 0.2])}
 
