@@ -162,7 +162,7 @@ def cmd_heat_eval(args):
         payload["series"] = _kernel_eval_dict(ks)
         rows.append(["series", ks.value.real, ks.value.imag, ks.terms_used, ks.error_bound])
     if args.method in ("integral", "both"):
-        ki = heat_kernel_integral(n, two_nu, t, z, w, nodes=args.nodes)
+        ki = heat_kernel_integral(n, two_nu, t, z, w)
         payload["integral"] = _kernel_eval_dict(ki)
         rows.append(["integral", ki.value.real, ki.value.imag, ki.terms_used, ki.error_bound])
     if args.method == "both":
@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_positive_float("--eps"), default=1e-10)
     p.add_argument("--nodes", type=_checked("--nodes", int, lambda v: 16 <= v <= 1024,
                                             "in [16, 1024]"), default=16,
-                   help="minimum order of the integral form's quadrature: one midpoint "
-                        "rule of max(nodes, exact order) nodes is built, which integrates "
-                        "the Gegenbauer bracket exactly, so errorBound is the truncation "
-                        "tail alone; rounding is not included")
+                   help="no effect, accepted for old command lines: the integral form "
+                        "builds one midpoint rule of the order that integrates the "
+                        "Gegenbauer bracket exactly, so errorBound is the truncation tail "
+                        "alone; rounding is not included")
 
     p = add_command("trace-compare", cmd_trace_compare, "direct trace vs asymptotic expansion",
                     "--n", "--nu", "--J")

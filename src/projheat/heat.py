@@ -28,9 +28,9 @@ fixed, so results are reproducible for a given numpy.
 Every form takes one time, and also (P, n) arrays of point pairs, which
 share it. The series builds its weights once and sums each pair as a
 one-pair call does. The integral driver builds one Gegenbauer weight
-vector, one midpoint order and one rule, and evaluates every pair on one
-(pairs x nodes) array. The order depends on the time and the minimum
-order only, not on the pair, so each row's value and bound are
+vector and one midpoint rule, and evaluates every pair on one
+(pairs x nodes) array. The rule's order follows from 2nu and the terms of
+G alone, not from the pair, so each row's value and bound are
 bit-identical to a call on that pair alone. One packer builds the
 KernelEval of every form.
 
@@ -41,7 +41,6 @@ are computed in integers or rationals and converted once.
 from __future__ import annotations
 
 import math
-import operator
 from math import comb, factorial, pi
 
 import numpy as np
@@ -138,37 +137,30 @@ def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, floa
     return np.array([weights[m] for m in range(len(bounds))]), tail
 
 
-def _exact_order(two_nu: int, terms: int, min_nodes: int) -> int:
-    """Midpoint order that integrates the bracket of a G of the given terms exactly.
+def _exact_order(two_nu: int, terms: int) -> int:
+    """Fewest midpoint nodes that integrate the bracket of a G of the given terms exactly.
 
     (cos phi)^{4nu} = (1 - sin^2 phi)^{2nu} and the even G of degree
     2 (terms - 1) make the integrand a polynomial of degree
     K = 2nu + terms - 1 in sin^2 phi = (1 - cos 2 phi) / 2, so a cosine
     polynomial of degree K in 2 phi; the midpoint rule of N nodes on
-    [0, pi/2] is exact for it once 2N > K. The order is the larger of that
-    and min_nodes, and depends on (2nu, terms, min_nodes) only.
+    [0, pi/2] is exact for it once 2N > K, so N = K // 2 + 1.
     """
-    return max(min_nodes, (two_nu + terms - 1) // 2 + 1)
+    return (two_nu + terms - 1) // 2 + 1
 
 
-def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: np.ndarray, scale,
-                      min_nodes: int) -> tuple[np.ndarray, int, float]:
+def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: np.ndarray,
+                      scale) -> tuple[np.ndarray, int, float]:
     """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G_t(cos rho sin phi) dphi for each pair.
 
     cos_rho holds one entry per pair, in [0, 1], scale one per pair or one
-    for all. The call builds one G and one midpoint rule, of _exact_order's
-    order, at least min_nodes in [16, 1024], so the quadrature is exact, and
-    evaluates every pair on one (pairs x nodes) array. Returns (values, the
-    terms of G, the tail bound of G).
+    for all. The call builds one G and one midpoint rule of _exact_order's
+    order, so the quadrature is exact, and evaluates every pair on one
+    (pairs x nodes) array. Returns (values, the terms of G, the tail bound
+    of G).
     """
-    try:
-        min_nodes = operator.index(min_nodes)  # a numpy integer passes
-    except TypeError:  # 16.5, 32.0: not an integer
-        pass
-    if not (isinstance(min_nodes, int) and 16 <= min_nodes <= 1024):
-        raise ValueError(f"quadrature nodes must be in [16, 1024], got {min_nodes}")
     weights, tail = _gegenbauer_weights(n, two_nu, t)
-    phi, wphi = midpoint_rule(_exact_order(two_nu, len(weights), min_nodes), 0.0, pi / 2)
+    phi, wphi = midpoint_rule(_exact_order(two_nu, len(weights)), 0.0, pi / 2)
     c = cos_rho[:, None]
     cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, c * np.sin(phi))
     # summed term by term, not by BLAS, whose order of summation can depend on
@@ -209,13 +201,12 @@ def _packed(rows: bool, values, terms_used, bounds) -> KernelEval:
                       error_bound=float(bounds[0]))
 
 
-def _integral(n: int, two_nu: int, t: float, z, w, nodes: int, what: str,
-              constant) -> KernelEval:
+def _integral(n: int, two_nu: int, t: float, z, w, what: str, constant) -> KernelEval:
     """const conj(q)^{-2nu} int_0^{pi/2} (cos rho cos phi)^{4nu} G(u(phi)) dphi, both forms.
 
     Checks the time, the labels, the rows and each pair's geometry, in that
     order; then const = constant(), whose overflow raises Binary64Overflow
-    naming what, and then nodes.
+    naming what.
     """
     _require_time(t)
     SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
@@ -229,12 +220,12 @@ def _integral(n: int, two_nu: int, t: float, z, w, nodes: int, what: str,
 
     values, terms, tail = _bracket_integral(
         n, two_nu, t, np.array([cos_rho for cos_rho, _ in geometry]),
-        np.array([const * w_factor for w_factor in w_factors]), nodes)
+        np.array([const * w_factor for w_factor in w_factors]))
     bounds = [const * abs(w_factor) * (pi / 2) * tail for w_factor in w_factors]
     return _packed(rows, values, terms, bounds)
 
 
-def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 16) -> KernelEval:
+def heat_kernel_integral(n: int, two_nu: int, t: float, z, w) -> KernelEval:
     """Integral-representation heat kernel, with the exact Gegenbauer bracket.
 
     H_nu(t,z,w) = (2 Gamma(n+2nu) 4^{2nu} (2nu)! / ((4nu)! pi^{n+1}))
@@ -243,24 +234,20 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 16) -
     with G the weighted Gegenbauer sum and e^{4t(nu^2+n^2/4)} folded into G.
     The constant carries the 1/Gamma(1/2) that the Jacobi-to-Gegenbauer
     integral representation requires (cross-checked against the series).
-    nodes in [16, 1024] is the minimum order of the one midpoint rule built,
-    which has max(nodes, exact order) nodes: the integrand is a cosine
-    polynomial of known degree (see _exact_order), so the quadrature is
-    exact and error_bound is the truncation tail of G alone; rounding is
-    not included.
-
-    nodes must be an integer (a numpy integer passes); anything else raises
-    ValueError before G or the rule is built.
+    The integrand is a cosine polynomial of known degree, so the one
+    midpoint rule built, of _exact_order's order, integrates it exactly and
+    error_bound is the truncation tail of G alone; rounding is not
+    included.
 
     z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
     row, all at the one time t: they share its G and its rule. value and
     error_bound are then shape-(P,) arrays, each entry bit-identical to the
-    call on that row's pair alone (the order depends on the time, not the
-    pair), and terms_used stays one int. A degenerate row raises
+    call on that row's pair alone (the order depends on 2nu and the time,
+    not the pair), and terms_used stays one int. A degenerate row raises
     AntipodalDegenerate.
     """
     # at 2nu = 85 the product runs to inf before the quotient brings it to ~3.3
-    return _integral(n, two_nu, t, z, w, nodes,
+    return _integral(n, two_nu, t, z, w,
                      "the integral-form constant 2 Gamma(n+2nu) 4^{2nu} (2nu)!/(4nu)!",
                      lambda: 2.0
                      * factorial(n + two_nu - 1)
@@ -269,18 +256,19 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w, nodes: int = 16) -
                      / (factorial(2 * two_nu) * pi ** (n + 1)))
 
 
-def heat_kernel_integral_hi(n: int, t: float, z, w, nodes: int = 16) -> KernelEval:
+def heat_kernel_integral_hi(n: int, t: float, z, w) -> KernelEval:
     """The nu = 0 integral representation with its classical constant.
 
     H_0 = e^{n^2 t} / (2^{n-2} pi^{n+1}) int_rho^{pi/2}
           (cos^2 rho - cos^2 u)^{-1/2} (-1/sin u d/du)^n Theta_{n+1} (-d cos u),
     with the derivative bracket replaced by 2^{n-1} (n-1)! times the
     Gegenbauer sum. Kept as a literal transcription so it is a genuinely
-    independent check of the general-nu constant at nu = 0. z and w may be
-    (P, n) arrays of pairs at the one time t, as in heat_kernel_integral.
+    independent check of the general-nu constant at nu = 0. Its one
+    midpoint rule is exact, as in heat_kernel_integral, and z and w may be
+    (P, n) arrays of pairs at the one time t.
     """
     # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
-    return _integral(n, 0, t, z, w, nodes,
+    return _integral(n, 0, t, z, w,
                      "the classical constant 2^{n-1} (n-1)!/(2^{n-2} pi^{n+1})",
                      lambda: (1.0 / (2.0 ** (n - 2) * pi ** (n + 1)))
                      * 2.0 ** (n - 1) * factorial(n - 1))

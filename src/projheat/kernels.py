@@ -13,6 +13,7 @@ required to be uniform across all (m, nu) by the tests.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,10 +62,12 @@ class KernelEval:
 
 
 def as_point(coords) -> ProjPoint:
-    """Coerce a scalar or sequence of complex numbers to a chart point."""
-    if isinstance(coords, (complex, float, int)):
-        return (complex(coords),)
-    return tuple(complex(c) for c in coords)
+    """Coerce a scalar or sequence of complex numbers to a chart point of finite coordinates."""
+    point = ((complex(coords),) if isinstance(coords, (complex, float, int))
+             else tuple(complex(c) for c in coords))
+    if not all(map(cmath.isfinite, point)):
+        raise ValueError(f"non-finite coordinate in the point {point}")
+    return point
 
 
 def herm(z: ProjPoint, w: ProjPoint) -> complex:

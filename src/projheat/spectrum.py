@@ -9,6 +9,7 @@ exact rational arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,13 +31,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """Eigenspace label: complex dimension n, integer 2*nu, level m."""
+    """Eigenspace label: complex dimension n, 2*nu, level m, each an integer (numpy's too)."""
 
     n: int
     two_nu: int
     m: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "two_nu", "m"):
+            try:
+                operator.index(getattr(self, name))  # a numpy integer passes
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.two_nu < 0:
@@ -90,8 +96,8 @@ def _product_dimension(n: int, two_nu: int, m: int) -> int:
     den = factorial(n) * factorial(n - 1)
     dim, rest = divmod(num, den)
     if rest or dim <= 0:
-        raise NonIntegerDimension(f"dimension {Fraction(num, den)} at "
-                                  f"{SpectralPoint(n, two_nu, m)} is not a positive integer")
+        raise NonIntegerDimension(f"dimension {Fraction(num, den)} at SpectralPoint(n={n!r}, "
+                                  f"two_nu={two_nu!r}, m={m!r}) is not a positive integer")
     return dim
 
 

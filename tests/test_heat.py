@@ -270,17 +270,6 @@ def test_classical_and_general_forms_agree_to_rounding_at_nu0(n):
         assert np.array_equal(hi, gen) == (n not in (7, 9))
 
 
-@pytest.mark.parametrize("nodes", [8, 2048, 16.5, 32.0])
-def test_quadrature_config_validation(nodes, monkeypatch):
-    # out of range or not an integer: rejected before any weight or rule is built
-    monkeypatch.setattr(heat, "_gegenbauer_weights", None)
-    monkeypatch.setattr(heat, "midpoint_rule", None)
-    with pytest.raises(ValueError):
-        heat_kernel_integral(1, 1, 0.5, 0.1j, 0.2, nodes=nodes)
-    with pytest.raises(ValueError):
-        heat_kernel_integral_hi(1, 0.5, 0.1j, 0.2, nodes=nodes)
-
-
 def _recording_rules(monkeypatch) -> list:
     """The orders of the midpoint rules heat builds from here on."""
     seen = []
@@ -293,34 +282,34 @@ def _recording_rules(monkeypatch) -> list:
     return seen
 
 
-def _exact_order(n: int, two_nu: int, t: float, nodes: int = 16) -> int:
-    # more than half the integrand's degree 2nu + terms - 1 in sin^2 phi, and at least nodes
+def _exact_order(n: int, two_nu: int, t: float) -> int:
+    # more than half the integrand's degree 2nu + terms - 1 in sin^2 phi
     terms = len(heat._gegenbauer_weights(n, two_nu, t)[0])
-    return max(nodes, (two_nu + terms - 1) // 2 + 1)
+    return (two_nu + terms - 1) // 2 + 1
 
 
-@pytest.mark.parametrize("nodes", [16, 1024, np.int64(1024)], ids=["16", "1024", "int64-1024"])
-def test_integral_builds_one_rule_of_the_exact_order(nodes, monkeypatch):
-    # one rule of max(nodes, exact order): 16 nodes are exact at t = 0.5, so nodes = 1024
-    # builds only a 1024-node rule, while t = 1e-3 needs more than 16; a numpy integer passes
-    assert _exact_order(1, 1, 0.5) == _exact_order(1, 0, 0.5) == 16
+def test_integral_builds_one_rule_of_the_exact_order(monkeypatch):
+    # one rule of the exact order alone: a few nodes at t = 0.5, more than 16 at t = 1e-3
+    assert _exact_order(1, 1, 0.5) < 16 and _exact_order(1, 0, 0.5) < 16
     assert 16 < _exact_order(1, 1, 1e-3) < 1024 and 16 < _exact_order(1, 0, 1e-3) < 1024
     seen = _recording_rules(monkeypatch)
     for t in (0.5, 1e-3):
         seen.clear()
-        k = heat_kernel_integral(1, 1, t, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
-        assert seen == [_exact_order(1, 1, t, nodes)] and k.error_bound > 0
+        k = heat_kernel_integral(1, 1, t, 0.3 + 0.2j, 0.1 - 0.4j)
+        assert seen == [_exact_order(1, 1, t)] and k.error_bound > 0
         seen.clear()
-        heat_kernel_integral_hi(1, t, 0.3 + 0.2j, 0.1 - 0.4j, nodes=nodes)
-        assert seen == [_exact_order(1, 0, t, nodes)]
+        heat_kernel_integral_hi(1, t, 0.3 + 0.2j, 0.1 - 0.4j)
+        assert seen == [_exact_order(1, 0, t)]
 
 
 def test_integral_whose_sum_underflows_builds_the_minimum_rule(monkeypatch):
-    # at t = 1000 and 2nu = 3 every Gegenbauer weight underflows to 0
-    assert not heat._gegenbauer_weights(1, 3, 1000.0)[0].any()
+    # at t = 1000 and 2nu = 3 every Gegenbauer weight underflows to 0, but the terms
+    # _gegenbauer_weights keeps (8, its minimum) still set the order: (3 + 8 - 1)//2 + 1 = 6
+    weights = heat._gegenbauer_weights(1, 3, 1000.0)[0]
+    assert len(weights) == 8 and not weights.any()
     seen = _recording_rules(monkeypatch)
-    k = heat_kernel_integral(1, 3, 1000.0, 0.3 + 0.2j, 0.1 - 0.4j, nodes=32)
-    assert seen == [32] and (k.value, k.error_bound) == (0.0, 0.0)
+    k = heat_kernel_integral(1, 3, 1000.0, 0.3 + 0.2j, 0.1 - 0.4j)
+    assert seen == [6] and (k.value, k.error_bound) == (0.0, 0.0)
 
 
 def _rows(*points, n: int) -> np.ndarray:
@@ -382,26 +371,26 @@ def test_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu, t):
         assert one.terms_used == rows.terms_used
 
 
-def _one_pair_bracket(n, two_nu, t, cos_rho, scale, nodes):
-    # one pair on its own rule of max(nodes, exact order)
+def _one_pair_bracket(n, two_nu, t, cos_rho, scale):
+    # one pair on its own rule of the exact order
     from projheat.orthopoly import gegenbauer_values
 
     weights, tail = heat._gegenbauer_weights(n, two_nu, t)
-    phi, wphi = midpoint_rule(_exact_order(n, two_nu, t, nodes), 0.0, pi / 2)
+    phi, wphi = midpoint_rule(_exact_order(n, two_nu, t), 0.0, pi / 2)
     cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, cos_rho * np.sin(phi))
     g = sum(wm * cm for wm, cm in zip(weights, cvals[0::2]))
     value = scale * float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
     return value, len(weights), tail
 
 
-@pytest.mark.parametrize("n,two_nu,t,nodes", [(1, 1, 0.3, 16), (2, 2, 0.05, 16), (3, 0, 0.5, 128)])
-def test_bracket_integral_equals_the_one_pair_loop_bit_for_bit(n, two_nu, t, nodes):
+@pytest.mark.parametrize("n,two_nu,t,pairs", [(1, 1, 0.3, 16), (2, 2, 0.05, 16), (3, 0, 0.5, 128)])
+def test_bracket_integral_equals_the_one_pair_loop_bit_for_bit(n, two_nu, t, pairs):
     rng = np.random.default_rng(n * 10 + two_nu)
-    cos_rho = rng.uniform(0.3, 1.0, 12)
-    scale = rng.normal(size=12) + 1j * rng.normal(size=12)
-    values, terms, tail = heat._bracket_integral(n, two_nu, t, cos_rho, scale, nodes)
-    for k in range(12):
-        value, terms_k, tail_k = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k], nodes)
+    cos_rho = rng.uniform(0.3, 1.0, pairs)
+    scale = rng.normal(size=pairs) + 1j * rng.normal(size=pairs)
+    values, terms, tail = heat._bracket_integral(n, two_nu, t, cos_rho, scale)
+    for k in range(pairs):
+        value, terms_k, tail_k = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k])
         assert values[k:k + 1].tobytes() == np.array([value]).tobytes()
         assert (terms, tail) == (terms_k, tail_k)
 
@@ -440,9 +429,9 @@ def test_certified_quadrature_rule_is_exact(n, two_nu, t):
     # the quadrature term is 0, so |I_N - I_2048| <= 64 2^-53 (terms + sum w|x df/dx|):
     # rounding alone, in G's terms, which cancel far from the diagonal at small t, and in a
     # few ulps of the argument x = cos rho sin phi, to which G is sensitive near the
-    # diagonal (G'/G ~ 1/(2t)). The worst case uses 3.1 of the 64
+    # diagonal (G'/G ~ 1/(2t)). The worst case uses 9.3 of the 64
     cos_rho = np.array([0.9999, 0.5, 0.1])
-    values, _, _ = heat._bracket_integral(n, two_nu, t, cos_rho, 1.0, 16)
+    values, _, _ = heat._bracket_integral(n, two_nu, t, cos_rho, 1.0)
     weights, _ = heat._gegenbauer_weights(n, two_nu, t)
     reference, terms, sensitivity = _bracket_parts(n, two_nu, weights, cos_rho,
                                                    *_reference_rule())
@@ -470,7 +459,7 @@ def test_exact_order_is_the_fewest_nodes_that_integrate_the_bracket(two_nu, term
     lam, degree = n + two_nu, 2 * (terms - 1)
     exact = float(mp.quad(lambda p: mp.cos(p) ** (2 * two_nu) * mp.gegenbauer(degree, lam, mp.sin(p)),
                           [0, mp.pi / 2]))
-    order = heat._exact_order(two_nu, terms, 1)
+    order = heat._exact_order(two_nu, terms)
     assert order == (two_nu + terms - 1) // 2 + 1
     errors = []
     for nodes in (order, order - 1):

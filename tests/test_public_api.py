@@ -149,7 +149,7 @@ LABELLED = {
         lambda n, two_nu, t: kernels.kernel_diagonal_volume_check(n, two_nu, 0), "n two_nu"),
     "monopole_basis": (lambda n, two_nu, t: kernels.monopole_basis(two_nu, 0, 0, 0.3j), "two_nu"),
 }
-BAD = {"n": [0], "two_nu": [-1], "t": [0.0, math.nan, math.inf, 0.5 + 0j]}
+BAD = {"n": [0, 1.5], "two_nu": [-1, 0.5], "t": [0.0, math.nan, math.inf, 0.5 + 0j]}
 CASES = [(entry, arg, bad) for entry, (_, takes) in LABELLED.items()
          for arg in takes.split() for bad in BAD[arg]]
 
@@ -160,6 +160,29 @@ def test_label_and_time_rules(entry, arg, bad):
     args = {"n": 1, "two_nu": 1, "t": 0.5, arg: bad}
     with pytest.raises(NonPositiveTime if arg == "t" else ValueError):
         call(**args)
+
+
+@pytest.mark.parametrize("entry", [e for e, (_, takes) in LABELLED.items() if takes != "t"])
+def test_numpy_integer_labels_are_accepted(entry):
+    call, _ = LABELLED[entry]
+    assert call(n=np.int64(1), two_nu=np.int32(1), t=0.5) == call(n=1, two_nu=1, t=0.5)
+
+
+# entry -> call(z, w) on one pair of n = 1 chart points
+POINTED = {
+    "heat_kernel_series": lambda z, w: heat_kernel_series(1, 1, 0.5, z, w),
+    "heat_kernel_integral": lambda z, w: heat_kernel_integral(1, 1, 0.5, z, w),
+    "heat_kernel_integral_hi": lambda z, w: heat_kernel_integral_hi(1, 0.5, z, w),
+    "reproducing_kernel": lambda z, w: kernels.reproducing_kernel(1, 1, 1, z, w),
+    "fs_distance": kernels.fs_distance,
+}
+
+
+@pytest.mark.parametrize("entry", POINTED)
+def test_non_finite_coordinate_is_rejected(entry):
+    for z, w in (((math.nan,), W), (Z, (complex(0.1, math.inf),))):
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            POINTED[entry](z, w)
 
 
 ONE_TIME = [e for e, (_, takes) in LABELLED.items() if "t" in takes.split()]

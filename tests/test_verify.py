@@ -99,8 +99,8 @@ def _heat_checks_one_pair_at_a_time(seed: int) -> list[verify.Check]:
 
 @pytest.mark.parametrize("seed", [1, 7, 12345])
 def test_heat_suite_integrates_each_cell_in_one_call(monkeypatch, seed):
-    # 22 (n, 2nu, t) cells, each integrated exactly by 16 nodes in one integral call: one rule
-    # and one weight vector of each kind per cell
+    # 22 (n, 2nu, t) cells, each integrated in one integral call by one rule of its exact
+    # order (2nu + M - 1)//2 + 1, M the terms of its G, and one weight vector of each kind
     from projheat import heat
 
     rules, weights, series_weights = [], [], []
@@ -111,9 +111,11 @@ def test_heat_suite_integrates_each_cell_in_one_call(monkeypatch, seed):
     monkeypatch.setattr(heat, "_series_weights",
                         lambda *args, f=heat._series_weights: series_weights.append(args) or f(*args))
     checks = verify.run_verify("heat", seed=seed)
-    assert rules == [16] * 22
     cells = ([(n, tn, t) for n, tn, t in product((1, 2), (0, 1, 2), (0.3, 0.5, 1.0))]
              + [(n, 0, t) for n, t in product((1, 2), (0.3, 1.0))])
     assert weights == cells and [args[:3] for args in series_weights] == cells
     monkeypatch.undo()
+    orders = [(tn + len(heat._gegenbauer_weights(n, tn, t)[0]) - 1) // 2 + 1
+              for n, tn, t in cells]
+    assert rules == orders and set(orders) <= set(range(4, 8))
     assert checks == _heat_checks_one_pair_at_a_time(seed)
