@@ -288,18 +288,24 @@ def _exact_order(n: int, two_nu: int, t: float) -> int:
     return (two_nu + terms - 1) // 2 + 1
 
 
-def test_integral_builds_one_rule_of_the_exact_order(monkeypatch):
-    # one rule of the exact order alone: a few nodes at t = 0.5, more than 16 at t = 1e-3
+@pytest.mark.parametrize("pairs", [16, 1024, np.int64(1024)], ids=["16", "1024", "int64-1024"])
+def test_integral_builds_one_rule_of_the_exact_order(pairs, monkeypatch):
+    # one rule of the exact order alone, for one pair or for rows of any number of pairs
+    # (a numpy integer count too): a few nodes at t = 0.5, more than 16 at t = 1e-3
     assert _exact_order(1, 1, 0.5) < 16 and _exact_order(1, 0, 0.5) < 16
     assert 16 < _exact_order(1, 1, 1e-3) < 1024 and 16 < _exact_order(1, 0, 1e-3) < 1024
+    rng = np.random.default_rng(int(pairs))
+    z, w = (0.3 * (rng.uniform(-1, 1, (pairs, 1)) + 1j * rng.uniform(-1, 1, (pairs, 1)))
+            for _ in range(2))
     seen = _recording_rules(monkeypatch)
     for t in (0.5, 1e-3):
-        seen.clear()
-        k = heat_kernel_integral(1, 1, t, 0.3 + 0.2j, 0.1 - 0.4j)
-        assert seen == [_exact_order(1, 1, t)] and k.error_bound > 0
-        seen.clear()
-        heat_kernel_integral_hi(1, t, 0.3 + 0.2j, 0.1 - 0.4j)
-        assert seen == [_exact_order(1, 0, t)]
+        for a, b in ((0.3 + 0.2j, 0.1 - 0.4j), (z, w)):
+            seen.clear()
+            k = heat_kernel_integral(1, 1, t, a, b)
+            assert seen == [_exact_order(1, 1, t)] and np.all(k.error_bound > 0)
+            seen.clear()
+            heat_kernel_integral_hi(1, t, a, b)
+            assert seen == [_exact_order(1, 0, t)]
 
 
 def test_integral_whose_sum_underflows_builds_the_minimum_rule(monkeypatch):
