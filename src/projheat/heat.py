@@ -25,6 +25,7 @@ nodes integrates it exactly. Rounding error is not included. The series
 sum uses math.fsum, the quadrature sum uses np.sum; summation order is
 fixed, so results are reproducible for a given numpy.
 
+Both forms build their weights in one truncation loop, _truncated_weights.
 Every form takes one time, and also (P, n) arrays of point pairs, which
 share it. The series builds its weights once and sums each pair as a
 one-pair call does. The integral driver builds one Gegenbauer weight
@@ -63,28 +64,35 @@ __all__ = [
 ]
 
 
-def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[float], float]:
-    """Spectral-series weights (2m+2nu+n) Gamma-ratio e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]}.
+def _truncated_weights(coef, sup, decay, eps: float) -> tuple[list[float], float]:
+    """The weights coef(m) decay(m) below the cut verified against eps, and the tail bound.
 
-    Returns the weights for m below the truncation verified against eps pi^n,
-    and the tail bound; the Jacobi sup bound P_m^{(a,b)}(1) with
-    (a,b) = (max, min)(n-1, 2nu) makes the bound rigorous. Each weight is
-    kept from the one bound(m) call that terms_needed makes per m.
+    The one truncation loop of both heat forms: terms_needed cuts on
+    bound(m) = coef(m) sup(m) decay(m), sup(m) bounding the m-th polynomial
+    and decay the Gaussian-in-m weight, each evaluated once per m.
     """
-    big = two_nu + n
-    qmax = max(n - 1, two_nu)
-    decay = _gaussian(n, two_nu, t)
     weights = []
 
     def bound(m: int) -> float:
-        coef = (2 * m + big) * float(pochhammer(m + two_nu + 1, n - 1))
-        gauss = decay(m)
-        weights.append(coef * gauss)
-        return coef * comb(m + qmax, m) * gauss
+        c, gauss = coef(m), decay(m)
+        weights.append(c * gauss)
+        return c * sup(m) * gauss
 
-    with binary64_range("a series weight (2m+2nu+n) Gamma(m+n+2nu)/Gamma(m+2nu+1)"):
-        bounds, tail = terms_needed(bound, eps * pi**n)
+    bounds, tail = terms_needed(bound, eps)
     return weights[:len(bounds)], tail
+
+
+def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[float], float]:
+    """Spectral-series weights (2m+2nu+n) Gamma-ratio e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]}.
+
+    Truncated against eps pi^n; the Jacobi sup bound P_m^{(a,b)}(1) with
+    (a,b) = (max, min)(n-1, 2nu) makes the tail bound rigorous.
+    """
+    big, qmax = two_nu + n, max(n - 1, two_nu)
+    with binary64_range("a series weight (2m+2nu+n) Gamma(m+n+2nu)/Gamma(m+2nu+1)"):
+        return _truncated_weights(
+            lambda m: (2 * m + big) * float(pochhammer(m + two_nu + 1, n - 1)),
+            lambda m: comb(m + qmax, m), _gaussian(n, two_nu, t), eps * pi**n)
 
 
 def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) -> KernelEval:
@@ -114,27 +122,17 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
 
 
 def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, float]:
-    """Weights (2m+2nu+n) e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]} of the Gegenbauer sum.
+    """Weights (2m+lam) e^{t[(2nu)^2+n^2-(2m+lam)^2]} of G = sum_m weight_m C_{2m}^{lam}.
 
-    G(cos u) = sum_m weight_m C_{2m}^{lam}(cos u), lam = n + 2nu. Returns the
-    weights for m below the verified truncation, and the tail bound. The
-    cut bounds |C_{2m}^{lam}| by comb(2m+lam-1, 2m) = C_{2m}^{lam/2}(1),
-    which is below the sup C_{2m}^{lam}(1) = comb(2m+2lam-1, 2m) once
-    m >= 1, so the tail bound and the terms kept under-report (ROADMAP
-    item 2). Each weight is kept from the bound(m) call that computed its
-    Gaussian.
+    lam = n + 2nu; truncated against 1e-13 max(1, the m = 0 bound).
     """
-    lam = n + two_nu
-    decay = _gaussian(n, two_nu, t)
-    weights = {}
-
-    def bound(m: int) -> float:
-        gauss = decay(m)
-        weights[m] = (2 * m + lam) * gauss
-        return (2 * m + lam) * comb(2 * m + lam - 1, 2 * m) * gauss
-
-    bounds, tail = terms_needed(bound, 1e-13 * max(1.0, bound(0)))
-    return np.array([weights[m] for m in range(len(bounds))]), tail
+    lam, decay = n + two_nu, _gaussian(n, two_nu, t)
+    # the sup comb(2m+lam-1, 2m) is C_{2m}^{lam/2}(1), below C_{2m}^{lam}(1) = comb(2m+2lam-1, 2m)
+    # once m >= 1, so the tail bound and the terms kept under-report (ROADMAP item 2)
+    weights, tail = _truncated_weights(lambda m: 2 * m + lam,
+                                       lambda m: comb(2 * m + lam - 1, 2 * m),
+                                       decay, 1e-13 * max(1.0, lam * decay(0)))
+    return np.array(weights), tail
 
 
 def _exact_order(two_nu: int, terms: int) -> int:

@@ -22,7 +22,7 @@ from math import factorial, pi
 
 from .errors import Binary64Overflow, UnsupportedN, UnsupportedNu, binary64_range
 from .exactnum import bernoulli_number, bernoulli_polynomial, rational_str, theta2_series_coefficient
-from .spectrum import SpectralPoint, decompose_multiplicity
+from .spectrum import _integer, decompose_multiplicity
 from .theta import _require_time
 
 __all__ = [
@@ -39,14 +39,17 @@ __all__ = [
 ]
 
 
-def _check_args(n: int, nu, J: int) -> int:
-    SpectralPoint(n, 0, 0)  # rejects n < 1
+def _check_args(n: int, nu, J: int) -> tuple[int, int, int]:
+    """n, nu and J as ints: n >= 1 and J >= 0 by the label rule, nu a whole number >= 0."""
+    n, J = _integer("n", n), _integer("J", J)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if J < 0:
         raise ValueError("J must be >= 0")
     nu = Fraction(nu)
     if nu.denominator != 1 or nu < 0:
         raise UnsupportedNu(f"parity-branch coefficients need integer nu >= 0, got {nu}")
-    return int(nu)
+    return n, int(nu), J
 
 
 def c_head(gamma) -> list[Fraction]:
@@ -86,7 +89,7 @@ def c_coefficients(n: int, nu, J: int, printed: bool = False) -> list[Fraction]:
     statement's transposed 1/q! weights; even n: B_{2k}(nu) - 2B_{2k});
     used only for discrepancy reporting.
     """
-    nu = _check_args(n, nu, J)
+    n, nu, J = _check_args(n, nu, J)
     return _c_with_tail(n, nu, J, _tail_bernoulli(n, nu, J), printed)
 
 
@@ -110,7 +113,7 @@ def b_coefficients(n: int, nu, J: int) -> list[tuple[Fraction, int]]:
 
     b_j = ((4 pi)^n / n!) sum_{i<=j} (n^2/4 + nu^2)^{j-i} c_i / (j-i)!.
     """
-    nu_int = _check_args(n, nu, J)
+    n, nu_int, J = _check_args(n, nu, J)
     return b_from_c(n, nu_int, c_coefficients(n, nu_int, J))
 
 
@@ -120,8 +123,7 @@ def nu_zero_u(n: int, J: int) -> list[Fraction]:
     Pure test vectors: the n=2 tail (and the n=4 tail) carry a sign erratum
     relative to the trace asymptotics, which the comparison suites report.
     """
-    if J < 0:
-        raise ValueError("J must be >= 0")
+    n, _, J = _check_args(n, 0, J)
     if n not in (1, 2, 3, 4):
         raise UnsupportedN(f"printed u-tables exist for n in 1..4, got {n}")
     u: list[Fraction] = []
@@ -203,7 +205,7 @@ def printed_tau_n4(nu: int) -> tuple[Fraction, ...]:
 
 def heat_coeff_table(n: int, nu, J: int) -> HeatCoeffTable:
     """Assemble the authoritative table plus computed-vs-printed diffs."""
-    nu_int = _check_args(n, nu, J)
+    n, nu_int, J = _check_args(n, nu, J)
     bern = _tail_bernoulli(n, nu_int, J)
     c = _c_with_tail(n, nu_int, J, bern, printed=False)
     published = [(_c_with_tail(n, nu_int, J, bern, printed=True),

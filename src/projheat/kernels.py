@@ -63,7 +63,7 @@ class KernelEval:
 
 def as_point(coords) -> ProjPoint:
     """Coerce a scalar or sequence of complex numbers to a chart point of finite coordinates."""
-    point = ((complex(coords),) if isinstance(coords, (complex, float, int))
+    point = ((complex(coords),) if isinstance(coords, (complex, float, int, np.number))
              else tuple(complex(c) for c in coords))
     if not all(map(cmath.isfinite, point)):
         raise ValueError(f"non-finite coordinate in the point {point}")

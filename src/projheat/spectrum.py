@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+def _integer(name: str, value) -> int:
+    """The one integer rule for a label: operator.index(value) (numpy's too), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SpectralPoint:
     """Eigenspace label: complex dimension n, 2*nu, level m, each an integer (numpy's too)."""
@@ -39,10 +47,7 @@ class SpectralPoint:
 
     def __post_init__(self) -> None:
         for name in ("n", "two_nu", "m"):
-            try:
-                operator.index(getattr(self, name))  # a numpy integer passes
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            _integer(name, getattr(self, name))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.two_nu < 0:
@@ -157,6 +162,7 @@ def decompose_multiplicity(n: int, nu: Fraction | int) -> DecompositionPoly:
     Returns the gamma (n odd) or tau (n even) coefficient list, verified
     against the paired-root factorization. Half-integer nu is supported.
     """
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     two_nu = Fraction(nu) * 2

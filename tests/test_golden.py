@@ -42,6 +42,9 @@ CASES = {
     "heat_eval_both_n2_csv": ["heat-eval", "--n=2", "--two-nu=3", "--t=0.01", Z2, W2,
                               "--format=csv"],
     "heat_eval_both_n3_json": ["heat-eval", "--n=3", "--two-nu=0", "--t=1.0", Z3, W3],
+    # the largest truncation of any case: 102 series weights, 113 Gegenbauer terms
+    "heat_eval_both_t0001_json": ["heat-eval", "--n=2", "--two-nu=3", "--t=0.001",
+                                  "--z=0.1+0.05j,0.02", "--w=0.12,0.03j"],
     "trace_compare_json": ["trace-compare", "--n=1", "--nu=1", "--J=6", "--t=0.1,0.05,0.02"],
     "trace_compare_n5_csv": ["trace-compare", "--n=5", "--nu=2", "--J=4",
                              "--t=0.2,0.05,0.003", "--format=csv"],

@@ -555,38 +555,37 @@ def _count_bounds(monkeypatch, evaluated: list):
     monkeypatch.setattr(heat, "terms_needed", counting)
 
 
-@pytest.mark.parametrize("n,two_nu,t", [(1, 0, 0.5), (2, 3, 0.1), (4, 1, 0.02)])
-def test_series_weights_reuse_each_bound_evaluation(monkeypatch, n, two_nu, t):
-    # one Gamma ratio and one Gaussian per bound evaluated, and the weights are
-    # coef(m) * decay(m) bit for bit
+# (form, n, 2nu, t) of one weight build
+WEIGHT_BUILDS = [("series", 1, 0, 0.5), ("series", 2, 3, 0.1), ("series", 4, 1, 0.02),
+                 ("gegenbauer", 1, 0, 0.5), ("gegenbauer", 2, 3, 0.1), ("gegenbauer", 3, 1, 0.02)]
+
+
+@pytest.mark.parametrize("form,n,two_nu,t", WEIGHT_BUILDS,
+                         ids=["-".join(map(str, build)) for build in WEIGHT_BUILDS])
+def test_weights_reuse_each_bound_evaluation(monkeypatch, form, n, two_nu, t):
+    # one coefficient, one sup and one Gaussian per bound evaluated (G's tolerance takes one
+    # more Gaussian, at m = 0), and the weights are coef(m) * decay(m) bit for bit
     from projheat.exactnum import pochhammer
     from projheat.theta import _gaussian
 
-    evaluated, ratios, gaussians = [], [], []
+    evaluated, coefs, sups, gaussians = [], [], [], []
     _count_bounds(monkeypatch, evaluated)
-    monkeypatch.setattr(heat, "pochhammer", lambda a, k: ratios.append(a) or pochhammer(a, k))
+    build = heat._truncated_weights
+    monkeypatch.setattr(heat, "_truncated_weights", lambda coef, sup, decay, eps: build(
+        lambda m: coefs.append(m) or coef(m), lambda m: sups.append(m) or sup(m), decay, eps))
     monkeypatch.setattr(heat, "_gaussian", lambda *args: (
         lambda m: gaussians.append(m) or _gaussian(*args)(m)))
-    weights, _ = heat._series_weights(n, two_nu, t, 1e-10)
-    assert len(ratios) == len(gaussians) == len(evaluated) > len(weights)
+    if form == "series":
+        weights, _ = heat._series_weights(n, two_nu, t, 1e-10)
+        coefficients = [(2 * m + two_nu + n) * float(pochhammer(m + two_nu + 1, n - 1))
+                        for m in range(len(weights))]
+    else:
+        weights, _ = heat._gegenbauer_weights(n, two_nu, t)
+        weights, coefficients = weights.tolist(), [2 * m + n + two_nu for m in range(len(weights))]
+    assert coefs == sups == evaluated and len(evaluated) > len(weights)
+    assert gaussians == [0] * (form == "gegenbauer") + evaluated
     decay = _gaussian(n, two_nu, t)
-    assert weights == [(2 * m + two_nu + n) * float(pochhammer(m + two_nu + 1, n - 1)) * decay(m)
-                       for m in range(len(weights))]
-
-
-@pytest.mark.parametrize("n,two_nu,t", [(1, 0, 0.5), (2, 3, 0.1), (3, 1, 0.02)])
-def test_gegenbauer_weights_reuse_each_bound_evaluation(monkeypatch, n, two_nu, t):
-    # one Gaussian per bound evaluated (bound(0) twice: once for the tolerance)
-    from projheat.theta import _gaussian
-
-    evaluated, gaussians = [], []
-    _count_bounds(monkeypatch, evaluated)
-    monkeypatch.setattr(heat, "_gaussian", lambda *args: (
-        lambda m: gaussians.append(m) or _gaussian(*args)(m)))
-    weights, _ = heat._gegenbauer_weights(n, two_nu, t)
-    assert gaussians == [0, *evaluated]
-    decay = _gaussian(n, two_nu, t)
-    assert weights.tolist() == [(2 * m + n + two_nu) * decay(m) for m in range(len(weights))]
+    assert weights == [c * decay(m) for m, c in enumerate(coefficients)]
 
 
 def test_classical_constant_overflow_is_typed():

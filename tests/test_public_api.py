@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 import math
 import pkgutil
 import re
@@ -14,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projheat
 from projheat import kernels, quadrature
-from projheat.errors import NonPositiveTime
+from projheat.errors import NonPositiveTime, ProjheatError
 from projheat.heat import (
     heat_kernel_integral,
     heat_kernel_integral_hi,
@@ -25,7 +28,15 @@ from projheat.heat import (
     theta_deriv,
     trace_direct,
 )
-from projheat.heatcoeff import asymptotic_sum, asymptotic_trace, b_coefficients
+from projheat.heatcoeff import (
+    asymptotic_sum,
+    asymptotic_trace,
+    b_coefficients,
+    c_coefficients,
+    heat_coeff_table,
+    nu_zero_u,
+)
+from projheat.spectrum import decompose_multiplicity
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(projheat.__path__) if m.name != "__main__")
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,8 +159,16 @@ LABELLED = {
     "kernel_diagonal_volume_check": (
         lambda n, two_nu, t: kernels.kernel_diagonal_volume_check(n, two_nu, 0), "n two_nu"),
     "monopole_basis": (lambda n, two_nu, t: kernels.monopole_basis(two_nu, 0, 0, 0.3j), "two_nu"),
+    "decompose_multiplicity": (lambda n, two_nu, t: decompose_multiplicity(n, two_nu / 2),
+                               "n two_nu"),
+    # the exact tables at nu = 0, with J as well
+    "c_coefficients": (lambda n, two_nu, t, J=3: c_coefficients(n, 0, J), "n J"),
+    "b_coefficients": (lambda n, two_nu, t, J=3: b_coefficients(n, 0, J), "n J"),
+    "heat_coeff_table": (lambda n, two_nu, t, J=3: heat_coeff_table(n, 0, J), "n J"),
+    "nu_zero_u": (lambda n, two_nu, t, J=3: nu_zero_u(n, J), "n J"),
 }
-BAD = {"n": [0, 1.5], "two_nu": [-1, 0.5], "t": [0.0, math.nan, math.inf, 0.5 + 0j]}
+BAD = {"n": [0, 1.5], "two_nu": [-1, 0.5], "t": [0.0, math.nan, math.inf, 0.5 + 0j],
+       "J": [-1, 2.0, 2.5]}
 CASES = [(entry, arg, bad) for entry, (_, takes) in LABELLED.items()
          for arg in takes.split() for bad in BAD[arg]]
 
@@ -164,8 +183,42 @@ def test_label_and_time_rules(entry, arg, bad):
 
 @pytest.mark.parametrize("entry", [e for e, (_, takes) in LABELLED.items() if takes != "t"])
 def test_numpy_integer_labels_are_accepted(entry):
-    call, _ = LABELLED[entry]
-    assert call(n=np.int64(1), two_nu=np.int32(1), t=0.5) == call(n=1, two_nu=1, t=0.5)
+    call, takes = LABELLED[entry]
+    j = {"J": np.int64(3)} if "J" in takes.split() else {}
+    assert call(n=np.int64(1), two_nu=np.int32(1), t=0.5, **j) == call(n=1, two_nu=1, t=0.5)
+
+
+def test_table_of_a_numpy_j_serializes():
+    table = heat_coeff_table(np.int64(1), 1, np.int64(3))
+    assert type(table.n) is int and type(table.J) is int
+    assert json.dumps(table.to_json_dict()) == json.dumps(heat_coeff_table(1, 1, 3).to_json_dict())
+
+
+# entry -> call(n, nu, J) of each exact-table entry
+EXACT_TABLES = {
+    "decompose_multiplicity": lambda n, nu, J: decompose_multiplicity(n, nu),
+    "c_coefficients": c_coefficients,
+    "b_coefficients": b_coefficients,
+    "heat_coeff_table": heat_coeff_table,
+    "nu_zero_u": lambda n, nu, J: nu_zero_u(n, J),
+}
+
+
+def _label(top: int):
+    """An int, a float or a numpy integer in [-2, top]."""
+    ints = st.integers(-2, top)
+    return st.one_of(ints, st.floats(-2, top), ints.map(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(EXACT_TABLES)), _label(6), _label(4), _label(12))
+def test_exact_tables_return_or_raise_typed_errors(entry, n, nu, J):
+    # a label of the wrong type or range is a ValueError or a ProjheatError, never a bare
+    # TypeError from deep inside the table
+    try:
+        EXACT_TABLES[entry](n, nu, J)
+    except (ValueError, ProjheatError):
+        pass
 
 
 # entry -> call(z, w) on one pair of n = 1 chart points
@@ -176,6 +229,16 @@ POINTED = {
     "reproducing_kernel": lambda z, w: kernels.reproducing_kernel(1, 1, 1, z, w),
     "fs_distance": kernels.fs_distance,
 }
+
+
+NUMPY_SCALARS = [np.int64(0), np.float32(0.25), np.complex64(0.1 + 0.2j)]
+
+
+@pytest.mark.parametrize("coordinate", NUMPY_SCALARS, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("entry", POINTED)
+def test_numpy_scalar_is_one_coordinate(entry, coordinate):
+    assert POINTED[entry](coordinate, W) == POINTED[entry](coordinate.item(), W)
+    assert POINTED[entry](Z, coordinate) == POINTED[entry](Z, coordinate.item())
 
 
 @pytest.mark.parametrize("entry", POINTED)
