@@ -44,24 +44,33 @@ def bernoulli_number(d: int) -> Fraction:
     return -acc / (d + 1)
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_row(d: int) -> tuple[tuple[int, ...], int]:
+    """The integers C(d,k) L B_k, k = 0..d, and L, the lcm of the denominators of B_0..B_d."""
+    coeffs = [bernoulli_number(k) for k in range(d + 1)]
+    common = lcm(*(bk.denominator for bk in coeffs))
+    return tuple(comb(d, k) * bk.numerator * (common // bk.denominator)
+                 for k, bk in enumerate(coeffs)), common
+
+
 def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
     """Exact value of the Bernoulli polynomial B_d(x) = sum C(d,k) B_k x^{d-k}.
 
     With x = p/q and L the lcm of the denominators of B_0..B_d, the sum is
     the integer sum_k C(d,k) (L B_k) p^{d-k} q^k over L q^d, built by Horner's
-    rule in p; only the final quotient is a Fraction.
+    rule in p from the cached row of C(d,k) L B_k; only the final quotient is
+    a Fraction.
     """
     if d < 0:
         raise ValueError("Bernoulli index must be >= 0")
     x = Fraction(x)
     p, q = x.numerator, x.denominator
-    coeffs = [bernoulli_number(k) for k in range(d + 1)]
-    common = lcm(*(bk.denominator for bk in coeffs))
+    row, common = _bernoulli_row(d)
     acc, q_k = 0, 1
-    for k, bk in enumerate(coeffs):
+    for a in row:
         acc *= p
-        if bk:
-            acc += comb(d, k) * bk.numerator * (common // bk.denominator) * q_k
+        if a:
+            acc += a * q_k
         q_k *= q
     return Fraction(acc, common * q**d)
 

@@ -22,7 +22,7 @@ from math import factorial, pi
 
 from .errors import Binary64Overflow, UnsupportedN, UnsupportedNu, binary64_range
 from .exactnum import bernoulli_number, bernoulli_polynomial, rational_str, theta2_series_coefficient
-from .spectrum import _integer, decompose_multiplicity
+from .spectrum import _integer, _rational, decompose_multiplicity
 from .theta import _require_time
 
 __all__ = [
@@ -40,13 +40,17 @@ __all__ = [
 
 
 def _check_args(n: int, nu, J: int) -> tuple[int, int, int]:
-    """n, nu and J as ints: n >= 1 and J >= 0 by the label rule, nu a whole number >= 0."""
+    """n, nu and J as ints: n >= 1 and J >= 0 by the label rule, nu a whole number >= 0.
+
+    nu goes through spectrum's rational rule first, so a non-finite or
+    non-real nu is a ValueError naming it.
+    """
     n, J = _integer("n", n), _integer("J", J)
     if n < 1:
         raise ValueError("n must be >= 1")
     if J < 0:
         raise ValueError("J must be >= 0")
-    nu = Fraction(nu)
+    nu = _rational("nu", nu)
     if nu.denominator != 1 or nu < 0:
         raise UnsupportedNu(f"parity-branch coefficients need integer nu >= 0, got {nu}")
     return n, int(nu), J

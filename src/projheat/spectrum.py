@@ -9,11 +9,12 @@ exact rational arithmetic.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import NonIntegerDimension
 
@@ -37,9 +38,28 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _rational(name: str, value) -> Fraction:
+    """The one rule for a rational label such as nu: its exact value, else ValueError.
+
+    A numpy real scalar reads as its Python value; a non-finite or non-real
+    value is a ValueError naming the label.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+        value = float(value)
+    if isinstance(value, numbers.Number):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):  # complex, NaN, infinity
+            pass
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpectralPoint:
-    """Eigenspace label: complex dimension n, 2*nu, level m, each an integer (numpy's too)."""
+    """Eigenspace label: complex dimension n, 2*nu, level m, each an integer (numpy's too).
+
+    Each is stored as a Python int, so the exact formulas never run in int64.
+    """
 
     n: int
     two_nu: int
@@ -47,7 +67,9 @@ class SpectralPoint:
 
     def __post_init__(self) -> None:
         for name in ("n", "two_nu", "m"):
-            _integer(name, getattr(self, name))
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, _integer(name, value))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.two_nu < 0:
@@ -79,10 +101,10 @@ def eigenvalue_beta(pt: SpectralPoint) -> Fraction:
     return -4 * s * (s + pt.n) + 4 * pt.nu * pt.nu
 
 
-def _as_integer(value: Fraction, pt: SpectralPoint) -> int:
-    if value.denominator != 1 or value <= 0:
-        raise NonIntegerDimension(f"dimension {value} at {pt} is not a positive integer")
-    return int(value)
+def _not_a_dimension(num: int, den: int, n: int, two_nu: int, m: int) -> NonIntegerDimension:
+    """The error for a quotient num/den that is not a positive integer; only it builds a Fraction."""
+    return NonIntegerDimension(f"dimension {Fraction(num, den)} at SpectralPoint(n={n!r}, "
+                               f"two_nu={two_nu!r}, m={m!r}) is not a positive integer")
 
 
 def dimension_gamma_form(pt: SpectralPoint) -> int:
@@ -90,7 +112,10 @@ def dimension_gamma_form(pt: SpectralPoint) -> int:
     n, tn, m = pt.n, pt.two_nu, pt.m
     num = (2 * m + n + tn) * factorial(m + n - 1) * factorial(m + n + tn - 1)
     den = n * factorial(n - 1) ** 2 * factorial(m) * factorial(m + tn)
-    return _as_integer(Fraction(num, den), pt)
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
+        raise _not_a_dimension(num, den, n, tn, m)
+    return dim
 
 
 def _product_dimension(n: int, two_nu: int, m: int) -> int:
@@ -101,8 +126,7 @@ def _product_dimension(n: int, two_nu: int, m: int) -> int:
     den = factorial(n) * factorial(n - 1)
     dim, rest = divmod(num, den)
     if rest or dim <= 0:
-        raise NonIntegerDimension(f"dimension {Fraction(num, den)} at SpectralPoint(n={n!r}, "
-                                  f"two_nu={two_nu!r}, m={m!r}) is not a positive integer")
+        raise _not_a_dimension(num, den, n, two_nu, m)
     return dim
 
 
@@ -112,11 +136,21 @@ def dimension_product_form(pt: SpectralPoint) -> int:
 
 
 def dimension_poly_form(pt: SpectralPoint) -> int:
-    """dim A_m^nu via the parity decomposition: (2/(n!(n-1)!)) sum c_p r^{2p+1}."""
-    poly = decompose_multiplicity(pt.n, pt.nu)
-    r = pt.r
-    acc = sum((c * r ** (2 * p + 1) for p, c in enumerate(poly.coeffs)), Fraction(0))
-    return _as_integer(2 * acc / (factorial(pt.n) * factorial(pt.n - 1)), pt)
+    """dim A_m^nu via the parity decomposition: (2/(n!(n-1)!)) sum c_p r^{2p+1}.
+
+    With R = 2r = 2m + 2nu + n this is R sum_p A_p R^{2p} / D in integers
+    (_poly_dimension_row), summed by Horner's rule in R^2.
+    """
+    row, den = _poly_dimension_row(pt.n, pt.two_nu)
+    big_r = 2 * pt.m + pt.two_nu + pt.n
+    big_r2, acc = big_r * big_r, 0
+    for a in reversed(row):
+        acc = acc * big_r2 + a
+    num = big_r * acc
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
+        raise _not_a_dimension(num, den, pt.n, pt.two_nu, pt.m)
+    return dim
 
 
 def _poly_mul_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
@@ -156,6 +190,20 @@ def _decompose(n: int, two_nu: int) -> tuple[Fraction, ...]:
     return coeffs
 
 
+@lru_cache(maxsize=None)
+def _poly_dimension_row(n: int, two_nu: int) -> tuple[tuple[int, ...], int]:
+    """Integers A_p and D with 2 c_p r^{2p+1}/(n!(n-1)!) = A_p R^{2p+1}/D, R = 2r.
+
+    c_p is _decompose's gamma/tau list, so the poly form shares no step with
+    the other two formulas; D is the lcm of the denominators of c_p/4^p times
+    n!(n-1)!.
+    """
+    scaled = [c / 4**p for p, c in enumerate(_decompose(n, two_nu))]
+    common = lcm(*(a.denominator for a in scaled))
+    row = tuple(a.numerator * (common // a.denominator) for a in scaled)
+    return row, common * factorial(n) * factorial(n - 1)
+
+
 def decompose_multiplicity(n: int, nu: Fraction | int) -> DecompositionPoly:
     """Expand prod_{j=1}^{n-1} (r - n/2 - nu + j)(r - n/2 + nu + j) in powers r^{2p}.
 
@@ -165,7 +213,7 @@ def decompose_multiplicity(n: int, nu: Fraction | int) -> DecompositionPoly:
     n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    two_nu = Fraction(nu) * 2
+    two_nu = _rational("nu", nu) * 2
     if two_nu.denominator != 1 or two_nu < 0:
         raise ValueError("2*nu must be a non-negative integer")
     coeffs = _decompose(n, int(two_nu))

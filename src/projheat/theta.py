@@ -112,7 +112,8 @@ def trace_direct(n: int, two_nu: int, t: float, eps: float = 1e-12) -> float:
     the terms terms_needed evaluated.
     """
     _require_time(t)
-    SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
+    pt = SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
+    n, two_nu = pt.n, pt.two_nu  # Python ints, so the dimensions never run in int64
     decay = _gaussian(n, two_nu, t / 4.0)
     with binary64_range("a trace term dim(A_m^nu) times its Gaussian weight"):
         values, _ = terms_needed(lambda m: _product_dimension(n, two_nu, m) * decay(m), eps)

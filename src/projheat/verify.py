@@ -19,6 +19,12 @@ NaN wins and stays, so a NaN measurement FAILs its check.
 numpy, mpmath, ``heat`` and ``kernels`` are imported by the suites and mp
 helpers that use them, so the exact suites (dims, paper8, theta) load
 neither numpy nor mpmath, and the trace suite loads mpmath only.
+
+The exact suites use integer arithmetic wherever a Fraction is not needed:
+the dimension forms divide integers exactly, the Bernoulli polynomials sum
+a cached integer row, the brute-force power sums add integers over 2^q,
+and the trace suite builds one b table per (n, nu) for its scaled errors,
+sliced per J, and one for its 40-digit references.
 """
 
 from __future__ import annotations
@@ -335,8 +341,9 @@ def _trace_scaled_errors() -> dict:
         times = [mpf(t) for t in (0.1, 0.05, 0.02, 0.01)]
         for n, nu in _TRACE_GRID:
             direct = [_trace_direct_mp(n, 2 * nu, t) for t in times]
+            table = b_coefficients(n, nu, 8)  # b_0..b_J is the same for every J <= 8
             for J in (4, 6, 8):
-                b = b_coefficients(n, nu, J)
+                b = table[: J + 1]
                 out[(n, nu, J)] = [
                     float(abs(d - _asymptotic_trace_mp(n, b, t)) * (4 * mp.pi * t) ** n
                           / t ** (J + 1))
@@ -357,6 +364,7 @@ def suite_trace() -> list[Check]:
         f"between successive t (limit 4) over the (n,nu,J) grid; worst at {worst_at}",
     )]
 
+    tables = {(n, nu): b_coefficients(n, nu, 6) for n, nu in _TRACE_GRID}
     with mp.workdps(40):
         worst, _ = _worst(
             (abs(fast - ref) / abs(ref), (n, nu, t))
@@ -364,7 +372,7 @@ def suite_trace() -> list[Check]:
             for fast, ref in (
                 (trace_direct(n, 2 * nu, t), float(_trace_direct_mp(n, 2 * nu, mpf(t)))),
                 (asymptotic_trace(n, nu, t, 6),
-                 float(_asymptotic_trace_mp(n, b_coefficients(n, nu, 6), mpf(t))))))
+                 float(_asymptotic_trace_mp(n, tables[n, nu], mpf(t))))))
     checks.append(_check(
         "trace.binary64_vs_mp", worst <= 1e-12,
         f"binary64 trace_direct/asymptotic_trace vs 40-digit reference: "
@@ -451,16 +459,14 @@ def suite_bernoulli() -> list[Check]:
     checks.append(_check("bernoulli.half_argument_textbook", ok,
                          "B_d(1/2) = -(1-2^(1-d)) B_d for d <= 40"))
 
-    ok = True
-    for m in range(11):
-        for q in range(1, 10):
-            for a in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-                brute = sum(Fraction(k + a) ** q for k in range(m + 1))
-                ok &= power_sum(m, q, a) == brute
-    ok &= all(
-        power_sum(20, q, a) == sum(Fraction(k + a) ** q for k in range(21))
-        for q in range(1, 21) for a in (Fraction(0), Fraction(1, 2))
-    )
+    def brute(m: int, q: int, two_a: int) -> Fraction:
+        """sum_{k<=m} (k + a)^q, a = two_a/2, term by term: sum (2k + 2a)^q over 2^q."""
+        return Fraction(sum((2 * k + two_a) ** q for k in range(m + 1)), 2**q)
+
+    ok = all(power_sum(m, q, Fraction(two_a, 2)) == brute(m, q, two_a)
+             for m in range(11) for q in range(1, 10) for two_a in range(4))
+    ok &= all(power_sum(20, q, Fraction(two_a, 2)) == brute(20, q, two_a)
+              for q in range(1, 21) for two_a in range(2))
     checks.append(_check("bernoulli.power_sums", ok,
                          "closed form = brute force for m <= 10, q <= 9, and q <= 20 spot grid"))
 

@@ -68,9 +68,12 @@ def test_bernoulli_polynomial_difference_equation(d, x):
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2),
-                               Fraction(7, 2), Fraction(4), Fraction(-5, 3), Fraction(22, 7)])
+                               Fraction(7, 2), Fraction(4), Fraction(-5, 3), Fraction(22, 7),
+                               Fraction(-3), Fraction(5), Fraction(-7, 2), Fraction(1, 3),
+                               Fraction(7, 6), 10**6 + Fraction(1, 7)])
 def test_bernoulli_polynomial_textbook_sum(x):
-    # term by term sum C(d,k) B_k x^{d-k} over the independent oracle
+    # term by term sum C(d,k) B_k x^{d-k} over the independent oracle, against the
+    # cached integer row C(d,k) L B_k that bernoulli_polynomial sums by Horner's rule
     oracle = akiyama_tanigawa(90)
     numbers = [-b if k == 1 else b for k, b in enumerate(oracle)]
     for d in range(91):

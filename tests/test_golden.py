@@ -25,8 +25,11 @@ Z3, W3 = "--z=0.1+0.2j,-0.3j,0.25", "--w=0.2-0.1j,0.1,0.05+0.3j"
 CASES = {
     "coeffs_json": ["coeffs", "--n=3", "--nu=0", "--J=6"],
     "coeffs_csv": ["coeffs", "--n=2", "--nu=1", "--J=8", "--format=csv"],
+    # Bernoulli rows up to d = 80
+    "coeffs_n6_J40_csv": ["coeffs", "--n=6", "--nu=3", "--J=40", "--format=csv"],
     "dims_json": ["dims", "--n=2", "--two-nu=1", "--m-max=10"],
     "dims_csv": ["dims", "--n=4", "--two-nu=3", "--m-max=12", "--format=csv"],
+    "dims_n8_csv": ["dims", "--n=8", "--two-nu=8", "--m-max=60", "--format=csv"],
     "decomp_json": ["decomp", "--n=4", "--two-nu=2"],
     "decomp_csv": ["decomp", "--n=5", "--two-nu=3", "--format=csv"],
     "kernel_json": ["kernel", "--n=1", "--two-nu=2", "--m=1", "--z=0.3+0.2j", "--w=0.1-0.4j"],

@@ -509,6 +509,11 @@ def test_trace_direct_against_inline_sum():
     assert trace_direct(1, 2, t) == pytest.approx(brute, rel=1e-12)
 
 
+def test_trace_direct_sums_numpy_labels_in_python_ints():
+    # in int64 the dimension's numerator wraps at n = 8, 2nu = 8 by m = 11
+    assert trace_direct(np.int64(8), np.int64(8), 0.01) == trace_direct(8, 8, 0.01)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_trace_direct_bit_identical_to_gamma_form_sum(n):
     # the same truncation and fsum over terms built from the Gamma-quotient

@@ -6,6 +6,7 @@ import json
 from fractions import Fraction
 from math import factorial, inf, nan, pi
 
+import numpy as np
 import pytest
 
 from projheat import heatcoeff
@@ -66,6 +67,31 @@ def test_unsupported_nu_gate():
         c_coefficients(2, Fraction(1, 2), 4)
     with pytest.raises(UnsupportedNu):
         b_coefficients(1, Fraction(3, 2), 2)
+
+
+@pytest.mark.parametrize("nu", [np.float32(1), np.float64(2), np.int32(1), Fraction(2)],
+                         ids=lambda x: type(x).__name__)
+def test_a_numpy_or_fraction_nu_reads_as_its_value(nu):
+    value = nu.item() if isinstance(nu, np.generic) else nu
+    assert c_coefficients(1, nu, 4) == c_coefficients(1, value, 4)
+    assert b_coefficients(2, nu, 4) == b_coefficients(2, value, 4)
+
+
+@pytest.mark.parametrize("nu", [inf, -inf, nan, np.float32(inf), np.float64(nan), 1j, "1"],
+                         ids=["inf", "-inf", "nan", "float32-inf", "float64-nan", "complex", "str"])
+def test_a_non_finite_or_non_real_nu_is_a_value_error_naming_it(nu):
+    for call in (c_coefficients, b_coefficients, heat_coeff_table):
+        with pytest.raises(ValueError, match="^nu must be a finite real number"):
+            call(1, nu, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_b_table_is_prefix_stable(n):
+    # verify's trace suite slices one J = 8 table to J = 4 and 6
+    for nu in range(4):
+        table = b_coefficients(n, nu, 8)
+        for J in range(9):
+            assert table[: J + 1] == b_coefficients(n, nu, J)
 
 
 def test_b_volume_term():

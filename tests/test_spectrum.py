@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,6 +81,51 @@ def test_dimension_triple_agreement_grid():
                 assert g > 0
 
 
+def _fraction_gamma_form(pt: SpectralPoint) -> Fraction:
+    """The Gamma quotient as one Fraction, the form the integer division replaced."""
+    n, tn, m = pt.n, pt.two_nu, pt.m
+    return Fraction((2 * m + n + tn) * factorial(m + n - 1) * factorial(m + n + tn - 1),
+                    n * factorial(n - 1) ** 2 * factorial(m) * factorial(m + tn))
+
+
+def _fraction_poly_form(pt: SpectralPoint) -> Fraction:
+    """(2/(n!(n-1)!)) sum c_p r^{2p+1} in Fractions, the form the integer Horner replaced."""
+    coeffs = decompose_multiplicity(pt.n, pt.nu).coeffs
+    acc = sum((c * pt.r ** (2 * p + 1) for p, c in enumerate(coeffs)), Fraction(0))
+    return 2 * acc / (factorial(pt.n) * factorial(pt.n - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_integer_dimension_forms_equal_their_fraction_definitions(n):
+    # a wider grid than verify's dims suite (n <= 6, 2nu <= 8, m <= 30)
+    for two_nu in range(13):
+        for m in range(61):
+            pt = SpectralPoint(n, two_nu, m)
+            assert dimension_gamma_form(pt) == _fraction_gamma_form(pt)
+            assert dimension_poly_form(pt) == _fraction_poly_form(pt)
+
+
+@pytest.mark.parametrize("n,two_nu,m", [(2, 0, -1), (2, 0, -2), (3, 1, -3), (4, 2, -4), (5, 0, -3)])
+def test_poly_form_names_a_bad_value_as_the_fraction_did(n, two_nu, m):
+    pt = SpectralPoint(n, two_nu, 0)
+    object.__setattr__(pt, "m", m)  # bypass validation on purpose
+    with pytest.raises(NonIntegerDimension) as caught:
+        dimension_poly_form(pt)
+    assert str(caught.value) == (f"dimension {_fraction_poly_form(pt)} at {pt} "
+                                 "is not a positive integer")
+
+
+@pytest.mark.parametrize("label", ["n", "two_nu", "m"])
+def test_numpy_labels_are_stored_as_python_ints(label):
+    # in int64 the product form's numerator wraps at n = 8, 2nu = 8, m = 60
+    labels = {"n": 8, "two_nu": 8, "m": 60}
+    pt = SpectralPoint(**{**labels, label: np.int64(labels[label])})
+    assert type(getattr(pt, label)) is int
+    assert pt == SpectralPoint(**labels)
+    for form in (dimension_gamma_form, dimension_product_form, dimension_poly_form):
+        assert form(pt) == 29343763278035949600
+
+
 def test_non_integer_dimension_guard():
     pt = SpectralPoint(2, 0, 0)
     object.__setattr__(pt, "two_nu", Fraction(1, 3))  # bypass validation on purpose
@@ -140,6 +187,22 @@ def test_decompose_rejects_bad_nu():
         decompose_multiplicity(3, Fraction(1, 3))
     with pytest.raises(ValueError):
         decompose_multiplicity(3, -1)
+
+
+@pytest.mark.parametrize("nu", [np.float32(0.5), np.float64(1.5), np.int64(2), Fraction(3, 2)],
+                         ids=lambda x: type(x).__name__)
+def test_decompose_reads_a_numpy_or_fraction_nu_as_its_value(nu):
+    value = nu.item() if isinstance(nu, np.generic) else nu
+    assert decompose_multiplicity(3, nu) == decompose_multiplicity(3, value)
+
+
+@pytest.mark.parametrize("nu", [float("inf"), float("-inf"), float("nan"), np.float32("inf"),
+                                np.float64("nan"), 1j, "1/2", None],
+                         ids=["inf", "-inf", "nan", "float32-inf", "float64-nan", "complex", "str",
+                              "None"])
+def test_decompose_rejects_a_non_finite_or_non_real_nu_naming_it(nu):
+    with pytest.raises(ValueError, match="^nu must be a finite real number"):
+        decompose_multiplicity(3, nu)
 
 
 def test_spherical_harmonic_dims_examples():
