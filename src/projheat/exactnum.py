@@ -89,16 +89,21 @@ def theta2_series_coefficient(d: int) -> Fraction:
 
 
 def pochhammer(a: Fraction | int, k: int) -> Fraction:
-    """Shifted factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
+    """Shifted factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1.
+
+    With a = p/q in lowest terms, (a)_k = prod_j (p + j q) / q^k: one
+    product of integers, and one Fraction at the end.
+    """
     if k < 0:
         raise ValueError("pochhammer order must be >= 0")
     a = Fraction(a)
-    out = Fraction(1)
+    p, q = int(a.numerator), int(a.denominator)
+    product = 1
     for j in range(k):
-        out *= a + j
-        if not out:
+        product *= p + j * q
+        if not product:
             break
-    return out
+    return Fraction(product, q**k)
 
 
 def binomial_general(a: Fraction | int, k: int) -> Fraction:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, binary64_range
 from .exactnum import pochhammer
-from .orthopoly import jacobi
+from .orthopoly import _jacobi_float, _jacobi_plan, jacobi
 from .quadrature import radial_mu1_rule
 from .spectrum import SpectralPoint
 
@@ -132,7 +132,7 @@ def monopole_basis(two_nu: int, m: int, k: int,
     factor P_m^{(k,2nu-k)} carries a structural zero of order |k| at z = 0,
     so the product is regular.
     """
-    norm, at_origin = _monopole_constants(two_nu, m, k)
+    norm, at_origin, plan = _monopole_constants(two_nu, m, k)
     if isinstance(z, np.ndarray):
         z = z.astype(complex)
         origin = z == 0
@@ -145,14 +145,15 @@ def monopole_basis(two_nu: int, m: int, k: int,
             return at_origin
     zz = (z * z.conjugate()).real
     s = (1.0 - zz) / (1.0 + zz)
-    return norm * (1.0 + zz) ** (-two_nu / 2.0) * z**k * jacobi(m, k, two_nu - k, s)
+    return norm * (1.0 + zz) ** (-two_nu / 2.0) * z**k * _jacobi_float(m, plan, s)
 
 
 # monopole_basis stays a plain function over this cache, so it keeps the
 # __code__ that perfbench/tracer.py's probes copy.
 @lru_cache(maxsize=256, typed=True)
-def _monopole_constants(two_nu: int, m: int, k: int) -> tuple[float, complex]:
-    """The checked (2nu, m, k): the norm of Phi_k^{nu,m}, and its value at z = 0."""
+def _monopole_constants(two_nu: int, m: int, k: int) -> tuple[float, complex, tuple]:
+    """The checked (2nu, m, k): the norm of Phi_k^{nu,m}, its value at z = 0,
+    and the binary64 plan of its Jacobi factor P_m^{(k,2nu-k)}."""
     SpectralPoint(1, two_nu, m)  # rejects 2nu < 0 and m < 0
     if not -m <= k <= two_nu + m:
         raise IndexOutOfRange(f"k={k} outside [{-m}, {two_nu + m}]")
@@ -163,7 +164,7 @@ def _monopole_constants(two_nu: int, m: int, k: int) -> tuple[float, complex]:
         / (factorial(m + k) * factorial(two_nu + m - k))
     )
     # the value at z = 0: P_m^{(k,2nu-k)}(1) = (k+1)_m/m! vanishes for -m <= k < 0
-    return norm, (complex(norm) if k == 0 else 0j)
+    return norm, (complex(norm) if k == 0 else 0j), _jacobi_plan(m, k, two_nu - k)
 
 
 def zaremba_sum_n1(two_nu: int, m: int, z: complex, w: complex) -> complex:
@@ -196,7 +197,8 @@ def kernel_diagonal_volume_check(n: int, two_nu: int, m: int) -> Fraction:
     Equals (2m+2nu+n) Gamma(m+n+2nu) (n)_m / (n! Gamma(m+2nu+1) m!), which the
     tests require to match the eigenspace dimension exactly.
     """
-    SpectralPoint(n, two_nu, m)  # rejects n < 1, 2nu < 0, m < 0
+    pt = SpectralPoint(n, two_nu, m)  # rejects n < 1, 2nu < 0, m < 0
+    n, two_nu, m = pt.n, pt.two_nu, pt.m  # Python ints, so the products never run in int64
     gamma_ratio = pochhammer(m + two_nu + 1, n - 1)
     jac_at_one = pochhammer(n, m) / factorial(m)  # P_m^{(n-1,2nu)}(1)
     return (2 * m + two_nu + n) * gamma_ratio * jac_at_one / factorial(n)

@@ -7,8 +7,12 @@ rationals, including the negative integers that appear in monopole
 harmonics; there the recurrence denominators can vanish, so binary64
 arguments go through the finite sum as well, which stays well defined
 because the generalized binomials vanish structurally. The finite-sum
-weights are built once per (k, alpha, beta). The terminating 2F1 is the
-reference the tests check the exact Jacobi path against.
+weights are built once per (k, alpha, beta), as Fractions and, next to them,
+in the binary64 plan of that (k, alpha, beta): the floats of the nonzero
+weights, or the float parameters for the recurrence. jacobi and
+kernels.monopole_basis evaluate a binary64 x through the one plan reader,
+_jacobi_float. The terminating 2F1 is the reference the tests check the
+exact Jacobi path against.
 """
 
 from __future__ import annotations
@@ -40,24 +44,17 @@ def _finite_sum_coeffs(k: int, alpha: Fraction, beta: Fraction) -> tuple[Fractio
                  for j in range(k + 1))
 
 
-def _jacobi_finite_sum(k: int, alpha: Fraction, beta: Fraction, x):
-    """2^{-k} sum_j C(k+a, j) C(k+b, k-j) (x+1)^j (x-1)^{k-j}.
+def _jacobi_finite_sum(k: int, alpha: Fraction, beta: Fraction, x) -> Fraction:
+    """2^{-k} sum_j C(k+a, j) C(k+b, k-j) (x+1)^j (x-1)^{k-j} for exact x.
 
-    Valid for arbitrary rational parameters; x exact, floating or ndarray.
+    Valid for arbitrary rational parameters.
     """
-    coeffs = _finite_sum_coeffs(k, alpha, beta)
-    if _is_exact(x):
-        xx = Fraction(x)
-        total = Fraction(0)
-        for j, c in enumerate(coeffs):
-            if c:
-                total += c * (xx + 1) ** j * (xx - 1) ** (k - j)
-        return total / 2**k
-    total = x * 0 + 0.0  # keeps an ndarray's shape when every weight vanishes
-    for j, c in enumerate(coeffs):
+    xx = Fraction(x)
+    total = Fraction(0)
+    for j, c in enumerate(_finite_sum_coeffs(k, alpha, beta)):
         if c:
-            total = total + float(c) * (x + 1.0) ** j * (x - 1.0) ** (k - j)
-    return total / 2.0**k
+            total += c * (xx + 1) ** j * (xx - 1) ** (k - j)
+    return total / 2**k
 
 
 def jacobi_values(kmax: int, alpha, beta, x) -> list:
@@ -82,20 +79,38 @@ def jacobi(k: int, alpha, beta, x):
     """P_k^{(alpha,beta)}(x); exact for exact x, binary64 otherwise."""
     if k < 0:
         raise ValueError("Jacobi degree must be >= 0")
-    a, b, neg_int = _jacobi_parameters(alpha, beta)
-    if neg_int or _is_exact(x):
-        # recurrence denominators can vanish at negative integers; the finite sum cannot
-        return _jacobi_finite_sum(k, a, b, x)
-    return jacobi_values(k, float(a), float(b), x)[k]
+    if _is_exact(x):
+        return _jacobi_finite_sum(k, Fraction(alpha), Fraction(beta), x)
+    return _jacobi_float(k, _jacobi_plan(k, alpha, beta), x)
 
 
 # jacobi stays a plain function over this cache, so it keeps the __code__
 # that perfbench/tracer.py's probes copy.
 @lru_cache(maxsize=256)
-def _jacobi_parameters(alpha, beta) -> tuple[Fraction, Fraction, bool]:
-    """(alpha, beta) as Fractions, and whether either is a negative integer."""
+def _jacobi_plan(k: int, alpha, beta) -> tuple[tuple[tuple[int, float], ...] | None, float, float]:
+    """How P_k^{(alpha,beta)} is evaluated at a binary64 x: (weights, alpha, beta).
+
+    At a negative-integer parameter the recurrence denominators can vanish
+    and the finite sum cannot, so weights holds (j, float(c)) for the
+    nonzero weights c of _finite_sum_coeffs; otherwise it is None and the
+    float alpha and beta go to jacobi_values.
+    """
     a, b = Fraction(alpha), Fraction(beta)
-    return a, b, (a.denominator == 1 and a < 0) or (b.denominator == 1 and b < 0)
+    weights = None
+    if (a.denominator == 1 and a < 0) or (b.denominator == 1 and b < 0):
+        weights = tuple((j, float(c)) for j, c in enumerate(_finite_sum_coeffs(k, a, b)) if c)
+    return weights, float(a), float(b)
+
+
+def _jacobi_float(k: int, plan, x):
+    """P_k(x) for a float, complex or ndarray x, by a _jacobi_plan of degree k."""
+    weights, alpha, beta = plan
+    if weights is None:
+        return jacobi_values(k, alpha, beta, x)[k]
+    total = x * 0 + 0.0  # keeps an ndarray's shape when every weight vanishes
+    for j, c in weights:
+        total = total + c * (x + 1.0) ** j * (x - 1.0) ** (k - j)
+    return total / 2.0**k
 
 
 def gauss2f1_terminating(k: int, b, c, x):

@@ -22,9 +22,13 @@ neither numpy nor mpmath, and the trace suite loads mpmath only.
 
 The exact suites use integer arithmetic wherever a Fraction is not needed:
 the dimension forms divide integers exactly, the Bernoulli polynomials sum
-a cached integer row, the brute-force power sums add integers over 2^q,
-and the trace suite builds one b table per (n, nu) for its scaled errors,
-sliced per J, and one for its 40-digit references.
+a cached integer row, the brute-force power sums add integers over 2^q.
+The trace suite sums each (n, nu, t) once, in one 60-digit pass
+(_trace_mp): one b table per (n, nu), whose terms are built once, and one
+accumulation over j per t, read off at J = 4, 6, 8. The binary64 check's
+references are the floats of those same direct and J = 6 sums. Its detail
+text still says "40-digit reference" and is kept byte-identical, because
+those floats equal the 40-digit sums' bit for bit (a test pins it).
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .heatcoeff import (
 )
 from .spectrum import (
     SpectralPoint,
+    _poly_dimension_row,
     decompose_multiplicity,
     dimension_gamma_form,
     dimension_poly_form,
@@ -296,67 +301,80 @@ def _trace_direct_mp(n: int, two_nu: int, t: mpf) -> mpf:
 
     The Gaussian e_m = e^{t[(n^2+(2nu)^2)/4 - (2m+n+2nu)^2/4]} goes by
     e_{m+1} = e_m g_m and g_{m+1} = g_m e^{-2t}, from g_0 = e^{-(n+2nu+1)t}.
+    The dimensions come from the parity decomposition's integer row
+    (spectrum._poly_dimension_row) by Horner's rule in R^2, R = 2m+n+2nu,
+    so this reference shares no step with trace_direct's product form.
     """
     from mpmath import mp, mpf
 
-    a = n + two_nu
-    gauss = mp.exp((mpf(n * n + two_nu * two_nu) / 4 - mpf(a * a) / 4) * t)
-    step = mp.exp(-(a + 1) * t)
+    row, den = _poly_dimension_row(n, two_nu)
+    big_r = n + two_nu
+    gauss = mp.exp((mpf(n * n + two_nu * two_nu) / 4 - mpf(big_r * big_r) / 4) * t)
+    step = mp.exp(-(big_r + 1) * t)
     ratio = mp.exp(-2 * t)
     cut = mpf(10) ** (-(mp.dps + 10))
     total = mpf(0)
     m = 0
     while True:
-        term = dimension_product_form(SpectralPoint(n, two_nu, m)) * gauss
+        big_r2, acc = big_r * big_r, 0
+        for a in reversed(row):
+            acc = acc * big_r2 + a
+        term = big_r * acc // den * gauss
         total += term
         if m >= 8 and term < total * cut:
             return total
         gauss *= step
         step *= ratio
+        big_r += 2
         m += 1
 
 
-def _asymptotic_trace_mp(n: int, b, t: mpf) -> mpf:
-    from mpmath import mp, mpf
-
-    total = mpf(0)
-    for j, (factor, p) in enumerate(b):
-        total += mpf(factor.numerator) / factor.denominator * mp.pi**p * t**j
-    return total / (4 * mp.pi * t) ** n
-
-
 _TRACE_GRID = ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0))  # (n, nu)
+_TRACE_TIMES = (0.1, 0.05, 0.02, 0.01)
+_TRACE_ORDERS = (4, 6, 8)
+_BINARY64_TIMES = (0.1, 0.05)  # where trace.binary64_vs_mp compares, at J = 6
 
 
-def _trace_scaled_errors() -> dict:
-    """Scaled truncation errors E(t,J) (4 pi t)^n / t^{J+1} in 60 digits.
+def _trace_mp() -> tuple[dict, dict]:
+    """The trace suite's one 60-digit pass: scaled errors and binary64 references.
 
-    Keyed by (n, nu, J) over _TRACE_GRID and J in {4, 6, 8}; one value per
-    t in (0.1, 0.05, 0.02, 0.01).
+    Each (n, nu, t) of _TRACE_GRID x _TRACE_TIMES is summed once: the direct
+    trace D and S_J = (4 pi t)^{-n} sum_{j<=J} b_j t^j, whose partial sums
+    at J = 4, 6, 8 are read off one accumulation over j, from the terms
+    mpf(b_j) pi^p built once per (n, nu). Returns the scaled errors
+    |D - S_J| (4 pi t)^n / t^{J+1}, keyed by (n, nu, J) with one value per
+    t, and the references (float(D), float(S_6)) keyed by (n, nu, t) for t
+    in _BINARY64_TIMES.
     """
     from mpmath import mp, mpf
 
-    out = {}
+    errors, refs = {}, {}
     with mp.workdps(60):
-        times = [mpf(t) for t in (0.1, 0.05, 0.02, 0.01)]
         for n, nu in _TRACE_GRID:
-            direct = [_trace_direct_mp(n, 2 * nu, t) for t in times]
-            table = b_coefficients(n, nu, 8)  # b_0..b_J is the same for every J <= 8
-            for J in (4, 6, 8):
-                b = table[: J + 1]
-                out[(n, nu, J)] = [
-                    float(abs(d - _asymptotic_trace_mp(n, b, t)) * (4 * mp.pi * t) ** n
-                          / t ** (J + 1))
-                    for d, t in zip(direct, times)]
-    return out
+            coeffs = [mpf(factor.numerator) / factor.denominator * mp.pi**p
+                      for factor, p in b_coefficients(n, nu, max(_TRACE_ORDERS))]
+            rows = {J: [] for J in _TRACE_ORDERS}
+            for t_float in _TRACE_TIMES:
+                t = mpf(t_float)
+                direct = _trace_direct_mp(n, 2 * nu, t)
+                scale = (4 * mp.pi * t) ** n
+                total = mpf(0)
+                for j, c in enumerate(coeffs):
+                    total += c * t**j
+                    if j in rows:
+                        asymptotic = total / scale
+                        rows[j].append(float(abs(direct - asymptotic) * scale / t ** (j + 1)))
+                        if j == 6 and t_float in _BINARY64_TIMES:
+                            refs[n, nu, t_float] = float(direct), float(asymptotic)
+            errors.update(((n, nu, J), vals) for J, vals in rows.items())
+    return errors, refs
 
 
 def suite_trace() -> list[Check]:
     """Order-t^{J+1} truncation of the asymptotic trace, plus binary64 checks."""
-    from mpmath import mp, mpf
-
+    errors, refs = _trace_mp()
     worst_ratio, worst_at = _worst(
-        ((max(a / b, b / a), key) for key, vals in _trace_scaled_errors().items()
+        ((max(a / b, b / a), key) for key, vals in errors.items()
          for a, b in zip(vals, vals[1:])), floor=1.0)
     checks = [_check(
         "trace.scaled_error_order", worst_ratio < 4.0,
@@ -364,15 +382,13 @@ def suite_trace() -> list[Check]:
         f"between successive t (limit 4) over the (n,nu,J) grid; worst at {worst_at}",
     )]
 
-    tables = {(n, nu): b_coefficients(n, nu, 6) for n, nu in _TRACE_GRID}
-    with mp.workdps(40):
-        worst, _ = _worst(
-            (abs(fast - ref) / abs(ref), (n, nu, t))
-            for (n, nu), t in product(_TRACE_GRID, (0.1, 0.05))
-            for fast, ref in (
-                (trace_direct(n, 2 * nu, t), float(_trace_direct_mp(n, 2 * nu, mpf(t)))),
-                (asymptotic_trace(n, nu, t, 6),
-                 float(_asymptotic_trace_mp(n, tables[n, nu], mpf(t))))))
+    # the detail still names the 40-digit references: rounded to binary64, the
+    # 60-digit sums equal them at every point, so the text and its figure are unchanged
+    worst, _ = _worst(
+        (abs(fast - ref) / abs(ref), (n, nu, t))
+        for (n, nu), t in product(_TRACE_GRID, _BINARY64_TIMES)
+        for fast, ref in zip((trace_direct(n, 2 * nu, t), asymptotic_trace(n, nu, t, 6)),
+                             refs[n, nu, t]))
     checks.append(_check(
         "trace.binary64_vs_mp", worst <= 1e-12,
         f"binary64 trace_direct/asymptotic_trace vs 40-digit reference: "

@@ -111,6 +111,17 @@ def test_pochhammer_examples():
     assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
 
 
+@pytest.mark.parametrize("a", range(-5, 6))
+def test_pochhammer_of_an_int_equals_the_fraction_loop(a):
+    # an int a multiplies integers; the value, zero crossings included, and the type are kept
+    for k in range(9):
+        expected = Fraction(1)
+        for j in range(k):
+            expected *= Fraction(a) + j
+        got = pochhammer(a, k)
+        assert type(got) is Fraction and got == expected == pochhammer(Fraction(a), k)
+
+
 @given(st.fractions(min_value=-4, max_value=4, max_denominator=4),
        st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
 def test_pochhammer_additivity(a, j, k):

@@ -53,6 +53,7 @@ CASES = {
                              "--t=0.2,0.05,0.003", "--format=csv"],
     "verify_all_json": ["verify"],
     "verify_heat_seed7_csv": ["verify", "--scope=heat", "--seed=7", "--format=csv"],
+    "verify_zaremba_seed7_csv": ["verify", "--scope=zaremba", "--seed=7", "--format=csv"],
 }
 
 

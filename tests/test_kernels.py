@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
+from itertools import product
 from math import factorial, pi, sqrt
 
 import numpy as np
@@ -159,6 +161,37 @@ def test_kernel_diagonal_volume_examples():
                 assert (kernel_diagonal_volume_check(n, two_nu, m)
                         == dimension_gamma_form(SpectralPoint(n, two_nu, m)))
     assert isinstance(kernel_diagonal_volume_check(2, 1, 1), Fraction)
+
+
+def test_kernel_diagonal_volume_reads_numpy_labels_as_python_ints():
+    # int64 labels once ran the products in int64, which wrapped with only a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = kernel_diagonal_volume_check(np.int64(8), np.int64(8), 40)
+    assert type(value) is Fraction
+    assert value == kernel_diagonal_volume_check(8, 8, 40) == 153149145766917300
+
+
+def _monopole_by_jacobi(two_nu: int, m: int, k: int, z):
+    # Phi_k through jacobi's own dispatch, away from z = 0
+    norm = sqrt((two_nu + 2 * m + 1) * factorial(two_nu + m) * factorial(m)
+                / (factorial(m + k) * factorial(two_nu + m - k)))
+    zz = (z * z.conjugate()).real
+    s = (1.0 - zz) / (1.0 + zz)
+    return norm * (1.0 + zz) ** (-two_nu / 2.0) * z**k * jacobi(m, k, two_nu - k, s)
+
+
+@pytest.mark.parametrize("two_nu,m", product(range(5), range(4)))
+def test_monopole_basis_is_its_jacobi_formula_bit_for_bit(two_nu, m):
+    # the cached Jacobi plan changes no bit, for scalars and for ndarrays
+    z = np.array([0.3 + 0.2j, -1.1 + 0.5j, 2.0, -0.4j, 1e-3 - 2e-3j])
+    for k in range(-m, two_nu + m + 1):
+        assert (monopole_basis(two_nu, m, k, z).tobytes()
+                == _monopole_by_jacobi(two_nu, m, k, z).tobytes())
+        for zi in z.tolist():
+            got, expected = monopole_basis(two_nu, m, k, zi), _monopole_by_jacobi(two_nu, m, k, zi)
+            assert type(got) is type(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 def _kernel_on_grid(two_nu: int, m: int, z: complex, us: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from scipy.special import eval_gegenbauer, eval_jacobi
 
 from projheat.errors import PoleError
 from projheat.exactnum import pochhammer
+from projheat import orthopoly
 from projheat.orthopoly import gauss2f1_terminating, gegenbauer_values, jacobi
 
 
@@ -62,6 +63,28 @@ def test_jacobi_ndarray_negative_integer_parameter_matches_scalars(k, a, b):
     for xi, vi in zip(x, values):
         assert vi == pytest.approx(jacobi(k, a, b, float(xi)), rel=1e-13, abs=1e-14)
     assert jacobi(2, -1, -1, np.array([0.3]))[0] == pytest.approx(-0.2275, rel=1e-13)
+
+
+def _finite_sum_over_fraction_weights(k, a, b, x):
+    # the binary64 finite sum read straight off the Fraction weights, float(c) per term
+    total = x * 0 + 0.0
+    for j, c in enumerate(orthopoly._finite_sum_coeffs(k, Fraction(a), Fraction(b))):
+        if c:
+            total = total + float(c) * (x + 1.0) ** j * (x - 1.0) ** (k - j)
+    return total / 2.0**k
+
+
+@pytest.mark.parametrize("k,a,b", [(1, -1, -1), (2, -1, -1), (3, -2, 4), (3, 1, -3),
+                                   (4, -2, -3), (2, Fraction(1, 2), -1), (0, -1, 2),
+                                   (3, -3, 0), (3, 5, -1), (5, -2, Fraction(7, 3))])
+def test_jacobi_float_finite_sum_is_the_fraction_weight_loop_bit_for_bit(k, a, b):
+    # jacobi's cached float weights change no bit, for scalars and for ndarrays
+    x = np.linspace(-1.5, 1.5, 31)
+    assert jacobi(k, a, b, x).tobytes() == _finite_sum_over_fraction_weights(k, a, b, x).tobytes()
+    for xi in [*x.tolist(), 0.3 - 0.2j, np.float64(0.7)]:
+        got, expected = jacobi(k, a, b, xi), _finite_sum_over_fraction_weights(k, a, b, xi)
+        assert type(got) is type(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 def test_jacobi_negative_integer_parameter_structural_zero():

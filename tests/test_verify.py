@@ -11,6 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 from projheat import verify
+from projheat.heatcoeff import b_coefficients
 from projheat.kernels import KernelEval
 from projheat.spectrum import SpectralPoint, dimension_product_form
 
@@ -33,7 +34,7 @@ CASES = [
      _returning(complex(math.nan))),
     ("heat", "heat.series_vs_integral", "projheat.heat", "heat_kernel_integral", _nan_rows),
     ("heat", "heat.irhk_hi_nu0", "projheat.heat", "heat_kernel_integral_hi", _nan_rows),
-    ("trace", "trace.scaled_error_order", "projheat.verify", "_asymptotic_trace_mp",
+    ("trace", "trace.scaled_error_order", "projheat.verify", "_trace_direct_mp",
      _returning(mpf("nan"))),
     ("trace", "trace.binary64_vs_mp", "projheat.verify", "trace_direct", _returning(math.nan)),
     ("monopole", "monopole.normalization", "projheat.kernels", "monopole_norm_sq",
@@ -61,6 +62,43 @@ def test_trace_direct_mp_recurrence_matches_termwise_exponentials(n, two_nu, t):
                 (shift - mpf((2 * m + n + two_nu) ** 2) / 4) * t)
             m += 1
         assert abs(verify._trace_direct_mp(n, two_nu, t) - total) <= total * mpf(10) ** -55
+
+
+def _asymptotic_trace_mp(n: int, b, t: mpf) -> mpf:
+    # (4 pi t)^{-n} sum_{j<=J} b_j t^j at the working precision, one table per J
+    total = mpf(0)
+    for j, (factor, p) in enumerate(b):
+        total += mpf(factor.numerator) / factor.denominator * mp.pi**p * t**j
+    return total / (4 * mp.pi * t) ** n
+
+
+@pytest.fixture(scope="module")
+def trace_pass():
+    return verify._trace_mp()
+
+
+@pytest.mark.parametrize("n,nu,t", [(n, nu, t) for (n, nu), t in
+                                    product(verify._TRACE_GRID, verify._BINARY64_TIMES)])
+def test_trace_binary64_references_equal_a_40_digit_pass(trace_pass, n, nu, t):
+    # the 60-digit sums, rounded to binary64, are the 40-digit references bit for bit
+    with mp.workdps(40):
+        direct = verify._trace_direct_mp(n, 2 * nu, mpf(t))
+        asymptotic = _asymptotic_trace_mp(n, b_coefficients(n, nu, 6), mpf(t))
+    assert trace_pass[1][n, nu, t] == (float(direct), float(asymptotic))
+
+
+def test_trace_scaled_errors_equal_one_sum_per_order(trace_pass):
+    # the partial sums read off one accumulation equal a separate sum per J, bit for bit
+    expected = {}
+    with mp.workdps(60):
+        for n, nu in verify._TRACE_GRID:
+            for J in verify._TRACE_ORDERS:
+                b = b_coefficients(n, nu, J)
+                expected[n, nu, J] = [
+                    float(abs(verify._trace_direct_mp(n, 2 * nu, mpf(t)) - _asymptotic_trace_mp(
+                        n, b, mpf(t))) * (4 * mp.pi * mpf(t)) ** n / mpf(t) ** (J + 1))
+                    for t in verify._TRACE_TIMES]
+    assert list(trace_pass[0].items()) == list(expected.items())
 
 
 def test_worst_keeps_the_first_of_equal_errors_and_the_first_nan():
