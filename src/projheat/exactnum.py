@@ -4,6 +4,10 @@ Every exact scalar in the package is a ``fractions.Fraction``: always in
 lowest terms, denominator > 0, zero is 0/1. ``rational_str`` writes one as
 "p/q", and ``Fraction`` reads that form back.
 
+Series products that would take O(L^2) ``Fraction`` operations go through
+``_Series``: integer numerators over one common denominator, whose
+truncated product takes O(L^2) integer multiply-adds and no ``Fraction``.
+
 Two distinct Bernoulli-type sequences live here and are never mixed up:
 
 * ``bernoulli_number(d)`` -- the standard numbers B_d with the recursion
@@ -17,7 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from itertools import repeat
+from math import comb, factorial, lcm
+from operator import add, mul
 
 __all__ = [
     "bernoulli_number",
@@ -130,6 +136,46 @@ def power_sum(m: int, q: int, a: Fraction | int) -> Fraction:
         raise ValueError("upper limit m must be >= 0")
     a = Fraction(a)
     return (bernoulli_polynomial(q + 1, m + 1 + a) - bernoulli_polynomial(q + 1, a)) / (q + 1)
+
+
+class _Series:
+    """The truncated power series sum_{k<L} (nums[k] / den) x^k, L = len(nums), den > 0.
+
+    One common denominator keeps a product in integers: the coefficients of
+    a * b are sum_i a.nums[i] b.nums[k-i] over a.den b.den. Nothing is
+    reduced: a caller builds one Fraction per coefficient it reads.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list[int], den: int):
+        self.nums, self.den = nums, den
+
+    @classmethod
+    def from_fractions(cls, values) -> _Series:
+        """The series sum_k values[k] x^k, over the lcm of the denominators."""
+        den = lcm(*(v.denominator for v in values))
+        return cls([v.numerator * (den // v.denominator) for v in values], den)
+
+    @classmethod
+    def exp(cls, base: Fraction, length: int) -> _Series:
+        """e^{base x} to `length` terms: with base = p/q and N = length - 1,
+        x^k has p^k q^{N-k} N!/k! over q^N N!."""
+        p, q = base.numerator, base.denominator
+        den = q ** (length - 1) * factorial(length - 1)
+        nums = [den]
+        for k in range(1, length):
+            nums.append(nums[-1] * p // (q * k))  # exact
+        return cls(nums, den)
+
+    def __mul__(self, other: _Series) -> _Series:
+        """The product, truncated at the shorter length; a zero term of self costs nothing."""
+        a, b = self.nums, other.nums
+        nums = [0] * min(len(a), len(b))
+        for i, x in enumerate(a[: len(nums)]):
+            if x:
+                nums[i:] = map(add, nums[i:], map(mul, repeat(x), b))
+        return _Series(nums, self.den * other.den)
 
 
 def rational_str(x: Fraction | int) -> str:

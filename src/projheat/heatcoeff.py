@@ -12,6 +12,13 @@ published statement differs in two places (1/q! weights in the odd tail,
 B_{2k}(nu) - 2B_{2k} in place of B_{2k}(nu) in the even tail) and those
 as-printed variants are available behind c_coefficients(printed=True), so
 discrepancy reports can show computed-versus-printed values side by side.
+
+Both exact passes are one truncated series product in integers
+(exactnum._Series: integer numerators over one common denominator). The
+tail c_n..c_J is the weighted head times the series of B_{2k}(arg)/k, and
+b_0..b_J is c(x) e^{(n^2/4 + nu^2) x}; each reads one Fraction per
+coefficient, where a term-by-term sum would take O(J n) and O(J^2)
+Fraction operations.
 """
 
 from __future__ import annotations
@@ -21,7 +28,13 @@ from fractions import Fraction
 from math import factorial, pi
 
 from .errors import Binary64Overflow, UnsupportedN, UnsupportedNu, binary64_range
-from .exactnum import bernoulli_number, bernoulli_polynomial, rational_str, theta2_series_coefficient
+from .exactnum import (
+    _Series,
+    bernoulli_number,
+    bernoulli_polynomial,
+    rational_str,
+    theta2_series_coefficient,
+)
 from .spectrum import _integer, _rational, decompose_multiplicity
 from .theta import _require_time
 
@@ -72,17 +85,23 @@ def _tail_bernoulli(n: int, nu: int, J: int) -> list[Fraction]:
 
 
 def _c_with_tail(n: int, nu: int, J: int, bern: list[Fraction], printed: bool) -> list[Fraction]:
-    """c_0..c_J from the head and the tail recurrence over bern = _tail_bernoulli(n, nu, J)."""
+    """c_0..c_J from the head and the tail recurrence over bern = _tail_bernoulli(n, nu, J).
+
+    The tail is one integer series product: c_i, i >= n, is (-1)^{i-n+1}/(i-n)!
+    times the x^i coefficient of h(x) beta(x), with the weighted head
+    h_q = c_q/(n-1-q)! (c_q/q! in the printed odd variant), zero past
+    q = n-1, and beta_k = B_{2k}(arg)/k, k >= 1.
+    """
     c = c_head(decompose_multiplicity(n, nu).coeffs)[: J + 1]
     odd = n % 2 == 1
     if printed and not odd:
         bern = [v - 2 * bernoulli_number(2 * k) for k, v in enumerate(bern, 1)]
-    for i in range(n, J + 1):
-        acc = Fraction(0)
-        for q in range(n):
-            k = i - q
-            acc += c[q] * bern[k - 1] / (k * factorial(q if printed and odd else n - 1 - q))
-        c.append(Fraction((-1) ** (i - n + 1)) * acc / factorial(i - n))
+    weights = [factorial(q if printed and odd else n - 1 - q) for q in range(n)]
+    head = _Series.from_fractions([cq / w for cq, w in zip(c, weights)] + [0] * (J + 1 - n))
+    beta = _Series.from_fractions([0] + [v / k for k, v in enumerate(bern, 1)])
+    tail = head * beta
+    c.extend(Fraction((-1) ** (i - n + 1) * tail.nums[i], tail.den * factorial(i - n))
+             for i in range(n, J + 1))
     return c
 
 
@@ -100,16 +119,15 @@ def c_coefficients(n: int, nu, J: int, printed: bool = False) -> list[Fraction]:
 def b_from_c(n: int, nu: int, c, base: Fraction | None = None) -> list[tuple[Fraction, int]]:
     """b_j = ((4 pi)^n / n!) sum_{i<=j} base^{j-i} c_i / (j-i)!, as (factor, n).
 
+    That sum is the x^j coefficient of c(x) e^{base x}, formed as one integer
+    series product over one common denominator, with one Fraction per j.
     The theorem's base is n^2/4 + nu^2; other bases serve discrepancy reports.
     """
     if base is None:
         base = Fraction(n * n, 4) + nu * nu
-    steps = [Fraction(1)]  # base^k / k!
-    for k in range(1, len(c)):
-        steps.append(steps[-1] * base / k)
-    scale = Fraction(4**n, factorial(n))
-    return [(scale * sum((steps[j - i] * c[i] for i in range(j + 1)), Fraction(0)), n)
-            for j in range(len(c))]
+    product = _Series.from_fractions(c) * _Series.exp(base, len(c))
+    den = factorial(n) * product.den
+    return [(Fraction(4**n * num, den), n) for num in product.nums]
 
 
 def b_coefficients(n: int, nu, J: int) -> list[tuple[Fraction, int]]:

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from itertools import accumulate, repeat
 from math import exp
+from operator import sub
 
 from .errors import NonPositiveTime, TruncationFailed, binary64_range
 from .spectrum import SpectralPoint, _product_dimension
@@ -104,17 +106,36 @@ def _gaussian(n: int, two_nu: int, t: float):
     return lambda m: exp(t * (shift - (2 * m + big) ** 2))
 
 
+def _dimensions(n: int, two_nu: int):
+    """dim(A_m^nu) for m = 0, 1, 2, ..., from a forward-difference table.
+
+    dim is an integer polynomial of degree 2n-1 in m. Its differences at
+    m = 0 come from the product form at m = 0..2n-1; each difference of
+    order k is then the running sum of those of order k+1, so each later
+    value costs 2n-1 integer additions.
+    """
+    diffs = [_product_dimension(n, two_nu, m) for m in range(2 * n)]
+    for k in range(1, 2 * n):
+        diffs[k:] = map(sub, diffs[k:], diffs[k - 1:-1])
+    values = repeat(diffs.pop())
+    for start in reversed(diffs):
+        values = accumulate(values, initial=start)
+    return values
+
+
 def trace_direct(n: int, two_nu: int, t: float, eps: float = 1e-12) -> float:
     """Tr exp(t Delta_nu / 4) by direct spectral summation, tail bound < eps.
 
     Terms are dim(A_m^nu) e^{(t/4)[(n^2+(2nu)^2) - (2m+n+2nu)^2]}; they are
     positive, so the term sequence is its own tail bound, and the sum reads
-    the terms terms_needed evaluated.
+    the terms terms_needed evaluated. terms_needed evaluates m = 0, 1, 2, ...
+    once each, in order, so each term takes the next dimension.
     """
     _require_time(t)
     pt = SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     n, two_nu = pt.n, pt.two_nu  # Python ints, so the dimensions never run in int64
     decay = _gaussian(n, two_nu, t / 4.0)
+    dims = _dimensions(n, two_nu)
     with binary64_range("a trace term dim(A_m^nu) times its Gaussian weight"):
-        values, _ = terms_needed(lambda m: _product_dimension(n, two_nu, m) * decay(m), eps)
+        values, _ = terms_needed(lambda m: next(dims) * decay(m), eps)
     return math.fsum(values)

@@ -26,9 +26,9 @@ a cached integer row, the brute-force power sums add integers over 2^q.
 The trace suite sums each (n, nu, t) once, in one 60-digit pass
 (_trace_mp): one b table per (n, nu), whose terms are built once, and one
 accumulation over j per t, read off at J = 4, 6, 8. The binary64 check's
-references are the floats of those same direct and J = 6 sums. Its detail
-text still says "40-digit reference" and is kept byte-identical, because
-those floats equal the 40-digit sums' bit for bit (a test pins it).
+references are the floats of those same direct and J = 6 sums, so its
+detail names a 60-digit reference. Those floats equal a 40-digit pass's bit
+for bit (a test pins it), so the figure it reports is unchanged.
 """
 
 from __future__ import annotations
@@ -382,8 +382,8 @@ def suite_trace() -> list[Check]:
         f"between successive t (limit 4) over the (n,nu,J) grid; worst at {worst_at}",
     )]
 
-    # the detail still names the 40-digit references: rounded to binary64, the
-    # 60-digit sums equal them at every point, so the text and its figure are unchanged
+    # rounded to binary64, the 60-digit references equal a 40-digit pass's at every
+    # point, so the reported figure does not depend on the reference precision
     worst, _ = _worst(
         (abs(fast - ref) / abs(ref), (n, nu, t))
         for (n, nu), t in product(_TRACE_GRID, _BINARY64_TIMES)
@@ -391,7 +391,7 @@ def suite_trace() -> list[Check]:
                              refs[n, nu, t]))
     checks.append(_check(
         "trace.binary64_vs_mp", worst <= 1e-12,
-        f"binary64 trace_direct/asymptotic_trace vs 40-digit reference: "
+        f"binary64 trace_direct/asymptotic_trace vs 60-digit reference: "
         f"max rel diff {worst:.3e} (tol 1e-12)",
     ))
     return checks

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from projheat.exactnum import (
+    _Series,
     bernoulli_number,
     bernoulli_polynomial,
     binomial_general,
@@ -154,6 +155,36 @@ def test_power_sum_brute_force_grid(a):
     for m in range(11):
         for q in range(1, 10):
             assert power_sum(m, q, a) == sum((k + a) ** q for k in range(m + 1))
+
+
+coefficient_lists = st.lists(st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12)),
+                             min_size=1, max_size=12)
+
+
+def series_values(series):
+    return [Fraction(num, series.den) for num in series.nums]
+
+
+@given(coefficient_lists)
+def test_series_from_fractions_keeps_each_value_over_the_lcm(values):
+    series = _Series.from_fractions(values)
+    assert series_values(series) == values
+    assert series.den == math.lcm(*(v.denominator for v in values))
+
+
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+       st.integers(min_value=1, max_value=30))
+def test_series_exp_is_powers_over_factorials(base, length):
+    series = _Series.exp(base, length)
+    assert series.den > 0
+    assert series_values(series) == [base**k / math.factorial(k) for k in range(length)]
+
+
+@given(coefficient_lists, coefficient_lists)
+def test_series_product_is_the_cauchy_product_at_the_shorter_length(a, b):
+    product = _Series.from_fractions(a) * _Series.from_fractions(b)
+    assert series_values(product) == [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+                                      for k in range(min(len(a), len(b)))]
 
 
 def test_results_in_lowest_terms():

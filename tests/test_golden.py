@@ -27,6 +27,8 @@ CASES = {
     "coeffs_csv": ["coeffs", "--n=2", "--nu=1", "--J=8", "--format=csv"],
     # Bernoulli rows up to d = 80
     "coeffs_n6_J40_csv": ["coeffs", "--n=6", "--nu=3", "--J=40", "--format=csv"],
+    # the odd-n tail past the benchmark's J = 40: 56 printed-diff entries
+    "coeffs_n5_J60_json": ["coeffs", "--n=5", "--nu=2", "--J=60"],
     "dims_json": ["dims", "--n=2", "--two-nu=1", "--m-max=10"],
     "dims_csv": ["dims", "--n=4", "--two-nu=3", "--m-max=12", "--format=csv"],
     "dims_n8_csv": ["dims", "--n=8", "--two-nu=8", "--m-max=60", "--format=csv"],
@@ -51,6 +53,9 @@ CASES = {
     "trace_compare_json": ["trace-compare", "--n=1", "--nu=1", "--J=6", "--t=0.1,0.05,0.02"],
     "trace_compare_n5_csv": ["trace-compare", "--n=5", "--nu=2", "--J=4",
                              "--t=0.2,0.05,0.003", "--format=csv"],
+    # the direct trace's degree-11 difference table over 5364 terms
+    "trace_compare_n6_small_t_csv": ["trace-compare", "--n=6", "--nu=3", "--J=8",
+                                     "--t=1e-5,3e-4,0.01", "--format=csv"],
     "verify_all_json": ["verify"],
     "verify_heat_seed7_csv": ["verify", "--scope=heat", "--seed=7", "--format=csv"],
     "verify_zaremba_seed7_csv": ["verify", "--scope=zaremba", "--seed=7", "--format=csv"],

@@ -30,10 +30,12 @@ from projheat.kernels import fs_distance
 from projheat.quadrature import gauss_legendre, midpoint_rule, plane_mu1_rule
 from projheat.spectrum import (
     SpectralPoint,
+    _product_dimension,
     dimension_gamma_form,
     dimension_product_form,
     eigenvalue_beta,
 )
+from projheat.theta import _gaussian
 
 
 def test_time_validation():
@@ -528,6 +530,17 @@ def test_trace_direct_bit_identical_to_gamma_form_sum(n):
 
             values, _ = terms_needed(term, 1e-12)
             assert trace_direct(n, two_nu, t) == math.fsum(map(term, range(len(values))))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trace_direct_dimensions_equal_the_product_form(n):
+    # the forward-difference dimensions are the product form's ints: the
+    # same truncation and fsum over product-form terms agree bit for bit
+    for two_nu in range(9):
+        for t in (1e-5, 1e-3, 0.1):
+            decay = _gaussian(n, two_nu, t / 4.0)
+            values, _ = terms_needed(lambda m: _product_dimension(n, two_nu, m) * decay(m), 1e-12)
+            assert trace_direct(n, two_nu, t) == math.fsum(values)
 
 
 def test_trace_exponents_match_eigenvalues():

@@ -29,6 +29,54 @@ from projheat.heatcoeff import (
 from projheat.spectrum import decompose_multiplicity
 
 
+def b_from_c_reference(n, nu, c, base=None):
+    """The Fraction definition: base^k/k! steps, then one Fraction sum per j."""
+    if base is None:
+        base = Fraction(n * n, 4) + nu * nu
+    steps = [Fraction(1)]  # base^k / k!
+    for k in range(1, len(c)):
+        steps.append(steps[-1] * base / k)
+    scale = Fraction(4**n, factorial(n))
+    return [(scale * sum((steps[j - i] * c[i] for i in range(j + 1)), Fraction(0)), n)
+            for j in range(len(c))]
+
+
+def c_with_tail_reference(n, nu, J, bern, printed):
+    """The Fraction definition: the tail recurrence over the head, term by term."""
+    c = heatcoeff.c_head(decompose_multiplicity(n, nu).coeffs)[: J + 1]
+    odd = n % 2 == 1
+    if printed and not odd:
+        bern = [v - 2 * bernoulli_number(2 * k) for k, v in enumerate(bern, 1)]
+    for i in range(n, J + 1):
+        acc = Fraction(0)
+        for q in range(n):
+            k = i - q
+            acc += c[q] * bern[k - 1] / (k * factorial(q if printed and odd else n - 1 - q))
+        c.append(Fraction((-1) ** (i - n + 1)) * acc / factorial(i - n))
+    return c
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_products_equal_the_fraction_definitions(monkeypatch, n):
+    # J = 60 holds every shorter table as a prefix; the J around n and the
+    # smaller J check where the tail starts and the report's truncation
+    for nu in range(5):
+        for J in sorted({0, 1, n - 1, n, n + 1, 7, 60}):
+            bern = heatcoeff._tail_bernoulli(n, nu, J)
+            c = c_with_tail_reference(n, nu, J, bern, False)
+            assert c_coefficients(n, nu, J) == c
+            assert c_coefficients(n, nu, J, printed=True) == c_with_tail_reference(
+                n, nu, J, bern, True)
+            assert b_coefficients(n, nu, J) == b_from_c_reference(n, nu, c)
+            assert heatcoeff.b_from_c(n, nu, c, Fraction(1, 4)) == b_from_c_reference(
+                n, nu, c, Fraction(1, 4))
+            # the table's b is b_from_c of its c, pinned above
+            table = heat_coeff_table(n, nu, J)
+            with monkeypatch.context() as patch:
+                patch.setattr(heatcoeff, "_c_with_tail", c_with_tail_reference)
+                assert table == heat_coeff_table(n, nu, J)
+
+
 def test_c_head_n3():
     for nu in (0, 1, 2, 3):
         c = c_coefficients(3, nu, 4)
