@@ -19,6 +19,7 @@ Two distinct Bernoulli-type sequences live here and are never mixed up:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -59,6 +60,20 @@ def _bernoulli_row(d: int) -> tuple[tuple[int, ...], int]:
                  for k, bk in enumerate(coeffs)), common
 
 
+def _bernoulli_numerator(row: tuple[int, ...], p: int, q: int) -> int:
+    """sum_k row[k] p^{d-k} q^k, d = len(row) - 1, by Horner's rule in p.
+
+    On the row of _bernoulli_row(d), this is L q^d B_d(p/q).
+    """
+    acc, q_k = 0, 1
+    for a in row:
+        acc *= p
+        if a:
+            acc += a * q_k
+        q_k *= q
+    return acc
+
+
 def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
     """Exact value of the Bernoulli polynomial B_d(x) = sum C(d,k) B_k x^{d-k}.
 
@@ -67,18 +82,13 @@ def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
     rule in p from the cached row of C(d,k) L B_k; only the final quotient is
     a Fraction.
     """
+    d = operator.index(d)
     if d < 0:
         raise ValueError("Bernoulli index must be >= 0")
     x = Fraction(x)
-    p, q = x.numerator, x.denominator
+    p, q = int(x.numerator), int(x.denominator)
     row, common = _bernoulli_row(d)
-    acc, q_k = 0, 1
-    for a in row:
-        acc *= p
-        if a:
-            acc += a * q_k
-        q_k *= q
-    return Fraction(acc, common * q**d)
+    return Fraction(_bernoulli_numerator(row, p, q), common * q**d)
 
 
 @lru_cache(maxsize=None)
@@ -129,13 +139,22 @@ def binomial_general(a: Fraction | int, k: int) -> Fraction:
 
 
 def power_sum(m: int, q: int, a: Fraction | int) -> Fraction:
-    """Exact sum_{k=0}^{m} (k+a)^q via Bernoulli polynomials, q >= 1."""
+    """Exact sum_{k=0}^{m} (k+a)^q via Bernoulli polynomials, q >= 1.
+
+    (B_{q+1}(m+1+a) - B_{q+1}(a)) / (q+1): with a = p/s in lowest terms,
+    m+1+a = (p + (m+1) s)/s has the same denominator, so the difference is
+    one integer over L s^{q+1} (q+1), with L as in bernoulli_polynomial.
+    """
+    m, q = operator.index(m), operator.index(q)
     if q < 1:
         raise ValueError("exponent q must be >= 1")
     if m < 0:
         raise ValueError("upper limit m must be >= 0")
     a = Fraction(a)
-    return (bernoulli_polynomial(q + 1, m + 1 + a) - bernoulli_polynomial(q + 1, a)) / (q + 1)
+    p, s, d = int(a.numerator), int(a.denominator), q + 1
+    row, common = _bernoulli_row(d)
+    diff = _bernoulli_numerator(row, p + (m + 1) * s, s) - _bernoulli_numerator(row, p, s)
+    return Fraction(diff, common * s**d * d)
 
 
 class _Series:

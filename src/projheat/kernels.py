@@ -17,7 +17,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import acos, factorial, pi, sqrt
+from math import acos, factorial, pi, prod, sqrt
 
 import numpy as np
 
@@ -97,9 +97,13 @@ def single_angle(c2) -> float:
     return sqrt(min(1.0, c2))
 
 
-def double_angle(c2):
-    """cos 2d = 2 cos^2 d - 1 from c2 = cos^2 d, clipped to [-1, 1]."""
-    return np.clip(2.0 * c2 - 1.0, -1.0, 1.0)
+def double_angle(c2) -> float:
+    """cos 2d = 2 cos^2 d - 1 from the scalar c2 = cos^2 d, clipped to [-1, 1].
+
+    c2 is one number, as point_pair returns it, not an array. The bounds are
+    floats, so a clipped value is a float and jacobi takes its binary64 path.
+    """
+    return min(max(2.0 * c2 - 1.0, -1.0), 1.0)
 
 
 def fs_distance(z, w) -> float:
@@ -114,13 +118,19 @@ def reproducing_kernel(n: int, two_nu: int, m: int, z, w) -> KernelEval:
     ((2m+2nu+n) Gamma(m+n+2nu) / (pi^n Gamma(m+2nu+1))) q^{2nu}
     P_m^{(n-1,2nu)}(cos 2 d_FS), with q from point_pair.
     """
-    SpectralPoint(n, two_nu, m)  # rejects n < 1, 2nu < 0, m < 0
+    pt = SpectralPoint(n, two_nu, m)  # rejects n < 1, 2nu < 0, m < 0
+    n, two_nu, m = pt.n, pt.two_nu, pt.m
     c2, q = point_pair(n, z, w)
+    value = _kernel_prefactor(n, two_nu, m) * q**two_nu * jacobi(m, n - 1, two_nu, double_angle(c2))
+    return KernelEval(value=complex(value), terms_used=0, error_bound=0.0)
+
+
+@lru_cache(maxsize=256)
+def _kernel_prefactor(n: int, two_nu: int, m: int) -> float:
+    """(2m+2nu+n) Gamma(m+n+2nu) / (pi^n Gamma(m+2nu+1)) of a checked (n, 2nu, m)."""
     gamma_ratio = pochhammer(m + two_nu + 1, n - 1)  # Gamma(m+n+2nu)/Gamma(m+2nu+1)
     with binary64_range("the kernel prefactor (2m+2nu+n) Gamma(m+n+2nu)/Gamma(m+2nu+1)/pi^n"):
-        pref = (2 * m + two_nu + n) * float(gamma_ratio) / pi**n
-    value = pref * q**two_nu * jacobi(m, n - 1, two_nu, double_angle(c2))
-    return KernelEval(value=complex(value), terms_used=0, error_bound=0.0)
+        return (2 * m + two_nu + n) * float(gamma_ratio) / pi**n
 
 
 def monopole_basis(two_nu: int, m: int, k: int,
@@ -199,6 +209,6 @@ def kernel_diagonal_volume_check(n: int, two_nu: int, m: int) -> Fraction:
     """
     pt = SpectralPoint(n, two_nu, m)  # rejects n < 1, 2nu < 0, m < 0
     n, two_nu, m = pt.n, pt.two_nu, pt.m  # Python ints, so the products never run in int64
-    gamma_ratio = pochhammer(m + two_nu + 1, n - 1)
-    jac_at_one = pochhammer(n, m) / factorial(m)  # P_m^{(n-1,2nu)}(1)
-    return (2 * m + two_nu + n) * gamma_ratio * jac_at_one / factorial(n)
+    # (2m+2nu+n) (m+2nu+1)_{n-1} (n)_m over m! n!, as one integer product
+    num = (2 * m + two_nu + n) * prod(range(m + two_nu + 1, m + two_nu + n)) * prod(range(n, n + m))
+    return Fraction(num, factorial(m) * factorial(n))

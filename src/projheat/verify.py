@@ -29,6 +29,14 @@ accumulation over j per t, read off at J = 4, 6, 8. The binary64 check's
 references are the floats of those same direct and J = 6 sums, so its
 detail names a 60-digit reference. Those floats equal a 40-digit pass's bit
 for bit (a test pins it), so the figure it reports is unchanged.
+
+The direct trace reference (_trace_direct_mp) is summed in fixed point:
+Python integers in units of 2^-P, P the working precision plus guard bits,
+and one mpf at the end. Its docstring bounds the integer sum's error by
+2 K^3 D units over K terms of largest dimension D, and the sum is redone
+with more guard bits until that bound is below 2^-prec of the total, so the
+result holds the working precision. Its floats equal the mpf loop's it
+replaced bit for bit (a test pins it).
 """
 
 from __future__ import annotations
@@ -304,29 +312,47 @@ def _trace_direct_mp(n: int, two_nu: int, t: mpf) -> mpf:
     The dimensions come from the parity decomposition's integer row
     (spectrum._poly_dimension_row) by Horner's rule in R^2, R = 2m+n+2nu,
     so this reference shares no step with trace_direct's product form.
+
+    The sum runs in fixed point: e_0, g_0 and e^{-2t}, each at most 1, are
+    converted once to integers in units of 2^-P, each product is truncated
+    back by >> P, and the total is one integer, rounded to an mpf at the end.
+    A conversion is off by less than 2 units and a truncation by less than
+    1, so g_m is off by at most 3m + 2 units and e_m by at most 2(m+1)^2;
+    over K terms whose largest dimension is D (the last, since dimensions
+    grow with m) the total is off by at most 2 K^3 D units. P is the working
+    precision plus guard bits; when 2 K^3 D 2^prec exceeds the total, the sum
+    is redone with the guard raised by the shortfall, so the returned value
+    is within 2^-prec of the cut sum, relative, before its final rounding.
     """
     from mpmath import mp, mpf
 
     row, den = _poly_dimension_row(n, two_nu)
-    big_r = n + two_nu
-    gauss = mp.exp((mpf(n * n + two_nu * two_nu) / 4 - mpf(big_r * big_r) / 4) * t)
-    step = mp.exp(-(big_r + 1) * t)
-    ratio = mp.exp(-2 * t)
-    cut = mpf(10) ** (-(mp.dps + 10))
-    total = mpf(0)
-    m = 0
+    big_r0 = n + two_nu
+    exponents = (mpf(n * n + two_nu * two_nu - big_r0 * big_r0) / 4, -(big_r0 + 1), -2)
+    cut = 10 ** (mp.dps + 10)
+    guard = 64 + int(n * two_nu * t)  # n 2nu t bits cover e_0 = e^{-n nu t}
     while True:
-        big_r2, acc = big_r * big_r, 0
-        for a in reversed(row):
-            acc = acc * big_r2 + a
-        term = big_r * acc // den * gauss
-        total += term
-        if m >= 8 and term < total * cut:
-            return total
-        gauss *= step
-        step *= ratio
-        big_r += 2
-        m += 1
+        bits = mp.prec + guard
+        with mp.workprec(bits + 10):
+            gauss, step, ratio = (int(mp.ldexp(mp.exp(x * t), bits)) for x in exponents)
+        total, big_r, m = 0, big_r0, 0
+        while True:
+            big_r2, acc = big_r * big_r, 0
+            for a in reversed(row):
+                acc = acc * big_r2 + a
+            dim = big_r * acc // den
+            term = dim * gauss
+            total += term
+            if m >= 8 and term * cut <= total:  # <=: a total of 0 stops, and is redone
+                break
+            gauss = gauss * step >> bits
+            step = step * ratio >> bits
+            big_r += 2
+            m += 1
+        slack = 2 * (m + 1) ** 3 * dim << mp.prec
+        if slack <= total:
+            return mp.ldexp(mpf(total), -bits)
+        guard += slack.bit_length() - total.bit_length() + 1
 
 
 _TRACE_GRID = ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0))  # (n, nu)

@@ -7,6 +7,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -155,6 +156,37 @@ def test_power_sum_brute_force_grid(a):
     for m in range(11):
         for q in range(1, 10):
             assert power_sum(m, q, a) == sum((k + a) ** q for k in range(m + 1))
+
+
+def _integer_label(low: int, high: int):
+    """An int in [low, high], or the same as a numpy int64."""
+    ints = st.integers(low, high)
+    return st.one_of(ints, ints.map(np.int64))
+
+
+@given(_integer_label(0, 30), _integer_label(1, 25),
+       st.one_of(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7)),
+                 _integer_label(-9, 9)))
+def test_power_sum_equals_its_fraction_definition(m, q, a):
+    # one integer over L s^{q+1} (q+1), against the sum term by term; a numpy
+    # label or a numpy a computes in Python ints, as the Fraction sum does
+    got = power_sum(m, q, a)
+    a = a if isinstance(a, Fraction) else Fraction(int(a))
+    assert type(got) is Fraction
+    assert got == sum((k + a) ** int(q) for k in range(int(m) + 1))
+
+
+@pytest.mark.parametrize("m,q", [(2.0, 3), (2.5, 3), (2, 3.0)])
+def test_power_sum_rejects_non_integer_labels(m, q):
+    with pytest.raises(TypeError):
+        power_sum(m, q, Fraction(1, 2))
+
+
+@given(_integer_label(0, 30), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7)))
+def test_bernoulli_polynomial_reads_numpy_labels_as_python_ints(d, x):
+    expected = sum(math.comb(int(d), k) * bernoulli_number(k) * x ** (int(d) - k)
+                   for k in range(int(d) + 1))
+    assert bernoulli_polynomial(d, x) == expected == bernoulli_polynomial(int(d), x)
 
 
 coefficient_lists = st.lists(st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12)),

@@ -21,6 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 Z2, W2 = "--z=0.3+0.2j,0.1", "--w=0.2,-0.4j"
 Z3, W3 = "--z=0.1+0.2j,-0.3j,0.25", "--w=0.2-0.1j,0.1,0.05+0.3j"
+# z == w where point_pair's c2 rounds to 1 + 2^-52, so 2 c2 - 1 exceeds 1 before the clip
+ZD, WD = "--z=0.83+0.19j,0.6+0.81j", "--w=0.83+0.19j,0.6+0.81j"
 
 CASES = {
     "coeffs_json": ["coeffs", "--n=3", "--nu=0", "--J=6"],
@@ -36,12 +38,15 @@ CASES = {
     "decomp_csv": ["decomp", "--n=5", "--two-nu=3", "--format=csv"],
     "kernel_json": ["kernel", "--n=1", "--two-nu=2", "--m=1", "--z=0.3+0.2j", "--w=0.1-0.4j"],
     "kernel_csv": ["kernel", "--n=3", "--two-nu=1", "--m=4", Z3, W3, "--format=csv"],
+    "kernel_diag_json": ["kernel", "--n=2", "--two-nu=3", "--m=4", ZD, WD],
     "heat_eval_both_json": ["heat-eval", "--n=2", "--two-nu=1", "--t=0.5", Z2, W2],
     "heat_eval_series_csv": ["heat-eval", "--n=3", "--two-nu=2", "--t=0.01", Z3, W3,
                              "--method=series", "--format=csv"],
     "heat_eval_integral_nodes_json": ["heat-eval", "--n=1", "--two-nu=3", "--t=0.05",
                                       "--z=0.4-0.1j", "--w=-0.2+0.3j",
                                       "--method=integral", "--nodes=48"],
+    "heat_eval_series_diag_json": ["heat-eval", "--n=2", "--two-nu=3", "--t=0.05", ZD, WD,
+                                   "--method=series"],
     "heat_eval_series_n1_json": ["heat-eval", "--n=1", "--two-nu=1", "--t=0.1",
                                  "--z=0.3+0.2j", "--w=0.1-0.4j", "--method=series"],
     "heat_eval_both_n2_csv": ["heat-eval", "--n=2", "--two-nu=3", "--t=0.01", Z2, W2,

@@ -9,9 +9,13 @@ from math import factorial, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from projheat.errors import DimensionMismatch, IndexOutOfRange
+from projheat import heat
+from projheat.errors import Binary64Overflow, DimensionMismatch, IndexOutOfRange, binary64_range
 from projheat.exactnum import pochhammer
+from projheat.heat import heat_kernel_series
 from projheat.kernels import (
     double_angle,
     fs_distance,
@@ -229,3 +233,111 @@ def test_reproducing_projection_property(two_nu):
             integral = np.sum(left * right * wgt)
             target = reproducing_kernel(1, two_nu, m, z, w).value if m == mp_ else 0.0
             assert abs(integral - target) <= 1e-6 * (1 + abs(target))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(0, 8), st.integers(0, 30), st.booleans())
+def test_kernel_diagonal_volume_equals_its_fraction_definition(n, two_nu, m, numpy_labels):
+    # (2m+2nu+n) (m+2nu+1)_{n-1} (n)_m / (n! m!), one Fraction factor at a time
+    expected = Fraction(2 * m + two_nu + n)
+    for j in range(n - 1):
+        expected *= Fraction(m + two_nu + 1 + j)
+    for j in range(m):
+        expected *= Fraction(n + j)
+    expected /= factorial(n) * factorial(m)
+    labels = map(np.int64, (n, two_nu, m)) if numpy_labels else (n, two_nu, m)
+    got = kernel_diagonal_volume_check(*labels)
+    assert type(got) is Fraction and got == expected
+
+
+# z == w points where point_pair's c2 rounds to 1 + 2^-52, so 2 c2 - 1 exceeds 1
+# before the clip: the first hit for each n of a seeded search over points with
+# two-decimal coordinates (np.random.default_rng(23), uniform in [-0.9, 0.9])
+CLIPPED = {
+    1: (-0.09 - 0.66j,),
+    2: (0.83 + 0.19j, 0.6 + 0.81j),
+    3: (0.74 + 0.75j, 0.32 - 0.71j, -0.14 - 0.07j),
+}
+
+
+def _clip_before_the_scalar_clip(c2):
+    """double_angle as it was: np.clip of a numpy scalar."""
+    return np.clip(2.0 * c2 - 1.0, -1.0, 1.0)
+
+
+def _kernel_before_the_cached_prefactor(n, two_nu, m, z, w) -> complex:
+    """reproducing_kernel's expressions before its prefactor was cached."""
+    SpectralPoint(n, two_nu, m)
+    c2, q = point_pair(n, z, w)
+    gamma_ratio = pochhammer(m + two_nu + 1, n - 1)
+    with binary64_range("the kernel prefactor"):
+        pref = (2 * m + two_nu + n) * float(gamma_ratio) / pi**n
+    return complex(pref * q**two_nu * jacobi(m, n - 1, two_nu, _clip_before_the_scalar_clip(c2)))
+
+
+def _bits(value) -> tuple:
+    """The bits of a complex or float, -0.0 and 0.0 told apart."""
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def _kernel_pairs():
+    """(n, z, w): the clipped diagonals, the origin, one point against the origin,
+    and seeded random pairs."""
+    rng = np.random.default_rng(41)
+    for n, z in CLIPPED.items():
+        yield n, z, z
+        yield n, (0j,) * n, (0j,) * n
+        yield n, z, (0j,) * n
+        for _ in range(3):
+            z, w = (tuple(complex(a, b) for a, b in rng.normal(0, 0.7, (n, 2))) for _ in "zw")
+            yield n, z, w
+
+
+def test_clipped_points_exceed_one_before_the_clip():
+    for n, z in CLIPPED.items():
+        c2, _ = point_pair(n, z, z)
+        assert 2.0 * c2 - 1.0 > 1.0
+        assert double_angle(c2) == 1.0 and type(double_angle(c2)) is float
+
+
+@pytest.mark.parametrize("label", [int, np.int64, np.int32], ids=["int", "int64", "int32"])
+def test_reproducing_kernel_equals_its_expressions_bit_for_bit(label):
+    for n, z, w in _kernel_pairs():
+        for two_nu, m in product(range(4), range(5)):
+            got = reproducing_kernel(label(n), label(two_nu), label(m), z, w)
+            expected = _kernel_before_the_cached_prefactor(n, two_nu, m, z, w)
+            assert type(got.value) is complex and _bits(got.value) == _bits(expected)
+            assert got.terms_used == 0 and got.error_bound == 0.0
+
+
+def _series_bits(label) -> list:
+    """The bits of heat_kernel_series' value and error_bound, and terms_used, over
+    _kernel_pairs at 2nu in {0, 3} and t in {0.05, 0.5}, labels passed as label."""
+    out = []
+    for (n, z, w), two_nu, t in product(_kernel_pairs(), (0, 3), (0.05, 0.5)):
+        k = heat_kernel_series(label(n), label(two_nu), t, z, w)
+        out.append((_bits(k.value), _bits(k.error_bound), k.terms_used))
+    return out
+
+
+@pytest.mark.parametrize("label", [int, np.int64], ids=["int", "int64"])
+def test_heat_series_equals_the_numpy_clip_bit_for_bit(monkeypatch, label):
+    got = _series_bits(label)
+    monkeypatch.setattr(heat, "double_angle", _clip_before_the_scalar_clip)
+    assert got == _series_bits(int)
+
+
+def test_kernel_errors_keep_their_order():
+    # a bad label, then the points' dimension, then the prefactor's binary64 range;
+    # (n, 2nu, m) = (200, 0, 0) has the prefactor 200 * 199! / pi^200, beyond binary64
+    short, full = (0j,), (0j,) * 200
+    with pytest.raises(ValueError):
+        reproducing_kernel(200, -1, 0, short, full)
+    with pytest.raises(ValueError):
+        reproducing_kernel(200, 0, -1, full, full)
+    for _ in range(2):  # the cached prefactor never caches the overflow
+        with pytest.raises(DimensionMismatch):
+            reproducing_kernel(200, 0, 0, short, full)
+        with pytest.raises(Binary64Overflow, match="kernel prefactor"):
+            reproducing_kernel(200, 0, 0, full, full)

@@ -13,7 +13,7 @@ from mpmath import mp, mpf
 from projheat import verify
 from projheat.heatcoeff import b_coefficients
 from projheat.kernels import KernelEval
-from projheat.spectrum import SpectralPoint, dimension_product_form
+from projheat.spectrum import SpectralPoint, _poly_dimension_row, dimension_product_form
 
 
 def _nan_rows(*args, **kwargs) -> KernelEval:
@@ -64,6 +64,74 @@ def test_trace_direct_mp_recurrence_matches_termwise_exponentials(n, two_nu, t):
         assert abs(verify._trace_direct_mp(n, two_nu, t) - total) <= total * mpf(10) ** -55
 
 
+def _termwise_trace(n: int, two_nu: int, t: str, dps: int) -> mpf:
+    """sum_m dim_m e^{t[(n^2+(2nu)^2)/4 - (2m+n+2nu)^2/4]}, one exp per term, at dps
+    digits, to the first m >= 8 whose term is below 10^-(dps+5) of the sum."""
+    with mp.workdps(dps):
+        t = mpf(t)
+        shift = mpf(n * n + two_nu * two_nu) / 4
+        total, m = mpf(0), 0
+        while True:
+            term = dimension_product_form(SpectralPoint(n, two_nu, m)) * mp.exp(
+                (shift - mpf((2 * m + n + two_nu) ** 2) / 4) * t)
+            total += term
+            if m >= 8 and term < total * mpf(10) ** -(dps + 5):
+                return total
+            m += 1
+
+
+# (8, 4, 0.001) needs more guard bits than the first pass takes, so it is summed twice;
+# at t = 20 the fixed-point e_0 = e^{-40} needs the guard's n 2nu t bits
+FIXED_POINT_CASES = [(1, 0, "0.1"), (3, 0, "0.01"), (2, 3, "0.05"), (8, 4, "0.001"),
+                     (2, 2, "20")]
+
+
+@pytest.mark.parametrize("n,two_nu,t", FIXED_POINT_CASES)
+@pytest.mark.parametrize("dps", [40, 60, 80])
+def test_fixed_point_trace_within_its_precision_of_a_sum_20_digits_higher(dps, n, two_nu, t):
+    reference = _termwise_trace(n, two_nu, t, dps + 20)
+    with mp.workdps(dps):
+        got = verify._trace_direct_mp(n, two_nu, mpf(t))
+    with mp.workdps(dps + 20):
+        assert abs(got - reference) <= reference * mpf(10) ** -dps
+
+
+def test_fixed_point_trace_redoes_a_sum_whose_guard_falls_short(monkeypatch):
+    passes = []
+    workprec = mp.workprec
+    monkeypatch.setattr(mp, "workprec", lambda bits: passes.append(bits) or workprec(bits))
+    with mp.workdps(60):
+        verify._trace_direct_mp(8, 4, mpf("0.001"))
+        assert len(passes) == 2 and passes[1] > passes[0]
+        passes.clear()
+        verify._trace_direct_mp(1, 2, mpf("0.1"))
+        assert len(passes) == 1
+
+
+def _mpf_loop_trace(n: int, two_nu: int, t: mpf) -> mpf:
+    """The direct trace as an mpf loop, as verify summed it before the fixed-point sum."""
+    row, den = _poly_dimension_row(n, two_nu)
+    big_r = n + two_nu
+    gauss = mp.exp((mpf(n * n + two_nu * two_nu) / 4 - mpf(big_r * big_r) / 4) * t)
+    step = mp.exp(-(big_r + 1) * t)
+    ratio = mp.exp(-2 * t)
+    cut = mpf(10) ** (-(mp.dps + 10))
+    total = mpf(0)
+    m = 0
+    while True:
+        big_r2, acc = big_r * big_r, 0
+        for a in reversed(row):
+            acc = acc * big_r2 + a
+        term = big_r * acc // den * gauss
+        total += term
+        if m >= 8 and term < total * cut:
+            return total
+        gauss *= step
+        step *= ratio
+        big_r += 2
+        m += 1
+
+
 def _asymptotic_trace_mp(n: int, b, t: mpf) -> mpf:
     # (4 pi t)^{-n} sum_{j<=J} b_j t^j at the working precision, one table per J
     total = mpf(0)
@@ -99,6 +167,14 @@ def test_trace_scaled_errors_equal_one_sum_per_order(trace_pass):
                         n, b, mpf(t))) * (4 * mp.pi * mpf(t)) ** n / mpf(t) ** (J + 1))
                     for t in verify._TRACE_TIMES]
     assert list(trace_pass[0].items()) == list(expected.items())
+
+
+def test_trace_pass_equals_the_mpf_loop_bit_for_bit(trace_pass, monkeypatch):
+    # every scaled error and binary64 reference is the float the mpf loop gave
+    monkeypatch.setattr(verify, "_trace_direct_mp", _mpf_loop_trace)
+    errors, refs = verify._trace_mp()
+    assert list(trace_pass[0].items()) == list(errors.items())
+    assert list(trace_pass[1].items()) == list(refs.items())
 
 
 def test_worst_keeps_the_first_of_equal_errors_and_the_first_nan():
