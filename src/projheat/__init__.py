@@ -55,8 +55,8 @@ from .spectrum import (
 from .theta import theta_deriv, trace_direct
 
 # The numpy-backed names, bound on first access (PEP 562), so that
-# ``import projheat`` and the exact-table commands load neither numpy nor
-# mpmath. A lookup imports only the module that defines the name.
+# ``import projheat`` and the exact-table commands do not load numpy. A
+# lookup imports only the module that defines the name.
 _LAZY = {
     "heat": ("heat_kernel_integral", "heat_kernel_integral_hi", "heat_kernel_series"),
     "kernels": ("KernelEval", "ProjPoint", "as_point", "fs_distance", "herm",

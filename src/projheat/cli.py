@@ -9,8 +9,8 @@ format holds NaN or Infinity; a non-finite value exits 2 instead. Exit
 codes: 0 success, 1 verification failure, 2 usage or validation error.
 
 ``kernel``, ``heat-eval`` and ``verify`` import their numeric modules when
-they run, so ``coeffs``, ``dims``, ``decomp`` and ``trace-compare`` load
-neither numpy nor mpmath.
+they run, so ``coeffs``, ``dims``, ``decomp`` and ``trace-compare`` do not
+load numpy. No module imports mpmath.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ if TYPE_CHECKING:
 __all__ = ["main", "build_parser"]
 
 # verify.SCOPES's keys in order (a test keeps them equal), so that building the
-# parser does not import verify; that import loads neither numpy nor mpmath,
-# but its own module body (~7-10 ms self under python -X importtime on a
+# parser does not import verify; that import does not load numpy, but its
+# own module body (~7-10 ms self under python -X importtime on a
 # 2-vCPU host) is time that no other command needs.
 SCOPE_NAMES = ("dims", "paper8", "zaremba", "heat", "trace", "theta", "bernoulli", "monopole")
 

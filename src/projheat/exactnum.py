@@ -123,19 +123,18 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
 
 
 def binomial_general(a: Fraction | int, k: int) -> Fraction:
-    """Generalized binomial coefficient a(a-1)...(a-k+1)/k! for any rational a."""
+    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a = p/q in lowest terms:
+    prod_{j<k} (p - j q) over q^k k!, one integer product, as in pochhammer."""
     if k < 0:
         raise ValueError("binomial order must be >= 0")
     a = Fraction(a)
-    num = Fraction(1)
+    p, q = int(a.numerator), int(a.denominator)
+    product = 1
     for j in range(k):
-        num *= a - j
-        if not num:
-            return Fraction(0)
-    den = 1
-    for j in range(2, k + 1):
-        den *= j
-    return num / den
+        product *= p - j * q
+        if not product:
+            break
+    return Fraction(product, q**k * factorial(k))
 
 
 def power_sum(m: int, q: int, a: Fraction | int) -> Fraction:

@@ -107,7 +107,8 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
     pair alone, and terms_used stays one int.
     """
     _require_time(t)
-    SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
+    pt = SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
+    n, two_nu = pt.n, pt.two_nu  # Python ints, so the weights never run in a numpy int
     pairs, rows = _pairs(z, w)
     geometry = [point_pair(n, a, b) for a, b in pairs]
     weights, tail = _series_weights(n, two_nu, t, eps)
@@ -203,16 +204,17 @@ def _integral(n: int, two_nu: int, t: float, z, w, what: str, constant) -> Kerne
     """const conj(q)^{-2nu} int_0^{pi/2} (cos rho cos phi)^{4nu} G(u(phi)) dphi, both forms.
 
     Checks the time, the labels, the rows and each pair's geometry, in that
-    order; then const = constant(), whose overflow raises Binary64Overflow
-    naming what.
+    order; then const = constant(n, 2nu) of the checked labels, whose
+    overflow raises Binary64Overflow naming what.
     """
     _require_time(t)
-    SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
+    pt = SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
+    n, two_nu = pt.n, pt.two_nu  # Python ints, so the weights never run in a numpy int
     pairs, rows = _pairs(z, w)
     geometry = [_integral_geometry(n, a, b) for a, b in pairs]
     w_factors = [qbar ** (-two_nu) for _, qbar in geometry]  # exactly 1 at nu = 0
     with binary64_range(what):
-        const = constant()
+        const = constant(n, two_nu)
         if not math.isfinite(const):
             raise OverflowError
 
@@ -247,7 +249,7 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w) -> KernelEval:
     # at 2nu = 85 the product runs to inf before the quotient brings it to ~3.3
     return _integral(n, two_nu, t, z, w,
                      "the integral-form constant 2 Gamma(n+2nu) 4^{2nu} (2nu)!/(4nu)!",
-                     lambda: 2.0
+                     lambda n, two_nu: 2.0
                      * factorial(n + two_nu - 1)
                      * 4.0**two_nu
                      * factorial(two_nu)
@@ -268,5 +270,5 @@ def heat_kernel_integral_hi(n: int, t: float, z, w) -> KernelEval:
     # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
     return _integral(n, 0, t, z, w,
                      "the classical constant 2^{n-1} (n-1)!/(2^{n-2} pi^{n+1})",
-                     lambda: (1.0 / (2.0 ** (n - 2) * pi ** (n + 1)))
+                     lambda n, _: (1.0 / (2.0 ** (n - 2) * pi ** (n + 1)))
                      * 2.0 ** (n - 1) * factorial(n - 1))

@@ -25,7 +25,7 @@ from .errors import DimensionMismatch, IndexOutOfRange, binary64_range
 from .exactnum import pochhammer
 from .orthopoly import _jacobi_float, _jacobi_plan, jacobi
 from .quadrature import radial_mu1_rule
-from .spectrum import SpectralPoint
+from .spectrum import SpectralPoint, _integer
 
 __all__ = [
     "ProjPoint",
@@ -142,7 +142,7 @@ def monopole_basis(two_nu: int, m: int, k: int,
     factor P_m^{(k,2nu-k)} carries a structural zero of order |k| at z = 0,
     so the product is regular.
     """
-    norm, at_origin, plan = _monopole_constants(two_nu, m, k)
+    two_nu, m, k, norm, at_origin, plan = _monopole_constants(two_nu, m, k)
     if isinstance(z, np.ndarray):
         z = z.astype(complex)
         origin = z == 0
@@ -161,10 +161,11 @@ def monopole_basis(two_nu: int, m: int, k: int,
 # monopole_basis stays a plain function over this cache, so it keeps the
 # __code__ that perfbench/tracer.py's probes copy.
 @lru_cache(maxsize=256, typed=True)
-def _monopole_constants(two_nu: int, m: int, k: int) -> tuple[float, complex, tuple]:
-    """The checked (2nu, m, k): the norm of Phi_k^{nu,m}, its value at z = 0,
-    and the binary64 plan of its Jacobi factor P_m^{(k,2nu-k)}."""
-    SpectralPoint(1, two_nu, m)  # rejects 2nu < 0 and m < 0
+def _monopole_constants(two_nu: int, m: int, k: int) -> tuple[int, int, int, float, complex, tuple]:
+    """The checked (2nu, m, k) as Python ints, the norm of Phi_k^{nu,m}, its
+    value at z = 0, and the binary64 plan of its Jacobi factor P_m^{(k,2nu-k)}."""
+    pt = SpectralPoint(1, two_nu, m)  # rejects 2nu < 0 and m < 0
+    two_nu, m, k = pt.two_nu, pt.m, _integer("k", k)
     if not -m <= k <= two_nu + m:
         raise IndexOutOfRange(f"k={k} outside [{-m}, {two_nu + m}]")
     norm = sqrt(
@@ -174,7 +175,7 @@ def _monopole_constants(two_nu: int, m: int, k: int) -> tuple[float, complex, tu
         / (factorial(m + k) * factorial(two_nu + m - k))
     )
     # the value at z = 0: P_m^{(k,2nu-k)}(1) = (k+1)_m/m! vanishes for -m <= k < 0
-    return norm, (complex(norm) if k == 0 else 0j), _jacobi_plan(m, k, two_nu - k)
+    return two_nu, m, k, norm, (complex(norm) if k == 0 else 0j), _jacobi_plan(m, k, two_nu - k)
 
 
 def zaremba_sum_n1(two_nu: int, m: int, z: complex, w: complex) -> complex:

@@ -101,10 +101,13 @@ def eigenvalue_beta(pt: SpectralPoint) -> Fraction:
     return -4 * s * (s + pt.n) + 4 * pt.nu * pt.nu
 
 
-def _not_a_dimension(num: int, den: int, n: int, two_nu: int, m: int) -> NonIntegerDimension:
-    """The error for a quotient num/den that is not a positive integer; only it builds a Fraction."""
-    return NonIntegerDimension(f"dimension {Fraction(num, den)} at SpectralPoint(n={n!r}, "
-                               f"two_nu={two_nu!r}, m={m!r}) is not a positive integer")
+def _dimension(num: int, den: int, n: int, two_nu: int, m: int) -> int:
+    """num/den when it is a positive integer, else NonIntegerDimension; only the error builds a Fraction."""
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
+        raise NonIntegerDimension(f"dimension {Fraction(num, den)} at SpectralPoint(n={n!r}, "
+                                  f"two_nu={two_nu!r}, m={m!r}) is not a positive integer")
+    return dim
 
 
 def dimension_gamma_form(pt: SpectralPoint) -> int:
@@ -112,10 +115,7 @@ def dimension_gamma_form(pt: SpectralPoint) -> int:
     n, tn, m = pt.n, pt.two_nu, pt.m
     num = (2 * m + n + tn) * factorial(m + n - 1) * factorial(m + n + tn - 1)
     den = n * factorial(n - 1) ** 2 * factorial(m) * factorial(m + tn)
-    dim, rest = divmod(num, den)
-    if rest or dim <= 0:
-        raise _not_a_dimension(num, den, n, tn, m)
-    return dim
+    return _dimension(num, den, n, tn, m)
 
 
 def _product_dimension(n: int, two_nu: int, m: int) -> int:
@@ -124,10 +124,7 @@ def _product_dimension(n: int, two_nu: int, m: int) -> int:
     for j in range(1, n):
         num *= (m + j) * (m + two_nu + j)
     den = factorial(n) * factorial(n - 1)
-    dim, rest = divmod(num, den)
-    if rest or dim <= 0:
-        raise _not_a_dimension(num, den, n, two_nu, m)
-    return dim
+    return _dimension(num, den, n, two_nu, m)
 
 
 def dimension_product_form(pt: SpectralPoint) -> int:
@@ -146,11 +143,7 @@ def dimension_poly_form(pt: SpectralPoint) -> int:
     big_r2, acc = big_r * big_r, 0
     for a in reversed(row):
         acc = acc * big_r2 + a
-    num = big_r * acc
-    dim, rest = divmod(num, den)
-    if rest or dim <= 0:
-        raise _not_a_dimension(num, den, pt.n, pt.two_nu, pt.m)
-    return dim
+    return _dimension(big_r * acc, den, pt.n, pt.two_nu, pt.m)
 
 
 def _poly_mul_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:

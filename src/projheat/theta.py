@@ -5,8 +5,8 @@ tail-truncation routine, the theta sums and their t-derivatives, the
 Gaussian-in-m spectral weight and the direct trace Tr exp(t Delta_nu / 4).
 It imports only the standard library, ``errors`` and ``spectrum``, so the
 exact-table commands (``coeffs``, ``dims``, ``decomp``, ``trace-compare``)
-load neither numpy nor mpmath. ``heat`` imports everything here and
-re-exports the public names.
+do not load numpy. ``heat`` imports everything here and re-exports the
+public names.
 
 Every truncation carries a geometric tail bound, and every term is
 positive or bounded by a positive term, so the bound is rigorous up to

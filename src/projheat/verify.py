@@ -6,37 +6,30 @@ published tables (expected, reported with both values); FAIL means a
 mathematical identity the engine is supposed to satisfy does not hold.
 
 The trace-asymptotics suite compares the direct spectral trace with the
-coefficient expansion in 60-digit arithmetic (mpmath): at J = 8 and
-t = 0.01 the truncation error is ~1e-20, far below binary64 resolution,
-so the order-t^{J+1} scaling can only be observed in extended precision.
-The binary64 entry points are separately checked against the same
-high-precision sums.
+coefficient expansion in exact arithmetic: at J = 8 and t = 0.01 the
+truncation error is ~1e-20, far below binary64 resolution, so the
+order-t^{J+1} scaling can only be observed in extended precision. The
+binary64 entry points are separately checked against the same sums.
 
 Each tolerance check reports the worst error over its grid and where it
 occurred, from one reducer (_worst): the first of equal errors wins, and a
 NaN wins and stays, so a NaN measurement FAILs its check.
 
-numpy, mpmath, ``heat`` and ``kernels`` are imported by the suites and mp
-helpers that use them, so the exact suites (dims, paper8, theta) load
-neither numpy nor mpmath, and the trace suite loads mpmath only.
+numpy, ``heat`` and ``kernels`` are imported by the suites that use them,
+so the exact suites (dims, paper8, theta, trace) do not load numpy. No
+suite uses mpmath.
 
 The exact suites use integer arithmetic wherever a Fraction is not needed:
 the dimension forms divide integers exactly, the Bernoulli polynomials sum
 a cached integer row, the brute-force power sums add integers over 2^q.
-The trace suite sums each (n, nu, t) once, in one 60-digit pass
-(_trace_mp): one b table per (n, nu), whose terms are built once, and one
-accumulation over j per t, read off at J = 4, 6, 8. The binary64 check's
-references are the floats of those same direct and J = 6 sums, so its
-detail names a 60-digit reference. Those floats equal a 40-digit pass's bit
-for bit (a test pins it), so the figure it reports is unchanged.
-
-The direct trace reference (_trace_direct_mp) is summed in fixed point:
-Python integers in units of 2^-P, P the working precision plus guard bits,
-and one mpf at the end. Its docstring bounds the integer sum's error by
-2 K^3 D units over K terms of largest dimension D, and the sum is redone
-with more guard bits until that bound is below 2^-prec of the total, so the
-result holds the working precision. Its floats equal the mpf loop's it
-replaced bit for bit (a test pins it).
+The trace suite sums each (n, nu, t) once (_trace_exact), in Python ints
+and Fractions: the direct trace in fixed point to 203 bits (60 digits),
+with a written error bound (_trace_direct_exact, _exp_units), and the
+expansion exactly, pi cancelling, at J = 4, 6, 8. The binary64 check's
+references are the direct and J = 6 sums, each rounded once, so its detail
+names a 60-digit reference; they equal a 40-digit mpmath pass's floats bit
+for bit (a test pins it). The check keeps the name the goldens hold,
+trace.binary64_vs_mp, though no mpmath number is left in it.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, isnan
-from typing import TYPE_CHECKING
 
 from .exactnum import (
     bernoulli_number,
@@ -72,9 +64,6 @@ from .spectrum import (
     dimension_product_form,
 )
 from .theta import theta_deriv, trace_direct
-
-if TYPE_CHECKING:
-    from mpmath import mpf
 
 __all__ = ["Check", "SCOPES", "run_verify"]
 
@@ -304,8 +293,30 @@ def suite_heat(seed: int) -> list[Check]:
 
 # ---------------------------------------------------------------- trace
 
-def _trace_direct_mp(n: int, two_nu: int, t: mpf) -> mpf:
-    """The direct trace at the working precision, summed to 10 digits past it.
+def _exp_units(y: Fraction, bits: int) -> int:
+    """e^y in units of 2^-bits, for a rational y <= 0, off by less than 2 units.
+
+    The Taylor series of e^{-y}, whose terms are all positive, is summed in
+    integers in units of 2^-(bits+16), each term truncated from the last,
+    until one truncates to 0; then one integer reciprocal, shifted right by
+    16. Each of the K truncations loses less than 1 unit, which the later
+    terms carry forward by less than a factor e^{-y}, so the sum falls short
+    by less than K e^{-y} units and its reciprocal exceeds e^y by less than
+    about K units. With the reciprocal's and the shift's truncations, the
+    result is off by less than 1 + K 2^-16 units: less than 2 for K < 2^16.
+    """
+    p, q = -y.numerator, y.denominator
+    unit = 1 << (bits + 16)
+    term, total, k = unit, unit, 0
+    while term:
+        k += 1
+        term = term * p // (q * k)
+        total += term
+    return (unit * unit // total) >> 16
+
+
+def _trace_direct_exact(n: int, two_nu: int, t: Fraction, prec: int = 203) -> Fraction:
+    """The direct trace at t, to prec bits (203: 60 digits), summed ~10 digits past them.
 
     The Gaussian e_m = e^{t[(n^2+(2nu)^2)/4 - (2m+n+2nu)^2/4]} goes by
     e_{m+1} = e_m g_m and g_{m+1} = g_m e^{-2t}, from g_0 = e^{-(n+2nu+1)t}.
@@ -314,27 +325,24 @@ def _trace_direct_mp(n: int, two_nu: int, t: mpf) -> mpf:
     so this reference shares no step with trace_direct's product form.
 
     The sum runs in fixed point: e_0, g_0 and e^{-2t}, each at most 1, are
-    converted once to integers in units of 2^-P, each product is truncated
-    back by >> P, and the total is one integer, rounded to an mpf at the end.
-    A conversion is off by less than 2 units and a truncation by less than
-    1, so g_m is off by at most 3m + 2 units and e_m by at most 2(m+1)^2;
-    over K terms whose largest dimension is D (the last, since dimensions
-    grow with m) the total is off by at most 2 K^3 D units. P is the working
-    precision plus guard bits; when 2 K^3 D 2^prec exceeds the total, the sum
-    is redone with the guard raised by the shortfall, so the returned value
-    is within 2^-prec of the cut sum, relative, before its final rounding.
+    converted once to integers in units of 2^-P (_exp_units), each product
+    is truncated back by >> P, and the total is one integer, returned
+    unrounded as total / 2^P. A conversion is off by less than 2 units and
+    a truncation by less than 1, so g_m is off by at most 3m + 2 units and
+    e_m by at most 2(m+1)^2; over K terms whose largest dimension is D (the
+    last, since dimensions grow with m) the total is off by at most 2 K^3 D
+    units. P is prec plus guard bits; when 2 K^3 D 2^prec exceeds the total,
+    the sum is redone with the guard raised by the shortfall, so the result
+    is within 2^-prec of the cut sum, relative.
     """
-    from mpmath import mp, mpf
-
     row, den = _poly_dimension_row(n, two_nu)
     big_r0 = n + two_nu
-    exponents = (mpf(n * n + two_nu * two_nu - big_r0 * big_r0) / 4, -(big_r0 + 1), -2)
-    cut = 10 ** (mp.dps + 10)
+    exponents = (Fraction(n * n + two_nu * two_nu - big_r0 * big_r0, 4), -(big_r0 + 1), -2)
+    cut = 1 << (prec + 34)
     guard = 64 + int(n * two_nu * t)  # n 2nu t bits cover e_0 = e^{-n nu t}
     while True:
-        bits = mp.prec + guard
-        with mp.workprec(bits + 10):
-            gauss, step, ratio = (int(mp.ldexp(mp.exp(x * t), bits)) for x in exponents)
+        bits = prec + guard
+        gauss, step, ratio = (_exp_units(x * t, bits) for x in exponents)
         total, big_r, m = 0, big_r0, 0
         while True:
             big_r2, acc = big_r * big_r, 0
@@ -349,9 +357,9 @@ def _trace_direct_mp(n: int, two_nu: int, t: mpf) -> mpf:
             step = step * ratio >> bits
             big_r += 2
             m += 1
-        slack = 2 * (m + 1) ** 3 * dim << mp.prec
+        slack = 2 * (m + 1) ** 3 * dim << prec
         if slack <= total:
-            return mp.ldexp(mpf(total), -bits)
+            return Fraction(total, 1 << bits)
         guard += slack.bit_length() - total.bit_length() + 1
 
 
@@ -361,44 +369,41 @@ _TRACE_ORDERS = (4, 6, 8)
 _BINARY64_TIMES = (0.1, 0.05)  # where trace.binary64_vs_mp compares, at J = 6
 
 
-def _trace_mp() -> tuple[dict, dict]:
-    """The trace suite's one 60-digit pass: scaled errors and binary64 references.
+def _trace_exact() -> tuple[dict, dict]:
+    """The trace suite's one exact pass: scaled errors and binary64 references.
 
-    Each (n, nu, t) of _TRACE_GRID x _TRACE_TIMES is summed once: the direct
-    trace D and S_J = (4 pi t)^{-n} sum_{j<=J} b_j t^j, whose partial sums
-    at J = 4, 6, 8 are read off one accumulation over j, from the terms
-    mpf(b_j) pi^p built once per (n, nu). Returns the scaled errors
-    |D - S_J| (4 pi t)^n / t^{J+1}, keyed by (n, nu, J) with one value per
-    t, and the references (float(D), float(S_6)) keyed by (n, nu, t) for t
-    in _BINARY64_TIMES.
+    Each (n, nu, t) of _TRACE_GRID x _TRACE_TIMES is summed once, t the
+    binary64 time as a Fraction: the direct trace D to 203 bits, and
+    S_J (4t)^n = sum_{j<=J} f_j t^j exactly (b_j = f_j pi^n, so pi cancels
+    against S_J's (4 pi t)^{-n}), read off one accumulation at J = 4, 6, 8.
+    Returns the scaled errors |D - S_J| t^n / t^{J+1} keyed by (n, nu, J), one
+    per t, without the check's factor (4 pi)^n: it cancels in every ratio of
+    one key's values, the only figure suite_trace reports. And the references
+    (float(D), float(S_6)) keyed by (n, nu, t) for t in _BINARY64_TIMES.
     """
-    from mpmath import mp, mpf
-
     errors, refs = {}, {}
-    with mp.workdps(60):
-        for n, nu in _TRACE_GRID:
-            coeffs = [mpf(factor.numerator) / factor.denominator * mp.pi**p
-                      for factor, p in b_coefficients(n, nu, max(_TRACE_ORDERS))]
-            rows = {J: [] for J in _TRACE_ORDERS}
-            for t_float in _TRACE_TIMES:
-                t = mpf(t_float)
-                direct = _trace_direct_mp(n, 2 * nu, t)
-                scale = (4 * mp.pi * t) ** n
-                total = mpf(0)
-                for j, c in enumerate(coeffs):
-                    total += c * t**j
-                    if j in rows:
-                        asymptotic = total / scale
-                        rows[j].append(float(abs(direct - asymptotic) * scale / t ** (j + 1)))
-                        if j == 6 and t_float in _BINARY64_TIMES:
-                            refs[n, nu, t_float] = float(direct), float(asymptotic)
-            errors.update(((n, nu, J), vals) for J, vals in rows.items())
+    for n, nu in _TRACE_GRID:
+        factors = [factor for factor, _ in b_coefficients(n, nu, max(_TRACE_ORDERS))]
+        rows = {J: [] for J in _TRACE_ORDERS}
+        for t_float in _TRACE_TIMES:
+            t = Fraction(t_float)
+            direct = _trace_direct_exact(n, 2 * nu, t)
+            scale = (4 * t) ** n
+            total = 0
+            for j, factor in enumerate(factors):
+                total += factor * t**j
+                if j in rows:
+                    asymptotic = total / scale
+                    rows[j].append(float(abs(direct - asymptotic) / t ** (j + 1 - n)))
+                    if j == 6 and t_float in _BINARY64_TIMES:
+                        refs[n, nu, t_float] = float(direct), float(asymptotic)
+        errors.update(((n, nu, J), vals) for J, vals in rows.items())
     return errors, refs
 
 
 def suite_trace() -> list[Check]:
     """Order-t^{J+1} truncation of the asymptotic trace, plus binary64 checks."""
-    errors, refs = _trace_mp()
+    errors, refs = _trace_exact()
     worst_ratio, worst_at = _worst(
         ((max(a / b, b / a), key) for key, vals in errors.items()
          for a, b in zip(vals, vals[1:])), floor=1.0)

@@ -516,6 +516,19 @@ def test_trace_direct_sums_numpy_labels_in_python_ints():
     assert trace_direct(np.int64(8), np.int64(8), 0.01) == trace_direct(8, 8, 0.01)
 
 
+@pytest.mark.parametrize("itype", [np.int8, np.int16, np.int64])
+def test_heat_forms_compute_numpy_labels_in_python_ints(itype):
+    # in int8 the series weights overflow and the integral's constant and bound go wrong
+    t, z, w = 0.001, 0.1 + 0.05j, 0.12
+    for form, labels in ((heat_kernel_series, (1, 1)), (heat_kernel_integral, (1, 1)),
+                         (heat_kernel_integral_hi, (1,))):
+        got, expected = form(*map(itype, labels), t, z, w), form(*labels, t, z, w)
+        assert type(got.value) is type(expected.value) is complex
+        assert type(got.error_bound) is type(expected.error_bound) is float
+        assert (repr(got.value), got.terms_used, repr(got.error_bound)) == \
+            (repr(expected.value), expected.terms_used, repr(expected.error_bound))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_trace_direct_bit_identical_to_gamma_form_sum(n):
     # the same truncation and fsum over terms built from the Gamma-quotient

@@ -112,6 +112,18 @@ def test_monopole_basis_checks_its_labels_on_every_call():
             monopole_basis(-1, 0, 0, 0.3 + 0j)
 
 
+@pytest.mark.parametrize("itype", [np.int8, np.int16, np.int64])
+def test_monopole_basis_computes_numpy_labels_in_python_ints(itype):
+    # in int8 the norm's factorials overflow; each label type gets its own cache entry
+    z = np.array([0.3 + 0.1j, 0j, -1.1 + 0.5j])
+    for labels in ((20, 30, 3), (2, 1, -1), (3, 2, 4)):
+        got = monopole_basis(*map(itype, labels), z)
+        assert got.tobytes() == monopole_basis(*labels, z).tobytes()
+        for zi in (complex(z[0]), 0j):
+            got = monopole_basis(*map(itype, labels), zi)
+            assert type(got) is complex and repr(got) == repr(monopole_basis(*labels, zi))
+
+
 @pytest.mark.parametrize("two_nu,m,k", [(0, 0, 0), (2, 1, -1), (1, 2, -2), (3, 2, 4), (2, 2, 1)])
 def test_monopole_basis_ndarray_matches_scalars(two_nu, m, k):
     z = np.array([0j, 0.3 + 0.2j, -1.1 + 0.5j, 2.0, -0.4j])

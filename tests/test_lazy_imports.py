@@ -1,9 +1,9 @@
-"""Lazy loading: one public surface, and numpy and mpmath only where needed.
+"""Lazy loading: one public surface, numpy only where needed, and no mpmath.
 
 ``import projheat`` binds the exact modules eagerly and the numpy-backed
 names (heat, kernels, orthopoly) on first access. The exact-table commands
-load neither numpy nor mpmath, and only ``verify`` loads mpmath: its suites
-import what they use, so the exact scopes load neither. Checks of what a
+and the exact ``verify`` scopes load neither numpy nor mpmath, and no
+command loads mpmath: it is a test dependency only. Checks of what a
 command imports run in a fresh interpreter, because this process has
 already imported everything.
 """
@@ -60,7 +60,7 @@ NUMERIC_COMMANDS = {
 }
 
 # What a fresh `verify --scope` of each scope that needs no numpy loads of the two.
-VERIFY_SCOPES = {"dims": [], "paper8": [], "theta": [], "trace": ["mpmath"]}
+VERIFY_SCOPES = {"dims": [], "paper8": [], "theta": [], "trace": []}
 
 
 def _fresh(code: str):
@@ -150,3 +150,18 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted({{"numpy", "mpmath"}} & set(sys.modules))]))
 """)
     assert report == [0, heavy]
+
+
+def test_verify_all_without_mpmath_equals_its_golden():
+    # with mpmath blocked, a fresh `verify --scope all` still prints its golden byte for byte
+    golden = (Path(__file__).parent / "golden" / "verify_all_json.txt").read_text()
+    record = _fresh("""
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None
+import projheat.cli
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = projheat.cli.main(["verify", "--scope", "all"])
+print(json.dumps(f"exit {code}\\n{buf.getvalue()}"))
+""")
+    assert record == golden

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import importlib
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from projheat import verify
 from projheat.heatcoeff import b_coefficients
@@ -34,8 +36,8 @@ CASES = [
      _returning(complex(math.nan))),
     ("heat", "heat.series_vs_integral", "projheat.heat", "heat_kernel_integral", _nan_rows),
     ("heat", "heat.irhk_hi_nu0", "projheat.heat", "heat_kernel_integral_hi", _nan_rows),
-    ("trace", "trace.scaled_error_order", "projheat.verify", "_trace_direct_mp",
-     _returning(mpf("nan"))),
+    ("trace", "trace.scaled_error_order", "projheat.verify", "_trace_direct_exact",
+     _returning(math.nan)),
     ("trace", "trace.binary64_vs_mp", "projheat.verify", "trace_direct", _returning(math.nan)),
     ("monopole", "monopole.normalization", "projheat.kernels", "monopole_norm_sq",
      _returning(math.nan)),
@@ -50,9 +52,14 @@ def test_nan_measurement_fails(monkeypatch, scope, name, module, binding, fake):
     assert "nan" in check.detail
 
 
+def _mpf(x: Fraction) -> mpf:
+    return mpf(x.numerator) / x.denominator
+
+
 @pytest.mark.parametrize("n,two_nu,t", [(1, 0, "0.1"), (2, 3, "0.01"), (3, 2, "0.05")])
 def test_trace_direct_mp_recurrence_matches_termwise_exponentials(n, two_nu, t):
-    # the Gaussian recurrence against one exp per term, at 60 digits
+    # the exact direct trace's Gaussian recurrence against one mpmath exp per term, at 60 digits
+    got = verify._trace_direct_exact(n, two_nu, Fraction(t))
     with mp.workdps(60):
         t = mpf(t)
         shift = mpf(n * n + two_nu * two_nu) / 4
@@ -61,7 +68,7 @@ def test_trace_direct_mp_recurrence_matches_termwise_exponentials(n, two_nu, t):
             total += dimension_product_form(SpectralPoint(n, two_nu, m)) * mp.exp(
                 (shift - mpf((2 * m + n + two_nu) ** 2) / 4) * t)
             m += 1
-        assert abs(verify._trace_direct_mp(n, two_nu, t) - total) <= total * mpf(10) ** -55
+        assert abs(_mpf(got) - total) <= total * mpf(10) ** -55
 
 
 def _termwise_trace(n: int, two_nu: int, t: str, dps: int) -> mpf:
@@ -81,7 +88,8 @@ def _termwise_trace(n: int, two_nu: int, t: str, dps: int) -> mpf:
 
 
 # (8, 4, 0.001) needs more guard bits than the first pass takes, so it is summed twice;
-# at t = 20 the fixed-point e_0 = e^{-40} needs the guard's n 2nu t bits
+# at t = 20 the fixed-point e_0 = e^{-40} needs the guard's n 2nu t bits, and the
+# Taylor series of e^{100} (_exp_units) runs to ~300 terms
 FIXED_POINT_CASES = [(1, 0, "0.1"), (3, 0, "0.01"), (2, 3, "0.05"), (8, 4, "0.001"),
                      (2, 2, "20")]
 
@@ -89,27 +97,38 @@ FIXED_POINT_CASES = [(1, 0, "0.1"), (3, 0, "0.01"), (2, 3, "0.05"), (8, 4, "0.00
 @pytest.mark.parametrize("n,two_nu,t", FIXED_POINT_CASES)
 @pytest.mark.parametrize("dps", [40, 60, 80])
 def test_fixed_point_trace_within_its_precision_of_a_sum_20_digits_higher(dps, n, two_nu, t):
+    # at mpmath's working precision in bits for dps digits (203 at 60)
+    got = verify._trace_direct_exact(n, two_nu, Fraction(t), prec=dps_to_prec(dps))
     reference = _termwise_trace(n, two_nu, t, dps + 20)
-    with mp.workdps(dps):
-        got = verify._trace_direct_mp(n, two_nu, mpf(t))
     with mp.workdps(dps + 20):
-        assert abs(got - reference) <= reference * mpf(10) ** -dps
+        assert abs(_mpf(got) - reference) <= reference * mpf(10) ** -dps
 
 
 def test_fixed_point_trace_redoes_a_sum_whose_guard_falls_short(monkeypatch):
-    passes = []
-    workprec = mp.workprec
-    monkeypatch.setattr(mp, "workprec", lambda bits: passes.append(bits) or workprec(bits))
-    with mp.workdps(60):
-        verify._trace_direct_mp(8, 4, mpf("0.001"))
-        assert len(passes) == 2 and passes[1] > passes[0]
-        passes.clear()
-        verify._trace_direct_mp(1, 2, mpf("0.1"))
-        assert len(passes) == 1
+    # each pass converts its three exponentials once, at the pass's bits
+    calls = []
+    exp_units = verify._exp_units
+    monkeypatch.setattr(verify, "_exp_units",
+                        lambda y, bits: calls.append(bits) or exp_units(y, bits))
+    verify._trace_direct_exact(8, 4, Fraction("0.001"))
+    assert len(calls) == 6 and calls[:3] == [calls[0]] * 3 and calls[3:] == [calls[3]] * 3
+    assert calls[3] > calls[0]
+    calls.clear()
+    verify._trace_direct_exact(1, 2, Fraction("0.1"))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("y", [Fraction(0), Fraction(-1, 10), Fraction(-3, 5), Fraction(0.02) * -17,
+                               Fraction(-40), Fraction(-100)])
+@pytest.mark.parametrize("bits", [136, 269])
+def test_exp_units_within_2_units(y, bits):
+    got = verify._exp_units(y, bits)
+    with mp.workprec(bits + 64):
+        assert abs(mpf(got) - mp.ldexp(mp.exp(_mpf(y)), bits)) < 2
 
 
 def _mpf_loop_trace(n: int, two_nu: int, t: mpf) -> mpf:
-    """The direct trace as an mpf loop, as verify summed it before the fixed-point sum."""
+    """The direct trace as an mpf loop at the working precision, as verify once summed it."""
     row, den = _poly_dimension_row(n, two_nu)
     big_r = n + two_nu
     gauss = mp.exp((mpf(n * n + two_nu * two_nu) / 4 - mpf(big_r * big_r) / 4) * t)
@@ -132,49 +151,84 @@ def _mpf_loop_trace(n: int, two_nu: int, t: mpf) -> mpf:
         m += 1
 
 
-def _asymptotic_trace_mp(n: int, b, t: mpf) -> mpf:
-    # (4 pi t)^{-n} sum_{j<=J} b_j t^j at the working precision, one table per J
-    total = mpf(0)
-    for j, (factor, p) in enumerate(b):
-        total += mpf(factor.numerator) / factor.denominator * mp.pi**p * t**j
-    return total / (4 * mp.pi * t) ** n
+def _mp_trace_pass(dps: int) -> tuple[dict, dict]:
+    """verify's trace pass as it ran in mpmath, at dps digits: the mpf loop's D, S_J with
+    its pi^n, and the scaled errors with the check's (4 pi)^n."""
+    errors, refs = {}, {}
+    with mp.workdps(dps):
+        for n, nu in verify._TRACE_GRID:
+            coeffs = [mpf(factor.numerator) / factor.denominator * mp.pi**p
+                      for factor, p in b_coefficients(n, nu, max(verify._TRACE_ORDERS))]
+            rows = {J: [] for J in verify._TRACE_ORDERS}
+            for t_float in verify._TRACE_TIMES:
+                t = mpf(t_float)
+                direct = _mpf_loop_trace(n, 2 * nu, t)
+                scale = (4 * mp.pi * t) ** n
+                total = mpf(0)
+                for j, c in enumerate(coeffs):
+                    total += c * t**j
+                    if j in rows:
+                        asymptotic = total / scale
+                        rows[j].append(float(abs(direct - asymptotic) * scale / t ** (j + 1)))
+                        if j == 6 and t_float in verify._BINARY64_TIMES:
+                            refs[n, nu, t_float] = float(direct), float(asymptotic)
+            errors.update(((n, nu, J), vals) for J, vals in rows.items())
+    return errors, refs
 
 
 @pytest.fixture(scope="module")
 def trace_pass():
-    return verify._trace_mp()
+    return verify._trace_exact()
+
+
+@pytest.fixture(scope="module")
+def mp_pass():
+    return _mp_trace_pass(60)
+
+
+@pytest.fixture(scope="module")
+def mp_pass_40():
+    return _mp_trace_pass(40)
 
 
 @pytest.mark.parametrize("n,nu,t", [(n, nu, t) for (n, nu), t in
                                     product(verify._TRACE_GRID, verify._BINARY64_TIMES)])
-def test_trace_binary64_references_equal_a_40_digit_pass(trace_pass, n, nu, t):
-    # the 60-digit sums, rounded to binary64, are the 40-digit references bit for bit
-    with mp.workdps(40):
-        direct = verify._trace_direct_mp(n, 2 * nu, mpf(t))
-        asymptotic = _asymptotic_trace_mp(n, b_coefficients(n, nu, 6), mpf(t))
-    assert trace_pass[1][n, nu, t] == (float(direct), float(asymptotic))
+def test_trace_binary64_references_equal_a_40_digit_pass(trace_pass, mp_pass_40, n, nu, t):
+    # the exact sums, rounded to binary64, are a 40-digit mpmath pass's references bit for bit
+    assert trace_pass[1][n, nu, t] == mp_pass_40[1][n, nu, t]
 
 
 def test_trace_scaled_errors_equal_one_sum_per_order(trace_pass):
-    # the partial sums read off one accumulation equal a separate sum per J, bit for bit
+    # the partial sums read off one accumulation equal a separate exact sum per J, bit
+    # for bit: each scaled error is one rounding of an exact value
     expected = {}
-    with mp.workdps(60):
-        for n, nu in verify._TRACE_GRID:
-            for J in verify._TRACE_ORDERS:
-                b = b_coefficients(n, nu, J)
-                expected[n, nu, J] = [
-                    float(abs(verify._trace_direct_mp(n, 2 * nu, mpf(t)) - _asymptotic_trace_mp(
-                        n, b, mpf(t))) * (4 * mp.pi * mpf(t)) ** n / mpf(t) ** (J + 1))
-                    for t in verify._TRACE_TIMES]
+    for (n, nu), J in product(verify._TRACE_GRID, verify._TRACE_ORDERS):
+        b = b_coefficients(n, nu, J)
+        expected[n, nu, J] = []
+        for t in map(Fraction, verify._TRACE_TIMES):
+            asymptotic = sum(factor * t**j for j, (factor, _) in enumerate(b)) / (4 * t) ** n
+            direct = verify._trace_direct_exact(n, 2 * nu, t)
+            expected[n, nu, J].append(float(abs(direct - asymptotic) * t**n / t ** (J + 1)))
     assert list(trace_pass[0].items()) == list(expected.items())
 
 
-def test_trace_pass_equals_the_mpf_loop_bit_for_bit(trace_pass, monkeypatch):
-    # every scaled error and binary64 reference is the float the mpf loop gave
-    monkeypatch.setattr(verify, "_trace_direct_mp", _mpf_loop_trace)
-    errors, refs = verify._trace_mp()
-    assert list(trace_pass[0].items()) == list(errors.items())
-    assert list(trace_pass[1].items()) == list(refs.items())
+def test_trace_pass_equals_the_mpf_loop_bit_for_bit(trace_pass, mp_pass):
+    # every binary64 reference is the float the 60-digit mpf loop gave, and the errors
+    # have its keys in its order
+    assert list(trace_pass[1].items()) == list(mp_pass[1].items())
+    assert [(key, len(vals)) for key, vals in trace_pass[0].items()] == \
+        [(key, len(vals)) for key, vals in mp_pass[0].items()]
+
+
+def test_trace_ratios_within_4_ulp_of_the_mpf_loop(trace_pass, mp_pass):
+    # the exact errors leave out (4 pi)^n, which cancels in each ratio the check reports
+    def ratios(errors):
+        return [max(a / b, b / a) for vals in errors.values() for a, b in zip(vals, vals[1:])]
+
+    got, expected = ratios(trace_pass[0]), ratios(mp_pass[0])
+    assert len(got) == len(expected) == 45
+    for a, b in zip(got, expected):
+        assert abs(a - b) <= 4 * math.ulp(b) and f"{a:.3f}" == f"{b:.3f}"
 
 
 def test_worst_keeps_the_first_of_equal_errors_and_the_first_nan():
