@@ -49,7 +49,7 @@ import numpy as np
 from .errors import AntipodalDegenerate, DimensionMismatch, binary64_range
 from .exactnum import pochhammer
 from .kernels import KernelEval, double_angle, point_pair, single_angle
-from .orthopoly import gegenbauer_values, jacobi_values
+from .orthopoly import _recurrence, _recurrence_values, gegenbauer_values
 from .quadrature import midpoint_rule
 from .spectrum import SpectralPoint
 from .theta import _gaussian, _require_time, terms_needed, theta_deriv, trace_direct
@@ -102,9 +102,11 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
     exponent is <= 0 and the Jacobi sup bound makes the tail bound rigorous.
 
     z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
-    row; the weights are then built once, value and error_bound are
-    shape-(P,) arrays, each entry bit-identical to the call on that row's
-    pair alone, and terms_used stays one int.
+    row; the weights and the constants of the Jacobi recurrence are then
+    built once, value and error_bound are shape-(P,) arrays, each entry
+    bit-identical to the call on that row's pair alone, and terms_used stays
+    one int. The recurrence runs on each pair's cos 2d as a Python float,
+    which rounds every operation as numpy's float64 does.
     """
     _require_time(t)
     pt = SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
@@ -112,9 +114,11 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
     pairs, rows = _pairs(z, w)
     geometry = [point_pair(n, a, b) for a, b in pairs]
     weights, tail = _series_weights(n, two_nu, t, eps)
+    kmax = len(weights) - 1
+    recurrence = _recurrence(kmax, n - 1, two_nu)  # one set of constants for every pair
     values, bounds = [], []
     for c2, q in geometry:
-        pvals = jacobi_values(len(weights) - 1, n - 1, two_nu, double_angle(c2))
+        pvals = _recurrence_values(kmax, recurrence, float(double_angle(c2)))
         inner = math.fsum(wm * pm for wm, pm in zip(weights, pvals))
         scale = q**two_nu / pi**n
         values.append(complex(scale * inner))

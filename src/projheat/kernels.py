@@ -62,34 +62,51 @@ class KernelEval:
 
 
 def as_point(coords) -> ProjPoint:
-    """Coerce a scalar or sequence of complex numbers to a chart point of finite coordinates."""
+    """Coerce a scalar or sequence of complex numbers to a chart point of finite coordinates.
+
+    An ndarray is read through tolist(), so its coordinates arrive as Python
+    numbers, whose complex() is the same value as a numpy scalar's.
+    """
+    if isinstance(coords, np.ndarray):
+        coords = coords.tolist()
     point = ((complex(coords),) if isinstance(coords, (complex, float, int, np.number))
-             else tuple(complex(c) for c in coords))
+             else tuple(map(complex, coords)))
     if not all(map(cmath.isfinite, point)):
         raise ValueError(f"non-finite coordinate in the point {point}")
     return point
 
 
 def herm(z: ProjPoint, w: ProjPoint) -> complex:
-    """Hermitian pairing sum z_j conj(w_j), linear in the first slot."""
+    """Hermitian pairing sum z_j conj(w_j), linear in the first slot.
+
+    Summed left to right from 0 in Python complex, whose products and sums
+    round as numpy's complex128 scalars do.
+    """
     if len(z) != len(w):
         raise DimensionMismatch(f"points of dimension {len(z)} and {len(w)}")
-    return sum(a * np.conjugate(b) for a, b in zip(z, w))
+    total = 0
+    for a, b in zip(z, w):
+        total += a * b.conjugate()
+    return total
 
 
 def point_pair(n: int, z, w) -> tuple[np.float64, np.complex128]:
     """(cos^2 d_FS, q) for two chart points, checked to have dimension n.
 
-    Both are numpy scalars, because herm sums numpy products.
-
     cos^2 d_FS = |1+<z,w>|^2 / ((1+|z|^2)(1+|w|^2)) and
     q = (1+<z,w>) / sqrt((1+|z|^2)(1+|w|^2)), so |q| = cos d_FS.
+
+    The pairings are Python complex (herm); 1+<z,w> becomes one numpy
+    complex128, so the modulus, its square and the divisions are numpy's
+    scalar operations, and both results are numpy scalars. A coordinate too
+    large for binary64 products gives inf or nan with numpy's warning, never
+    an OverflowError.
     """
     z, w = as_point(z), as_point(w)
     if len(z) != n or len(w) != n:
         raise DimensionMismatch(f"expected dimension {n}, got {len(z)} and {len(w)}")
-    az, aw, num = 1.0 + herm(z, z).real, 1.0 + herm(w, w).real, 1.0 + herm(z, w)
-    return abs(num) ** 2 / (az * aw), num / np.sqrt(az * aw)
+    az, aw, num = 1.0 + herm(z, z).real, 1.0 + herm(w, w).real, np.complex128(1.0 + herm(z, w))
+    return abs(num) ** 2 / (az * aw), num / sqrt(az * aw)
 
 
 def single_angle(c2) -> float:
@@ -155,7 +172,16 @@ def monopole_basis(two_nu: int, m: int, k: int,
             return at_origin
     zz = (z * z.conjugate()).real
     s = (1.0 - zz) / (1.0 + zz)
-    return norm * (1.0 + zz) ** (-two_nu / 2.0) * z**k * _jacobi_float(m, plan, s)
+    return _harmonic(norm, (1.0 + zz) ** (-two_nu / 2.0), z, k, m, plan, s)
+
+
+def _harmonic(norm: float, base, z, k: int, m: int, plan, s):
+    """Phi_k = norm (1+|z|^2)^{-nu} z^k P_m^{(k,2nu-k)}(s), base the power, s = (1-|z|^2)/(1+|z|^2).
+
+    The one Phi_k formula, of monopole_basis and of zaremba_sum_n1's rows,
+    multiplied left to right in this order.
+    """
+    return norm * base * z**k * _jacobi_float(m, plan, s)
 
 
 # monopole_basis stays a plain function over this cache, so it keeps the
@@ -178,16 +204,48 @@ def _monopole_constants(two_nu: int, m: int, k: int) -> tuple[int, int, int, flo
     return two_nu, m, k, norm, (complex(norm) if k == 0 else 0j), _jacobi_plan(m, k, two_nu - k)
 
 
+@lru_cache(maxsize=256, typed=True)
+def _harmonic_row_constants(two_nu: int, m: int) -> tuple[int, int, tuple]:
+    """The checked (2nu, m) as Python ints, and (k, norm, value at 0, Jacobi
+    plan) of each Phi_k^{nu,m}, k = -m..2nu+m, from _monopole_constants."""
+    pt = SpectralPoint(1, two_nu, m)  # rejects 2nu < 0 and m < 0
+    two_nu, m = pt.two_nu, pt.m
+    return two_nu, m, tuple((k, *_monopole_constants(two_nu, m, k)[3:])
+                            for k in range(-m, two_nu + m + 1))
+
+
+def _harmonic_row(two_nu: int, m: int, harmonics: tuple, z: complex) -> list:
+    """[Phi_k^{nu,m}(z) for k = -m..2nu+m] at one complex z, from _harmonic_row_constants.
+
+    |z|^2, s and (1+|z|^2)^{-nu} are computed once for the row; each entry
+    is the complex monopole_basis(2nu, m, k, z) returns.
+    """
+    if z == 0:
+        return [at_origin for _, _, at_origin, _ in harmonics]
+    zz = (z * z.conjugate()).real
+    s = (1.0 - zz) / (1.0 + zz)
+    base = (1.0 + zz) ** (-two_nu / 2.0)
+    return [_harmonic(norm, base, z, k, m, plan, s) for k, norm, _, plan in harmonics]
+
+
 def zaremba_sum_n1(two_nu: int, m: int, z: complex, w: complex) -> complex:
     """Orthonormal-basis expansion sum_k Phi_k(z) conj(Phi_k(w)) / pi.
 
     The 1/pi converts the dmu_1/pi orthonormality of the monopole harmonics
     to the measure convention of the closed-form kernel; it is pinned by the
     m=0, z=w=0 diagonal value (2nu+1)/pi.
+
+    z and w are complex scalars. Every Phi_k of (nu, m) is evaluated at z in
+    one row and at w in one row (_harmonic_row), each entry the value
+    monopole_basis gives. The products are summed in numpy complex128 from
+    0j, k ascending, and the total divided by pi as a numpy scalar, so the
+    result keeps the bits of the per-k monopole_basis loop.
     """
+    two_nu, m, harmonics = _harmonic_row_constants(two_nu, m)
     total = 0j
-    for k in range(-m, two_nu + m + 1):
-        total += monopole_basis(two_nu, m, k, z) * np.conjugate(monopole_basis(two_nu, m, k, w))
+    for a, b in zip(_harmonic_row(two_nu, m, harmonics, complex(z)),
+                    _harmonic_row(two_nu, m, harmonics, complex(w))):
+        total += a * np.conjugate(b)
     return total / pi
 
 

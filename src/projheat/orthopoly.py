@@ -9,10 +9,19 @@ arguments go through the finite sum as well, which stays well defined
 because the generalized binomials vanish structurally. The finite-sum
 weights are built once per (k, alpha, beta), as Fractions and, next to them,
 in the binary64 plan of that (k, alpha, beta): the floats of the nonzero
-weights, or the float parameters for the recurrence. jacobi and
-kernels.monopole_basis evaluate a binary64 x through the one plan reader,
-_jacobi_float. The terminating 2F1 is the reference the tests check the
-exact Jacobi path against.
+weights, or the constants of the recurrence. jacobi and the monopole
+harmonics of ``kernels`` evaluate a binary64 x through the one plan reader,
+_jacobi_float.
+
+The recurrence's constants (_recurrence: alpha + 1, alpha + beta + 2,
+alpha^2, beta^2, and s - 1, s (s - 2), c1, c3 of each degree) are built
+apart from the values at x (_recurrence_values), and each step applies them
+in the order of its formula, so no value depends on where its constants
+were built. A plan holds the constants of its degree.
+heat.heat_kernel_series builds those of its degree once per call, for all
+its pairs, and caches nothing: its degree follows the time, so a cache
+keyed by it would grow with every new t. The terminating 2F1 is the
+reference the tests check the exact Jacobi path against.
 """
 
 from __future__ import annotations
@@ -57,22 +66,44 @@ def _jacobi_finite_sum(k: int, alpha: Fraction, beta: Fraction, x) -> Fraction:
     return total / 2**k
 
 
+def _recurrence(kmax: int, alpha, beta) -> tuple:
+    """The constants of the three-term recurrence for P_0..P_kmax^{(alpha,beta)}.
+
+    (alpha + 1, alpha + beta + 2, alpha^2, beta^2, steps), with one step
+    (s - 1, s (s - 2), c1, c3) per degree i = 2..kmax, s = 2i + alpha + beta,
+    c1 = 2i (i + alpha + beta)(s - 2) and c3 = 2 (i + alpha - 1)(i + beta - 1) s.
+    """
+    steps = []
+    for i in range(2, kmax + 1):
+        s = 2.0 * i + alpha + beta
+        steps.append((s - 1.0, s * (s - 2.0), 2.0 * i * (i + alpha + beta) * (s - 2.0),
+                      2.0 * (i + alpha - 1.0) * (i + beta - 1.0) * s))
+    return alpha + 1.0, alpha + beta + 2.0, alpha * alpha, beta * beta, tuple(steps)
+
+
+def _recurrence_values(kmax: int, recurrence: tuple, x) -> list:
+    """[P_0, ..., P_kmax](x) from the _recurrence constants of degree kmax.
+
+    Step i is ((s - 1)((s (s - 2)) x + alpha^2 - beta^2) P_{i-1} - c3 P_{i-2}) / c1.
+    """
+    a1, ab2, aa, bb, steps = recurrence
+    vals = [x * 0 + 1.0]
+    if kmax >= 1:
+        v0, v1 = vals[0], a1 + ab2 * (x - 1.0) / 2.0
+        vals.append(v1)
+        for s1, ss2, c1, c3 in steps:
+            v0, v1 = v1, (s1 * (ss2 * x + aa - bb) * v1 - c3 * v0) / c1
+            vals.append(v1)
+    return vals
+
+
 def jacobi_values(kmax: int, alpha, beta, x) -> list:
     """[P_0, ..., P_kmax]^{(alpha,beta)}(x) by the three-term recurrence.
 
     x may be float, complex, or ndarray. The recurrence denominators vanish
     for some negative integer parameters; jacobi() avoids those.
     """
-    vals = [x * 0 + 1.0]
-    if kmax >= 1:
-        vals.append((alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0)
-    for i in range(2, kmax + 1):
-        s = 2.0 * i + alpha + beta
-        c1 = 2.0 * i * (i + alpha + beta) * (s - 2.0)
-        c2 = (s - 1.0) * ((s * (s - 2.0)) * x + alpha * alpha - beta * beta)
-        c3 = 2.0 * (i + alpha - 1.0) * (i + beta - 1.0) * s
-        vals.append((c2 * vals[-1] - c3 * vals[-2]) / c1)
-    return vals
+    return _recurrence_values(kmax, _recurrence(kmax, alpha, beta), x)
 
 
 def jacobi(k: int, alpha, beta, x):
@@ -87,26 +118,26 @@ def jacobi(k: int, alpha, beta, x):
 # jacobi stays a plain function over this cache, so it keeps the __code__
 # that perfbench/tracer.py's probes copy.
 @lru_cache(maxsize=256)
-def _jacobi_plan(k: int, alpha, beta) -> tuple[tuple[tuple[int, float], ...] | None, float, float]:
-    """How P_k^{(alpha,beta)} is evaluated at a binary64 x: (weights, alpha, beta).
+def _jacobi_plan(k: int, alpha, beta) -> tuple[tuple[tuple[int, float], ...] | None, tuple | None]:
+    """How P_k^{(alpha,beta)} is evaluated at a binary64 x: (weights, recurrence).
 
     At a negative-integer parameter the recurrence denominators can vanish
     and the finite sum cannot, so weights holds (j, float(c)) for the
-    nonzero weights c of _finite_sum_coeffs; otherwise it is None and the
-    float alpha and beta go to jacobi_values.
+    nonzero weights c of _finite_sum_coeffs and recurrence is None;
+    otherwise weights is None and recurrence holds the _recurrence
+    constants of degree k for the float alpha and beta.
     """
     a, b = Fraction(alpha), Fraction(beta)
-    weights = None
     if (a.denominator == 1 and a < 0) or (b.denominator == 1 and b < 0):
-        weights = tuple((j, float(c)) for j, c in enumerate(_finite_sum_coeffs(k, a, b)) if c)
-    return weights, float(a), float(b)
+        return tuple((j, float(c)) for j, c in enumerate(_finite_sum_coeffs(k, a, b)) if c), None
+    return None, _recurrence(k, float(a), float(b))
 
 
 def _jacobi_float(k: int, plan, x):
     """P_k(x) for a float, complex or ndarray x, by a _jacobi_plan of degree k."""
-    weights, alpha, beta = plan
+    weights, recurrence = plan
     if weights is None:
-        return jacobi_values(k, alpha, beta, x)[k]
+        return _recurrence_values(k, recurrence, x)[k]
     total = x * 0 + 0.0  # keeps an ndarray's shape when every weight vanishes
     for j, c in weights:
         total = total + c * (x + 1.0) ** j * (x - 1.0) ** (k - j)

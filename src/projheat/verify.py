@@ -19,13 +19,21 @@ numpy, ``heat`` and ``kernels`` are imported by the suites that use them,
 so the exact suites (dims, paper8, theta, trace) do not load numpy. No
 suite uses mpmath.
 
+The seeded suites draw their points in blocks. Generator.normal fills an
+array from the stream element by element, so a block holds the values,
+in order, of the draws one point at a time: the zaremba suite takes all
+its coordinates from one rng.normal call, and the heat suite's rejection
+sampler reads a stream buffered 256 floats at a time (_normals).
+
 The exact suites use integer arithmetic wherever a Fraction is not needed:
 the dimension forms divide integers exactly, the Bernoulli polynomials sum
 a cached integer row, the brute-force power sums add integers over 2^q.
-The trace suite sums each (n, nu, t) once (_trace_exact), in Python ints
-and Fractions: the direct trace in fixed point to 203 bits (60 digits),
-with a written error bound (_trace_direct_exact, _exp_units), and the
-expansion exactly, pi cancelling, at J = 4, 6, 8. The binary64 check's
+The trace suite sums each (n, nu, t) once (_trace_exact), in Python ints:
+the direct trace in fixed point to 203 bits (60 digits), with a written
+error bound (_trace_direct_exact, _exp_units), and the expansion exactly,
+pi cancelling, at J = 4, 6, 8, as Horner numerators over one common
+denominator per (n, nu). Each reported float is one int / int division,
+rounded once, as float() of its Fraction would be. The binary64 check's
 references are the direct and J = 6 sums, each rounded once, so its detail
 names a 60-digit reference; they equal a 40-digit mpmath pass's floats bit
 for bit (a test pins it). The check keeps the name the goldens hold,
@@ -37,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, isnan
+from math import factorial, isnan, lcm, nan
 
 from .exactnum import (
     bernoulli_number,
@@ -221,18 +229,19 @@ def suite_zaremba(seed: int) -> list[Check]:
 
     from .kernels import reproducing_kernel, zaremba_sum_n1
 
-    rng = np.random.default_rng(seed)
     pairs = 20
+    cells = list(product(range(5), range(4), range(pairs)))
+    # one draw for every point: z then w of each pair, in the order the cells run
+    points = iter([complex(a, b) for a, b in
+                   np.random.default_rng(seed).normal(0.0, 0.8, (2 * len(cells), 2)).tolist()])
 
-    def rel(tn: int, m: int) -> float:
-        z = complex(*rng.normal(0.0, 0.8, 2))
-        w = complex(*rng.normal(0.0, 0.8, 2))
+    def rel(tn: int, m: int, z: complex, w: complex) -> float:
         s = zaremba_sum_n1(tn, m, z, w)
         k = reproducing_kernel(1, tn, m, z, w).value
         return abs(s - k) / (1.0 + abs(k))
 
-    worst, worst_at = _worst((rel(tn, m), (tn, m))
-                             for tn, m, _ in product(range(5), range(4), range(pairs)))
+    worst, worst_at = _worst((rel(tn, m, next(points), next(points)), (tn, m))
+                             for tn, m, _ in cells)
     return [_check(
         "zaremba.lemma_n1", worst <= 1e-10,
         f"max |sum - closed|/(1+|closed|) = {worst:.3e} at (2nu, m) = {worst_at} "
@@ -242,12 +251,24 @@ def suite_zaremba(seed: int) -> list[Check]:
 
 # ---------------------------------------------------------------- heat kernels
 
-def _sample_pair(rng, n: int, rho_max: float = 1.2):
+def _normals(rng, scale: float):
+    """The N(0, scale) draws of rng as Python floats, one at a time, drawn 256 at a time.
+
+    Generator.normal fills an array element by element from the stream, so
+    the floats come in the order, and with the values, of one draw each.
+    """
+    while True:
+        yield from rng.normal(0.0, scale, 256).tolist()
+
+
+def _sample_pair(draws, n: int, rho_max: float = 1.2):
+    """A pair of points on P^n at distance below rho_max: coordinates re, im of each
+    z_j, then of each w_j, from the N(0, 0.6) floats of draws (_normals), until one
+    pair is near enough."""
     from .kernels import fs_distance
 
     while True:
-        z = tuple(complex(a, b) for a, b in rng.normal(0.0, 0.6, (n, 2)))
-        w = tuple(complex(a, b) for a, b in rng.normal(0.0, 0.6, (n, 2)))
+        z, w = (tuple(complex(next(draws), next(draws)) for _ in range(n)) for _ in "zw")
         if fs_distance(z, w) < rho_max:
             return z, w
 
@@ -263,11 +284,11 @@ def suite_heat(seed: int) -> list[Check]:
 
     from .heat import heat_kernel_integral, heat_kernel_integral_hi, heat_kernel_series
 
-    rng = np.random.default_rng(seed)
+    draws = _normals(np.random.default_rng(seed), 0.6)
 
     def rels(n: int, tn: int, times: tuple, count: int, classical: bool = False):
         for t in times:
-            z, w = map(np.array, zip(*(_sample_pair(rng, n) for _ in range(count))))  # (count, n)
+            z, w = map(np.array, zip(*(_sample_pair(draws, n) for _ in range(count))))  # (count, n)
             integral = (heat_kernel_integral_hi(n, t, z, w) if classical
                         else heat_kernel_integral(n, tn, t, z, w)).value
             series = heat_kernel_series(n, tn, t, z, w).value
@@ -372,10 +393,16 @@ _BINARY64_TIMES = (0.1, 0.05)  # where trace.binary64_vs_mp compares, at J = 6
 def _trace_exact() -> tuple[dict, dict]:
     """The trace suite's one exact pass: scaled errors and binary64 references.
 
-    Each (n, nu, t) of _TRACE_GRID x _TRACE_TIMES is summed once, t the
-    binary64 time as a Fraction: the direct trace D to 203 bits, and
-    S_J (4t)^n = sum_{j<=J} f_j t^j exactly (b_j = f_j pi^n, so pi cancels
-    against S_J's (4 pi t)^{-n}), read off one accumulation at J = 4, 6, 8.
+    Each (n, nu, t) of _TRACE_GRID x _TRACE_TIMES is summed once, t = p/q the
+    binary64 time read exactly (q a power of 2): the direct trace D to 203
+    bits, and S_J (4t)^n = sum_{j<=J} f_j t^j exactly (b_j = f_j pi^n, so pi
+    cancels against S_J's (4 pi t)^{-n}). The sums run in integers: with L
+    the lcm of the f_j's denominators and a_j = L f_j, the numerator
+    N_J = sum_{j<=J} a_j p^j q^{J-j} of S_J (4t)^n = N_J / (L q^J) takes one
+    Horner step per j, N_j = N_{j-1} q + a_j p^j, and is read off at
+    J = 4, 6, 8. Each reported float is one int / int true division, which
+    rounds the exact quotient once, as float() of its Fraction does; J + 1 > n
+    on the grid, so the errors' t^{J+1-n} is p^k / q^k with k > 0.
     Returns the scaled errors |D - S_J| t^n / t^{J+1} keyed by (n, nu, J), one
     per t, without the check's factor (4 pi)^n: it cancels in every ratio of
     one key's values, the only figure suite_trace reports. And the references
@@ -384,19 +411,26 @@ def _trace_exact() -> tuple[dict, dict]:
     errors, refs = {}, {}
     for n, nu in _TRACE_GRID:
         factors = [factor for factor, _ in b_coefficients(n, nu, max(_TRACE_ORDERS))]
+        lcm_den = lcm(*(factor.denominator for factor in factors))
+        scaled = [factor.numerator * (lcm_den // factor.denominator) for factor in factors]
         rows = {J: [] for J in _TRACE_ORDERS}
         for t_float in _TRACE_TIMES:
-            t = Fraction(t_float)
-            direct = _trace_direct_exact(n, 2 * nu, t)
-            scale = (4 * t) ** n
-            total = 0
-            for j, factor in enumerate(factors):
-                total += factor * t**j
+            p, q = t_float.as_integer_ratio()
+            direct = _trace_direct_exact(n, 2 * nu, Fraction(p, q))
+            # a NaN reference has no integer ratio: its errors are NaN, and FAIL the check
+            d_num, d_den = direct.as_integer_ratio() if direct == direct else (0, 0)
+            total, p_j = 0, 1
+            for j, a in enumerate(scaled):
+                total = total * q + a * p_j  # N_j
+                p_j *= p
                 if j in rows:
-                    asymptotic = total / scale
-                    rows[j].append(float(abs(direct - asymptotic) / t ** (j + 1 - n)))
+                    # S_J = N_J q^n / (L q^J 4^n p^n), and the error is over t^{J+1-n} = p^k/q^k
+                    s_num, s_den = total * q**n, lcm_den * q**j * 4**n * p**n
+                    k = j + 1 - n
+                    diff = abs(d_num * s_den - s_num * d_den)
+                    rows[j].append(diff * q**k / (d_den * s_den * p**k) if d_den else nan)
                     if j == 6 and t_float in _BINARY64_TIMES:
-                        refs[n, nu, t_float] = float(direct), float(asymptotic)
+                        refs[n, nu, t_float] = float(direct), s_num / s_den
         errors.update(((n, nu, J), vals) for J, vals in rows.items())
     return errors, refs
 

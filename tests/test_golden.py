@@ -64,6 +64,8 @@ CASES = {
     "verify_all_json": ["verify"],
     "verify_heat_seed7_csv": ["verify", "--scope=heat", "--seed=7", "--format=csv"],
     "verify_zaremba_seed7_csv": ["verify", "--scope=zaremba", "--seed=7", "--format=csv"],
+    # an evaluation-order change once moved this seed's worst error from 5.696e-15 to 5.761e-15
+    "verify_zaremba_seed2_csv": ["verify", "--scope=zaremba", "--seed=2", "--format=csv"],
 }
 
 

@@ -463,10 +463,11 @@ def test_exact_order_is_the_fewest_nodes_that_integrate_the_bracket(two_nu, term
     # one node fewer, which aliases the integrand's top cosine, is not
     from projheat.orthopoly import gegenbauer_values
 
-    n, mp.mp.dps = 1, 30
+    n = 1
     lam, degree = n + two_nu, 2 * (terms - 1)
-    exact = float(mp.quad(lambda p: mp.cos(p) ** (2 * two_nu) * mp.gegenbauer(degree, lam, mp.sin(p)),
-                          [0, mp.pi / 2]))
+    with mp.workdps(30):
+        exact = float(mp.quad(lambda p: mp.cos(p) ** (2 * two_nu)
+                              * mp.gegenbauer(degree, lam, mp.sin(p)), [0, mp.pi / 2]))
     order = heat._exact_order(two_nu, terms)
     assert order == (two_nu + terms - 1) // 2 + 1
     errors = []
@@ -476,6 +477,13 @@ def test_exact_order_is_the_fewest_nodes_that_integrate_the_bracket(two_nu, term
         errors.append(abs(np.sum(w * f) - exact) / np.sum(w * np.abs(f)))
     assert errors[0] <= 1e-12
     assert order == 1 or errors[1] >= 1e-3
+
+
+def test_exact_order_check_leaves_mpmath_precision_alone():
+    # its 30-digit reference quadrature raises mpmath's precision only inside its block
+    dps = mp.mp.dps
+    test_exact_order_is_the_fewest_nodes_that_integrate_the_bracket(2, 3)
+    assert mp.mp.dps == dps
 
 
 @pytest.mark.parametrize("form", ["general", "classical"])

@@ -353,3 +353,50 @@ def test_kernel_errors_keep_their_order():
             reproducing_kernel(200, 0, 0, short, full)
         with pytest.raises(Binary64Overflow, match="kernel prefactor"):
             reproducing_kernel(200, 0, 0, full, full)
+
+
+def _zaremba_per_k(two_nu: int, m: int, z: complex, w: complex):
+    """zaremba_sum_n1 as it was: monopole_basis at z and at w, one k at a time."""
+    total = 0j
+    for k in range(-m, two_nu + m + 1):
+        total += monopole_basis(two_nu, m, k, z) * np.conjugate(monopole_basis(two_nu, m, k, w))
+    return total / pi
+
+
+@pytest.mark.parametrize("two_nu,m", product(range(7), range(6)))
+def test_zaremba_rows_are_the_per_k_loop_bit_for_bit(two_nu, m):
+    # one harmonic row per point changes no bit of the sum, nor its numpy type
+    rng = np.random.default_rng(100 + 10 * two_nu + m)
+    points = [complex(a, b) for a, b in rng.normal(0.0, 0.8, (24, 2)).tolist()]
+    pairs = [*zip(points[::2], points[1::2]), (0j, points[0]), (points[1], 0j), (0j, 0j)]
+    for z, w in pairs:
+        got, expected = zaremba_sum_n1(two_nu, m, z, w), _zaremba_per_k(two_nu, m, z, w)
+        assert type(got) is type(expected) is np.complex128
+        assert got.tobytes() == expected.tobytes()
+
+
+def _point_pair_in_numpy_scalars(n: int, z, w):
+    """point_pair as it was: herm summed numpy products, and q came from numpy's
+    division of a complex128 by a float64."""
+    z, w = (tuple(complex(c) for c in p) for p in (z, w))
+
+    def pairing(a, b):
+        return sum(x * np.conjugate(y) for x, y in zip(a, b))
+
+    az, aw, num = 1.0 + pairing(z, z).real, 1.0 + pairing(w, w).real, 1.0 + pairing(z, w)
+    return abs(num) ** 2 / (az * aw), num / np.sqrt(az * aw)
+
+
+def test_point_pair_is_its_numpy_scalar_formula_bit_for_bit():
+    # Python-complex pairings change no bit and no type, for tuples and ndarray rows,
+    # at the clipped diagonals, the origin and seeded pairs of n = 1..3
+    rng = np.random.default_rng(43)
+    seeded = [(n, *(tuple(complex(a, b) for a, b in rng.normal(0, 0.8, (n, 2))) for _ in "zw"))
+              for n in (1, 2, 3) for _ in range(200)]
+    for n, z, w in [*_kernel_pairs(), *seeded]:
+        expected = _point_pair_in_numpy_scalars(n, z, w)
+        for a, b in ((z, w), (np.array(z), np.array(w)), (list(z), list(w))):
+            got = point_pair(n, a, b)
+            assert [type(x) for x in got] == [type(x) for x in expected] == [np.float64,
+                                                                              np.complex128]
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]

@@ -16,7 +16,7 @@ from scipy.special import eval_gegenbauer, eval_jacobi
 from projheat.errors import PoleError
 from projheat.exactnum import pochhammer
 from projheat import orthopoly
-from projheat.orthopoly import gauss2f1_terminating, gegenbauer_values, jacobi
+from projheat.orthopoly import gauss2f1_terminating, gegenbauer_values, jacobi, jacobi_values
 
 
 def test_jacobi_trivial_and_frozen():
@@ -225,3 +225,43 @@ def test_jacobi_gegenbauer_integral_representation(k, a, b, t):
 def test_jacobi_exact_matches_recurrence_property(k, a, b, x):
     exact = jacobi(k, a, b, x)
     assert jacobi(k, a, b, float(x)) == pytest.approx(float(exact), rel=1e-10, abs=1e-12)
+
+
+def _jacobi_values_inline(kmax, alpha, beta, x) -> list:
+    """jacobi_values as it was: each step's constants computed inside the loop."""
+    vals = [x * 0 + 1.0]
+    if kmax >= 1:
+        vals.append((alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0)
+    for i in range(2, kmax + 1):
+        s = 2.0 * i + alpha + beta
+        c1 = 2.0 * i * (i + alpha + beta) * (s - 2.0)
+        c2 = (s - 1.0) * ((s * (s - 2.0)) * x + alpha * alpha - beta * beta)
+        c3 = 2.0 * (i + alpha - 1.0) * (i + beta - 1.0) * s
+        vals.append((c2 * vals[-1] - c3 * vals[-2]) / c1)
+    return vals
+
+
+def _value_bits(vals) -> list:
+    return [(type(v), np.asarray(v).tobytes()) for v in vals]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (1, 2), (3, 0), (7, 3), (4, 9), (0.0, 0.0),
+                                        (1.0, 2.0), (2.5, 0.5), (2, 4.75), (0.75, 6.5)],
+                         ids=str)
+def test_jacobi_recurrence_constants_are_the_inline_recurrence_bit_for_bit(alpha, beta):
+    # constants built once (a _jacobi_plan, or jacobi_values' own) change no bit and no
+    # type, for int and float parameters, at float, complex and ndarray x, degrees 0..60
+    grid = np.random.default_rng(61).uniform(-1.0, 1.0, 24)
+    xs = [*grid.tolist(), 0.37, np.float64(-0.81), 0.3 - 0.2j, np.complex128(-0.6 + 0.1j), grid]
+    for kmax in range(61):
+        plan = orthopoly._recurrence(kmax, float(alpha), float(beta))
+        for x in xs:
+            got, expected = jacobi_values(kmax, alpha, beta, x), _jacobi_values_inline(
+                kmax, alpha, beta, x)
+            assert _value_bits(got) == _value_bits(expected)
+            # _jacobi_float reads a plan's constants, built from the float parameters
+            got = orthopoly._jacobi_float(kmax, (None, plan), x)
+            expected = _jacobi_values_inline(kmax, float(alpha), float(beta), x)[kmax]
+            assert _value_bits([got]) == _value_bits([expected])
+    assert orthopoly._jacobi_plan(7, alpha, beta) == (
+        None, orthopoly._recurrence(7, float(alpha), float(beta)))

@@ -14,7 +14,7 @@ from mpmath.libmp import dps_to_prec
 
 from projheat import verify
 from projheat.heatcoeff import b_coefficients
-from projheat.kernels import KernelEval
+from projheat.kernels import KernelEval, fs_distance
 from projheat.spectrum import SpectralPoint, _poly_dimension_row, dimension_product_form
 
 
@@ -212,6 +212,40 @@ def test_trace_scaled_errors_equal_one_sum_per_order(trace_pass):
     assert list(trace_pass[0].items()) == list(expected.items())
 
 
+def _trace_fraction_pass() -> tuple[dict, dict]:
+    """verify._trace_exact as it was: every partial sum and error a Fraction, rounded by
+    float()."""
+    errors, refs = {}, {}
+    for n, nu in verify._TRACE_GRID:
+        factors = [factor for factor, _ in b_coefficients(n, nu, max(verify._TRACE_ORDERS))]
+        rows = {J: [] for J in verify._TRACE_ORDERS}
+        for t_float in verify._TRACE_TIMES:
+            t = Fraction(t_float)
+            direct = verify._trace_direct_exact(n, 2 * nu, t)
+            scale = (4 * t) ** n
+            total = 0
+            for j, factor in enumerate(factors):
+                total += factor * t**j
+                if j in rows:
+                    asymptotic = total / scale
+                    rows[j].append(float(abs(direct - asymptotic) / t ** (j + 1 - n)))
+                    if j == 6 and t_float in verify._BINARY64_TIMES:
+                        refs[n, nu, t_float] = float(direct), float(asymptotic)
+        errors.update(((n, nu, J), vals) for J, vals in rows.items())
+    return errors, refs
+
+
+def test_trace_integer_sums_are_the_fraction_pass_bit_for_bit(trace_pass):
+    # the Horner numerators over one lcm, and one int/int division per float, give the
+    # Fraction pass's errors and references bit for bit, keys in its order
+    def bits(table):
+        return [(key, [float.hex(x) for x in vals]) for key, vals in table.items()]
+
+    errors, refs = _trace_fraction_pass()
+    assert bits(trace_pass[0]) == bits(errors)
+    assert bits(trace_pass[1]) == bits(refs)
+
+
 def test_trace_pass_equals_the_mpf_loop_bit_for_bit(trace_pass, mp_pass):
     # every binary64 reference is the float the 60-digit mpf loop gave, and the errors
     # have its keys in its order
@@ -238,14 +272,38 @@ def test_worst_keeps_the_first_of_equal_errors_and_the_first_nan():
     assert verify._worst([(0.5, "a")], floor=1.0) == (1.0, None)
 
 
+def _sample_pair_per_draw(rng, n: int):
+    """verify._sample_pair as it was: two rng.normal calls of shape (n, 2) per attempt."""
+    while True:
+        z = tuple(complex(a, b) for a, b in rng.normal(0.0, 0.6, (n, 2)))
+        w = tuple(complex(a, b) for a, b in rng.normal(0.0, 0.6, (n, 2)))
+        if fs_distance(z, w) < 1.2:
+            return z, w
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 2024])
+def test_buffered_draws_sample_the_pairs_of_one_draw_per_attempt(seed):
+    # the heat suite's buffered stream, and the zaremba suite's one block, read the
+    # generator in the order the per-attempt draws did: the same points, bit for bit
+    draws = verify._normals(np.random.default_rng(seed), 0.6)
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 1, 3, 2):
+        for _ in range(40):
+            assert verify._sample_pair(draws, n) == _sample_pair_per_draw(rng, n)
+    rng = np.random.default_rng(seed)
+    block = np.random.default_rng(seed).normal(0.0, 0.8, (800, 2)).tolist()
+    assert [complex(a, b) for a, b in block] == [complex(*rng.normal(0.0, 0.8, 2))
+                                                 for _ in range(800)]
+
+
 def _heat_checks_one_pair_at_a_time(seed: int) -> list[verify.Check]:
     # the heat suite with one integral call per pair, drawing pairs in the same order
     from projheat.heat import heat_kernel_integral, heat_kernel_integral_hi, heat_kernel_series
 
-    rng = np.random.default_rng(seed)
+    draws = verify._normals(np.random.default_rng(seed), 0.6)
 
     def rel(n, tn, t, classical=False):
-        z, w = verify._sample_pair(rng, n)
+        z, w = verify._sample_pair(draws, n)
         hs = heat_kernel_series(n, tn, t, z, w).value
         hi = (heat_kernel_integral_hi(n, t, z, w) if classical
               else heat_kernel_integral(n, tn, t, z, w)).value
