@@ -54,10 +54,8 @@ def bernoulli_number(d: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _bernoulli_row(d: int) -> tuple[tuple[int, ...], int]:
     """The integers C(d,k) L B_k, k = 0..d, and L, the lcm of the denominators of B_0..B_d."""
-    coeffs = [bernoulli_number(k) for k in range(d + 1)]
-    common = lcm(*(bk.denominator for bk in coeffs))
-    return tuple(comb(d, k) * bk.numerator * (common // bk.denominator)
-                 for k, bk in enumerate(coeffs)), common
+    series = _Series.from_fractions([bernoulli_number(k) for k in range(d + 1)])
+    return tuple(comb(d, k) * a for k, a in enumerate(series.nums)), series.den
 
 
 def _bernoulli_numerator(row: tuple[int, ...], p: int, q: int) -> int:

@@ -47,8 +47,7 @@ from math import comb, factorial, pi
 import numpy as np
 
 from .errors import AntipodalDegenerate, DimensionMismatch, binary64_range
-from .exactnum import pochhammer
-from .kernels import KernelEval, double_angle, point_pair, single_angle
+from .kernels import KernelEval, _gamma_ratio, double_angle, point_pair, single_angle
 from .orthopoly import _recurrence, _recurrence_values, gegenbauer_values
 from .quadrature import midpoint_rule
 from .spectrum import SpectralPoint
@@ -91,7 +90,7 @@ def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[flo
     big, qmax = two_nu + n, max(n - 1, two_nu)
     with binary64_range("a series weight (2m+2nu+n) Gamma(m+n+2nu)/Gamma(m+2nu+1)"):
         return _truncated_weights(
-            lambda m: (2 * m + big) * float(pochhammer(m + two_nu + 1, n - 1)),
+            lambda m: (2 * m + big) * float(_gamma_ratio(n, two_nu, m)),
             lambda m: comb(m + qmax, m), _gaussian(n, two_nu, t), eps * pi**n)
 
 

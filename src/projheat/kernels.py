@@ -22,7 +22,6 @@ from math import acos, factorial, pi, prod, sqrt
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, binary64_range
-from .exactnum import pochhammer
 from .orthopoly import _jacobi_float, _jacobi_plan, jacobi
 from .quadrature import radial_mu1_rule
 from .spectrum import SpectralPoint, _integer
@@ -145,9 +144,13 @@ def reproducing_kernel(n: int, two_nu: int, m: int, z, w) -> KernelEval:
 @lru_cache(maxsize=256)
 def _kernel_prefactor(n: int, two_nu: int, m: int) -> float:
     """(2m+2nu+n) Gamma(m+n+2nu) / (pi^n Gamma(m+2nu+1)) of a checked (n, 2nu, m)."""
-    gamma_ratio = pochhammer(m + two_nu + 1, n - 1)  # Gamma(m+n+2nu)/Gamma(m+2nu+1)
     with binary64_range("the kernel prefactor (2m+2nu+n) Gamma(m+n+2nu)/Gamma(m+2nu+1)/pi^n"):
-        return (2 * m + two_nu + n) * float(gamma_ratio) / pi**n
+        return (2 * m + two_nu + n) * float(_gamma_ratio(n, two_nu, m)) / pi**n
+
+
+def _gamma_ratio(n: int, two_nu: int, m: int) -> int:
+    """Gamma(m+n+2nu)/Gamma(m+2nu+1) = (m+2nu+1)_{n-1}, one integer product of Python ints."""
+    return prod(range(m + two_nu + 1, m + two_nu + n))
 
 
 def monopole_basis(two_nu: int, m: int, k: int,
@@ -269,5 +272,5 @@ def kernel_diagonal_volume_check(n: int, two_nu: int, m: int) -> Fraction:
     pt = SpectralPoint(n, two_nu, m)  # rejects n < 1, 2nu < 0, m < 0
     n, two_nu, m = pt.n, pt.two_nu, pt.m  # Python ints, so the products never run in int64
     # (2m+2nu+n) (m+2nu+1)_{n-1} (n)_m over m! n!, as one integer product
-    num = (2 * m + two_nu + n) * prod(range(m + two_nu + 1, m + two_nu + n)) * prod(range(n, n + m))
+    num = (2 * m + two_nu + n) * _gamma_ratio(n, two_nu, m) * prod(range(n, n + m))
     return Fraction(num, factorial(m) * factorial(n))

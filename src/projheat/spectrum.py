@@ -14,9 +14,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .errors import NonIntegerDimension
+from .exactnum import _Series
 
 __all__ = [
     "SpectralPoint",
@@ -191,10 +192,8 @@ def _poly_dimension_row(n: int, two_nu: int) -> tuple[tuple[int, ...], int]:
     the other two formulas; D is the lcm of the denominators of c_p/4^p times
     n!(n-1)!.
     """
-    scaled = [c / 4**p for p, c in enumerate(_decompose(n, two_nu))]
-    common = lcm(*(a.denominator for a in scaled))
-    row = tuple(a.numerator * (common // a.denominator) for a in scaled)
-    return row, common * factorial(n) * factorial(n - 1)
+    series = _Series.from_fractions([c / 4**p for p, c in enumerate(_decompose(n, two_nu))])
+    return tuple(series.nums), series.den * factorial(n) * factorial(n - 1)
 
 
 def decompose_multiplicity(n: int, nu: Fraction | int) -> DecompositionPoly:

@@ -45,9 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, isnan, lcm, nan
+from math import factorial, isnan, nan
 
 from .exactnum import (
+    _Series,
     bernoulli_number,
     bernoulli_polynomial,
     power_sum,
@@ -410,9 +411,8 @@ def _trace_exact() -> tuple[dict, dict]:
     """
     errors, refs = {}, {}
     for n, nu in _TRACE_GRID:
-        factors = [factor for factor, _ in b_coefficients(n, nu, max(_TRACE_ORDERS))]
-        lcm_den = lcm(*(factor.denominator for factor in factors))
-        scaled = [factor.numerator * (lcm_den // factor.denominator) for factor in factors]
+        scaled = _Series.from_fractions(
+            [factor for factor, _ in b_coefficients(n, nu, max(_TRACE_ORDERS))])
         rows = {J: [] for J in _TRACE_ORDERS}
         for t_float in _TRACE_TIMES:
             p, q = t_float.as_integer_ratio()
@@ -420,12 +420,12 @@ def _trace_exact() -> tuple[dict, dict]:
             # a NaN reference has no integer ratio: its errors are NaN, and FAIL the check
             d_num, d_den = direct.as_integer_ratio() if direct == direct else (0, 0)
             total, p_j = 0, 1
-            for j, a in enumerate(scaled):
+            for j, a in enumerate(scaled.nums):
                 total = total * q + a * p_j  # N_j
                 p_j *= p
                 if j in rows:
                     # S_J = N_J q^n / (L q^J 4^n p^n), and the error is over t^{J+1-n} = p^k/q^k
-                    s_num, s_den = total * q**n, lcm_den * q**j * 4**n * p**n
+                    s_num, s_den = total * q**n, scaled.den * q**j * 4**n * p**n
                     k = j + 1 - n
                     diff = abs(d_num * s_den - s_num * d_den)
                     rows[j].append(diff * q**k / (d_den * s_den * p**k) if d_den else nan)

@@ -1,8 +1,12 @@
 """Golden CLI outputs: stdout and exit code, byte for byte, for a fixed flag set.
 
 Each file in tests/golden/ holds "exit <code>" on its first line followed by
-the command's stdout. Refactors must leave every file unchanged. To capture
-the files again (only when an output change is intended):
+the command's stdout, and CASES, the one list of the command lines, has one
+entry per file. Every case runs twice: in this process, with whatever the
+earlier tests left in the caches, and in a fresh interpreter with cold caches,
+mpmath blocked and nothing allowed on stderr. Refactors must leave every file
+unchanged. To capture the files again (only when an output change is
+intended):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -11,13 +15,21 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import projheat
 from projheat.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(projheat.__file__).resolve().parent.parent)
+# a CLI call as the console script makes it, with any import of mpmath failing
+FRESH_CLI = ("import sys; sys.modules['mpmath'] = None; "
+             "from projheat.cli import main; sys.exit(main(sys.argv[1:]))")
 
 Z2, W2 = "--z=0.3+0.2j,0.1", "--w=0.2,-0.4j"
 Z3, W3 = "--z=0.1+0.2j,-0.3j,0.25", "--w=0.2-0.1j,0.1,0.05+0.3j"
@@ -81,6 +93,21 @@ def run(argv: list[str]) -> str:
 def test_golden_output(name):
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert run(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_in_a_fresh_process(name):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, *CASES[name]], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.stderr == ""
+    assert f"exit {proc.returncode}\n{proc.stdout}" == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_each_golden_file_has_one_case():
+    # a file without a case would never be checked, and a case without a file fails above
+    assert sorted(path.stem for path in GOLDEN.glob("*.txt")) == sorted(CASES)
 
 
 if __name__ == "__main__":

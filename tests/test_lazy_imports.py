@@ -3,9 +3,10 @@
 ``import projheat`` binds the exact modules eagerly and the numpy-backed
 names (heat, kernels, orthopoly) on first access. The exact-table commands
 and the exact ``verify`` scopes load neither numpy nor mpmath, and no
-command loads mpmath: it is a test dependency only. Checks of what a
-command imports run in a fresh interpreter, because this process has
-already imported everything.
+command loads mpmath: it is a test dependency only (tests/test_golden.py
+runs every golden command with mpmath blocked). Checks of what a command
+imports run in a fresh interpreter, because this process has already
+imported everything.
 """
 
 from __future__ import annotations
@@ -151,17 +152,3 @@ print(json.dumps([code, sorted({{"numpy", "mpmath"}} & set(sys.modules))]))
 """)
     assert report == [0, heavy]
 
-
-def test_verify_all_without_mpmath_equals_its_golden():
-    # with mpmath blocked, a fresh `verify --scope all` still prints its golden byte for byte
-    golden = (Path(__file__).parent / "golden" / "verify_all_json.txt").read_text()
-    record = _fresh("""
-import contextlib, io, json, sys
-sys.modules["mpmath"] = None
-import projheat.cli
-buf = io.StringIO()
-with contextlib.redirect_stdout(buf):
-    code = projheat.cli.main(["verify", "--scope", "all"])
-print(json.dumps(f"exit {code}\\n{buf.getvalue()}"))
-""")
-    assert record == golden
