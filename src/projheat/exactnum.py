@@ -121,18 +121,10 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
 
 
 def binomial_general(a: Fraction | int, k: int) -> Fraction:
-    """Generalized binomial a(a-1)...(a-k+1)/k! for rational a = p/q in lowest terms:
-    prod_{j<k} (p - j q) over q^k k!, one integer product, as in pochhammer."""
+    """Generalized binomial a(a-1)...(a-k+1)/k! = (a-k+1)_k / k! for rational a."""
     if k < 0:
         raise ValueError("binomial order must be >= 0")
-    a = Fraction(a)
-    p, q = int(a.numerator), int(a.denominator)
-    product = 1
-    for j in range(k):
-        product *= p - j * q
-        if not product:
-            break
-    return Fraction(product, q**k * factorial(k))
+    return pochhammer(Fraction(a) - k + 1, k) / factorial(k)
 
 
 def power_sum(m: int, q: int, a: Fraction | int) -> Fraction:

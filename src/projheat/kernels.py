@@ -162,7 +162,11 @@ def monopole_basis(two_nu: int, m: int, k: int,
     factor P_m^{(k,2nu-k)} carries a structural zero of order |k| at z = 0,
     so the product is regular.
     """
-    two_nu, m, k, norm, at_origin, plan = _monopole_constants(two_nu, m, k)
+    two_nu, m, harmonics = _harmonic_row_constants(two_nu, m)
+    k = _integer("k", k)
+    if not -m <= k <= two_nu + m:
+        raise IndexOutOfRange(f"k={k} outside [{-m}, {two_nu + m}]")
+    _, norm, at_origin, plan = harmonics[k + m]
     if isinstance(z, np.ndarray):
         z = z.astype(complex)
         origin = z == 0
@@ -190,31 +194,23 @@ def _harmonic(norm: float, base, z, k: int, m: int, plan, s):
 # monopole_basis stays a plain function over this cache, so it keeps the
 # __code__ that perfbench/tracer.py's probes copy.
 @lru_cache(maxsize=256, typed=True)
-def _monopole_constants(two_nu: int, m: int, k: int) -> tuple[int, int, int, float, complex, tuple]:
-    """The checked (2nu, m, k) as Python ints, the norm of Phi_k^{nu,m}, its
-    value at z = 0, and the binary64 plan of its Jacobi factor P_m^{(k,2nu-k)}."""
-    pt = SpectralPoint(1, two_nu, m)  # rejects 2nu < 0 and m < 0
-    two_nu, m, k = pt.two_nu, pt.m, _integer("k", k)
-    if not -m <= k <= two_nu + m:
-        raise IndexOutOfRange(f"k={k} outside [{-m}, {two_nu + m}]")
-    norm = sqrt(
-        (two_nu + 2 * m + 1)
-        * factorial(two_nu + m)
-        * factorial(m)
-        / (factorial(m + k) * factorial(two_nu + m - k))
-    )
-    # the value at z = 0: P_m^{(k,2nu-k)}(1) = (k+1)_m/m! vanishes for -m <= k < 0
-    return two_nu, m, k, norm, (complex(norm) if k == 0 else 0j), _jacobi_plan(m, k, two_nu - k)
-
-
-@lru_cache(maxsize=256, typed=True)
 def _harmonic_row_constants(two_nu: int, m: int) -> tuple[int, int, tuple]:
-    """The checked (2nu, m) as Python ints, and (k, norm, value at 0, Jacobi
-    plan) of each Phi_k^{nu,m}, k = -m..2nu+m, from _monopole_constants."""
+    """The checked (2nu, m) as Python ints, and (k, norm, value at z = 0, the
+    binary64 plan of the Jacobi factor P_m^{(k,2nu-k)}) of each Phi_k^{nu,m},
+    k = -m..2nu+m."""
     pt = SpectralPoint(1, two_nu, m)  # rejects 2nu < 0 and m < 0
     two_nu, m = pt.two_nu, pt.m
-    return two_nu, m, tuple((k, *_monopole_constants(two_nu, m, k)[3:])
-                            for k in range(-m, two_nu + m + 1))
+    harmonics = []
+    for k in range(-m, two_nu + m + 1):
+        norm = sqrt(
+            (two_nu + 2 * m + 1)
+            * factorial(two_nu + m)
+            * factorial(m)
+            / (factorial(m + k) * factorial(two_nu + m - k))
+        )
+        # the value at z = 0: P_m^{(k,2nu-k)}(1) = (k+1)_m/m! vanishes for -m <= k < 0
+        harmonics.append((k, norm, complex(norm) if k == 0 else 0j, _jacobi_plan(m, k, two_nu - k)))
+    return two_nu, m, tuple(harmonics)
 
 
 def _harmonic_row(two_nu: int, m: int, harmonics: tuple, z: complex) -> list:

@@ -4,7 +4,10 @@ Eigenspaces are indexed by (n, 2*nu, m); the eigenvalue is
 beta_m = -4(m+nu)(m+nu+n) + 4 nu^2 and the multiplicity is an odd polynomial
 in r = m + nu + n/2 whose even-part coefficient list (gamma for odd n, tau
 for even n) drives the heat-coefficient recurrences. Everything here is
-exact rational arithmetic.
+exact. Every root of that product is a half-integer, so in R = 2r =
+2m + 2nu + n it expands to one cached row of integers (_poly_dimension_row);
+the poly form of the dimension and decompose_multiplicity's Fraction
+coefficients are both read from that row.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import NonIntegerDimension
-from .exactnum import _Series
 
 __all__ = [
     "SpectralPoint",
@@ -137,19 +139,24 @@ def dimension_poly_form(pt: SpectralPoint) -> int:
     """dim A_m^nu via the parity decomposition: (2/(n!(n-1)!)) sum c_p r^{2p+1}.
 
     With R = 2r = 2m + 2nu + n this is R sum_p A_p R^{2p} / D in integers
-    (_poly_dimension_row), summed by Horner's rule in R^2.
+    (_poly_dimension_row), summed by _poly_numerator.
     """
     row, den = _poly_dimension_row(pt.n, pt.two_nu)
-    big_r = 2 * pt.m + pt.two_nu + pt.n
+    return _dimension(_poly_numerator(row, 2 * pt.m + pt.two_nu + pt.n), den,
+                      pt.n, pt.two_nu, pt.m)
+
+
+def _poly_numerator(row: tuple[int, ...], big_r: int) -> int:
+    """R sum_p row[p] R^{2p}, by Horner's rule in R^2."""
     big_r2, acc = big_r * big_r, 0
     for a in reversed(row):
         acc = acc * big_r2 + a
-    return _dimension(big_r * acc, den, pt.n, pt.two_nu, pt.m)
+    return big_r * acc
 
 
-def _poly_mul_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Multiply a coefficient list (ascending powers of x) by (x - root)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
+def _poly_mul_linear(coeffs: list[int], root: int) -> list[int]:
+    """Multiply an integer coefficient list (ascending powers of x) by (x - root)."""
+    out = [0] * (len(coeffs) + 1)
     for i, ci in enumerate(coeffs):
         out[i + 1] += ci
         out[i] -= ci * root
@@ -157,50 +164,46 @@ def _poly_mul_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _decompose(n: int, two_nu: int) -> tuple[Fraction, ...]:
-    nu = Fraction(two_nu, 2)
-    half_n = Fraction(n, 2)
-    full = [Fraction(1)]
-    for j in range(1, n):
-        full = _poly_mul_linear(full, half_n + nu - j)
-        full = _poly_mul_linear(full, half_n - nu - j)
-    if any(full[i] for i in range(1, len(full), 2)):
-        raise AssertionError("multiplicity product is not even in r")
-    coeffs = tuple(full[2 * p] for p in range(n))
+def _poly_dimension_row(n: int, two_nu: int) -> tuple[tuple[int, ...], int]:
+    """Integers A_p and D = 4^{n-1} n! (n-1)!, so that dim A_m^nu = R sum_p A_p R^{2p} / D.
 
-    # cross-check against the paired-root factorization used by the trace proof
+    sum_p A_p R^{2p} = 4^{n-1} prod_{j=1}^{n-1} (r - n/2 - nu + j)(r - n/2 + nu + j)
+    = prod_j (R - n - 2nu + 2j)(R - n + 2nu + 2j), expanded over its integer
+    roots n +- 2nu - 2j, so the poly form shares no step with the other two
+    formulas. The expansion is cross-checked against the paired-root
+    factorization used by the trace proof, a product over the roots (2 rho)^2
+    in R^2.
+    """
+    full = [1]
+    for j in range(1, n):
+        full = _poly_mul_linear(full, n + two_nu - 2 * j)
+        full = _poly_mul_linear(full, n - two_nu - 2 * j)
+    if any(full[1::2]):
+        raise AssertionError("multiplicity product is not even in r")
+    row = tuple(full[::2])
+
     if n % 2 == 1:
         halves = (n - 1) // 2
-        squares = [(nu + Fraction(2 * i + 1, 2)) ** 2 for i in range(halves)]
-        squares += [(Fraction(1, 2) - nu + i) ** 2 for i in range(halves)]
+        roots = [two_nu + 2 * i + 1 for i in range(halves)]
+        roots += [1 - two_nu + 2 * i for i in range(halves)]
     else:
-        squares = [(nu + i) ** 2 for i in range(n // 2)]
-        squares += [(1 - nu + i) ** 2 for i in range(n // 2 - 1)]
-    paired = [Fraction(1)]  # ascending powers of y = r^2
-    for rho2 in squares:
-        paired = _poly_mul_linear(paired, rho2)
-    if tuple(paired) != coeffs:
+        roots = [two_nu + 2 * i for i in range(n // 2)]
+        roots += [2 - two_nu + 2 * i for i in range(n // 2 - 1)]
+    paired = [1]  # ascending powers of R^2
+    for root in roots:
+        paired = _poly_mul_linear(paired, root * root)
+    if tuple(paired) != row:
         raise AssertionError("paired-root factorization disagrees with direct expansion")
-    return coeffs
-
-
-@lru_cache(maxsize=None)
-def _poly_dimension_row(n: int, two_nu: int) -> tuple[tuple[int, ...], int]:
-    """Integers A_p and D with 2 c_p r^{2p+1}/(n!(n-1)!) = A_p R^{2p+1}/D, R = 2r.
-
-    c_p is _decompose's gamma/tau list, so the poly form shares no step with
-    the other two formulas; D is the lcm of the denominators of c_p/4^p times
-    n!(n-1)!.
-    """
-    series = _Series.from_fractions([c / 4**p for p, c in enumerate(_decompose(n, two_nu))])
-    return tuple(series.nums), series.den * factorial(n) * factorial(n - 1)
+    return row, 4 ** (n - 1) * factorial(n) * factorial(n - 1)
 
 
 def decompose_multiplicity(n: int, nu: Fraction | int) -> DecompositionPoly:
     """Expand prod_{j=1}^{n-1} (r - n/2 - nu + j)(r - n/2 + nu + j) in powers r^{2p}.
 
-    Returns the gamma (n odd) or tau (n even) coefficient list, verified
-    against the paired-root factorization. Half-integer nu is supported.
+    Returns the gamma (n odd) or tau (n even) coefficient list,
+    gamma_p = A_p / 4^{n-1-p} from _poly_dimension_row's integer row, which
+    is verified against the paired-root factorization. Half-integer nu is
+    supported.
     """
     n = _integer("n", n)
     if n < 1:
@@ -208,7 +211,8 @@ def decompose_multiplicity(n: int, nu: Fraction | int) -> DecompositionPoly:
     two_nu = _rational("nu", nu) * 2
     if two_nu.denominator != 1 or two_nu < 0:
         raise ValueError("2*nu must be a non-negative integer")
-    coeffs = _decompose(n, int(two_nu))
+    row, _ = _poly_dimension_row(n, int(two_nu))
+    coeffs = tuple(Fraction(a, 4 ** (n - 1 - p)) for p, a in enumerate(row))
     return DecompositionPoly(parity="odd" if n % 2 else "even", coeffs=coeffs)
 
 

@@ -67,6 +67,7 @@ from .heatcoeff import (
 from .spectrum import (
     SpectralPoint,
     _poly_dimension_row,
+    _poly_numerator,
     decompose_multiplicity,
     dimension_gamma_form,
     dimension_poly_form,
@@ -343,7 +344,7 @@ def _trace_direct_exact(n: int, two_nu: int, t: Fraction, prec: int = 203) -> Fr
     The Gaussian e_m = e^{t[(n^2+(2nu)^2)/4 - (2m+n+2nu)^2/4]} goes by
     e_{m+1} = e_m g_m and g_{m+1} = g_m e^{-2t}, from g_0 = e^{-(n+2nu+1)t}.
     The dimensions come from the parity decomposition's integer row
-    (spectrum._poly_dimension_row) by Horner's rule in R^2, R = 2m+n+2nu,
+    (spectrum._poly_dimension_row) by spectrum._poly_numerator, R = 2m+n+2nu,
     so this reference shares no step with trace_direct's product form.
 
     The sum runs in fixed point: e_0, g_0 and e^{-2t}, each at most 1, are
@@ -367,10 +368,7 @@ def _trace_direct_exact(n: int, two_nu: int, t: Fraction, prec: int = 203) -> Fr
         gauss, step, ratio = (_exp_units(x * t, bits) for x in exponents)
         total, big_r, m = 0, big_r0, 0
         while True:
-            big_r2, acc = big_r * big_r, 0
-            for a in reversed(row):
-                acc = acc * big_r2 + a
-            dim = big_r * acc // den
+            dim = _poly_numerator(row, big_r) // den
             term = dim * gauss
             total += term
             if m >= 8 and term * cut <= total:  # <=: a total of 0 stops, and is redone

@@ -3,10 +3,10 @@
 Each file in tests/golden/ holds "exit <code>" on its first line followed by
 the command's stdout, and CASES, the one list of the command lines, has one
 entry per file. Every case runs twice: in this process, with whatever the
-earlier tests left in the caches, and in a fresh interpreter with cold caches,
-mpmath blocked and nothing allowed on stderr. Refactors must leave every file
-unchanged. To capture the files again (only when an output change is
-intended):
+earlier tests left in the caches, and in a fresh interpreter (conftest's
+fresh_cli) with cold caches, mpmath blocked and nothing allowed on stderr.
+Refactors must leave every file unchanged. To capture the files again (only
+when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,21 +15,13 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import projheat
 from projheat.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = str(Path(projheat.__file__).resolve().parent.parent)
-# a CLI call as the console script makes it, with any import of mpmath failing
-FRESH_CLI = ("import sys; sys.modules['mpmath'] = None; "
-             "from projheat.cli import main; sys.exit(main(sys.argv[1:]))")
 
 Z2, W2 = "--z=0.3+0.2j,0.1", "--w=0.2,-0.4j"
 Z3, W3 = "--z=0.1+0.2j,-0.3j,0.25", "--w=0.2-0.1j,0.1,0.05+0.3j"
@@ -48,6 +40,8 @@ CASES = {
     "dims_n8_csv": ["dims", "--n=8", "--two-nu=8", "--m-max=60", "--format=csv"],
     "decomp_json": ["decomp", "--n=4", "--two-nu=2"],
     "decomp_csv": ["decomp", "--n=5", "--two-nu=3", "--format=csv"],
+    # the integer row of the multiplicity polynomial past any other golden's n = 8
+    "decomp_n40_csv": ["decomp", "--n=40", "--two-nu=7", "--format=csv"],
     "kernel_json": ["kernel", "--n=1", "--two-nu=2", "--m=1", "--z=0.3+0.2j", "--w=0.1-0.4j"],
     "kernel_csv": ["kernel", "--n=3", "--two-nu=1", "--m=4", Z3, W3, "--format=csv"],
     "kernel_diag_json": ["kernel", "--n=2", "--two-nu=3", "--m=4", ZD, WD],
@@ -96,11 +90,8 @@ def test_golden_output(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output_in_a_fresh_process(name):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, *CASES[name]], env=env,
-                          capture_output=True, text=True, timeout=120, check=False)
+def test_golden_output_in_a_fresh_process(fresh_cli, name):
+    proc = fresh_cli(CASES[name])
     assert proc.stderr == ""
     assert f"exit {proc.returncode}\n{proc.stdout}" == (GOLDEN / f"{name}.txt").read_text()
 

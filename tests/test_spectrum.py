@@ -162,6 +162,33 @@ def test_decompose_parity_and_leading():
             assert poly.coeffs[-1] == 1
 
 
+def _fraction_mul_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
+    """Multiply a Fraction coefficient list (ascending powers of x) by (x - root)."""
+    out = [Fraction(0)] * (len(coeffs) + 1)
+    for i, ci in enumerate(coeffs):
+        out[i + 1] += ci
+        out[i] -= ci * root
+    return out
+
+
+def test_integer_row_equals_the_fraction_expansion_and_the_product_form():
+    # the reference: prod_j (r - n/2 - nu + j)(r - n/2 + nu + j) expanded in Fractions
+    for n in range(1, 17):
+        for two_nu in range(10):
+            nu, full = Fraction(two_nu, 2), [Fraction(1)]
+            for j in range(1, n):
+                full = _fraction_mul_linear(full, Fraction(n, 2) + nu - j)
+                full = _fraction_mul_linear(full, Fraction(n, 2) - nu - j)
+            assert not any(full[1::2])
+            assert decompose_multiplicity(n, nu).coeffs == tuple(full[::2])
+    # past the dims suite's n <= 6, the poly form against the independent product form
+    for n in (20, 40):
+        for two_nu in range(6):
+            for m in range(11):
+                pt = SpectralPoint(n, two_nu, m)
+                assert dimension_poly_form(pt) == dimension_product_form(pt)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_root_vanishing_odd(n):
     for two_nu in range(5):
