@@ -37,9 +37,11 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+# typed: a numpy-int key must not answer an equal float, which is a TypeError
+@lru_cache(maxsize=None, typed=True)
 def bernoulli_number(d: int) -> Fraction:
     """Standard Bernoulli number B_d (convention B_1 = -1/2)."""
+    d = operator.index(d)
     if d < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if d == 0:
@@ -58,10 +60,12 @@ def _bernoulli_row(d: int) -> tuple[tuple[int, ...], int]:
     return tuple(comb(d, k) * a for k, a in enumerate(series.nums)), series.den
 
 
-def _bernoulli_numerator(row: tuple[int, ...], p: int, q: int) -> int:
+def _homogeneous_horner(row, p: int, q: int) -> int:
     """sum_k row[k] p^{d-k} q^k, d = len(row) - 1, by Horner's rule in p.
 
-    On the row of _bernoulli_row(d), this is L q^d B_d(p/q).
+    The integer q^d f(p/q) of the polynomial f(x) = sum_k row[k] x^{d-k}: on
+    the row of _bernoulli_row(d), L q^d B_d(p/q); in verify's trace suite, a
+    truncated asymptotic sum's numerator.
     """
     acc, q_k = 0, 1
     for a in row:
@@ -86,16 +90,17 @@ def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
     x = Fraction(x)
     p, q = int(x.numerator), int(x.denominator)
     row, common = _bernoulli_row(d)
-    return Fraction(_bernoulli_numerator(row, p, q), common * q**d)
+    return Fraction(_homogeneous_horner(row, p, q), common * q**d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, as bernoulli_number
 def theta2_series_coefficient(d: int) -> Fraction:
     """Rescaled sequence ((-1)^d/(d+1)) (1 - 2^{-2d-1}) B_{2d+2}.
 
     Distinct from bernoulli_number on purpose; the literature overloads the
     symbol B_d for both. Satisfies B_{2(d+1)}(1/2) = (-1)^{d+1} (d+1) * value.
     """
+    d = operator.index(d)
     if d < 0:
         raise ValueError("index must be >= 0")
     scale = Fraction((-1) ** d, d + 1) * (1 - Fraction(1, 2 ** (2 * d + 1)))
@@ -108,6 +113,7 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
     With a = p/q in lowest terms, (a)_k = prod_j (p + j q) / q^k: one
     product of integers, and one Fraction at the end.
     """
+    k = operator.index(k)
     if k < 0:
         raise ValueError("pochhammer order must be >= 0")
     a = Fraction(a)
@@ -122,6 +128,7 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
 
 def binomial_general(a: Fraction | int, k: int) -> Fraction:
     """Generalized binomial a(a-1)...(a-k+1)/k! = (a-k+1)_k / k! for rational a."""
+    k = operator.index(k)
     if k < 0:
         raise ValueError("binomial order must be >= 0")
     return pochhammer(Fraction(a) - k + 1, k) / factorial(k)
@@ -142,7 +149,7 @@ def power_sum(m: int, q: int, a: Fraction | int) -> Fraction:
     a = Fraction(a)
     p, s, d = int(a.numerator), int(a.denominator), q + 1
     row, common = _bernoulli_row(d)
-    diff = _bernoulli_numerator(row, p + (m + 1) * s, s) - _bernoulli_numerator(row, p, s)
+    diff = _homogeneous_horner(row, p + (m + 1) * s, s) - _homogeneous_horner(row, p, s)
     return Fraction(diff, common * s**d * d)
 
 

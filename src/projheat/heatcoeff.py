@@ -123,6 +123,7 @@ def b_from_c(n: int, nu: int, c, base: Fraction | None = None) -> list[tuple[Fra
     series product over one common denominator, with one Fraction per j.
     The theorem's base is n^2/4 + nu^2; other bases serve discrepancy reports.
     """
+    n, nu = _integer("n", n), _integer("nu", nu)
     if base is None:
         base = Fraction(n * n, 4) + nu * nu
     product = _Series.from_fractions(c) * _Series.exp(base, len(c))

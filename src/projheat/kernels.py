@@ -160,35 +160,23 @@ def monopole_basis(two_nu: int, m: int, k: int,
     z is a complex scalar, or an ndarray evaluated elementwise (complex
     result of the same shape). Negative k is the literal z^k; the Jacobi
     factor P_m^{(k,2nu-k)} carries a structural zero of order |k| at z = 0,
-    so the product is regular.
+    so the product is regular. The value is the k entry of _harmonic_row,
+    whose row holds only that entry; an ndarray's zeros take the value at
+    z = 0 here, so the row never sees one.
     """
     two_nu, m, harmonics = _harmonic_row_constants(two_nu, m)
     k = _integer("k", k)
     if not -m <= k <= two_nu + m:
         raise IndexOutOfRange(f"k={k} outside [{-m}, {two_nu + m}]")
-    _, norm, at_origin, plan = harmonics[k + m]
     if isinstance(z, np.ndarray):
         z = z.astype(complex)
         origin = z == 0
         if origin.any():
             inner = monopole_basis(two_nu, m, k, np.where(origin, 1.0, z))
-            return np.where(origin, at_origin, inner)
+            return np.where(origin, harmonics[k + m][2], inner)
     else:
         z = complex(z)
-        if z == 0:
-            return at_origin
-    zz = (z * z.conjugate()).real
-    s = (1.0 - zz) / (1.0 + zz)
-    return _harmonic(norm, (1.0 + zz) ** (-two_nu / 2.0), z, k, m, plan, s)
-
-
-def _harmonic(norm: float, base, z, k: int, m: int, plan, s):
-    """Phi_k = norm (1+|z|^2)^{-nu} z^k P_m^{(k,2nu-k)}(s), base the power, s = (1-|z|^2)/(1+|z|^2).
-
-    The one Phi_k formula, of monopole_basis and of zaremba_sum_n1's rows,
-    multiplied left to right in this order.
-    """
-    return norm * base * z**k * _jacobi_float(m, plan, s)
+    return _harmonic_row(two_nu, m, harmonics[k + m:k + m + 1], z)[0]
 
 
 # monopole_basis stays a plain function over this cache, so it keeps the
@@ -213,18 +201,22 @@ def _harmonic_row_constants(two_nu: int, m: int) -> tuple[int, int, tuple]:
     return two_nu, m, tuple(harmonics)
 
 
-def _harmonic_row(two_nu: int, m: int, harmonics: tuple, z: complex) -> list:
-    """[Phi_k^{nu,m}(z) for k = -m..2nu+m] at one complex z, from _harmonic_row_constants.
+def _harmonic_row(two_nu: int, m: int, harmonics: tuple, z) -> list:
+    """[Phi_k^{nu,m}(z) for the entries (k, norm, value at 0, plan) of harmonics].
 
-    |z|^2, s and (1+|z|^2)^{-nu} are computed once for the row; each entry
-    is the complex monopole_basis(2nu, m, k, z) returns.
+    harmonics is _harmonic_row_constants' tuple, or a slice of it. z is one
+    complex, or a complex ndarray without zeros, evaluated elementwise.
+    |z|^2, s = (1-|z|^2)/(1+|z|^2) and the base (1+|z|^2)^{-nu} are computed
+    once for the row, and each Phi_k = norm base z^k P_m^{(k,2nu-k)}(s) is
+    multiplied left to right in that order: the one Phi_k formula, of
+    monopole_basis and of zaremba_sum_n1's rows.
     """
-    if z == 0:
+    if not isinstance(z, np.ndarray) and z == 0:
         return [at_origin for _, _, at_origin, _ in harmonics]
     zz = (z * z.conjugate()).real
     s = (1.0 - zz) / (1.0 + zz)
     base = (1.0 + zz) ** (-two_nu / 2.0)
-    return [_harmonic(norm, base, z, k, m, plan, s) for k, norm, _, plan in harmonics]
+    return [norm * base * z**k * _jacobi_float(m, plan, s) for k, norm, _, plan in harmonics]
 
 
 def zaremba_sum_n1(two_nu: int, m: int, z: complex, w: complex) -> complex:

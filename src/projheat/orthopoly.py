@@ -9,9 +9,10 @@ arguments go through the finite sum as well, which stays well defined
 because the generalized binomials vanish structurally. The finite-sum
 weights are built once per (k, alpha, beta), as Fractions and, next to them,
 in the binary64 plan of that (k, alpha, beta): the floats of the nonzero
-weights, or the constants of the recurrence. jacobi and the monopole
-harmonics of ``kernels`` evaluate a binary64 x through the one plan reader,
-_jacobi_float.
+weights, or the constants of the recurrence. One loop, _finite_sum, sums
+the nonzero weights on both paths: the Fractions at an exact x, the plan's
+floats at a binary64 x. jacobi and the monopole harmonics of ``kernels``
+evaluate a binary64 x through the one plan reader, _jacobi_float.
 
 The recurrence's constants (_recurrence: alpha + 1, alpha + beta + 2,
 alpha^2, beta^2, and s - 1, s (s - 2), c1, c3 of each degree) are built
@@ -36,7 +37,6 @@ from .exactnum import binomial_general
 
 __all__ = [
     "jacobi",
-    "jacobi_values",
     "gauss2f1_terminating",
     "gegenbauer_values",
 ]
@@ -48,22 +48,23 @@ def _is_exact(x) -> bool:
 
 @lru_cache(maxsize=128)
 def _finite_sum_coeffs(k: int, alpha: Fraction, beta: Fraction) -> tuple[Fraction, ...]:
-    """C(k+a, j) C(k+b, k-j) for j = 0..k, the weights of _jacobi_finite_sum."""
+    """C(k+a, j) C(k+b, k-j) for j = 0..k, the weights c_j of _finite_sum."""
     return tuple(binomial_general(alpha + k, j) * binomial_general(beta + k, k - j)
                  for j in range(k + 1))
 
 
-def _jacobi_finite_sum(k: int, alpha: Fraction, beta: Fraction, x) -> Fraction:
-    """2^{-k} sum_j C(k+a, j) C(k+b, k-j) (x+1)^j (x-1)^{k-j} for exact x.
+def _finite_sum(k: int, weights, x, one):
+    """2^{-k} sum c_j (x+1)^j (x-1)^{k-j} over the pairs (j, c_j) of weights.
 
-    Valid for arbitrary rational parameters.
+    Valid for arbitrary rational parameters. The one loop of both paths, in
+    the arithmetic of ``one``: Fraction weights and x with one = 1 give the
+    exact value; float weights with one = 1.0 give binary64 for a float,
+    complex or ndarray x, and for a numpy-int x, whose powers then cannot wrap.
     """
-    xx = Fraction(x)
-    total = Fraction(0)
-    for j, c in enumerate(_finite_sum_coeffs(k, alpha, beta)):
-        if c:
-            total += c * (xx + 1) ** j * (xx - 1) ** (k - j)
-    return total / 2**k
+    total = x * 0 + (one - one)  # keeps an ndarray's shape when every weight vanishes
+    for j, c in weights:
+        total = total + c * (x + one) ** j * (x - one) ** (k - j)
+    return total / (one + one) ** k
 
 
 def _recurrence(kmax: int, alpha, beta) -> tuple:
@@ -97,21 +98,13 @@ def _recurrence_values(kmax: int, recurrence: tuple, x) -> list:
     return vals
 
 
-def jacobi_values(kmax: int, alpha, beta, x) -> list:
-    """[P_0, ..., P_kmax]^{(alpha,beta)}(x) by the three-term recurrence.
-
-    x may be float, complex, or ndarray. The recurrence denominators vanish
-    for some negative integer parameters; jacobi() avoids those.
-    """
-    return _recurrence_values(kmax, _recurrence(kmax, alpha, beta), x)
-
-
 def jacobi(k: int, alpha, beta, x):
     """P_k^{(alpha,beta)}(x); exact for exact x, binary64 otherwise."""
     if k < 0:
         raise ValueError("Jacobi degree must be >= 0")
     if _is_exact(x):
-        return _jacobi_finite_sum(k, Fraction(alpha), Fraction(beta), x)
+        weights = _finite_sum_coeffs(k, Fraction(alpha), Fraction(beta))
+        return _finite_sum(k, ((j, c) for j, c in enumerate(weights) if c), Fraction(x), 1)
     return _jacobi_float(k, _jacobi_plan(k, alpha, beta), x)
 
 
@@ -138,10 +131,7 @@ def _jacobi_float(k: int, plan, x):
     weights, recurrence = plan
     if weights is None:
         return _recurrence_values(k, recurrence, x)[k]
-    total = x * 0 + 0.0  # keeps an ndarray's shape when every weight vanishes
-    for j, c in weights:
-        total = total + c * (x + 1.0) ** j * (x - 1.0) ** (k - j)
-    return total / 2.0**k
+    return _finite_sum(k, weights, x, 1.0)
 
 
 def gauss2f1_terminating(k: int, b, c, x):

@@ -218,6 +218,7 @@ def decompose_multiplicity(n: int, nu: Fraction | int) -> DecompositionPoly:
 
 def spherical_harmonic_dims(n: int, p: int, q: int) -> tuple[int, int]:
     """(delta, d): dims of bidegree-(p,q) polynomials and spherical harmonics."""
+    n, p, q = _integer("n", n), _integer("p", p), _integer("q", q)
     if n < 1 or p < 0 or q < 0:
         raise ValueError("need n >= 1 and p, q >= 0")
 

@@ -23,7 +23,7 @@ from math import exp
 from operator import sub
 
 from .errors import NonPositiveTime, TruncationFailed, binary64_range
-from .spectrum import SpectralPoint, _product_dimension
+from .spectrum import SpectralPoint, _integer, _product_dimension
 
 __all__ = [
     "theta_deriv",
@@ -79,6 +79,7 @@ def theta_deriv(which: int, p: int, t: float, eps: float = 1e-12) -> float:
     which = 3: 2 sum_{l>=1} l^{2p+1} e^{-l^2 t}
     """
     _require_time(t)
+    p = _integer("p", p)
     if p < 0:
         raise ValueError("derivative order must be >= 0")
     if which == 2:

@@ -49,6 +49,7 @@ from math import factorial, isnan, nan
 
 from .exactnum import (
     _Series,
+    _homogeneous_horner,
     bernoulli_number,
     bernoulli_polynomial,
     power_sum,
@@ -397,8 +398,8 @@ def _trace_exact() -> tuple[dict, dict]:
     bits, and S_J (4t)^n = sum_{j<=J} f_j t^j exactly (b_j = f_j pi^n, so pi
     cancels against S_J's (4 pi t)^{-n}). The sums run in integers: with L
     the lcm of the f_j's denominators and a_j = L f_j, the numerator
-    N_J = sum_{j<=J} a_j p^j q^{J-j} of S_J (4t)^n = N_J / (L q^J) takes one
-    Horner step per j, N_j = N_{j-1} q + a_j p^j, and is read off at
+    N_J = sum_{j<=J} a_j p^j q^{J-j} of S_J (4t)^n = N_J / (L q^J) is
+    exactnum's homogeneous Horner sum of a_0..a_J at (q, p), for
     J = 4, 6, 8. Each reported float is one int / int true division, which
     rounds the exact quotient once, as float() of its Fraction does; J + 1 > n
     on the grid, so the errors' t^{J+1-n} is p^k / q^k with k > 0.
@@ -417,18 +418,15 @@ def _trace_exact() -> tuple[dict, dict]:
             direct = _trace_direct_exact(n, 2 * nu, Fraction(p, q))
             # a NaN reference has no integer ratio: its errors are NaN, and FAIL the check
             d_num, d_den = direct.as_integer_ratio() if direct == direct else (0, 0)
-            total, p_j = 0, 1
-            for j, a in enumerate(scaled.nums):
-                total = total * q + a * p_j  # N_j
-                p_j *= p
-                if j in rows:
-                    # S_J = N_J q^n / (L q^J 4^n p^n), and the error is over t^{J+1-n} = p^k/q^k
-                    s_num, s_den = total * q**n, scaled.den * q**j * 4**n * p**n
-                    k = j + 1 - n
-                    diff = abs(d_num * s_den - s_num * d_den)
-                    rows[j].append(diff * q**k / (d_den * s_den * p**k) if d_den else nan)
-                    if j == 6 and t_float in _BINARY64_TIMES:
-                        refs[n, nu, t_float] = float(direct), s_num / s_den
+            for J, row in rows.items():
+                # S_J = N_J q^n / (L q^J 4^n p^n), and the error is over t^{J+1-n} = p^k/q^k
+                s_num = _homogeneous_horner(scaled.nums[:J + 1], q, p) * q**n
+                s_den = scaled.den * q**J * 4**n * p**n
+                k = J + 1 - n
+                diff = abs(d_num * s_den - s_num * d_den)
+                row.append(diff * q**k / (d_den * s_den * p**k) if d_den else nan)
+                if J == 6 and t_float in _BINARY64_TIMES:
+                    refs[n, nu, t_float] = float(direct), s_num / s_den
         errors.update(((n, nu, J), vals) for J, vals in rows.items())
     return errors, refs
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: the CLI run in a fresh interpreter."""
+"""The one fresh-interpreter runner, and the CLI run through it as a fixture."""
 
 from __future__ import annotations
 
@@ -17,10 +17,12 @@ FRESH_CLI = ("import sys; sys.modules['mpmath'] = None; "
              "from projheat.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-def _run_fresh_cli(argv) -> subprocess.CompletedProcess:
+def run_fresh(code: str, argv=()) -> subprocess.CompletedProcess:
+    """Run ``python -c code *argv`` in a new interpreter on this checkout's sources;
+    returns the CompletedProcess, stdout and stderr as text."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
-    return subprocess.run([sys.executable, "-c", FRESH_CLI, *argv], env=env,
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=False)
 
 
@@ -28,4 +30,4 @@ def _run_fresh_cli(argv) -> subprocess.CompletedProcess:
 def fresh_cli():
     """Run argv through the CLI in a new interpreter, with cold caches and mpmath
     blocked; returns the CompletedProcess, stdout and stderr as text."""
-    return _run_fresh_cli
+    return lambda argv: run_fresh(FRESH_CLI, argv)

@@ -295,12 +295,17 @@ def test_heat_eval_rejects_huge_node_count(capsys, monkeypatch):
     assert err == "projheat: error: --nodes must be in [16, 1024]\n"
 
 
-def test_heat_eval_nodes_has_no_effect(capsys):
+def test_heat_eval_nodes_has_no_effect(capsys, fresh_cli):
     # --nodes is accepted for old command lines and changes nothing: the integral
-    # builds the one rule that is exact for its integrand
+    # builds the one rule that is exact for its integrand, in this process with
+    # warm caches and in fresh ones with cold caches
     args = ("heat-eval", "--n=1", "--two-nu=3", "--t=0.05", "--z=0.4-0.1j", "--w=-0.2+0.3j",
             "--method=integral")
     assert run_cli(capsys, *args, "--nodes=48") == run_cli(capsys, *args)
+    with_nodes, without = fresh_cli([*args, "--nodes=48"]), fresh_cli(args)
+    for proc in (with_nodes, without):
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert with_nodes.stdout == without.stdout
 
 
 def test_trace_compare_builds_b_once(capsys, monkeypatch):

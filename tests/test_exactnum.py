@@ -6,10 +6,11 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projheat.exactnum import (
@@ -187,6 +188,48 @@ def test_bernoulli_polynomial_reads_numpy_labels_as_python_ints(d, x):
     expected = sum(math.comb(int(d), k) * bernoulli_number(k) * x ** (int(d) - k)
                    for k in range(int(d) + 1))
     assert bernoulli_polynomial(d, x) == expected == bernoulli_polynomial(int(d), x)
+
+
+@given(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7)), _integer_label(0, 60))
+@example(Fraction(1, 3), np.int64(40))  # 3**np.int64(40) wraps
+def test_pochhammer_and_binomial_read_numpy_orders_as_python_ints(a, k):
+    rising = falling = Fraction(1)
+    for j in range(int(k)):
+        rising *= a + j
+        falling *= a - j
+    assert pochhammer(a, k) == rising
+    assert binomial_general(a, k) == falling / math.factorial(int(k))
+
+
+@cache
+def _standard_bernoulli() -> list[Fraction]:
+    """B_0..B_256 in the B_1 = -1/2 convention, from the Akiyama-Tanigawa oracle."""
+    return [-b if d == 1 else b for d, b in enumerate(akiyama_tanigawa(256))]
+
+
+@settings(deadline=None)  # the first example builds the oracle to B_256
+@given(_integer_label(0, 60))
+@example(np.int8(127))  # d + 1 and 2 d + 2 wrap in int8
+def test_bernoulli_sequences_read_numpy_orders_as_python_ints(d):
+    # lru_cache keys an int by itself and a numpy int by a tuple, so a cached
+    # B_d never answers the numpy order: each numpy d runs the function
+    standard, i = _standard_bernoulli(), int(d)
+    assert bernoulli_number(d) == standard[i]
+    assert theta2_series_coefficient(d) == (Fraction((-1) ** i, i + 1)
+                                            * (1 - Fraction(1, 2 ** (2 * i + 1))) * standard[2 * i + 2])
+
+
+@pytest.mark.parametrize("call", [lambda: pochhammer(Fraction(1, 2), 3.0),
+                                  lambda: binomial_general(Fraction(1, 2), 3.0),
+                                  lambda: bernoulli_number(4.0),
+                                  lambda: theta2_series_coefficient(4.0)],
+                         ids=["pochhammer", "binomial_general", "bernoulli_number",
+                              "theta2_series_coefficient"])
+def test_exact_orders_reject_floats(call):
+    # also after an equal numpy-int key is cached: an untyped cache would answer 4.0 from it
+    bernoulli_number(np.int64(4)), theta2_series_coefficient(np.int64(4))
+    with pytest.raises(TypeError):
+        call()
 
 
 coefficient_lists = st.lists(st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12)),

@@ -80,6 +80,15 @@ def test_terms_needed_geometric_cut(monkeypatch):
         terms_needed(lambda m: 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("itype", [np.int8, np.int16, np.int64])
+def test_theta_deriv_reads_a_numpy_order_as_a_python_int(itype):
+    # 2 p + 1 = 141 wraps in int8
+    for which in (2, 3):
+        assert theta_deriv(which, itype(70), 0.1) == theta_deriv(which, 70, 0.1)
+    with pytest.raises(ValueError, match="^p must be an integer"):
+        theta_deriv(2, 1.5, 0.1)
+
+
 def test_theta_large_t_leading_terms():
     t = 8.0
     assert theta_deriv(3, 0, t) - 2 * exp(-t) == pytest.approx(4 * exp(-4 * t), rel=1e-3)

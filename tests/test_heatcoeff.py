@@ -77,6 +77,13 @@ def test_integer_products_equal_the_fraction_definitions(monkeypatch, n):
                 assert table == heat_coeff_table(n, nu, J)
 
 
+@pytest.mark.parametrize("itype", [np.int8, np.int16, np.int64])
+def test_b_from_c_reads_numpy_labels_as_python_ints(itype):
+    # 4^5 and the products of the base overflow int8
+    c = c_coefficients(5, 1, 6)
+    assert heatcoeff.b_from_c(itype(5), itype(1), c) == heatcoeff.b_from_c(5, 1, c)
+
+
 def test_c_head_n3():
     for nu in (0, 1, 2, 3):
         c = c_coefficients(3, nu, 4)

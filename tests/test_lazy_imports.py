@@ -13,16 +13,11 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import run_fresh
 
 import projheat
-
-SRC = str(Path(projheat.__file__).resolve().parent.parent)
 
 # Every name the package bound when it imported all its modules eagerly, by
 # defining module as the package imports it.
@@ -66,10 +61,7 @@ VERIFY_SCOPES = {"dims": [], "paper8": [], "theta": [], "trace": []}
 
 def _fresh(code: str):
     """Run ``code`` in a new interpreter on this checkout's sources; its stdout as JSON."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=False)
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

@@ -16,7 +16,7 @@ from scipy.special import eval_gegenbauer, eval_jacobi
 from projheat.errors import PoleError
 from projheat.exactnum import pochhammer
 from projheat import orthopoly
-from projheat.orthopoly import gauss2f1_terminating, gegenbauer_values, jacobi, jacobi_values
+from projheat.orthopoly import gauss2f1_terminating, gegenbauer_values, jacobi
 
 
 def test_jacobi_trivial_and_frozen():
@@ -76,12 +76,13 @@ def _finite_sum_over_fraction_weights(k, a, b, x):
 
 @pytest.mark.parametrize("k,a,b", [(1, -1, -1), (2, -1, -1), (3, -2, 4), (3, 1, -3),
                                    (4, -2, -3), (2, Fraction(1, 2), -1), (0, -1, 2),
-                                   (3, -3, 0), (3, 5, -1), (5, -2, Fraction(7, 3))])
+                                   (3, -3, 0), (3, 5, -1), (5, -2, Fraction(7, 3)), (70, -1, 0)])
 def test_jacobi_float_finite_sum_is_the_fraction_weight_loop_bit_for_bit(k, a, b):
-    # jacobi's cached float weights change no bit, for scalars and for ndarrays
+    # jacobi's cached float weights change no bit, for scalars and for ndarrays; a
+    # numpy-int x is binary64 before its powers, so (x + 1)^70 cannot wrap
     x = np.linspace(-1.5, 1.5, 31)
     assert jacobi(k, a, b, x).tobytes() == _finite_sum_over_fraction_weights(k, a, b, x).tobytes()
-    for xi in [*x.tolist(), 0.3 - 0.2j, np.float64(0.7)]:
+    for xi in [*x.tolist(), 0.3 - 0.2j, np.float64(0.7), np.int64(3), np.int8(-1)]:
         got, expected = jacobi(k, a, b, xi), _finite_sum_over_fraction_weights(k, a, b, xi)
         assert type(got) is type(expected)
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
@@ -228,7 +229,7 @@ def test_jacobi_exact_matches_recurrence_property(k, a, b, x):
 
 
 def _jacobi_values_inline(kmax, alpha, beta, x) -> list:
-    """jacobi_values as it was: each step's constants computed inside the loop."""
+    """[P_0, ..., P_kmax](x) by the recurrence, each step's constants computed inside the loop."""
     vals = [x * 0 + 1.0]
     if kmax >= 1:
         vals.append((alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0)
@@ -249,15 +250,15 @@ def _value_bits(vals) -> list:
                                         (1.0, 2.0), (2.5, 0.5), (2, 4.75), (0.75, 6.5)],
                          ids=str)
 def test_jacobi_recurrence_constants_are_the_inline_recurrence_bit_for_bit(alpha, beta):
-    # constants built once (a _jacobi_plan, or jacobi_values' own) change no bit and no
+    # constants built once (_recurrence, as a _jacobi_plan holds them) change no bit and no
     # type, for int and float parameters, at float, complex and ndarray x, degrees 0..60
     grid = np.random.default_rng(61).uniform(-1.0, 1.0, 24)
     xs = [*grid.tolist(), 0.37, np.float64(-0.81), 0.3 - 0.2j, np.complex128(-0.6 + 0.1j), grid]
     for kmax in range(61):
         plan = orthopoly._recurrence(kmax, float(alpha), float(beta))
         for x in xs:
-            got, expected = jacobi_values(kmax, alpha, beta, x), _jacobi_values_inline(
-                kmax, alpha, beta, x)
+            got = orthopoly._recurrence_values(kmax, orthopoly._recurrence(kmax, alpha, beta), x)
+            expected = _jacobi_values_inline(kmax, alpha, beta, x)
             assert _value_bits(got) == _value_bits(expected)
             # _jacobi_float reads a plan's constants, built from the float parameters
             got = orthopoly._jacobi_float(kmax, (None, plan), x)

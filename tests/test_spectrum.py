@@ -232,6 +232,13 @@ def test_decompose_rejects_a_non_finite_or_non_real_nu_naming_it(nu):
         decompose_multiplicity(3, nu)
 
 
+@pytest.mark.parametrize("itype", [np.int8, np.int16, np.int64])
+def test_spherical_harmonic_dims_reads_numpy_labels_as_python_ints(itype):
+    # p + n - 1 = 199 wraps in int8
+    labels = (100, 100, 100)
+    assert spherical_harmonic_dims(*map(itype, labels)) == spherical_harmonic_dims(*labels)
+
+
 def test_spherical_harmonic_dims_examples():
     assert spherical_harmonic_dims(1, 3, 0)[1] == 1
     assert spherical_harmonic_dims(1, 2, 3)[1] == 0
