@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("verify", cmd_verify, "run cross-representation verification suites")
     p.add_argument("--scope", choices=("all", *SCOPE_NAMES), default="all")
     p.add_argument("--nmax", type=_int_at_least("--nmax", 1), default=6)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=_int_at_least("--seed", 0), default=2024)
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -292,7 +292,3 @@ def main(argv=None) -> int:
         print(f"projheat: error: {exc}", file=sys.stderr)
         return 2
     return code[0] if code else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,11 +17,14 @@ heat subsystem.
 
 All truncations carry geometric tail bounds (Jacobi terms are bounded by
 their value at 1, valid for parameters >= 0). A KernelEval's error_bound
-is that tail bound. The integral form's quadrature adds nothing to it: the
-integrand (cos rho cos phi)^{4nu} G(cos rho sin phi) is a polynomial in
-sin^2 phi, of degree 2nu + (terms of G) - 1, so a cosine polynomial of
-that degree in 2 phi, and a midpoint rule of more than half that many
-nodes integrates it exactly. Rounding error is not included. The series
+is that tail bound. The integral form's is not rigorous: it bounds each
+|C_{2m}^lam| by C_{2m}^{lam/2}(1), below the true sup C_{2m}^lam(1) once
+m >= 1, so its bound under-reports (_gegenbauer_weights, ROADMAP item 2).
+The integral form's quadrature adds nothing to the bound: the integrand
+(cos rho cos phi)^{4nu} G(cos rho sin phi) is a polynomial in sin^2 phi,
+of degree 2nu + (terms of G) - 1, so a cosine polynomial of that degree
+in 2 phi, and a midpoint rule of more than half that many nodes
+integrates it exactly. Rounding error is not included. The series
 sum uses math.fsum, the quadrature sum uses np.sum; summation order is
 fixed, so results are reproducible for a given numpy.
 

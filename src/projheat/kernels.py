@@ -22,7 +22,7 @@ from math import acos, factorial, pi, prod, sqrt
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, binary64_range
-from .orthopoly import _jacobi_float, _jacobi_plan, jacobi
+from .orthopoly import _jacobi_plan, jacobi
 from .quadrature import radial_mu1_rule
 from .spectrum import SpectralPoint, _integer
 
@@ -45,7 +45,7 @@ __all__ = [
 ProjPoint = tuple[complex, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelEval:
     """Kernel value with truncation metadata (0 terms for closed forms).
 
@@ -53,6 +53,10 @@ class KernelEval:
     A heat kernel given (P, n) rows of pairs, all at its one time, holds
     shape-(P,) arrays in value (complex) and error_bound (float), one entry
     per row; terms_used stays one int.
+
+    Results compare by identity and hash by id (eq=False): an array field
+    has no single truth value and no hash, so field-wise == and hash() would
+    raise on row results. Compare the fields to compare values.
     """
 
     value: complex
@@ -184,7 +188,7 @@ def monopole_basis(two_nu: int, m: int, k: int,
 @lru_cache(maxsize=256, typed=True)
 def _harmonic_row_constants(two_nu: int, m: int) -> tuple[int, int, tuple]:
     """The checked (2nu, m) as Python ints, and (k, norm, value at z = 0, the
-    binary64 plan of the Jacobi factor P_m^{(k,2nu-k)}) of each Phi_k^{nu,m},
+    binary64 evaluator of the Jacobi factor P_m^{(k,2nu-k)}) of each Phi_k^{nu,m},
     k = -m..2nu+m."""
     pt = SpectralPoint(1, two_nu, m)  # rejects 2nu < 0 and m < 0
     two_nu, m = pt.two_nu, pt.m
@@ -202,7 +206,7 @@ def _harmonic_row_constants(two_nu: int, m: int) -> tuple[int, int, tuple]:
 
 
 def _harmonic_row(two_nu: int, m: int, harmonics: tuple, z) -> list:
-    """[Phi_k^{nu,m}(z) for the entries (k, norm, value at 0, plan) of harmonics].
+    """[Phi_k^{nu,m}(z) for the entries (k, norm, value at 0, Jacobi factor) of harmonics].
 
     harmonics is _harmonic_row_constants' tuple, or a slice of it. z is one
     complex, or a complex ndarray without zeros, evaluated elementwise.
@@ -216,7 +220,7 @@ def _harmonic_row(two_nu: int, m: int, harmonics: tuple, z) -> list:
     zz = (z * z.conjugate()).real
     s = (1.0 - zz) / (1.0 + zz)
     base = (1.0 + zz) ** (-two_nu / 2.0)
-    return [norm * base * z**k * _jacobi_float(m, plan, s) for k, norm, _, plan in harmonics]
+    return [norm * base * z**k * factor(s) for k, norm, _, factor in harmonics]
 
 
 def zaremba_sum_n1(two_nu: int, m: int, z: complex, w: complex) -> complex:

@@ -7,12 +7,13 @@ rationals, including the negative integers that appear in monopole
 harmonics; there the recurrence denominators can vanish, so binary64
 arguments go through the finite sum as well, which stays well defined
 because the generalized binomials vanish structurally. The finite-sum
-weights are built once per (k, alpha, beta), as Fractions and, next to them,
-in the binary64 plan of that (k, alpha, beta): the floats of the nonzero
-weights, or the constants of the recurrence. One loop, _finite_sum, sums
-the nonzero weights on both paths: the Fractions at an exact x, the plan's
-floats at a binary64 x. jacobi and the monopole harmonics of ``kernels``
-evaluate a binary64 x through the one plan reader, _jacobi_float.
+weights are built per (k, alpha, beta) as the (j, c_j) pairs of the nonzero
+Fractions. One loop, _finite_sum, sums them on both paths: the Fractions at
+an exact x, their floats at a binary64 x. A binary64 x is evaluated by the
+cached plan of its (k, alpha, beta), _jacobi_plan, which is the evaluator
+itself: a closure over the floats of the nonzero weights at a negative-
+integer parameter, or over the recurrence constants of degree k otherwise.
+jacobi and the monopole harmonics of ``kernels`` call that evaluator.
 
 The recurrence's constants (_recurrence: alpha + 1, alpha + beta + 2,
 alpha^2, beta^2, and s - 1, s (s - 2), c1, c3 of each degree) are built
@@ -46,11 +47,11 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-@lru_cache(maxsize=128)
-def _finite_sum_coeffs(k: int, alpha: Fraction, beta: Fraction) -> tuple[Fraction, ...]:
-    """C(k+a, j) C(k+b, k-j) for j = 0..k, the weights c_j of _finite_sum."""
-    return tuple(binomial_general(alpha + k, j) * binomial_general(beta + k, k - j)
-                 for j in range(k + 1))
+def _finite_sum_coeffs(k: int, alpha: Fraction, beta: Fraction) -> tuple:
+    """The nonzero weights c_j = C(k+a, j) C(k+b, k-j), j <= k, as (j, c_j) pairs."""
+    weights = ((j, binomial_general(alpha + k, j) * binomial_general(beta + k, k - j))
+               for j in range(k + 1))
+    return tuple((j, c) for j, c in weights if c)
 
 
 def _finite_sum(k: int, weights, x, one):
@@ -104,34 +105,27 @@ def jacobi(k: int, alpha, beta, x):
         raise ValueError("Jacobi degree must be >= 0")
     if _is_exact(x):
         weights = _finite_sum_coeffs(k, Fraction(alpha), Fraction(beta))
-        return _finite_sum(k, ((j, c) for j, c in enumerate(weights) if c), Fraction(x), 1)
-    return _jacobi_float(k, _jacobi_plan(k, alpha, beta), x)
+        return _finite_sum(k, weights, Fraction(x), 1)
+    return _jacobi_plan(k, alpha, beta)(x)
 
 
 # jacobi stays a plain function over this cache, so it keeps the __code__
 # that perfbench/tracer.py's probes copy.
 @lru_cache(maxsize=256)
-def _jacobi_plan(k: int, alpha, beta) -> tuple[tuple[tuple[int, float], ...] | None, tuple | None]:
-    """How P_k^{(alpha,beta)} is evaluated at a binary64 x: (weights, recurrence).
+def _jacobi_plan(k: int, alpha, beta):
+    """The evaluator x -> P_k^{(alpha,beta)}(x) for a float, complex or ndarray x.
 
     At a negative-integer parameter the recurrence denominators can vanish
-    and the finite sum cannot, so weights holds (j, float(c)) for the
-    nonzero weights c of _finite_sum_coeffs and recurrence is None;
-    otherwise weights is None and recurrence holds the _recurrence
-    constants of degree k for the float alpha and beta.
+    and the finite sum cannot, so it sums the floats of the nonzero weights
+    of _finite_sum_coeffs; otherwise it runs the _recurrence constants of
+    degree k for the float alpha and beta.
     """
     a, b = Fraction(alpha), Fraction(beta)
     if (a.denominator == 1 and a < 0) or (b.denominator == 1 and b < 0):
-        return tuple((j, float(c)) for j, c in enumerate(_finite_sum_coeffs(k, a, b)) if c), None
-    return None, _recurrence(k, float(a), float(b))
-
-
-def _jacobi_float(k: int, plan, x):
-    """P_k(x) for a float, complex or ndarray x, by a _jacobi_plan of degree k."""
-    weights, recurrence = plan
-    if weights is None:
-        return _recurrence_values(k, recurrence, x)[k]
-    return _finite_sum(k, weights, x, 1.0)
+        weights = tuple((j, float(c)) for j, c in _finite_sum_coeffs(k, a, b))
+        return lambda x: _finite_sum(k, weights, x, 1.0)
+    recurrence = _recurrence(k, float(a), float(b))
+    return lambda x: _recurrence_values(k, recurrence, x)[k]
 
 
 def gauss2f1_terminating(k: int, b, c, x):

@@ -135,10 +135,11 @@ VALID = {
     "heat-eval": {"--n": "1", "--two-nu": "0", "--t": "0.5", "--z": "0.1", "--w": "0.2j",
                   "--eps": "1e-10", "--nodes": "16"},
     "trace-compare": {"--n": "1", "--nu": "0", "--J": "2", "--t": "0.1", "--eps": "1e-12"},
-    "verify": {"--nmax": "1"},
+    "verify": {"--nmax": "1", "--seed": "0"},
 }
 BELOW_BOUND = {"--n": "0", "--two-nu": "-1", "--m": "-1", "--m-max": "-1", "--J": "-1",
-               "--nu": "-1", "--t": "0", "--eps": "0", "--nmax": "0", "--nodes": "15"}
+               "--nu": "-1", "--t": "0", "--eps": "0", "--nmax": "0", "--nodes": "15",
+               "--seed": "-1"}
 
 
 @pytest.mark.parametrize("command,flag", [

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_fresh
 from projheat.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,6 +95,14 @@ def test_golden_output_in_a_fresh_process(fresh_cli, name):
     proc = fresh_cli(CASES[name])
     assert proc.stderr == ""
     assert f"exit {proc.returncode}\n{proc.stdout}" == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_python_dash_m_projheat_prints_the_golden():
+    # `python -m projheat`, as run_module runs it: the package's __main__ is the entry point
+    proc = run_fresh("import runpy; runpy.run_module('projheat', run_name='__main__', "
+                     "alter_sys=True)", CASES["dims_json"])
+    assert proc.stderr == ""
+    assert f"exit {proc.returncode}\n{proc.stdout}" == (GOLDEN / "dims_json.txt").read_text()
 
 
 def test_each_golden_file_has_one_case():

@@ -36,6 +36,7 @@ from projheat.spectrum import (
     eigenvalue_beta,
 )
 from projheat.theta import _gaussian
+from projheat.verify import _theta_expansion
 
 
 def test_time_validation():
@@ -102,19 +103,12 @@ def test_theta_eps_controls_tail():
 
 
 def _theta2_truncated_asym(p: int, t: float, terms: int) -> tuple[float, float]:
-    val = factorial(p) / t ** (1 + p) + (-1) ** p * math.fsum(
-        float(theta2_series_coefficient(s + p)) * t**s / factorial(s) for s in range(terms))
-    omitted = abs(float(theta2_series_coefficient(terms + p))) * t**terms / factorial(terms)
-    return val, omitted
+    return _theta_expansion(theta2_series_coefficient, lambda d: 1, p, t, terms)
 
 
 def _theta3_truncated_asym(l: int, t: float, terms: int) -> tuple[float, float]:
-    val = factorial(l) / t ** (1 + l) + (-1) ** l * math.fsum(
-        (-1) ** (j + 1) * float(bernoulli_number(2 * j + 2)) * t ** (j - l)
-        / ((j + 1) * factorial(j - l)) for j in range(l, l + terms))
-    j = l + terms
-    omitted = abs(float(bernoulli_number(2 * j + 2))) * t**terms / ((j + 1) * factorial(terms))
-    return val, omitted
+    return _theta_expansion(lambda d: (-1) ** (d + 1) * bernoulli_number(2 * d + 2),
+                            lambda d: d + 1, l, t, terms)
 
 
 @pytest.mark.parametrize("p", range(4))
@@ -139,9 +133,8 @@ def test_theta3_printed_sign_is_wrong():
     # flipping the Bernoulli-series sign (as printed) misses by O(1), not O(t^S)
     t = 0.05
     exact = theta_deriv(3, 0, t, eps=1e-14)
-    printed = 1.0 / t + math.fsum(
-        (-1) ** j * float(bernoulli_number(2 * j + 2)) * t**j / ((j + 1) * factorial(j))
-        for j in range(6))
+    printed, _ = _theta_expansion(lambda d: (-1) ** d * bernoulli_number(2 * d + 2),
+                                  lambda d: d + 1, 0, t, 6)
     assert abs(exact - printed) > 0.3
 
 
@@ -386,6 +379,16 @@ def test_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu, t):
         assert np.array([one.value]).tobytes() == rows.value[k:k + 1].tobytes()
         assert np.array([one.error_bound]).tobytes() == rows.error_bound[k:k + 1].tobytes()
         assert one.terms_used == rows.terms_used
+
+
+@pytest.mark.parametrize("form", ["general", "classical", "series"])
+def test_row_results_hash_and_compare_by_identity(form):
+    # an array field has no truth value and no hash; results compare as objects instead
+    heat_form = _heat_form(form, 2, 0, 0.5)
+    z, w = _row_batch(2)
+    rows, again, one = heat_form(z, w), heat_form(z, w), heat_form(tuple(z[0]), tuple(w[0]))
+    assert rows == rows and rows != again and one != heat_form(tuple(z[0]), tuple(w[0]))
+    assert len({rows, again, one}) == 3 and hash(rows) == hash(rows)
 
 
 def _one_pair_bracket(n, two_nu, t, cos_rho, scale):

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.special import eval_gegenbauer, eval_jacobi
 
 from projheat.errors import PoleError
-from projheat.exactnum import pochhammer
+from projheat.exactnum import binomial_general, pochhammer
 from projheat import orthopoly
 from projheat.orthopoly import gauss2f1_terminating, gegenbauer_values, jacobi
 
@@ -65,10 +65,16 @@ def test_jacobi_ndarray_negative_integer_parameter_matches_scalars(k, a, b):
     assert jacobi(2, -1, -1, np.array([0.3]))[0] == pytest.approx(-0.2275, rel=1e-13)
 
 
+def _dense_weights(k, a, b) -> list:
+    """C(k+a, j) C(k+b, k-j) for j = 0..k, zeros included: the finite-sum weights."""
+    a, b = Fraction(a), Fraction(b)
+    return [binomial_general(a + k, j) * binomial_general(b + k, k - j) for j in range(k + 1)]
+
+
 def _finite_sum_over_fraction_weights(k, a, b, x):
     # the binary64 finite sum read straight off the Fraction weights, float(c) per term
     total = x * 0 + 0.0
-    for j, c in enumerate(orthopoly._finite_sum_coeffs(k, Fraction(a), Fraction(b))):
+    for j, c in enumerate(_dense_weights(k, a, b)):
         if c:
             total = total + float(c) * (x + 1.0) ** j * (x - 1.0) ** (k - j)
     return total / 2.0**k
@@ -78,9 +84,12 @@ def _finite_sum_over_fraction_weights(k, a, b, x):
                                    (4, -2, -3), (2, Fraction(1, 2), -1), (0, -1, 2),
                                    (3, -3, 0), (3, 5, -1), (5, -2, Fraction(7, 3)), (70, -1, 0)])
 def test_jacobi_float_finite_sum_is_the_fraction_weight_loop_bit_for_bit(k, a, b):
-    # jacobi's cached float weights change no bit, for scalars and for ndarrays; a
-    # numpy-int x is binary64 before its powers, so (x + 1)^70 cannot wrap
+    # the nonzero (j, c_j) pairs, and jacobi's cached evaluator over their floats, change
+    # no bit, for scalars and for ndarrays; a numpy-int x is binary64 before its powers,
+    # so (x + 1)^70 cannot wrap
     x = np.linspace(-1.5, 1.5, 31)
+    assert orthopoly._finite_sum_coeffs(k, Fraction(a), Fraction(b)) == tuple(
+        (j, c) for j, c in enumerate(_dense_weights(k, a, b)) if c)
     assert jacobi(k, a, b, x).tobytes() == _finite_sum_over_fraction_weights(k, a, b, x).tobytes()
     for xi in [*x.tolist(), 0.3 - 0.2j, np.float64(0.7), np.int64(3), np.int8(-1)]:
         got, expected = jacobi(k, a, b, xi), _finite_sum_over_fraction_weights(k, a, b, xi)
@@ -250,19 +259,50 @@ def _value_bits(vals) -> list:
                                         (1.0, 2.0), (2.5, 0.5), (2, 4.75), (0.75, 6.5)],
                          ids=str)
 def test_jacobi_recurrence_constants_are_the_inline_recurrence_bit_for_bit(alpha, beta):
-    # constants built once (_recurrence, as a _jacobi_plan holds them) change no bit and no
-    # type, for int and float parameters, at float, complex and ndarray x, degrees 0..60
+    # constants built once (_recurrence, as a _jacobi_plan evaluator holds them) change no
+    # bit and no type, for int and float parameters, at float, complex and ndarray x,
+    # degrees 0..60
     grid = np.random.default_rng(61).uniform(-1.0, 1.0, 24)
     xs = [*grid.tolist(), 0.37, np.float64(-0.81), 0.3 - 0.2j, np.complex128(-0.6 + 0.1j), grid]
     for kmax in range(61):
-        plan = orthopoly._recurrence(kmax, float(alpha), float(beta))
+        evaluate = orthopoly._jacobi_plan(kmax, alpha, beta)
         for x in xs:
             got = orthopoly._recurrence_values(kmax, orthopoly._recurrence(kmax, alpha, beta), x)
             expected = _jacobi_values_inline(kmax, alpha, beta, x)
             assert _value_bits(got) == _value_bits(expected)
-            # _jacobi_float reads a plan's constants, built from the float parameters
-            got = orthopoly._jacobi_float(kmax, (None, plan), x)
+            # the plan's evaluator runs constants built from the float parameters
             expected = _jacobi_values_inline(kmax, float(alpha), float(beta), x)[kmax]
-            assert _value_bits([got]) == _value_bits([expected])
-    assert orthopoly._jacobi_plan(7, alpha, beta) == (
-        None, orthopoly._recurrence(7, float(alpha), float(beta)))
+            assert _value_bits([evaluate(x)]) == _value_bits([expected])
+
+
+def _tagged_plan(k, alpha, beta) -> tuple:
+    """orthopoly._jacobi_plan as it was: (weights, None) at a negative-integer parameter,
+    the floats of the nonzero dense weights; (None, recurrence constants) otherwise."""
+    a, b = Fraction(alpha), Fraction(beta)
+    if (a.denominator == 1 and a < 0) or (b.denominator == 1 and b < 0):
+        return tuple((j, float(c)) for j, c in enumerate(_dense_weights(k, a, b)) if c), None
+    return None, orthopoly._recurrence(k, float(a), float(b))
+
+
+def _tagged_plan_reader(k, plan, x):
+    """orthopoly._jacobi_float as it was: P_k(x) by a tagged plan of degree k."""
+    weights, recurrence = plan
+    if weights is None:
+        return orthopoly._recurrence_values(k, recurrence, x)[k]
+    return orthopoly._finite_sum(k, weights, x, 1.0)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (2, 5), (2.5, 0.5), (Fraction(1, 2), 3),
+                                        (-1, 0), (-1, -1), (-2, 4), (3, -3),
+                                        (-2, Fraction(7, 3)), (0, -1)], ids=str)
+def test_jacobi_evaluator_is_the_tagged_plan_reader_bit_for_bit(alpha, beta):
+    # the evaluator gives the tagged plan's values, bit for bit and of the same type, at
+    # float, complex and ndarray x, degrees 0..60, negative-integer parameters included
+    grid = np.random.default_rng(62).uniform(-1.5, 1.5, 24)
+    xs = [*grid[:6].tolist(), np.float64(0.7), 0.3 - 0.2j, np.complex128(-0.6 + 0.1j), grid]
+    for k in range(61):
+        evaluate, plan = orthopoly._jacobi_plan(k, alpha, beta), _tagged_plan(k, alpha, beta)
+        for x in xs:
+            expected = _tagged_plan_reader(k, plan, x)
+            assert _value_bits([evaluate(x), jacobi(k, alpha, beta, x)]) == \
+                _value_bits([expected, expected])

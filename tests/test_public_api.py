@@ -6,6 +6,7 @@ time applies the one rule for it."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -186,11 +187,18 @@ def test_label_and_time_rules(entry, arg, bad):
         call(**args)
 
 
+def _fields(result):
+    """A KernelEval's fields, which compare by value as its generated == did; a KernelEval
+    itself compares by identity. Any other result as it is."""
+    return dataclasses.astuple(result) if isinstance(result, kernels.KernelEval) else result
+
+
 @pytest.mark.parametrize("entry", [e for e, (_, takes) in LABELLED.items() if takes != "t"])
 def test_numpy_integer_labels_are_accepted(entry):
     call, takes = LABELLED[entry]
     j = {"J": np.int64(3)} if "J" in takes.split() else {}
-    assert call(n=np.int64(1), two_nu=np.int32(1), t=0.5, **j) == call(n=1, two_nu=1, t=0.5)
+    assert _fields(call(n=np.int64(1), two_nu=np.int32(1), t=0.5, **j)) == \
+        _fields(call(n=1, two_nu=1, t=0.5))
 
 
 def test_table_of_a_numpy_j_serializes():
@@ -250,8 +258,9 @@ NUMPY_SCALARS = [np.int64(0), np.float32(0.25), np.complex64(0.1 + 0.2j)]
 @pytest.mark.parametrize("coordinate", NUMPY_SCALARS, ids=lambda x: type(x).__name__)
 @pytest.mark.parametrize("entry", POINTED)
 def test_numpy_scalar_is_one_coordinate(entry, coordinate):
-    assert POINTED[entry](coordinate, W) == POINTED[entry](coordinate.item(), W)
-    assert POINTED[entry](Z, coordinate) == POINTED[entry](Z, coordinate.item())
+    call = POINTED[entry]
+    assert _fields(call(coordinate, W)) == _fields(call(coordinate.item(), W))
+    assert _fields(call(Z, coordinate)) == _fields(call(Z, coordinate.item()))
 
 
 @pytest.mark.parametrize("entry", POINTED)
@@ -277,6 +286,7 @@ def test_time_that_is_not_one_number_is_typed(entry, t):
 @pytest.mark.parametrize("entry", ONE_TIME)
 def test_time_of_any_real_scalar_type_is_accepted(entry):
     call, _ = LABELLED[entry]
-    assert call(n=1, two_nu=1, t=np.float64(0.5)) == call(n=1, two_nu=1, t=0.5)
-    assert call(n=1, two_nu=1, t=np.array(0.5)) == call(n=1, two_nu=1, t=0.5)  # 0-d
-    assert call(n=1, two_nu=1, t=1) == call(n=1, two_nu=1, t=1.0)
+    expected = _fields(call(n=1, two_nu=1, t=0.5))
+    assert _fields(call(n=1, two_nu=1, t=np.float64(0.5))) == expected
+    assert _fields(call(n=1, two_nu=1, t=np.array(0.5))) == expected  # 0-d
+    assert _fields(call(n=1, two_nu=1, t=1)) == _fields(call(n=1, two_nu=1, t=1.0))

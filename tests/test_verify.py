@@ -13,6 +13,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
 from projheat import verify
+from projheat.exactnum import bernoulli_number, theta2_series_coefficient
 from projheat.heatcoeff import b_coefficients
 from projheat.kernels import KernelEval, fs_distance
 from projheat.spectrum import SpectralPoint, _poly_dimension_row, dimension_product_form
@@ -41,6 +42,9 @@ CASES = [
     ("trace", "trace.binary64_vs_mp", "projheat.verify", "trace_direct", _returning(math.nan)),
     ("monopole", "monopole.normalization", "projheat.kernels", "monopole_norm_sq",
      _returning(math.nan)),
+    *(("theta", name, "projheat.verify", "theta_deriv", _returning(math.nan))
+      for name in ("theta.theta2_asymptotics", "theta.theta3_asymptotics",
+                   "theta.theta3_printed_sign")),
 ]
 
 
@@ -263,6 +267,65 @@ def test_trace_ratios_within_4_ulp_of_the_mpf_loop(trace_pass, mp_pass):
     assert len(got) == len(expected) == 45
     for a, b in zip(got, expected):
         assert abs(a - b) <= 4 * math.ulp(b) and f"{a:.3f}" == f"{b:.3f}"
+
+
+def _theta2_asym(p: int, t: float, terms: int) -> tuple[float, float]:
+    """verify's truncated (-d/dt)^p theta_2 expansion as it was, with its omitted term."""
+    val = math.factorial(p) / t ** (1 + p)
+    val += (-1) ** p * sum(
+        float(theta2_series_coefficient(s + p)) * t**s / math.factorial(s) for s in range(terms)
+    )
+    omitted = abs(float(theta2_series_coefficient(terms + p))) * t**terms / math.factorial(terms)
+    return val, omitted
+
+
+def _theta3_asym(l: int, t: float, terms: int) -> tuple[float, float]:
+    """verify's truncated (-d/dt)^l theta_3 expansion (corrected sign) as it was."""
+    val = math.factorial(l) / t ** (1 + l)
+    val += (-1) ** l * sum(
+        (-1) ** (j + 1) * float(bernoulli_number(2 * j + 2)) * t ** (j - l)
+        / ((j + 1) * math.factorial(j - l))
+        for j in range(l, l + terms)
+    )
+    j = l + terms
+    omitted = (abs(float(bernoulli_number(2 * j + 2))) * t**terms
+               / ((j + 1) * math.factorial(terms)))
+    return val, omitted
+
+
+def _theta3_printed(t: float, terms: int) -> float:
+    """verify's theta_3 expansion with the published correction-series sign, as it was."""
+    return 1.0 / t + sum(
+        (-1) ** j * float(bernoulli_number(2 * j + 2)) * t**j / ((j + 1) * math.factorial(j))
+        for j in range(terms)
+    )
+
+
+@pytest.mark.parametrize("t", [0.003, 0.01, 0.05, 0.07, 0.1, 0.2, 0.5, 1.3])
+def test_theta_expansion_is_the_three_old_forms_bit_for_bit(t):
+    # one expansion, three (coef, weight) pairs: each float is the old form's, bit for bit
+    def bits(pair):
+        return tuple(map(float.hex, pair))
+
+    printed = (lambda d: (-1) ** d * bernoulli_number(2 * d + 2), verify._THETA3[1])
+    for terms, p in product(range(1, 10), range(6)):
+        assert bits(verify._theta_expansion(*verify._THETA2, p, t, terms)) == \
+            bits(_theta2_asym(p, t, terms))
+        assert bits(verify._theta_expansion(*verify._THETA3, p, t, terms)) == \
+            bits(_theta3_asym(p, t, terms))
+    for terms in range(1, 10):
+        assert verify._theta_expansion(*printed, 0, t, terms)[0].hex() == \
+            _theta3_printed(t, terms).hex()
+
+
+def test_theta3_printed_sign_warns_only_outside_the_corrected_envelope(monkeypatch):
+    # the published sign misses theta_3 by O(1) at t = 0.05: WARN; a miss within 1.5x the
+    # first omitted term, where the corrected expansion lands, is no erratum: FAIL
+    check = next(c for c in verify.suite_theta() if c.name == "theta.theta3_printed_sign")
+    assert check.status == "WARN"
+    monkeypatch.setattr(verify, "theta_deriv", lambda which, p, t, eps: _theta3_printed(t, 6))
+    check = next(c for c in verify.suite_theta() if c.name == "theta.theta3_printed_sign")
+    assert check.status == "FAIL" and "= 0.000e+00 at" in check.detail
 
 
 def test_worst_keeps_the_first_of_equal_errors_and_the_first_nan():
