@@ -8,6 +8,11 @@ Series products that would take O(L^2) ``Fraction`` operations go through
 ``_Series``: integer numerators over one common denominator, whose
 truncated product takes O(L^2) integer multiply-adds and no ``Fraction``.
 
+The package reads every integer argument (a label, an order, a node count)
+by ``_integer``: an int or numpy integer, never a float, at least its lower
+bound. It reads every rational one by ``_rational``, as a ``Fraction`` of
+Python ints. Anything else is a ValueError naming the argument.
+
 Two distinct Bernoulli-type sequences live here and are never mixed up:
 
 * ``bernoulli_number(d)`` -- the standard numbers B_d with the recursion
@@ -19,6 +24,7 @@ Two distinct Bernoulli-type sequences live here and are never mixed up:
 
 from __future__ import annotations
 
+import numbers
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -37,13 +43,41 @@ __all__ = [
 ]
 
 
-# typed: a numpy-int key must not answer an equal float, which is a TypeError
+def _integer(name: str, value, low: int | None = None) -> int:
+    """The one integer rule: operator.index(value) (numpy's too), at least low
+    when one is given, else ValueError naming the argument."""
+    if type(value) is not int:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
+def _rational(name: str, value) -> Fraction:
+    """The one rational rule: the exact value as a Fraction of Python ints (a
+    numpy scalar's too), else (complex, NaN, infinity) ValueError naming it."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, numbers.Integral):
+        return Fraction(_integer(name, value))
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+        value = float(value)
+    if isinstance(value, numbers.Number):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):  # complex, NaN, infinity
+            pass
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+# typed: a float key must not answer from an equal int's entry: it is a ValueError
 @lru_cache(maxsize=None, typed=True)
 def bernoulli_number(d: int) -> Fraction:
     """Standard Bernoulli number B_d (convention B_1 = -1/2)."""
-    d = operator.index(d)
-    if d < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+    d = _integer("d", d, 0)
     if d == 0:
         return Fraction(1)
     # defining recursion sum_{k=0}^{d} C(d+1, k) B_k = 0, over k in increasing
@@ -84,10 +118,8 @@ def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
     rule in p from the cached row of C(d,k) L B_k; only the final quotient is
     a Fraction.
     """
-    d = operator.index(d)
-    if d < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    x = Fraction(x)
+    d = _integer("d", d, 0)
+    x = _rational("x", x)
     p, q = int(x.numerator), int(x.denominator)
     row, common = _bernoulli_row(d)
     return Fraction(_homogeneous_horner(row, p, q), common * q**d)
@@ -100,9 +132,7 @@ def theta2_series_coefficient(d: int) -> Fraction:
     Distinct from bernoulli_number on purpose; the literature overloads the
     symbol B_d for both. Satisfies B_{2(d+1)}(1/2) = (-1)^{d+1} (d+1) * value.
     """
-    d = operator.index(d)
-    if d < 0:
-        raise ValueError("index must be >= 0")
+    d = _integer("d", d, 0)
     scale = Fraction((-1) ** d, d + 1) * (1 - Fraction(1, 2 ** (2 * d + 1)))
     return scale * bernoulli_number(2 * d + 2)
 
@@ -113,10 +143,8 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
     With a = p/q in lowest terms, (a)_k = prod_j (p + j q) / q^k: one
     product of integers, and one Fraction at the end.
     """
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError("pochhammer order must be >= 0")
-    a = Fraction(a)
+    k = _integer("k", k, 0)
+    a = _rational("a", a)
     p, q = int(a.numerator), int(a.denominator)
     product = 1
     for j in range(k):
@@ -128,10 +156,8 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
 
 def binomial_general(a: Fraction | int, k: int) -> Fraction:
     """Generalized binomial a(a-1)...(a-k+1)/k! = (a-k+1)_k / k! for rational a."""
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError("binomial order must be >= 0")
-    return pochhammer(Fraction(a) - k + 1, k) / factorial(k)
+    k = _integer("k", k, 0)
+    return pochhammer(_rational("a", a) - k + 1, k) / factorial(k)
 
 
 def power_sum(m: int, q: int, a: Fraction | int) -> Fraction:
@@ -141,12 +167,7 @@ def power_sum(m: int, q: int, a: Fraction | int) -> Fraction:
     m+1+a = (p + (m+1) s)/s has the same denominator, so the difference is
     one integer over L s^{q+1} (q+1), with L as in bernoulli_polynomial.
     """
-    m, q = operator.index(m), operator.index(q)
-    if q < 1:
-        raise ValueError("exponent q must be >= 1")
-    if m < 0:
-        raise ValueError("upper limit m must be >= 0")
-    a = Fraction(a)
+    m, q, a = _integer("m", m, 0), _integer("q", q, 1), _rational("a", a)
     p, s, d = int(a.numerator), int(a.denominator), q + 1
     row, common = _bernoulli_row(d)
     diff = _homogeneous_horner(row, p + (m + 1) * s, s) - _homogeneous_horner(row, p, s)
@@ -195,5 +216,5 @@ class _Series:
 
 def rational_str(x: Fraction | int) -> str:
     """Canonical "p/q" form with an explicit denominator (zero is "0/1")."""
-    x = Fraction(x)
+    x = _rational("x", x)
     return f"{x.numerator}/{x.denominator}"

@@ -30,12 +30,14 @@ from math import factorial, pi
 from .errors import Binary64Overflow, UnsupportedN, UnsupportedNu, binary64_range
 from .exactnum import (
     _Series,
+    _integer,
+    _rational,
     bernoulli_number,
     bernoulli_polynomial,
     rational_str,
     theta2_series_coefficient,
 )
-from .spectrum import _integer, _rational, decompose_multiplicity
+from .spectrum import decompose_multiplicity
 from .theta import _require_time
 
 __all__ = [
@@ -53,17 +55,9 @@ __all__ = [
 
 
 def _check_args(n: int, nu, J: int) -> tuple[int, int, int]:
-    """n, nu and J as ints: n >= 1 and J >= 0 by the label rule, nu a whole number >= 0.
-
-    nu goes through spectrum's rational rule first, so a non-finite or
-    non-real nu is a ValueError naming it.
-    """
-    n, J = _integer("n", n), _integer("J", J)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if J < 0:
-        raise ValueError("J must be >= 0")
-    nu = _rational("nu", nu)
+    """n >= 1 and J >= 0 by exactnum's integer rule, and nu by its rational rule, as ints;
+    a nu that is not a whole number >= 0 is UnsupportedNu."""
+    n, J, nu = _integer("n", n, 1), _integer("J", J, 0), _rational("nu", nu)
     if nu.denominator != 1 or nu < 0:
         raise UnsupportedNu(f"parity-branch coefficients need integer nu >= 0, got {nu}")
     return n, int(nu), J
@@ -123,7 +117,7 @@ def b_from_c(n: int, nu: int, c, base: Fraction | None = None) -> list[tuple[Fra
     series product over one common denominator, with one Fraction per j.
     The theorem's base is n^2/4 + nu^2; other bases serve discrepancy reports.
     """
-    n, nu = _integer("n", n), _integer("nu", nu)
+    n, nu = _integer("n", n, 1), _integer("nu", nu, 0)
     if base is None:
         base = Fraction(n * n, 4) + nu * nu
     product = _Series.from_fractions(c) * _Series.exp(base, len(c))
@@ -184,6 +178,7 @@ def asymptotic_sum(n: int, b, t: float) -> float:
     A term or (4 pi t)^{-n} outside binary64 raises Binary64Overflow.
     """
     _require_time(t)
+    n = _integer("n", n, 1)
     with binary64_range("a term b_j t^j or (4 pi t)^n"):
         total = sum(float(factor) * pi**n * t**j for j, (factor, _) in enumerate(b))
         denominator = (4 * pi * t) ** n
@@ -222,6 +217,7 @@ class HeatCoeffTable:
 
 def printed_tau_n4(nu: int) -> tuple[Fraction, ...]:
     """The published tau^(nu,4), as printed: odd in nu, so correct only at nu = 0."""
+    nu = _integer("nu", nu, 0)
     return (Fraction(nu) * (nu * nu - 1), Fraction(-nu * nu + 2 * nu + 1), Fraction(-nu - 2),
             Fraction(1))
 

@@ -22,9 +22,10 @@ from math import acos, factorial, pi, prod, sqrt
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, binary64_range
+from .exactnum import _integer
 from .orthopoly import _jacobi_plan, jacobi
 from .quadrature import radial_mu1_rule
-from .spectrum import SpectralPoint, _integer
+from .spectrum import SpectralPoint
 
 __all__ = [
     "ProjPoint",
@@ -77,6 +78,13 @@ def as_point(coords) -> ProjPoint:
     if not all(map(cmath.isfinite, point)):
         raise ValueError(f"non-finite coordinate in the point {point}")
     return point
+
+
+def _finite(z):
+    """The n=1 coordinate z, a complex scalar or ndarray, if finite; else as_point's ValueError."""
+    if not (np.isfinite(z).all() if isinstance(z, np.ndarray) else cmath.isfinite(z)):
+        raise ValueError(f"non-finite coordinate in the point {z}")
+    return z
 
 
 def herm(z: ProjPoint, w: ProjPoint) -> complex:
@@ -173,13 +181,13 @@ def monopole_basis(two_nu: int, m: int, k: int,
     if not -m <= k <= two_nu + m:
         raise IndexOutOfRange(f"k={k} outside [{-m}, {two_nu + m}]")
     if isinstance(z, np.ndarray):
-        z = z.astype(complex)
+        z = _finite(z.astype(complex))
         origin = z == 0
         if origin.any():
             inner = monopole_basis(two_nu, m, k, np.where(origin, 1.0, z))
             return np.where(origin, harmonics[k + m][2], inner)
     else:
-        z = complex(z)
+        z = _finite(complex(z))
     return _harmonic_row(two_nu, m, harmonics[k + m:k + m + 1], z)[0]
 
 
@@ -238,8 +246,8 @@ def zaremba_sum_n1(two_nu: int, m: int, z: complex, w: complex) -> complex:
     """
     two_nu, m, harmonics = _harmonic_row_constants(two_nu, m)
     total = 0j
-    for a, b in zip(_harmonic_row(two_nu, m, harmonics, complex(z)),
-                    _harmonic_row(two_nu, m, harmonics, complex(w))):
+    for a, b in zip(_harmonic_row(two_nu, m, harmonics, _finite(complex(z))),
+                    _harmonic_row(two_nu, m, harmonics, _finite(complex(w)))):
         total += a * np.conjugate(b)
     return total / pi
 

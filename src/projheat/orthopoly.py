@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PoleError
-from .exactnum import binomial_general
+from .exactnum import _integer, _rational, binomial_general
 
 __all__ = [
     "jacobi",
@@ -101,16 +101,16 @@ def _recurrence_values(kmax: int, recurrence: tuple, x) -> list:
 
 def jacobi(k: int, alpha, beta, x):
     """P_k^{(alpha,beta)}(x); exact for exact x, binary64 otherwise."""
-    if k < 0:
-        raise ValueError("Jacobi degree must be >= 0")
+    k = _integer("k", k, 0)
     if _is_exact(x):
-        weights = _finite_sum_coeffs(k, Fraction(alpha), Fraction(beta))
+        weights = _finite_sum_coeffs(k, _rational("alpha", alpha), _rational("beta", beta))
         return _finite_sum(k, weights, Fraction(x), 1)
     return _jacobi_plan(k, alpha, beta)(x)
 
 
 # jacobi stays a plain function over this cache, so it keeps the __code__
-# that perfbench/tracer.py's probes copy.
+# that perfbench/tracer.py's probes copy. k is a checked Python int, so a
+# numpy degree shares the plan of its int and never keys a wrapped one.
 @lru_cache(maxsize=256)
 def _jacobi_plan(k: int, alpha, beta):
     """The evaluator x -> P_k^{(alpha,beta)}(x) for a float, complex or ndarray x.
@@ -120,7 +120,7 @@ def _jacobi_plan(k: int, alpha, beta):
     of _finite_sum_coeffs; otherwise it runs the _recurrence constants of
     degree k for the float alpha and beta.
     """
-    a, b = Fraction(alpha), Fraction(beta)
+    a, b = _rational("alpha", alpha), _rational("beta", beta)
     if (a.denominator == 1 and a < 0) or (b.denominator == 1 and b < 0):
         weights = tuple((j, float(c)) for j, c in _finite_sum_coeffs(k, a, b))
         return lambda x: _finite_sum(k, weights, x, 1.0)
@@ -135,9 +135,8 @@ def gauss2f1_terminating(k: int, b, c, x):
     coefficient is still nonzero. Once the numerator dies (b a negative
     integer), remaining terms are zero and a later pole is harmless.
     """
-    if k < 0:
-        raise ValueError("termination order must be >= 0")
-    b, c = Fraction(b), Fraction(c)
+    k = _integer("k", k, 0)
+    b, c = _rational("b", b), _rational("c", c)
     exact = _is_exact(x)
     coef = Fraction(1)
     total: object = Fraction(1) if exact else (x * 0 + 1.0)
@@ -159,6 +158,7 @@ def gauss2f1_terminating(k: int, b, c, x):
 
 def gegenbauer_values(kmax: int, lam, x: np.ndarray) -> np.ndarray:
     """Array of C_k^{lambda}(x) for k = 0..kmax, shape (kmax+1,) + x.shape."""
+    kmax = _integer("kmax", kmax, 0)
     x = np.asarray(x, dtype=float)
     lam = float(lam)
     out = np.empty((kmax + 1,) + x.shape)

@@ -12,14 +12,13 @@ coefficients are both read from that row.
 
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .errors import NonIntegerDimension
+from .exactnum import _integer, _rational
 
 __all__ = [
     "SpectralPoint",
@@ -31,30 +30,6 @@ __all__ = [
     "decompose_multiplicity",
     "spherical_harmonic_dims",
 ]
-
-
-def _integer(name: str, value) -> int:
-    """The one integer rule for a label: operator.index(value) (numpy's too), else ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _rational(name: str, value) -> Fraction:
-    """The one rule for a rational label such as nu: its exact value, else ValueError.
-
-    A numpy real scalar reads as its Python value; a non-finite or non-real
-    value is a ValueError naming the label.
-    """
-    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
-        value = float(value)
-    if isinstance(value, numbers.Number):
-        try:
-            return Fraction(value)
-        except (TypeError, ValueError, OverflowError):  # complex, NaN, infinity
-            pass
-    raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,16 +44,10 @@ class SpectralPoint:
     m: int
 
     def __post_init__(self) -> None:
-        for name in ("n", "two_nu", "m"):
+        for name, low in (("n", 1), ("two_nu", 0), ("m", 0)):
             value = getattr(self, name)
-            if type(value) is not int:
-                object.__setattr__(self, name, _integer(name, value))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.two_nu < 0:
-            raise ValueError("2*nu must be >= 0")
-        if self.m < 0:
-            raise ValueError("m must be >= 0")
+            if type(value) is not int or value < low:
+                object.__setattr__(self, name, _integer(name, value, low))
 
     @property
     def nu(self) -> Fraction:
@@ -205,9 +174,7 @@ def decompose_multiplicity(n: int, nu: Fraction | int) -> DecompositionPoly:
     is verified against the paired-root factorization. Half-integer nu is
     supported.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
     two_nu = _rational("nu", nu) * 2
     if two_nu.denominator != 1 or two_nu < 0:
         raise ValueError("2*nu must be a non-negative integer")
@@ -218,9 +185,7 @@ def decompose_multiplicity(n: int, nu: Fraction | int) -> DecompositionPoly:
 
 def spherical_harmonic_dims(n: int, p: int, q: int) -> tuple[int, int]:
     """(delta, d): dims of bidegree-(p,q) polynomials and spherical harmonics."""
-    n, p, q = _integer("n", n), _integer("p", p), _integer("q", q)
-    if n < 1 or p < 0 or q < 0:
-        raise ValueError("need n >= 1 and p, q >= 0")
+    n, p, q = _integer("n", n, 1), _integer("p", p, 0), _integer("q", q, 0)
 
     def delta(pp: int, qq: int) -> int:
         if pp < 0 or qq < 0:

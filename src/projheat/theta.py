@@ -3,10 +3,10 @@
 This is the numpy-free half of the heat subsystem: the time rule, the one
 tail-truncation routine, the theta sums and their t-derivatives, the
 Gaussian-in-m spectral weight and the direct trace Tr exp(t Delta_nu / 4).
-It imports only the standard library, ``errors`` and ``spectrum``, so the
-exact-table commands (``coeffs``, ``dims``, ``decomp``, ``trace-compare``)
-do not load numpy. ``heat`` imports everything here and re-exports the
-public names.
+It imports only the standard library, ``errors``, ``exactnum`` and
+``spectrum``, so the exact-table commands (``coeffs``, ``dims``, ``decomp``,
+``trace-compare``) do not load numpy. ``heat`` imports everything here and
+re-exports the public names.
 
 Every truncation carries a geometric tail bound, and every term is
 positive or bounded by a positive term, so the bound is rigorous up to
@@ -23,7 +23,8 @@ from math import exp
 from operator import sub
 
 from .errors import NonPositiveTime, TruncationFailed, binary64_range
-from .spectrum import SpectralPoint, _integer, _product_dimension
+from .exactnum import _integer
+from .spectrum import SpectralPoint, _product_dimension
 
 __all__ = [
     "theta_deriv",
@@ -79,9 +80,7 @@ def theta_deriv(which: int, p: int, t: float, eps: float = 1e-12) -> float:
     which = 3: 2 sum_{l>=1} l^{2p+1} e^{-l^2 t}
     """
     _require_time(t)
-    p = _integer("p", p)
-    if p < 0:
-        raise ValueError("derivative order must be >= 0")
+    which, p = _integer("which", which), _integer("p", p, 0)
     if which == 2:
 
         def term(j: int) -> float:

@@ -50,6 +50,7 @@ from math import factorial, isnan, nan
 from .exactnum import (
     _Series,
     _homogeneous_horner,
+    _integer,
     bernoulli_number,
     bernoulli_polynomial,
     power_sum,
@@ -476,9 +477,11 @@ def _theta_expansion(coef, weight, p: int, t: float, terms: int) -> tuple[float,
     return val, omitted
 
 
-# (coef, weight) of the small-t expansions of theta_2 and of theta_3 (corrected sign)
+# (coef, weight) of the small-t expansions of theta_2, of theta_3 (corrected sign) and of
+# theta_3 with the published correction-series sign
 _THETA2 = (theta2_series_coefficient, lambda d: 1)
 _THETA3 = (lambda d: (-1) ** (d + 1) * bernoulli_number(2 * d + 2), lambda d: d + 1)
+_THETA3_PRINTED = (lambda d: (-1) ** d * bernoulli_number(2 * d + 2), _THETA3[1])
 
 
 def suite_theta() -> list[Check]:
@@ -500,8 +503,7 @@ def suite_theta() -> list[Check]:
     # the corrected expansion meets; report it, and FAIL a miss within it (or NaN)
     exact = theta_deriv(3, 0, t, eps=1e-14)
     corrected, omitted = _theta_expansion(*_THETA3, 0, t, terms)
-    printed, _ = _theta_expansion(lambda d: (-1) ** d * bernoulli_number(2 * d + 2),
-                                  _THETA3[1], 0, t, terms)
+    printed, _ = _theta_expansion(*_THETA3_PRINTED, 0, t, terms)
     miss = abs(exact - printed)
     checks.append(Check(
         "theta.theta3_printed_sign", "WARN" if miss > 1.5 * omitted else "FAIL",
@@ -584,9 +586,10 @@ SCOPES = {
 def run_verify(scope: str = "all", nmax: int = 6, seed: int = 2024) -> list[Check]:
     """Run one scope or all of them, in SCOPES order.
 
-    nmax goes to the dims suite and seed to the zaremba and heat suites; the
-    other suites take no arguments. A check whose measurement is NaN FAILs.
+    nmax >= 1 goes to the dims suite and seed >= 0 to the zaremba and heat suites;
+    the other suites take no arguments. A check whose measurement is NaN FAILs.
     """
+    nmax, seed = _integer("nmax", nmax, 1), _integer("seed", seed, 0)
     names = list(SCOPES) if scope == "all" else [scope]
     if any(name not in SCOPES for name in names):
         raise ValueError(f"unknown scope {scope!r}; valid: all, {', '.join(SCOPES)}")

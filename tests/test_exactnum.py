@@ -58,6 +58,14 @@ def test_bernoulli_polynomial_examples():
     assert bernoulli_polynomial(2, Fraction(1, 2)) == Fraction(-1, 12)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 0.5j, np.float64(math.inf)],
+                         ids=["inf", "-inf", "nan", "complex", "numpy-inf"])
+def test_bernoulli_polynomial_rejects_a_non_finite_or_complex_x(x):
+    # infinity was a raw OverflowError from Fraction
+    with pytest.raises(ValueError, match="^x must be a finite real number"):
+        bernoulli_polynomial(3, x)
+
+
 def test_bernoulli_polynomial_at_zero_recovers_numbers():
     for d in range(41):
         assert bernoulli_polynomial(d, 0) == bernoulli_number(d)
@@ -179,7 +187,8 @@ def test_power_sum_equals_its_fraction_definition(m, q, a):
 
 @pytest.mark.parametrize("m,q", [(2.0, 3), (2.5, 3), (2, 3.0)])
 def test_power_sum_rejects_non_integer_labels(m, q):
-    with pytest.raises(TypeError):
+    name = "m" if isinstance(m, float) else "q"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         power_sum(m, q, Fraction(1, 2))
 
 
@@ -219,16 +228,16 @@ def test_bernoulli_sequences_read_numpy_orders_as_python_ints(d):
                                             * (1 - Fraction(1, 2 ** (2 * i + 1))) * standard[2 * i + 2])
 
 
-@pytest.mark.parametrize("call", [lambda: pochhammer(Fraction(1, 2), 3.0),
-                                  lambda: binomial_general(Fraction(1, 2), 3.0),
-                                  lambda: bernoulli_number(4.0),
-                                  lambda: theta2_series_coefficient(4.0)],
+@pytest.mark.parametrize("call,name", [(lambda: pochhammer(Fraction(1, 2), 3.0), "k"),
+                                       (lambda: binomial_general(Fraction(1, 2), 3.0), "k"),
+                                       (lambda: bernoulli_number(4.0), "d"),
+                                       (lambda: theta2_series_coefficient(4.0), "d")],
                          ids=["pochhammer", "binomial_general", "bernoulli_number",
                               "theta2_series_coefficient"])
-def test_exact_orders_reject_floats(call):
+def test_exact_orders_reject_floats(call, name):
     # also after an equal numpy-int key is cached: an untyped cache would answer 4.0 from it
     bernoulli_number(np.int64(4)), theta2_series_coefficient(np.int64(4))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
 
 

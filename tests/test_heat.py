@@ -17,7 +17,6 @@ from projheat.errors import (
     NonPositiveTime,
     TruncationFailed,
 )
-from projheat.exactnum import bernoulli_number, theta2_series_coefficient
 from projheat.heat import (
     heat_kernel_integral,
     heat_kernel_integral_hi,
@@ -36,7 +35,7 @@ from projheat.spectrum import (
     eigenvalue_beta,
 )
 from projheat.theta import _gaussian
-from projheat.verify import _theta_expansion
+from projheat.verify import _THETA2, _THETA3, _THETA3_PRINTED, _theta_expansion
 
 
 def test_time_validation():
@@ -103,12 +102,30 @@ def test_theta_eps_controls_tail():
 
 
 def _theta2_truncated_asym(p: int, t: float, terms: int) -> tuple[float, float]:
-    return _theta_expansion(theta2_series_coefficient, lambda d: 1, p, t, terms)
+    return _theta_expansion(*_THETA2, p, t, terms)
 
 
 def _theta3_truncated_asym(l: int, t: float, terms: int) -> tuple[float, float]:
-    return _theta_expansion(lambda d: (-1) ** (d + 1) * bernoulli_number(2 * d + 2),
-                            lambda d: d + 1, l, t, terms)
+    return _theta_expansion(*_THETA3, l, t, terms)
+
+
+@pytest.mark.parametrize("series,a", [(_THETA2, mp.mpf(1) / 2), (_THETA3, 1)],
+                         ids=["theta2", "theta3"])
+def test_theta_expansion_coefficients_are_hurwitz_zeta_values(series, a):
+    # an oracle that shares no code with exactnum: the t^d coefficient of theta's small-t
+    # expansion, coef(d) / (weight(d) d!), has coef(d) / weight(d) = 2 (-1)^d zeta(-2d-1, a)
+    coef, weight = series
+    with mp.workdps(40):
+        for d in range(21):
+            expected = 2 * (-1) ** d * mp.zeta(-2 * d - 1, a)
+            value = coef(d) / weight(d)
+            got = mp.mpf(value.numerator) / value.denominator
+            assert abs(got - expected) <= mp.mpf(10) ** -36 * abs(expected), d
+
+
+def test_printed_theta3_coefficient_is_the_negated_corrected_one():
+    assert _THETA3_PRINTED[1] is _THETA3[1]
+    assert all(_THETA3_PRINTED[0](d) == -_THETA3[0](d) != 0 for d in range(21))
 
 
 @pytest.mark.parametrize("p", range(4))
@@ -133,8 +150,7 @@ def test_theta3_printed_sign_is_wrong():
     # flipping the Bernoulli-series sign (as printed) misses by O(1), not O(t^S)
     t = 0.05
     exact = theta_deriv(3, 0, t, eps=1e-14)
-    printed, _ = _theta_expansion(lambda d: (-1) ** d * bernoulli_number(2 * d + 2),
-                                  lambda d: d + 1, 0, t, 6)
+    printed, _ = _theta_expansion(*_THETA3_PRINTED, 0, t, 6)
     assert abs(exact - printed) > 0.3
 
 

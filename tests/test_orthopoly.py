@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from conftest import run_fresh
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -306,3 +307,29 @@ def test_jacobi_evaluator_is_the_tagged_plan_reader_bit_for_bit(alpha, beta):
             expected = _tagged_plan_reader(k, plan, x)
             assert _value_bits([evaluate(x), jacobi(k, alpha, beta, x)]) == \
                 _value_bits([expected, expected])
+
+
+def test_numpy_degree_reads_as_a_python_int_on_the_exact_path():
+    # np.int64 arithmetic inside the finite sum overflowed: OverflowError at degree 30
+    got = jacobi(np.int64(30), 1, 2, Fraction(1, 3))
+    assert type(got) is Fraction and got == jacobi(30, 1, 2, Fraction(1, 3))
+
+
+def test_numpy_degree_does_not_leave_a_wrapped_plan_for_its_int():
+    # in int8, degree 127 wrapped to -128 inside the plan, and the untyped plan cache
+    # then answered the int 127 with that plan: run in a fresh interpreter, whose cache is
+    # empty when the int8 degree arrives
+    proc = run_fresh("import numpy as np; from projheat.orthopoly import jacobi; "
+                     "print(repr(jacobi(np.int8(127), 1, 2, 0.3)), repr(jacobi(127, 1, 2, 0.3)))")
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    first, second = map(float, proc.stdout.split())
+    assert first == second == jacobi(127, 1, 2, 0.3)
+    assert first == pytest.approx(float(mp.jacobi(127, 1, 2, 0.3)), rel=1e-10)
+
+
+@pytest.mark.parametrize("call", [lambda: jacobi(2.0, 0, 0, 0.5),
+                                  lambda: gauss2f1_terminating(2.0, 1, 3, Fraction(1, 2))],
+                         ids=["jacobi", "gauss2f1_terminating"])
+def test_float_degree_is_a_value_error_naming_k(call):
+    with pytest.raises(ValueError, match="^k must be an integer, got 2.0"):
+        call()

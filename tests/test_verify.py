@@ -307,14 +307,13 @@ def test_theta_expansion_is_the_three_old_forms_bit_for_bit(t):
     def bits(pair):
         return tuple(map(float.hex, pair))
 
-    printed = (lambda d: (-1) ** d * bernoulli_number(2 * d + 2), verify._THETA3[1])
     for terms, p in product(range(1, 10), range(6)):
         assert bits(verify._theta_expansion(*verify._THETA2, p, t, terms)) == \
             bits(_theta2_asym(p, t, terms))
         assert bits(verify._theta_expansion(*verify._THETA3, p, t, terms)) == \
             bits(_theta3_asym(p, t, terms))
     for terms in range(1, 10):
-        assert verify._theta_expansion(*printed, 0, t, terms)[0].hex() == \
+        assert verify._theta_expansion(*verify._THETA3_PRINTED, 0, t, terms)[0].hex() == \
             _theta3_printed(t, terms).hex()
 
 
