@@ -37,7 +37,7 @@ from .spectrum import (
     dimension_poly_form,
     dimension_product_form,
 )
-from .theta import trace_direct
+from .theta import KERNEL_EPS, trace_direct
 
 if TYPE_CHECKING:
     from .kernels import KernelEval
@@ -257,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_point, required=True)
     p.add_argument("--w", type=_point, required=True)
     p.add_argument("--method", choices=("series", "integral", "both"), default="both")
-    p.add_argument("--eps", type=_positive_float("--eps"), default=1e-10)
+    p.add_argument("--eps", type=_positive_float("--eps"), default=KERNEL_EPS,
+                   help="the series' truncation tolerance (default %(default)g); the "
+                        "integral form always truncates at this default")
     p.add_argument("--nodes", type=_checked("--nodes", int, lambda v: 16 <= v <= 1024,
                                             "in [16, 1024]"), default=16,
                    help="no effect, accepted for old command lines: the integral form "
@@ -292,3 +294,7 @@ def main(argv=None) -> int:
         print(f"projheat: error: {exc}", file=sys.stderr)
         return 2
     return code[0] if code else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

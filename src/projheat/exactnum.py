@@ -58,12 +58,13 @@ def _integer(name: str, value, low: int | None = None) -> int:
 
 def _rational(name: str, value) -> Fraction:
     """The one rational rule: the exact value as a Fraction of Python ints (a
-    numpy scalar's too), else (complex, NaN, infinity) ValueError naming it."""
-    if type(value) is Fraction:
+    numpy scalar's too, and a Fraction's of numpy ints), else (complex, NaN,
+    infinity) ValueError naming it."""
+    if type(value) is Fraction and type(value.numerator) is type(value.denominator) is int:
         return value
-    if isinstance(value, numbers.Integral):
-        return Fraction(_integer(name, value))
-    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+    if isinstance(value, numbers.Rational):
+        return Fraction(_integer(name, value.numerator), _integer(name, value.denominator))
+    if isinstance(value, numbers.Real):
         value = float(value)
     if isinstance(value, numbers.Number):
         try:
@@ -120,7 +121,7 @@ def bernoulli_polynomial(d: int, x: Fraction | int) -> Fraction:
     """
     d = _integer("d", d, 0)
     x = _rational("x", x)
-    p, q = int(x.numerator), int(x.denominator)
+    p, q = x.numerator, x.denominator
     row, common = _bernoulli_row(d)
     return Fraction(_homogeneous_horner(row, p, q), common * q**d)
 
@@ -145,7 +146,7 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
     """
     k = _integer("k", k, 0)
     a = _rational("a", a)
-    p, q = int(a.numerator), int(a.denominator)
+    p, q = a.numerator, a.denominator
     product = 1
     for j in range(k):
         product *= p + j * q
@@ -168,7 +169,7 @@ def power_sum(m: int, q: int, a: Fraction | int) -> Fraction:
     one integer over L s^{q+1} (q+1), with L as in bernoulli_polynomial.
     """
     m, q, a = _integer("m", m, 0), _integer("q", q, 1), _rational("a", a)
-    p, s, d = int(a.numerator), int(a.denominator), q + 1
+    p, s, d = a.numerator, a.denominator, q + 1
     row, common = _bernoulli_row(d)
     diff = _homogeneous_horner(row, p + (m + 1) * s, s) - _homogeneous_horner(row, p, s)
     return Fraction(diff, common * s**d * d)

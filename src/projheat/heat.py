@@ -1,6 +1,6 @@
 """Heat kernel of the magnetic Laplacian: spectral series and integral form.
 
-Two independent representations are provided. The spectral series sums
+Two representations are provided. The spectral series sums
 reproducing-kernel terms with Gaussian-in-m weights; the integral form
 integrates a Gegenbauer series against the endpoint-substituted weight
 (cos u = cos rho sin phi turns (cos^2 rho - cos^2 u)^{2nu-1/2} (-d cos u)
@@ -15,20 +15,22 @@ numpy-free ``theta`` module; this module re-exports them (theta_deriv,
 trace_direct, terms_needed), so ``heat`` stays the one import for the whole
 heat subsystem.
 
-All truncations carry geometric tail bounds (Jacobi terms are bounded by
-their value at 1, valid for parameters >= 0). A KernelEval's error_bound
-is that tail bound. The integral form's is not rigorous: it bounds each
-|C_{2m}^lam| by C_{2m}^{lam/2}(1), below the true sup C_{2m}^lam(1) once
-m >= 1, so its bound under-reports (_gegenbauer_weights, ROADMAP item 2).
-The integral form's quadrature adds nothing to the bound: the integrand
-(cos rho cos phi)^{4nu} G(cos rho sin phi) is a polynomial in sin^2 phi,
-of degree 2nu + (terms of G) - 1, so a cosine polynomial of that degree
-in 2 phi, and a midpoint rule of more than half that many nodes
-integrates it exactly. Rounding error is not included. The series
+The two forms are one sum: term m of the integral form, its constant times
+the exact phi-integral of (2m+lam) decay(m) C_{2m}^lam, lam = n + 2nu and
+decay the Gaussian-in-m weight, is term m of the series (tests/test_heat.py
+checks this in exact rationals). So both truncate in one place,
+_series_weights, with one sup: by Cauchy-Schwarz on the m-th reproducing
+kernel, |K_m(z,w)|^2 <= K_m(z,z) K_m(w,w), a term is at every pair at most
+its value on the diagonal. The series cuts at its eps, the integral form at
+the default KERNEL_EPS; a KernelEval's error_bound is that tail bound, the
+same at every pair. The integral form's quadrature adds nothing to it:
+the integrand (cos rho cos phi)^{4nu} G(cos rho sin phi) is a polynomial
+in sin^2 phi, of degree 2nu + (terms of G) - 1, so a cosine polynomial of
+that degree in 2 phi, and a midpoint rule of more than half that many
+nodes integrates it exactly. Rounding error is not included. The series
 sum uses math.fsum, the quadrature sum uses np.sum; summation order is
 fixed, so results are reproducible for a given numpy.
 
-Both forms build their weights in one truncation loop, _truncated_weights.
 Every form takes one time, and also (P, n) arrays of point pairs, which
 share it. The series builds its weights once and sums each pair as a
 one-pair call does. The integral driver builds one Gegenbauer weight
@@ -54,7 +56,7 @@ from .kernels import KernelEval, _gamma_ratio, double_angle, point_pair, single_
 from .orthopoly import _recurrence, _recurrence_values, gegenbauer_values
 from .quadrature import midpoint_rule
 from .spectrum import SpectralPoint
-from .theta import _gaussian, _require_time, terms_needed, theta_deriv, trace_direct
+from .theta import KERNEL_EPS, _gaussian, _require_time, terms_needed, theta_deriv, trace_direct
 
 __all__ = [
     "theta_deriv",
@@ -66,42 +68,38 @@ __all__ = [
 ]
 
 
-def _truncated_weights(coef, sup, decay, eps: float) -> tuple[list[float], float]:
-    """The weights coef(m) decay(m) below the cut verified against eps, and the tail bound.
+def _series_weights(n: int, two_nu: int, t: float,
+                    eps: float) -> tuple[list[float], list[float], float]:
+    """The one truncation of both heat forms: the weights below the cut, and its tail.
 
-    The one truncation loop of both heat forms: terms_needed cuts on
-    bound(m) = coef(m) sup(m) decay(m), sup(m) bounding the m-th polynomial
-    and decay the Gaussian-in-m weight, each evaluated once per m.
+    terms_needed cuts on coef(m) comb(m+n-1, m) decay(m) against eps pi^n,
+    coef(m) = (2m+2nu+n) Gamma(m+n+2nu)/Gamma(m+2nu+1) and decay(m) the
+    Gaussian-in-m weight, each evaluated once per m. comb(m+n-1, m) bounds
+    |q^{2nu} P_m^{(n-1,2nu)}(cos 2d)| at every pair, so tail / pi^n bounds
+    the truncation of either form at every pair. Returns the series weights
+    coef(m) decay(m) and the decay(m) for m < M, and the tail.
     """
-    weights = []
+    big, decay = two_nu + n, _gaussian(n, two_nu, t)
+    weights, decays = [], []
 
     def bound(m: int) -> float:
-        c, gauss = coef(m), decay(m)
+        c, gauss = (2 * m + big) * float(_gamma_ratio(n, two_nu, m)), decay(m)
         weights.append(c * gauss)
-        return c * sup(m) * gauss
+        decays.append(gauss)
+        return c * comb(m + n - 1, m) * gauss
 
-    bounds, tail = terms_needed(bound, eps)
-    return weights[:len(bounds)], tail
-
-
-def _series_weights(n: int, two_nu: int, t: float, eps: float) -> tuple[list[float], float]:
-    """Spectral-series weights (2m+2nu+n) Gamma-ratio e^{t[(2nu)^2+n^2-(2m+2nu+n)^2]}.
-
-    Truncated against eps pi^n; the Jacobi sup bound P_m^{(a,b)}(1) with
-    (a,b) = (max, min)(n-1, 2nu) makes the tail bound rigorous.
-    """
-    big, qmax = two_nu + n, max(n - 1, two_nu)
     with binary64_range("a series weight (2m+2nu+n) Gamma(m+n+2nu)/Gamma(m+2nu+1)"):
-        return _truncated_weights(
-            lambda m: (2 * m + big) * float(_gamma_ratio(n, two_nu, m)),
-            lambda m: comb(m + qmax, m), _gaussian(n, two_nu, t), eps * pi**n)
+        bounds, tail = terms_needed(bound, eps * pi**n)
+    return weights[:len(bounds)], decays[:len(bounds)], tail
 
 
-def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) -> KernelEval:
+def heat_kernel_series(n: int, two_nu: int, t: float, z, w,
+                       eps: float = KERNEL_EPS) -> KernelEval:
     """Spectral-series heat kernel H_nu(t,z,w) with verified truncation < eps.
 
     The e^{4t(nu^2+n^2/4)} prefactor is folded into each term, so every
-    exponent is <= 0 and the Jacobi sup bound makes the tail bound rigorous.
+    exponent is <= 0. error_bound is the tail bound of _series_weights,
+    the same at every pair.
 
     z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
     row; the weights and the constants of the Jacobi recurrence are then
@@ -115,31 +113,15 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w, eps: float = 1e-10) 
     n, two_nu = pt.n, pt.two_nu  # Python ints, so the weights never run in a numpy int
     pairs, rows = _pairs(z, w)
     geometry = [point_pair(n, a, b) for a, b in pairs]
-    weights, tail = _series_weights(n, two_nu, t, eps)
+    weights, _, tail = _series_weights(n, two_nu, t, eps)
     kmax = len(weights) - 1
     recurrence = _recurrence(kmax, n - 1, two_nu)  # one set of constants for every pair
-    values, bounds = [], []
+    values = []
     for c2, q in geometry:
         pvals = _recurrence_values(kmax, recurrence, float(double_angle(c2)))
         inner = math.fsum(wm * pm for wm, pm in zip(weights, pvals))
-        scale = q**two_nu / pi**n
-        values.append(complex(scale * inner))
-        bounds.append(tail * abs(scale))
-    return _packed(rows, values, len(weights), bounds)
-
-
-def _gegenbauer_weights(n: int, two_nu: int, t: float) -> tuple[np.ndarray, float]:
-    """Weights (2m+lam) e^{t[(2nu)^2+n^2-(2m+lam)^2]} of G = sum_m weight_m C_{2m}^{lam}.
-
-    lam = n + 2nu; truncated against 1e-13 max(1, the m = 0 bound).
-    """
-    lam, decay = n + two_nu, _gaussian(n, two_nu, t)
-    # the sup comb(2m+lam-1, 2m) is C_{2m}^{lam/2}(1), below C_{2m}^{lam}(1) = comb(2m+2lam-1, 2m)
-    # once m >= 1, so the tail bound and the terms kept under-report (ROADMAP item 2)
-    weights, tail = _truncated_weights(lambda m: 2 * m + lam,
-                                       lambda m: comb(2 * m + lam - 1, 2 * m),
-                                       decay, 1e-13 * max(1.0, lam * decay(0)))
-    return np.array(weights), tail
+        values.append(complex(q**two_nu / pi**n * inner))
+    return _packed(rows, values, len(weights), [tail / pi**n] * len(values))
 
 
 def _exact_order(two_nu: int, terms: int) -> int:
@@ -154,24 +136,21 @@ def _exact_order(two_nu: int, terms: int) -> int:
     return (two_nu + terms - 1) // 2 + 1
 
 
-def _bracket_integral(n: int, two_nu: int, t: float, cos_rho: np.ndarray,
-                      scale) -> tuple[np.ndarray, int, float]:
-    """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G_t(cos rho sin phi) dphi for each pair.
+def _bracket_integral(n: int, two_nu: int, weights, cos_rho: np.ndarray, scale) -> np.ndarray:
+    """scale * int_0^{pi/2} (cos rho cos phi)^{4nu} G(cos rho sin phi) dphi for each pair.
 
-    cos_rho holds one entry per pair, in [0, 1], scale one per pair or one
-    for all. The call builds one G and one midpoint rule of _exact_order's
-    order, so the quadrature is exact, and evaluates every pair on one
-    (pairs x nodes) array. Returns (values, the terms of G, the tail bound
-    of G).
+    G = sum_m weights[m] C_{2m}^{n+2nu}. cos_rho holds one entry per pair,
+    in [0, 1], scale one per pair or one for all. The call builds one
+    midpoint rule of _exact_order's order, so the quadrature is exact, and
+    evaluates every pair on one (pairs x nodes) array.
     """
-    weights, tail = _gegenbauer_weights(n, two_nu, t)
     phi, wphi = midpoint_rule(_exact_order(two_nu, len(weights)), 0.0, pi / 2)
     c = cos_rho[:, None]
     cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, c * np.sin(phi))
     # summed term by term, not by BLAS, whose order of summation can depend on
     # the row count: so a row sums as a one-pair call does
     g = sum(wm * cm for wm, cm in zip(weights, cvals[0::2]))
-    return scale * np.sum(wphi * (c * np.cos(phi)) ** (2 * two_nu) * g, axis=1), len(weights), tail
+    return scale * np.sum(wphi * (c * np.cos(phi)) ** (2 * two_nu) * g, axis=1)
 
 
 def _integral_geometry(n: int, z, w) -> tuple[float, complex]:
@@ -211,7 +190,9 @@ def _integral(n: int, two_nu: int, t: float, z, w, what: str, constant) -> Kerne
 
     Checks the time, the labels, the rows and each pair's geometry, in that
     order; then const = constant(n, 2nu) of the checked labels, whose
-    overflow raises Binary64Overflow naming what.
+    overflow raises Binary64Overflow naming what. G holds the terms the
+    series keeps at KERNEL_EPS, (2m+n+2nu) decay(m) for m < M, and every
+    pair reports the series' bound.
     """
     _require_time(t)
     pt = SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
@@ -224,11 +205,12 @@ def _integral(n: int, two_nu: int, t: float, z, w, what: str, constant) -> Kerne
         if not math.isfinite(const):
             raise OverflowError
 
-    values, terms, tail = _bracket_integral(
-        n, two_nu, t, np.array([cos_rho for cos_rho, _ in geometry]),
+    _, decays, tail = _series_weights(n, two_nu, t, KERNEL_EPS)
+    values = _bracket_integral(
+        n, two_nu, [(2 * m + n + two_nu) * gauss for m, gauss in enumerate(decays)],
+        np.array([cos_rho for cos_rho, _ in geometry]),
         np.array([const * w_factor for w_factor in w_factors]))
-    bounds = [const * abs(w_factor) * (pi / 2) * tail for w_factor in w_factors]
-    return _packed(rows, values, terms, bounds)
+    return _packed(rows, values, len(decays), [tail / pi**n] * len(pairs))
 
 
 def heat_kernel_integral(n: int, two_nu: int, t: float, z, w) -> KernelEval:
@@ -240,10 +222,11 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w) -> KernelEval:
     with G the weighted Gegenbauer sum and e^{4t(nu^2+n^2/4)} folded into G.
     The constant carries the 1/Gamma(1/2) that the Jacobi-to-Gegenbauer
     integral representation requires (cross-checked against the series).
-    The integrand is a cosine polynomial of known degree, so the one
-    midpoint rule built, of _exact_order's order, integrates it exactly and
-    error_bound is the truncation tail of G alone; rounding is not
-    included.
+    Term m of G integrates to term m of the series, so G keeps the terms
+    heat_kernel_series keeps at its default eps, KERNEL_EPS, and error_bound
+    is that call's bound. The integrand is a cosine polynomial of known
+    degree, so the one midpoint rule built, of _exact_order's order,
+    integrates it exactly; rounding is not included.
 
     z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
     row, all at the one time t: they share its G and its rule. value and

@@ -104,7 +104,7 @@ def jacobi(k: int, alpha, beta, x):
     k = _integer("k", k, 0)
     if _is_exact(x):
         weights = _finite_sum_coeffs(k, _rational("alpha", alpha), _rational("beta", beta))
-        return _finite_sum(k, weights, Fraction(x), 1)
+        return _finite_sum(k, weights, _rational("x", x), 1)
     return _jacobi_plan(k, alpha, beta)(x)
 
 
@@ -138,6 +138,7 @@ def gauss2f1_terminating(k: int, b, c, x):
     k = _integer("k", k, 0)
     b, c = _rational("b", b), _rational("c", c)
     exact = _is_exact(x)
+    x = _rational("x", x) if exact else x
     coef = Fraction(1)
     total: object = Fraction(1) if exact else (x * 0 + 1.0)
     xpow = Fraction(1) if exact else (x * 0 + 1.0)

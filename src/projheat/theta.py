@@ -1,8 +1,9 @@
 """Lattice theta sums and the direct spectral trace, in plain binary64 Python.
 
 This is the numpy-free half of the heat subsystem: the time rule, the one
-tail-truncation routine, the theta sums and their t-derivatives, the
-Gaussian-in-m spectral weight and the direct trace Tr exp(t Delta_nu / 4).
+tail-truncation routine and the heat kernels' default cut, the theta sums
+and their t-derivatives, the Gaussian-in-m spectral weight and the direct
+trace Tr exp(t Delta_nu / 4).
 It imports only the standard library, ``errors``, ``exactnum`` and
 ``spectrum``, so the exact-table commands (``coeffs``, ``dims``, ``decomp``,
 ``trace-compare``) do not load numpy. ``heat`` imports everything here and
@@ -34,6 +35,8 @@ __all__ = [
 
 _MIN_TERMS = 8
 _MAX_TERMS = 200_000
+# the heat-kernel series' default eps, and the one cut the integral form truncates at
+KERNEL_EPS = 1e-10
 
 
 def _require_time(t: float) -> None:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projheat.exactnum import (
+    _rational,
     _Series,
     bernoulli_number,
     bernoulli_polynomial,
@@ -23,6 +24,7 @@ from projheat.exactnum import (
     rational_str,
     theta2_series_coefficient,
 )
+from projheat.orthopoly import gauss2f1_terminating, jacobi
 
 
 def akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -239,6 +241,18 @@ def test_exact_orders_reject_floats(call, name):
     bernoulli_number(np.int64(4)), theta2_series_coefficient(np.int64(4))
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("itype", [np.int8, np.int16, np.int64])
+def test_rational_rebuilds_a_fraction_of_numpy_ints_from_python_ints(itype):
+    # Fraction keeps the numpy ints it is built from, so the 2F1 and Jacobi sums ran in
+    # fixed width: 3**30 wraps in int64 and raised an overflow RuntimeWarning
+    third, exact = Fraction(itype(1), 3), Fraction(1, 3)
+    x = _rational("x", third)
+    assert x == exact and type(x.numerator) is int and type(x.denominator) is int
+    assert (gauss2f1_terminating(30, third, 2, exact) == gauss2f1_terminating(30, exact, 2, exact)
+            == gauss2f1_terminating(30, exact, 2, third))
+    assert jacobi(30, third, 0, third) == jacobi(30, exact, 0, exact)
 
 
 coefficient_lists = st.lists(st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12)),

@@ -59,7 +59,7 @@ CASES = {
     "heat_eval_both_n2_csv": ["heat-eval", "--n=2", "--two-nu=3", "--t=0.01", Z2, W2,
                               "--format=csv"],
     "heat_eval_both_n3_json": ["heat-eval", "--n=3", "--two-nu=0", "--t=1.0", Z3, W3],
-    # the largest truncation of any case: 102 series weights, 113 Gegenbauer terms
+    # the largest truncation of any case: 93 terms, the same in both forms
     "heat_eval_both_t0001_json": ["heat-eval", "--n=2", "--two-nu=3", "--t=0.001",
                                   "--z=0.1+0.05j,0.02", "--w=0.12,0.03j"],
     "trace_compare_json": ["trace-compare", "--n=1", "--nu=1", "--J=6", "--t=0.1,0.05,0.02"],
@@ -103,6 +103,15 @@ def test_python_dash_m_projheat_prints_the_golden():
                      "alter_sys=True)", CASES["dims_json"])
     assert proc.stderr == ""
     assert f"exit {proc.returncode}\n{proc.stdout}" == (GOLDEN / "dims_json.txt").read_text()
+
+
+def test_python_dash_m_projheat_cli_prints_what_python_dash_m_projheat_prints():
+    # the module form runs main too, so a verification run that way is never silently skipped
+    procs = [run_fresh(f"import runpy; runpy.run_module({module!r}, run_name='__main__', "
+                       "alter_sys=True)", ["verify", "--scope", "dims"])
+             for module in ("projheat.cli", "projheat")]
+    assert [(p.returncode, p.stderr) for p in procs] == [(0, "")] * 2
+    assert procs[0].stdout == procs[1].stdout and '"scope": "dims"' in procs[0].stdout
 
 
 def test_each_golden_file_has_one_case():

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
-from math import exp, factorial, pi
+from fractions import Fraction
+from itertools import product
+from math import comb, exp, factorial, pi
 
 import mpmath as mp
 import numpy as np
@@ -34,7 +37,7 @@ from projheat.spectrum import (
     dimension_product_form,
     eigenvalue_beta,
 )
-from projheat.theta import _gaussian
+from projheat.theta import KERNEL_EPS, _gaussian
 from projheat.verify import _THETA2, _THETA3, _THETA3_PRINTED, _theta_expansion
 
 
@@ -302,9 +305,15 @@ def _recording_rules(monkeypatch) -> list:
     return seen
 
 
+def _g_weights(n: int, two_nu: int, t: float) -> list[float]:
+    # G's weights (2m+lam) decay(m), over the terms the series keeps at its default eps
+    _, decays, _ = heat._series_weights(n, two_nu, t, KERNEL_EPS)
+    return [(2 * m + n + two_nu) * gauss for m, gauss in enumerate(decays)]
+
+
 def _exact_order(n: int, two_nu: int, t: float) -> int:
     # more than half the integrand's degree 2nu + terms - 1 in sin^2 phi
-    terms = len(heat._gegenbauer_weights(n, two_nu, t)[0])
+    terms = len(_g_weights(n, two_nu, t))
     return (two_nu + terms - 1) // 2 + 1
 
 
@@ -330,9 +339,9 @@ def test_integral_builds_one_rule_of_the_exact_order(pairs, monkeypatch):
 
 def test_integral_whose_sum_underflows_builds_the_minimum_rule(monkeypatch):
     # at t = 1000 and 2nu = 3 every Gegenbauer weight underflows to 0, but the terms
-    # _gegenbauer_weights keeps (8, its minimum) still set the order: (3 + 8 - 1)//2 + 1 = 6
-    weights = heat._gegenbauer_weights(1, 3, 1000.0)[0]
-    assert len(weights) == 8 and not weights.any()
+    # the truncation keeps (8, its minimum) still set the order: (3 + 8 - 1)//2 + 1 = 6
+    weights = _g_weights(1, 3, 1000.0)
+    assert len(weights) == 8 and not any(weights)
     seen = _recording_rules(monkeypatch)
     k = heat_kernel_integral(1, 3, 1000.0, 0.3 + 0.2j, 0.1 - 0.4j)
     assert seen == [6] and (k.value, k.error_bound) == (0.0, 0.0)
@@ -356,9 +365,9 @@ def _heat_form(form: str, n: int, two_nu: int, t: float):
 
 
 def _recording_builds(monkeypatch) -> list:
-    """What heat builds from here on: each rule's order, and each weight vector's arguments."""
+    """What heat builds from here on: each rule's order, and each truncation's arguments."""
     built = []
-    for name in ("midpoint_rule", "_gegenbauer_weights", "_series_weights"):
+    for name in ("midpoint_rule", "_series_weights"):
         monkeypatch.setattr(heat, name, lambda *args, name=name, f=getattr(heat, name):
                             built.append((name, *args)) or f(*args))
     return built
@@ -373,16 +382,16 @@ ROW_BATCHES = [("general", 3, 1, 1e-3), ("classical", 2, 0, 7e-4),
                          ids=["-".join(map(str, batch)) for batch in ROW_BATCHES])
 def test_rows_equal_one_pair_calls_bit_for_bit(monkeypatch, form, n, two_nu, t):
     # a call on rows builds once what a one-pair call builds: the series its weights, an
-    # integral its G and its one rule
+    # integral its G (from the series' truncation at the default eps) and its one rule
     heat_form = _heat_form(form, n, two_nu, t)
     z, w = _row_batch(n)
     built = _recording_builds(monkeypatch)
     rows = heat_form(z, w)
     once = list(built)
     if form == "series":
-        assert [b[0] for b in once] == ["_series_weights"]
+        assert once == [("_series_weights", n, two_nu, t, KERNEL_EPS)]
     else:
-        assert once == [("_gegenbauer_weights", n, two_nu, t),
+        assert once == [("_series_weights", n, two_nu, t, KERNEL_EPS),
                         ("midpoint_rule", _exact_order(n, two_nu, t), 0.0, pi / 2)]
         assert _exact_order(n, two_nu, t) > 16
     assert rows.value.shape == rows.error_bound.shape == (len(z),)
@@ -411,12 +420,11 @@ def _one_pair_bracket(n, two_nu, t, cos_rho, scale):
     # one pair on its own rule of the exact order
     from projheat.orthopoly import gegenbauer_values
 
-    weights, tail = heat._gegenbauer_weights(n, two_nu, t)
+    weights = _g_weights(n, two_nu, t)
     phi, wphi = midpoint_rule(_exact_order(n, two_nu, t), 0.0, pi / 2)
     cvals = gegenbauer_values(2 * (len(weights) - 1), n + two_nu, cos_rho * np.sin(phi))
     g = sum(wm * cm for wm, cm in zip(weights, cvals[0::2]))
-    value = scale * float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
-    return value, len(weights), tail
+    return scale * float(np.sum(wphi * (cos_rho * np.cos(phi)) ** (2 * two_nu) * g))
 
 
 @pytest.mark.parametrize("n,two_nu,t,pairs", [(1, 1, 0.3, 16), (2, 2, 0.05, 16), (3, 0, 0.5, 128)])
@@ -424,11 +432,10 @@ def test_bracket_integral_equals_the_one_pair_loop_bit_for_bit(n, two_nu, t, pai
     rng = np.random.default_rng(n * 10 + two_nu)
     cos_rho = rng.uniform(0.3, 1.0, pairs)
     scale = rng.normal(size=pairs) + 1j * rng.normal(size=pairs)
-    values, terms, tail = heat._bracket_integral(n, two_nu, t, cos_rho, scale)
+    values = heat._bracket_integral(n, two_nu, _g_weights(n, two_nu, t), cos_rho, scale)
     for k in range(pairs):
-        value, terms_k, tail_k = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k])
+        value = _one_pair_bracket(n, two_nu, t, cos_rho[k], scale[k])
         assert values[k:k + 1].tobytes() == np.array([value]).tobytes()
-        assert (terms, tail) == (terms_k, tail_k)
 
 
 @functools.cache
@@ -467,8 +474,8 @@ def test_certified_quadrature_rule_is_exact(n, two_nu, t):
     # few ulps of the argument x = cos rho sin phi, to which G is sensitive near the
     # diagonal (G'/G ~ 1/(2t)). The worst case uses 9.3 of the 64
     cos_rho = np.array([0.9999, 0.5, 0.1])
-    values, _, _ = heat._bracket_integral(n, two_nu, t, cos_rho, 1.0)
-    weights, _ = heat._gegenbauer_weights(n, two_nu, t)
+    weights = _g_weights(n, two_nu, t)
+    values = heat._bracket_integral(n, two_nu, weights, cos_rho, 1.0)
     reference, terms, sensitivity = _bracket_parts(n, two_nu, weights, cos_rho,
                                                    *_reference_rule())
     assert np.all(np.abs(values - reference) <= 64 * 2.0**-53 * (terms + sensitivity))
@@ -622,7 +629,7 @@ def _count_bounds(monkeypatch, evaluated: list):
     monkeypatch.setattr(heat, "terms_needed", counting)
 
 
-# (form, n, 2nu, t) of one weight build
+# (form, n, 2nu, t) of one weight build: the series' weights, or the integral's G
 WEIGHT_BUILDS = [("series", 1, 0, 0.5), ("series", 2, 3, 0.1), ("series", 4, 1, 0.02),
                  ("gegenbauer", 1, 0, 0.5), ("gegenbauer", 2, 3, 0.1), ("gegenbauer", 3, 1, 0.02)]
 
@@ -630,29 +637,169 @@ WEIGHT_BUILDS = [("series", 1, 0, 0.5), ("series", 2, 3, 0.1), ("series", 4, 1, 
 @pytest.mark.parametrize("form,n,two_nu,t", WEIGHT_BUILDS,
                          ids=["-".join(map(str, build)) for build in WEIGHT_BUILDS])
 def test_weights_reuse_each_bound_evaluation(monkeypatch, form, n, two_nu, t):
-    # one coefficient, one sup and one Gaussian per bound evaluated (G's tolerance takes one
-    # more Gaussian, at m = 0), and the weights are coef(m) * decay(m) bit for bit
+    # one Gamma ratio, one sup and one Gaussian per bound evaluated, in one truncation for
+    # both forms; the series' weights are coef(m) * decay(m) and G's (2m+lam) * decay(m),
+    # bit for bit, with G taking its Gaussians from the truncation rather than again
     from projheat.exactnum import pochhammer
-    from projheat.theta import _gaussian
 
-    evaluated, coefs, sups, gaussians = [], [], [], []
+    evaluated, ratios, sups, gaussians, g_weights = [], [], [], [], []
     _count_bounds(monkeypatch, evaluated)
-    build = heat._truncated_weights
-    monkeypatch.setattr(heat, "_truncated_weights", lambda coef, sup, decay, eps: build(
-        lambda m: coefs.append(m) or coef(m), lambda m: sups.append(m) or sup(m), decay, eps))
+    ratio, sup, bracket = heat._gamma_ratio, heat.comb, heat._bracket_integral
+    monkeypatch.setattr(heat, "_gamma_ratio", lambda n, two_nu, m: (
+        ratios.append(m) or ratio(n, two_nu, m)))
+    monkeypatch.setattr(heat, "comb", lambda a, m: sups.append(m) or sup(a, m))
     monkeypatch.setattr(heat, "_gaussian", lambda *args: (
         lambda m: gaussians.append(m) or _gaussian(*args)(m)))
+    monkeypatch.setattr(heat, "_bracket_integral", lambda n, two_nu, weights, *rest: (
+        g_weights.append(weights) or bracket(n, two_nu, weights, *rest)))
     if form == "series":
-        weights, _ = heat._series_weights(n, two_nu, t, 1e-10)
+        weights = heat._series_weights(n, two_nu, t, 1e-10)[0]
         coefficients = [(2 * m + two_nu + n) * float(pochhammer(m + two_nu + 1, n - 1))
                         for m in range(len(weights))]
     else:
-        weights, _ = heat._gegenbauer_weights(n, two_nu, t)
-        weights, coefficients = weights.tolist(), [2 * m + n + two_nu for m in range(len(weights))]
-    assert coefs == sups == evaluated and len(evaluated) > len(weights)
-    assert gaussians == [0] * (form == "gegenbauer") + evaluated
+        terms = heat_kernel_integral(n, two_nu, t, (0.3 + 0.2j,) * n, (0.1 - 0.4j,) * n).terms_used
+        [weights] = g_weights
+        coefficients = [2 * m + n + two_nu for m in range(terms)]
+    assert ratios == sups == gaussians == evaluated and len(evaluated) > len(weights)
     decay = _gaussian(n, two_nu, t)
     assert weights == [c * decay(m) for m, c in enumerate(coefficients)]
+
+
+def _scaled_jacobi(m: int, alpha: int, beta: int, k: int, N: int) -> int:
+    # N^m P_m^{(alpha,beta)}(2c^2 - 1) at c^2 = k/N, in integers: the Jacobi sum
+    # sum_s C(m+alpha, m-s) C(m+beta, s) (c^2-1)^s (c^2)^(m-s)
+    return sum(comb(m + alpha, m - s) * comb(m + beta, s) * (k - N) ** s * k ** (m - s)
+               for s in range(m + 1))
+
+
+def _double_factorial(k: int) -> int:
+    return math.prod(range(k, 0, -2))  # 1 for k <= 0
+
+
+def _exact_constant(n: int, two_nu: int) -> Fraction:
+    # the integral form's constant 2 Gamma(n+2nu) 4^{2nu} (2nu)!/(4nu)!, pi^{n+1} taken out
+    return Fraction(2 * factorial(n + two_nu - 1) * 4**two_nu * factorial(two_nu),
+                    factorial(2 * two_nu))
+
+
+CONSTANT_MUTATIONS = {
+    "(4nu)! as (4nu+1)!": lambda n, tn: _exact_constant(n, tn) / (2 * tn + 1),
+    "Gamma(n+2nu) as Gamma(n+2nu+1)": lambda n, tn: _exact_constant(n, tn) * (n + tn),
+    "4^{2nu} dropped": lambda n, tn: _exact_constant(n, tn) / 4**tn,
+}
+
+
+@functools.cache
+def _term_identity_cases() -> tuple:
+    """(n, 2nu, I, S) on n <= 5, 2nu <= 7, m <= 12, c^2 in {1/3, 2/7, 9/10, 1}, exact.
+
+    I is the integral form's term m over its constant, times pi^{n+1}:
+    int_0^{pi/2} c^{4nu} cos^{4nu} phi C_{2m}^lam(c sin phi) dphi / pi, lam = n + 2nu, from
+    C_{2m}^lam(x) = sum_j (-1)^j (lam)_{2m-j} (2x)^{2m-2j} / (j! (2m-2j)!) and Wallis'
+    int_0^{pi/2} sin^{2k} cos^{2b} = (pi/2) (2k-1)!! (2b-1)!! / (2k+2b)!!. S is the series'
+    term m without its weight, times pi^n: (m+2nu+1)_{n-1} c^{4nu} P_m^{(n-1,2nu)}(2c^2-1).
+    """
+    cases = []
+    for n, two_nu, m, (p, q) in product(range(1, 6), range(8), range(13),
+                                        ((1, 3), (2, 7), (9, 10), (1, 1))):
+        lam, c2 = n + two_nu, Fraction(p, q)
+        integral = sum(Fraction((-1) ** j * math.prod(range(lam, lam + 2 * m - j)) * 4 ** (m - j)
+                                * _double_factorial(2 * (m - j) - 1)
+                                * _double_factorial(2 * two_nu - 1),
+                                factorial(j) * factorial(2 * (m - j))
+                                * 2 * _double_factorial(2 * (m - j) + 2 * two_nu))
+                       * c2 ** (m - j) for j in range(m + 1))
+        series = (math.prod(range(m + two_nu + 1, m + two_nu + n))
+                  * Fraction(_scaled_jacobi(m, n - 1, two_nu, p, q), q**m))
+        cases.append((n, two_nu, c2**two_nu * integral, c2**two_nu * series))
+    return tuple(cases)
+
+
+def _identity_mismatches(constant) -> int:
+    return sum(constant(n, two_nu) * integral != series
+               for n, two_nu, integral, series in _term_identity_cases())
+
+
+def test_integral_term_is_the_series_term_exactly():
+    # the two forms are one sum: term m of the integral form is term m of the series, so one
+    # truncation serves both
+    assert len(_term_identity_cases()) == 2080
+    assert _identity_mismatches(_exact_constant) == 0
+
+
+@pytest.mark.parametrize("mutation", sorted(CONSTANT_MUTATIONS))
+def test_term_identity_fails_a_mutated_constant(mutation):
+    assert _identity_mismatches(CONSTANT_MUTATIONS[mutation]) > 0
+
+
+def test_integral_constants_are_the_exact_one_over_pi_to_the_n_plus_one(monkeypatch):
+    # the float constants heat builds, general and classical, within 4 ulps of the exact
+    # constant of the identity over pi^{n+1}
+    constants = []
+    monkeypatch.setattr(heat, "_integral", lambda *args: constants.append(args[-1]))
+    heat_kernel_integral(1, 0, 0.5, 0j, 0j)
+    heat_kernel_integral_hi(1, 0.5, 0j, 0j)
+    general, classical = constants
+    with mp.workdps(40):
+        for n, two_nu in product(range(1, 6), range(8)):
+            exact = _exact_constant(n, two_nu)
+            reference = float(mp.mpf(exact.numerator) / exact.denominator / mp.pi ** (n + 1))
+            assert abs(general(n, two_nu) - reference) <= 4 * math.ulp(reference)
+            if two_nu == 0:
+                assert abs(classical(n, 0) - reference) <= 4 * math.ulp(reference)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_whole_series_term_is_at_most_its_diagonal_value(n):
+    # the one sup: |c^{2nu} P_m^{(n-1,2nu)}(cos 2d)| <= P_m^{(n-1,2nu)}(1) = comb(m+n-1, m)
+    # (Cauchy-Schwarz on the m-th reproducing kernel), whatever 2nu; checked squared, exactly,
+    # at c^2 = k/32, and attained at d = 0
+    N = 32
+    for two_nu, m in product((0, 1, 3, 10, 100), range(20)):
+        sup = comb(m + n - 1, m)
+        for k in range(N + 1):
+            scaled = _scaled_jacobi(m, n - 1, two_nu, k, N)
+            assert k**two_nu * scaled**2 <= sup**2 * N ** (two_nu + 2 * m)
+        assert scaled == sup * N**m
+
+
+@pytest.mark.parametrize("t", [1e-3, 3e-3, 0.01, 0.05, 0.1, 0.5, 1.0])
+def test_both_forms_keep_the_same_terms_and_report_the_same_bound(t):
+    # one truncation: the integral keeps the terms the series keeps at its default eps, and
+    # both report its bound, the same at every pair
+    for n, two_nu in product(range(1, 5), range(5)):
+        z, w = (0.1 + 0.05j,) * n, (0.2 - 0.1j,) * n
+        series = heat_kernel_series(n, two_nu, t, z, w)
+        forms = [heat_kernel_integral(n, two_nu, t, z, w)]
+        if two_nu == 0:
+            forms.append(heat_kernel_integral_hi(n, t, z, w))
+        for integral in forms:
+            assert (integral.terms_used, integral.error_bound) == (series.terms_used,
+                                                                   series.error_bound)
+        assert heat_kernel_series(n, two_nu, t, z, z).error_bound == series.error_bound
+
+
+@pytest.mark.parametrize("w", [0.3 + 0.2j, 0.305 + 0.2j, 0.32 + 0.21j, 0.1 - 0.4j],
+                         ids=["diagonal", "near", "nearby", "far"])
+def test_series_at_large_two_nu_lies_within_its_bound(w):
+    # the sup comb(m+n-1, m) does not grow with 2nu (comb(m+2nu, m) overflowed binary64
+    # here); on the diagonal the change on truncating 1e4 times tighter is 0.999 of the
+    # bound, so the bound is tight there. Rounding, which the bound leaves out, is allowed
+    z = 0.3 + 0.2j
+    k = heat_kernel_series(1, 1000, 1.5e-4, z, w)
+    ref = heat_kernel_series(1, 1000, 1.5e-4, z, w, eps=1e-14)
+    assert k.terms_used == 47 and cmath.isfinite(k.value)
+    assert abs(k.value - ref.value) <= k.error_bound + 8 * 2.0**-53 * abs(ref.value)
+
+
+@pytest.mark.parametrize("n,two_nu,t", [(2, 0, 1e-3), (3, 2, 0.01), (2, 1, 0.05)])
+def test_series_bound_is_nearly_attained_on_the_diagonal(n, two_nu, t):
+    # on the diagonal every term takes its sup comb(m+n-1, m), so the change on truncating
+    # 1e4 times tighter is within the bound and at least 0.99 of it
+    z = (0.3 + 0.2j,) + (0.1,) * (n - 1)
+    k, ref = heat_kernel_series(n, two_nu, t, z, z), heat_kernel_series(n, two_nu, t, z, z, 1e-14)
+    assert 0.99 * k.error_bound <= abs(k.value - ref.value)
+    assert abs(k.value - ref.value) <= k.error_bound + 8 * 2.0**-53 * abs(ref.value)
 
 
 def test_classical_constant_overflow_is_typed():

@@ -388,22 +388,22 @@ def _heat_checks_one_pair_at_a_time(seed: int) -> list[verify.Check]:
 @pytest.mark.parametrize("seed", [1, 7, 12345])
 def test_heat_suite_integrates_each_cell_in_one_call(monkeypatch, seed):
     # 22 (n, 2nu, t) cells, each integrated in one integral call by one rule of its exact
-    # order (2nu + M - 1)//2 + 1, M the terms of its G, and one weight vector of each kind
+    # order (2nu + M - 1)//2 + 1, M the terms of its G, and two truncations per cell, the
+    # integral's and the series', both at the series' default eps
     from projheat import heat
+    from projheat.theta import KERNEL_EPS
 
-    rules, weights, series_weights = [], [], []
+    rules, truncations = [], []
     monkeypatch.setattr(heat, "midpoint_rule",
                         lambda k, a, b, f=heat.midpoint_rule: rules.append(k) or f(k, a, b))
-    monkeypatch.setattr(heat, "_gegenbauer_weights",
-                        lambda *args, f=heat._gegenbauer_weights: weights.append(args) or f(*args))
     monkeypatch.setattr(heat, "_series_weights",
-                        lambda *args, f=heat._series_weights: series_weights.append(args) or f(*args))
+                        lambda *args, f=heat._series_weights: truncations.append(args) or f(*args))
     checks = verify.run_verify("heat", seed=seed)
     cells = ([(n, tn, t) for n, tn, t in product((1, 2), (0, 1, 2), (0.3, 0.5, 1.0))]
              + [(n, 0, t) for n, t in product((1, 2), (0.3, 1.0))])
-    assert weights == cells and [args[:3] for args in series_weights] == cells
+    assert truncations == [(*cell, KERNEL_EPS) for cell in cells for _ in range(2)]
     monkeypatch.undo()
-    orders = [(tn + len(heat._gegenbauer_weights(n, tn, t)[0]) - 1) // 2 + 1
+    orders = [(tn + len(heat._series_weights(n, tn, t, KERNEL_EPS)[0]) - 1) // 2 + 1
               for n, tn, t in cells]
     assert rules == orders and set(orders) <= set(range(4, 8))
     assert checks == _heat_checks_one_pair_at_a_time(seed)
