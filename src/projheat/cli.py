@@ -156,17 +156,17 @@ def cmd_heat_eval(args):
 
     n, two_nu, t, z, w = args.n, args.two_nu, args.t, args.z, args.w
     payload = {"n": n, "twoNu": two_nu, "t": t, "z": _coords(z), "w": _coords(w)}
-    rows = []
-    if args.method in ("series", "both"):
-        ks = heat_kernel_series(n, two_nu, t, z, w, eps=args.eps)
-        payload["series"] = _kernel_eval_dict(ks)
-        rows.append(["series", ks.value.real, ks.value.imag, ks.terms_used, ks.error_bound])
-    if args.method in ("integral", "both"):
-        ki = heat_kernel_integral(n, two_nu, t, z, w)
-        payload["integral"] = _kernel_eval_dict(ki)
-        rows.append(["integral", ki.value.real, ki.value.imag, ki.terms_used, ki.error_bound])
+    forms = {"series": lambda: heat_kernel_series(n, two_nu, t, z, w, eps=args.eps),
+             "integral": lambda: heat_kernel_integral(n, two_nu, t, z, w)}
+    rows, evals = [], {}
+    for method, form in forms.items():
+        if args.method in (method, "both"):
+            k = evals[method] = form()
+            payload[method] = _kernel_eval_dict(k)
+            rows.append([method, k.value.real, k.value.imag, k.terms_used, k.error_bound])
     if args.method == "both":
-        payload["relDifference"] = abs(ks.value - ki.value) / (1.0 + abs(ks.value))
+        ks, ki = evals["series"].value, evals["integral"].value
+        payload["relDifference"] = abs(ks - ki) / (1.0 + abs(ks))
     return payload, ["method", "re", "im", "terms_used", "error_bound"], rows
 
 

@@ -7,8 +7,8 @@ integrates a Gegenbauer series against the endpoint-substituted weight
 into the smooth (cos rho cos phi)^{4nu} dphi). The inner derivative bracket
 (-1/sin u d/du)^{n+2nu} of the lattice theta sum is always realized through
 its exact Gegenbauer form, never by numerical differentiation. The
-classical nu = 0 integral form shares the general form's driver, and only
-its literal constant differs, so the two constants check each other.
+classical nu = 0 integral form differs from the general form at nu = 0
+only in its literal constant, so the two constants check each other.
 
 The theta sums, the direct trace and the truncation routine live in the
 numpy-free ``theta`` module; this module re-exports them (theta_deriv,
@@ -31,14 +31,21 @@ nodes integrates it exactly. Rounding error is not included. The series
 sum uses math.fsum, the quadrature sum uses np.sum; summation order is
 fixed, so results are reproducible for a given numpy.
 
-Every form takes one time, and also (P, n) arrays of point pairs, which
-share it. The series builds its weights once and sums each pair as a
-one-pair call does. The integral driver builds one Gegenbauer weight
-vector and one midpoint rule, and evaluates every pair on one
-(pairs x nodes) array. The rule's order follows from 2nu and the terms of
-G alone, not from the pair, so each row's value and bound are
-bit-identical to a call on that pair alone. One packer builds the
-KernelEval of every form.
+The rows contract, for every form: z and w are one pair of chart points,
+or two complex ndarrays of shape (P, n), one pair per row, all at the one
+time t. With rows, value and error_bound are shape-(P,) arrays and
+terms_used stays one int. The truncation, the series' Jacobi constants, G
+and the midpoint rule are built once for all rows; the rule's order
+follows from 2nu and the terms of G alone, and the rows are summed term by
+term, so each row's value and bound are bit-identical to the call on that
+row's pair alone.
+
+Every form runs one path, _heat_kernel. Its checks come in one order: the
+time, the labels, the rows, then each pair in row order with its own
+check (an integral form rejects 1 + <z,w> ~ 0 with AntipodalDegenerate);
+then an integral form's constant and each pair's scale const
+conj(q)^{-2nu}, whose overflow raises Binary64Overflow; then the one
+truncation. One packer, _packed, builds the KernelEval of every form.
 
 Everything here is binary64; exact inputs (dimensions, Gamma-quotients)
 are computed in integers or rationals and converted once.
@@ -99,29 +106,10 @@ def heat_kernel_series(n: int, two_nu: int, t: float, z, w,
 
     The e^{4t(nu^2+n^2/4)} prefactor is folded into each term, so every
     exponent is <= 0. error_bound is the tail bound of _series_weights,
-    the same at every pair.
-
-    z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
-    row; the weights and the constants of the Jacobi recurrence are then
-    built once, value and error_bound are shape-(P,) arrays, each entry
-    bit-identical to the call on that row's pair alone, and terms_used stays
-    one int. The recurrence runs on each pair's cos 2d as a Python float,
-    which rounds every operation as numpy's float64 does.
+    the same at every pair. z and w are one pair or (P, n) rows, as the
+    module docstring states.
     """
-    _require_time(t)
-    pt = SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
-    n, two_nu = pt.n, pt.two_nu  # Python ints, so the weights never run in a numpy int
-    pairs, rows = _pairs(z, w)
-    geometry = [point_pair(n, a, b) for a, b in pairs]
-    weights, _, tail = _series_weights(n, two_nu, t, eps)
-    kmax = len(weights) - 1
-    recurrence = _recurrence(kmax, n - 1, two_nu)  # one set of constants for every pair
-    values = []
-    for c2, q in geometry:
-        pvals = _recurrence_values(kmax, recurrence, float(double_angle(c2)))
-        inner = math.fsum(wm * pm for wm, pm in zip(weights, pvals))
-        values.append(complex(q**two_nu / pi**n * inner))
-    return _packed(rows, values, len(weights), [tail / pi**n] * len(values))
+    return _heat_kernel(n, two_nu, t, z, w, eps)
 
 
 def _exact_order(two_nu: int, terms: int) -> int:
@@ -153,13 +141,6 @@ def _bracket_integral(n: int, two_nu: int, weights, cos_rho: np.ndarray, scale) 
     return scale * np.sum(wphi * (c * np.cos(phi)) ** (2 * two_nu) * g, axis=1)
 
 
-def _integral_geometry(n: int, z, w) -> tuple[float, complex]:
-    c2, q = point_pair(n, z, w)
-    if c2 < 1e-20:
-        raise AntipodalDegenerate("1 + <z,w> ~ 0: integral prefactor degenerates")
-    return single_angle(c2), np.conjugate(q)
-
-
 def _pairs(z, w) -> tuple[list, bool]:
     """The (z, w) pairs, and whether z and w came as (P, n) rows.
 
@@ -176,41 +157,56 @@ def _pairs(z, w) -> tuple[list, bool]:
     return (list(zip(z, w)) if rows else [(z, w)]), rows
 
 
-def _packed(rows: bool, values, terms_used, bounds) -> KernelEval:
+def _packed(rows: bool, values, terms_used: int, bound: float) -> KernelEval:
     """One pair's KernelEval, or with rows shape-(P,) value and error_bound arrays."""
     if rows:
         return KernelEval(value=np.array(values, dtype=complex), terms_used=terms_used,
-                          error_bound=np.array(bounds, dtype=float))
-    return KernelEval(value=complex(values[0]), terms_used=terms_used,
-                      error_bound=float(bounds[0]))
+                          error_bound=np.full(len(values), bound))
+    return KernelEval(value=complex(values[0]), terms_used=terms_used, error_bound=bound)
 
 
-def _integral(n: int, two_nu: int, t: float, z, w, what: str, constant) -> KernelEval:
-    """const conj(q)^{-2nu} int_0^{pi/2} (cos rho cos phi)^{4nu} G(u(phi)) dphi, both forms.
+def _heat_kernel(n: int, two_nu: int, t: float, z, w, eps: float,
+                 what: str = "", constant=None) -> KernelEval:
+    """The series, or given constant(n, 2nu) the integral form const conj(q)^{-2nu} int G.
 
-    Checks the time, the labels, the rows and each pair's geometry, in that
-    order; then const = constant(n, 2nu) of the checked labels, whose
-    overflow raises Binary64Overflow naming what. G holds the terms the
-    series keeps at KERNEL_EPS, (2m+n+2nu) decay(m) for m < M, and every
-    pair reports the series' bound.
+    Checks in the module docstring's order; an overflow of the constant or
+    of a pair's scale raises Binary64Overflow naming what. G holds the terms
+    the series keeps at eps, (2m+n+2nu) decay(m) for m < M.
     """
+    integral = constant is not None
     _require_time(t)
     pt = SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     n, two_nu = pt.n, pt.two_nu  # Python ints, so the weights never run in a numpy int
     pairs, rows = _pairs(z, w)
-    geometry = [_integral_geometry(n, a, b) for a, b in pairs]
-    w_factors = [qbar ** (-two_nu) for _, qbar in geometry]  # exactly 1 at nu = 0
-    with binary64_range(what):
-        const = constant(n, two_nu)
-        if not math.isfinite(const):
-            raise OverflowError
+    geometry = []
+    for a, b in pairs:
+        c2, q = point_pair(n, a, b)
+        if integral and c2 < 1e-20:
+            raise AntipodalDegenerate("1 + <z,w> ~ 0: integral prefactor degenerates")
+        geometry.append((c2, q))
+    if integral:
+        with binary64_range(what):
+            const = constant(n, two_nu)
+            with np.errstate(all="ignore"):  # an inf or nan scale raises below, typed
+                scale = np.array([const * np.conjugate(q) ** (-two_nu) for _, q in geometry])
+            if not (math.isfinite(const) and np.isfinite(scale).all()):
+                raise OverflowError
 
-    _, decays, tail = _series_weights(n, two_nu, t, KERNEL_EPS)
-    values = _bracket_integral(
-        n, two_nu, [(2 * m + n + two_nu) * gauss for m, gauss in enumerate(decays)],
-        np.array([cos_rho for cos_rho, _ in geometry]),
-        np.array([const * w_factor for w_factor in w_factors]))
-    return _packed(rows, values, len(decays), [tail / pi**n] * len(pairs))
+    weights, decays, tail = _series_weights(n, two_nu, t, eps)
+    if integral:
+        values = _bracket_integral(
+            n, two_nu, [(2 * m + n + two_nu) * gauss for m, gauss in enumerate(decays)],
+            np.array([single_angle(c2) for c2, _ in geometry]), scale)
+    else:
+        kmax = len(weights) - 1
+        recurrence = _recurrence(kmax, n - 1, two_nu)  # one set of constants for every pair
+        values = []
+        for c2, q in geometry:
+            # cos 2d as a Python float, whose operations round as numpy's float64 do
+            pvals = _recurrence_values(kmax, recurrence, float(double_angle(c2)))
+            inner = math.fsum(wm * pm for wm, pm in zip(weights, pvals))
+            values.append(complex(q**two_nu / pi**n * inner))
+    return _packed(rows, values, len(decays), tail / pi**n)
 
 
 def heat_kernel_integral(n: int, two_nu: int, t: float, z, w) -> KernelEval:
@@ -226,23 +222,18 @@ def heat_kernel_integral(n: int, two_nu: int, t: float, z, w) -> KernelEval:
     heat_kernel_series keeps at its default eps, KERNEL_EPS, and error_bound
     is that call's bound. The integrand is a cosine polynomial of known
     degree, so the one midpoint rule built, of _exact_order's order,
-    integrates it exactly; rounding is not included.
-
-    z and w may also be 2-D complex ndarrays of shape (P, n), one pair per
-    row, all at the one time t: they share its G and its rule. value and
-    error_bound are then shape-(P,) arrays, each entry bit-identical to the
-    call on that row's pair alone (the order depends on 2nu and the time,
-    not the pair), and terms_used stays one int. A degenerate row raises
-    AntipodalDegenerate.
+    integrates it exactly; rounding is not included. z and w are one pair
+    or (P, n) rows, as the module docstring states.
     """
     # at 2nu = 85 the product runs to inf before the quotient brings it to ~3.3
-    return _integral(n, two_nu, t, z, w,
-                     "the integral-form constant 2 Gamma(n+2nu) 4^{2nu} (2nu)!/(4nu)!",
-                     lambda n, two_nu: 2.0
-                     * factorial(n + two_nu - 1)
-                     * 4.0**two_nu
-                     * factorial(two_nu)
-                     / (factorial(2 * two_nu) * pi ** (n + 1)))
+    return _heat_kernel(n, two_nu, t, z, w, KERNEL_EPS,
+                        "the integral-form constant 2 Gamma(n+2nu) 4^{2nu} (2nu)!/(4nu)! "
+                        "times conj(q)^{-2nu}",
+                        lambda n, two_nu: 2.0
+                        * factorial(n + two_nu - 1)
+                        * 4.0**two_nu
+                        * factorial(two_nu)
+                        / (factorial(2 * two_nu) * pi ** (n + 1)))
 
 
 def heat_kernel_integral_hi(n: int, t: float, z, w) -> KernelEval:
@@ -253,11 +244,11 @@ def heat_kernel_integral_hi(n: int, t: float, z, w) -> KernelEval:
     with the derivative bracket replaced by 2^{n-1} (n-1)! times the
     Gegenbauer sum. Kept as a literal transcription so it is a genuinely
     independent check of the general-nu constant at nu = 0. Its one
-    midpoint rule is exact, as in heat_kernel_integral, and z and w may be
-    (P, n) arrays of pairs at the one time t.
+    midpoint rule is exact, as in heat_kernel_integral. z and w are one
+    pair or (P, n) rows, as the module docstring states.
     """
     # weight (cos^2 rho - cos^2 u)^{-1/2} * sin u du == dphi exactly
-    return _integral(n, 0, t, z, w,
-                     "the classical constant 2^{n-1} (n-1)!/(2^{n-2} pi^{n+1})",
-                     lambda n, _: (1.0 / (2.0 ** (n - 2) * pi ** (n + 1)))
-                     * 2.0 ** (n - 1) * factorial(n - 1))
+    return _heat_kernel(n, 0, t, z, w, KERNEL_EPS,
+                        "the classical constant 2^{n-1} (n-1)!/(2^{n-2} pi^{n+1})",
+                        lambda n, _: (1.0 / (2.0 ** (n - 2) * pi ** (n + 1)))
+                        * 2.0 ** (n - 1) * factorial(n - 1))

@@ -271,9 +271,12 @@ _W200 = ",".join(["0.02"] * 200)
     ("trace-compare", "--n", "1", "--nu", "1", "--J", "300", "--t", "0.1"),
     ("trace-compare", "--n", "1", "--nu", "1", "--J", "60", "--t", "1e-6"),
     ("trace-compare", "--n", "200", "--nu", "0", "--J", "0", "--t", "0.001"),
+    # |q| = 1e-5 near the antipode: the pair's scale const conj(q)^{-70} passes binary64
+    ("heat-eval", "--method", "integral", "--n", "1", "--two-nu", "70", "--t", "0.5",
+     "--z", "100000", "--w=-0.00001+0.00001j"),
 ], ids=["integral_constant_2nu86", "integral_constant_2nu85", "kernel_gamma_ratio_n200",
         "series_weight_n200", "trace_compare_coefficient_J300", "trace_compare_scaled_error_t1e-6",
-        "trace_compare_trace_term_n200"])
+        "trace_compare_trace_term_n200", "integral_pair_scale_2nu70"])
 def test_binary64_overflow_exits_2(fresh_cli, argv):
     # a quantity past binary64 is a typed error: one line, no traceback. The run is in
     # a fresh interpreter, as the console script runs, so a warning on the way to the

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import warnings
 from fractions import Fraction
 from itertools import product
 from math import comb, exp, factorial, pi
@@ -541,6 +542,26 @@ def test_series_rows_reject_misshapen_pairs():
             heat_kernel_series(1, 1, 0.5, z, bad_w)
 
 
+@pytest.mark.parametrize("form", ["general", "classical", "series"])
+def test_first_failing_check_names_the_error(form):
+    # the checks run in one order: the time, the labels, the rows, then each pair in row
+    # order with its own check, so of two failing checks the earlier one names the error
+    misshapen = (np.array([[0.3], [0.1]]), np.array([[0.2]]))
+    with pytest.raises(NonPositiveTime):
+        _heat_form(form, 0, 1, -1.0)(0.3, 0.1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        _heat_form(form, 0, 1, 0.5)(*misshapen)
+    # row 0 is antipodal and row 1 holds a NaN: the integral forms check row 0's geometry
+    # before they read row 1; the series has no antipodal check, so row 1 fails it
+    z, w = np.array([[1.0], [math.nan]]), np.array([[-1.0], [0.2]])
+    if form == "series":
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            _heat_form(form, 1, 1, 0.5)(z, w)
+    else:
+        with pytest.raises(AntipodalDegenerate):
+            _heat_form(form, 1, 1, 0.5)(z, w)
+
+
 def test_trace_large_t_limit():
     # only m=0 survives and its exponents cancel exactly at n=1, nu=0
     assert trace_direct(1, 0, 40.0) == pytest.approx(1.0, rel=1e-12)
@@ -736,7 +757,7 @@ def test_integral_constants_are_the_exact_one_over_pi_to_the_n_plus_one(monkeypa
     # the float constants heat builds, general and classical, within 4 ulps of the exact
     # constant of the identity over pi^{n+1}
     constants = []
-    monkeypatch.setattr(heat, "_integral", lambda *args: constants.append(args[-1]))
+    monkeypatch.setattr(heat, "_heat_kernel", lambda *args: constants.append(args[-1]))
     heat_kernel_integral(1, 0, 0.5, 0j, 0j)
     heat_kernel_integral_hi(1, 0.5, 0j, 0j)
     general, classical = constants
@@ -811,6 +832,21 @@ def test_classical_constant_overflow_is_typed():
         heat_kernel_integral_hi(172, 0.5, z, w)
     with pytest.raises(Binary64Overflow, match="integral-form constant"):
         heat_kernel_integral(172, 0, 0.5, z, w)
+
+
+def test_integral_pair_scale_overflow_is_typed():
+    # |q| = 1e-5 near the antipode, so const conj(q)^{-70} passes binary64: a typed error
+    # naming the scale, in a row call too, and no numpy warning on the way
+    from projheat.errors import Binary64Overflow
+
+    z, w = (100000,), (-0.00001 + 0.00001j,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Binary64Overflow, match="conj"):
+            heat_kernel_integral(1, 70, 0.5, z, w)
+        with pytest.raises(Binary64Overflow, match="conj"):
+            heat_kernel_integral(1, 70, 0.5, np.array([[0.3 + 0.2j], z]),
+                                 np.array([[0.1 - 0.4j], w]))
 
 
 def test_trace_term_overflow_is_typed():
