@@ -238,6 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
                            required=True)
         return p
 
+    def add_points(p):
+        """--z and --w; argparse reads a word like -0.1+0.2j as a flag, so such a value needs '='."""
+        for flag in ("--z", "--w"):
+            p.add_argument(flag, type=_point, required=True,
+                           help=f"comma-separated complex coords, e.g. 0.1+0.2j,0.3; give a "
+                                f"value that starts with '-' as {flag}=-0.1+0.2j")
+
     add_command("coeffs", cmd_coeffs, "exact heat coefficients c_i and b_j", "--n", "--nu", "--J")
 
     p = add_command("dims", cmd_dims, "eigenspace dimension table", "--n", "--two-nu")
@@ -247,15 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("kernel", cmd_kernel, "reproducing kernel K_{nu,m}(z,w)",
                     "--n", "--two-nu", "--m")
-    p.add_argument("--z", type=_point, required=True,
-                   help="comma-separated complex coords, e.g. 0.1+0.2j,0.3")
-    p.add_argument("--w", type=_point, required=True)
+    add_points(p)
 
     p = add_command("heat-eval", cmd_heat_eval, "heat kernel by series and/or integral form",
                     "--n", "--two-nu")
     p.add_argument("--t", type=_positive_float("--t"), required=True)
-    p.add_argument("--z", type=_point, required=True)
-    p.add_argument("--w", type=_point, required=True)
+    add_points(p)
     p.add_argument("--method", choices=("series", "integral", "both"), default="both")
     p.add_argument("--eps", type=_positive_float("--eps"), default=KERNEL_EPS,
                    help="the series' truncation tolerance (default %(default)g); the "

@@ -15,29 +15,33 @@ discrepancy reports can show computed-versus-printed values side by side.
 
 Both exact passes are one truncated series product in integers
 (exactnum._Series: integer numerators over one common denominator). The
-tail c_n..c_J is the weighted head times the series of B_{2k}(arg)/k, and
-b_0..b_J is c(x) e^{(n^2/4 + nu^2) x}; each reads one Fraction per
-coefficient, where a term-by-term sum would take O(J n) and O(J^2)
-Fraction operations.
+tail c_n..c_J is the weighted head times the series of beta_k =
+B_{2k}(arg)/k, and b_0..b_J is c(x) e^{(n^2/4 + nu^2) x}. The head and the
+weighted head are read as integers from spectrum._poly_dimension_row, and
+beta's numerators come from exactnum's cached Bernoulli rows by Horner's
+rule, once per table for both the theorem and the printed tails; each pass
+builds one Fraction per coefficient it returns, where a term-by-term sum
+would take O(J n) and O(J^2) Fraction operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, pi
+from math import factorial, lcm, pi
 
 from .errors import Binary64Overflow, UnsupportedN, UnsupportedNu, binary64_range
 from .exactnum import (
     _Series,
+    _bernoulli_row,
+    _homogeneous_horner,
     _integer,
     _rational,
     bernoulli_number,
-    bernoulli_polynomial,
     rational_str,
     theta2_series_coefficient,
 )
-from .spectrum import decompose_multiplicity
+from .spectrum import _poly_dimension_row
 from .theta import _require_time
 
 __all__ = [
@@ -69,30 +73,52 @@ def c_head(gamma) -> list[Fraction]:
     return [gamma[n - 1 - i] * Fraction(factorial(n - 1 - i), factorial(n - 1)) for i in range(n)]
 
 
-def _tail_bernoulli(n: int, nu: int, J: int) -> list[Fraction]:
-    """B_{2k}(arg), k = 1..J, at index k-1: every value the tail i = n..J uses.
+def _tail_beta(n: int, nu: int, J: int) -> _Series:
+    """beta_k = B_{2k}(arg)/k, k = 1..J, with beta_0 = 0: the series the tail multiplies.
 
-    arg is nu + 1/2 for odd n and nu for even n.
+    arg = p/q is nu + 1/2 for odd n and nu for even n. With L_d the common
+    denominator of _bernoulli_row(d), L_d q^{2k} B_{2k}(arg) is the integer
+    _homogeneous_horner(row of 2k, p, q), and L_{2k} divides L_{2J}, so every
+    beta_k is an integer over the one denominator L_{2J} q^{2J} lcm(1..J).
     """
-    arg = Fraction(2 * nu + 1, 2) if n % 2 else Fraction(nu)
-    return [bernoulli_polynomial(2 * k, arg) for k in range(1, J + 1)]
+    p, q = (2 * nu + 1, 2) if n % 2 else (nu, 1)
+    den = _bernoulli_row(2 * J)[1] * q ** (2 * J) * lcm(*range(1, J + 1))
+    nums = [0]
+    for k in range(1, J + 1):
+        row, common = _bernoulli_row(2 * k)
+        nums.append(_homogeneous_horner(row, p, q) * (den // (common * q ** (2 * k) * k)))
+    return _Series(nums, den)
 
 
-def _c_with_tail(n: int, nu: int, J: int, bern: list[Fraction], printed: bool) -> list[Fraction]:
-    """c_0..c_J from the head and the tail recurrence over bern = _tail_bernoulli(n, nu, J).
+def _c_with_tail(n: int, nu: int, J: int, beta: _Series, printed: bool) -> list[Fraction]:
+    """c_0..c_J from the head and the tail recurrence over beta = _tail_beta(n, nu, J).
 
+    With A the integer row of _poly_dimension_row(n, 2nu) and
+    a_q = 4^{n-1-q} A_{n-1-q}, the head is c_q = a_q (n-1-q)!/D, D = 4^{n-1} (n-1)!.
     The tail is one integer series product: c_i, i >= n, is (-1)^{i-n+1}/(i-n)!
     times the x^i coefficient of h(x) beta(x), with the weighted head
-    h_q = c_q/(n-1-q)! (c_q/q! in the printed odd variant), zero past
-    q = n-1, and beta_k = B_{2k}(arg)/k, k >= 1.
+    h_q = c_q/(n-1-q)! = a_q/D (c_q/q! in the printed odd variant), zero past
+    q = n-1. The printed even variant subtracts 2 B_{2k}/k from beta_k.
     """
-    c = c_head(decompose_multiplicity(n, nu).coeffs)[: J + 1]
-    odd = n % 2 == 1
-    if printed and not odd:
-        bern = [v - 2 * bernoulli_number(2 * k) for k, v in enumerate(bern, 1)]
-    weights = [factorial(q if printed and odd else n - 1 - q) for q in range(n)]
-    head = _Series.from_fractions([cq / w for cq, w in zip(c, weights)] + [0] * (J + 1 - n))
-    beta = _Series.from_fractions([0] + [v / k for k, v in enumerate(bern, 1)])
+    row, _ = _poly_dimension_row(n, 2 * nu)
+    den = 4 ** (n - 1) * factorial(n - 1)
+    a = [row[n - 1 - q] * 4 ** (n - 1 - q) for q in range(min(n, J + 1))]
+    c = [Fraction(aq * factorial(n - 1 - q), den) for q, aq in enumerate(a)]
+    if J < n:
+        return c
+    pad = [0] * (J + 1 - n)
+    if printed and n % 2:
+        top = factorial(n - 1)
+        head = _Series([aq * factorial(n - 1 - q) * (top // factorial(q))
+                        for q, aq in enumerate(a)] + pad, den * top)
+    else:
+        head = _Series(a + pad, den)
+    if printed and not n % 2:
+        nums = beta.nums[:1]
+        for k, num in enumerate(beta.nums[1:], 1):
+            b = bernoulli_number(2 * k)
+            nums.append(num - 2 * b.numerator * (beta.den // (b.denominator * k)))
+        beta = _Series(nums, beta.den)
     tail = head * beta
     c.extend(Fraction((-1) ** (i - n + 1) * tail.nums[i], tail.den * factorial(i - n))
              for i in range(n, J + 1))
@@ -107,7 +133,7 @@ def c_coefficients(n: int, nu, J: int, printed: bool = False) -> list[Fraction]:
     used only for discrepancy reporting.
     """
     n, nu, J = _check_args(n, nu, J)
-    return _c_with_tail(n, nu, J, _tail_bernoulli(n, nu, J), printed)
+    return _c_with_tail(n, nu, J, _tail_beta(n, nu, J), printed)
 
 
 def b_from_c(n: int, nu: int, c, base: Fraction | None = None) -> list[tuple[Fraction, int]]:
@@ -225,9 +251,9 @@ def printed_tau_n4(nu: int) -> tuple[Fraction, ...]:
 def heat_coeff_table(n: int, nu, J: int) -> HeatCoeffTable:
     """Assemble the authoritative table plus computed-vs-printed diffs."""
     n, nu_int, J = _check_args(n, nu, J)
-    bern = _tail_bernoulli(n, nu_int, J)
-    c = _c_with_tail(n, nu_int, J, bern, printed=False)
-    published = [(_c_with_tail(n, nu_int, J, bern, printed=True),
+    beta = _tail_beta(n, nu_int, J)  # shared by the theorem and the printed tails
+    c = _c_with_tail(n, nu_int, J, beta, printed=False)
+    published = [(_c_with_tail(n, nu_int, J, beta, printed=True),
                   "theorem tail formula as printed")]
     if n == 4:
         published.append((c_head(printed_tau_n4(nu_int)), "published n=4 head table"))

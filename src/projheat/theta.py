@@ -13,15 +13,22 @@ Every truncation carries a geometric tail bound, and every term is
 positive or bounded by a positive term, so the bound is rigorous up to
 rounding (which is not included). Sums use math.fsum over terms evaluated
 once each, in order of m.
+
+The one cut is _truncate, which pulls the bounds from an iterator:
+terms_needed(bound, eps) is _truncate(map(bound, count()), eps), and
+trace_direct hands it a stream of C-level maps (difference-table
+dimensions times Gaussian weights), so no Python call runs per term. Either
+way the cut evaluates the same bounds, bound(0) through bound(M+2) for a cut
+at M terms, and keeps the same floats.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from itertools import accumulate, repeat
+from itertools import accumulate, count, islice, repeat
 from math import exp
-from operator import sub
+from operator import mul, sub
 
 from .errors import NonPositiveTime, TruncationFailed, binary64_range
 from .exactnum import _integer
@@ -51,29 +58,44 @@ def _require_time(t: float) -> None:
         raise NonPositiveTime(f"t = {t!r}")
 
 
+def _truncate(bounds, eps: float) -> tuple[list[float], float]:
+    """terms_needed's cut over an iterator of the bounds bound(0), bound(1), ...
+
+    It pulls bound(m) in order of m and no further than terms_needed evaluates
+    (through m = M+2 for a cut at M terms), keeping the last three in locals.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    values = list(islice(bounds, _MIN_TERMS + 2))
+    b1, b2 = values[-2:]
+    append = values.append
+    # zip reads the range first: once it runs out, no further bound is pulled
+    for terms, b3 in zip(range(_MIN_TERMS, _MAX_TERMS + 2), bounds):
+        append(b3)
+        if b1 == 0.0:
+            return values[:terms], 0.0
+        r1 = b2 / b1
+        if r1 < 0.9 and (b3 / b2 if b2 > 0 else 0.0) <= r1 * (1 + 1e-12):
+            tail = b1 / (1.0 - r1)
+            if tail < eps:
+                return values[:terms], tail
+        b1, b2 = b2, b3
+    raise TruncationFailed(f"series tail bound not below {eps:g} within {_MAX_TERMS} terms")
+
+
 def terms_needed(bound, eps: float) -> tuple[list[float], float]:
     """The M >= _MIN_TERMS leading bounds whose verified geometric tail is < eps.
 
     bound(m) must dominate |term(m)| and have eventually decreasing ratios.
     The cut requires r = bound(M+1)/bound(M) < 0.9 with the next ratio no
-    larger, then tail <= bound(M)/(1 - r). Each bound(m) is evaluated once,
-    in order of m. Returns ([bound(0), ..., bound(M-1)], tail); raises
+    larger, then tail <= bound(M)/(1 - r); a bound(M) of 0.0 cuts there with
+    tail 0. Each bound(m) is evaluated once, in order of m, through
+    m = M+2. Returns ([bound(0), ..., bound(M-1)], tail); raises
     ValueError unless eps > 0 and TruncationFailed past _MAX_TERMS terms.
+    The loop is _truncate(map(bound, count()), eps), which a caller with a
+    C-level stream of bounds (trace_direct) calls directly.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    values = [bound(m) for m in range(_MIN_TERMS + 2)]
-    for terms in range(_MIN_TERMS, _MAX_TERMS + 2):
-        values.append(bound(terms + 2))
-        b1, b2, b3 = values[terms:]
-        if b1 == 0.0:
-            return values[:terms], 0.0
-        r1, r2 = b2 / b1, (b3 / b2 if b2 > 0 else 0.0)
-        if r1 < 0.9 and r2 <= r1 * (1 + 1e-12):
-            tail = b1 / (1.0 - r1)
-            if tail < eps:
-                return values[:terms], tail
-    raise TruncationFailed(f"series tail bound not below {eps:g} within {_MAX_TERMS} terms")
+    return _truncate(map(bound, count()), eps)
 
 
 def theta_deriv(which: int, p: int, t: float, eps: float = 1e-12) -> float:
@@ -131,14 +153,18 @@ def trace_direct(n: int, two_nu: int, t: float, eps: float = 1e-12) -> float:
 
     Terms are dim(A_m^nu) e^{(t/4)[(n^2+(2nu)^2) - (2m+n+2nu)^2]}; they are
     positive, so the term sequence is its own tail bound, and the sum reads
-    the terms terms_needed evaluated. terms_needed evaluates m = 0, 1, 2, ...
-    once each, in order, so each term takes the next dimension.
+    the terms the cut kept. The terms are one stream of C-level maps, the
+    difference table's dimensions times the Gaussian weights, which
+    _truncate pulls once each in order of m; each float is the one
+    next(dims) * _gaussian(n, two_nu, t/4)(m) would give. Below t ~ 1e-4
+    the sum takes O(1/t) terms: the cut waits for a term ratio under 0.9.
     """
     _require_time(t)
     pt = SpectralPoint(n, two_nu, 0)  # rejects n < 1 and 2nu < 0
     n, two_nu = pt.n, pt.two_nu  # Python ints, so the dimensions never run in int64
-    decay = _gaussian(n, two_nu, t / 4.0)
-    dims = _dimensions(n, two_nu)
+    shift, big = float(two_nu * two_nu + n * n), two_nu + n
+    squares = map(mul, count(big, 2), count(big, 2))  # (2m + 2nu + n)^2, exact ints
+    decays = map(exp, map(mul, repeat(t / 4.0), map(sub, repeat(shift), squares)))
     with binary64_range("a trace term dim(A_m^nu) times its Gaussian weight"):
-        values, _ = terms_needed(lambda m: next(dims) * decay(m), eps)
+        values, _ = _truncate(map(mul, _dimensions(n, two_nu), decays), eps)
     return math.fsum(values)

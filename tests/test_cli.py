@@ -97,6 +97,39 @@ def test_heat_eval_both_methods(capsys):
     assert vs["re"] == pytest.approx(vi["re"], rel=1e-6)
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("kernel", ("--n=1", "--two-nu=2", "--m=1")),
+    ("heat-eval", ("--n=1", "--two-nu=1", "--t=0.5", "--method=series")),
+])
+def test_negative_complex_coordinate_after_equals(capsys, command, flags):
+    # a word like -0.1+0.2j is read as the value only when joined to its flag by '='
+    from projheat.heat import heat_kernel_series
+    from projheat.kernels import reproducing_kernel
+
+    code, out, err = run_cli(capsys, command, *flags, "--z=0.3+0.2j", "--w=-0.1+0.2j")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["w"] == [[-0.1, 0.2]]
+    z, w = (0.3 + 0.2j,), (-0.1 + 0.2j,)
+    k = (reproducing_kernel(1, 2, 1, z, w) if command == "kernel"
+         else heat_kernel_series(1, 1, 0.5, z, w))
+    value = payload["value"] if command == "kernel" else payload["series"]["value"]
+    assert (value["re"], value["im"]) == (k.value.real, k.value.imag)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("kernel", ("--n=1", "--two-nu=2", "--m=1")),
+    ("heat-eval", ("--n=1", "--two-nu=1", "--t=0.5")),
+])
+def test_negative_complex_coordinate_as_a_separate_word_exits_2(fresh_cli, command, flags):
+    # argparse reads the separate word as a flag: a usage error, one error line, no traceback
+    proc = fresh_cli([command, *flags, "--z", "0.3", "--w", "-0.1+0.2j"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and proc.stderr.count("error:") == 1
+    assert proc.stderr.endswith(f"projheat {command}: error: argument --w: "
+                                "expected one argument\n")
+
+
 def test_trace_compare_scaled_column(capsys):
     code, out, _ = run_cli(capsys, "trace-compare", "--n", "1", "--nu", "1",
                            "--J", "6", "--t", "0.1,0.05,0.02")

@@ -6,15 +6,18 @@ entry per file. Every case runs twice: in this process, with whatever the
 earlier tests left in the caches, and in a fresh interpreter (conftest's
 fresh_cli) with cold caches, mpmath blocked and nothing allowed on stderr.
 Refactors must leave every file unchanged. To capture the files again (only
-when an output change is intended):
+when an output change is intended), or to capture only the named cases (a
+new case, without rewriting the others):
 
     PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,9 @@ CASES = {
     # the direct trace's degree-11 difference table over 5364 terms
     "trace_compare_n6_small_t_csv": ["trace-compare", "--n=6", "--nu=3", "--J=8",
                                      "--t=1e-5,3e-4,0.01", "--format=csv"],
+    # n = 1 at small t, whose last bits a changed truncation moves first (the ulp is smallest)
+    "trace_compare_n1_small_t_json": ["trace-compare", "--n=1", "--nu=1", "--J=6",
+                                      "--t=0.01,0.0003,0.000013"],
     "verify_all_json": ["verify"],
     "verify_heat_seed7_csv": ["verify", "--scope=heat", "--seed=7", "--format=csv"],
     "verify_zaremba_seed7_csv": ["verify", "--scope=zaremba", "--seed=7", "--format=csv"],
@@ -120,6 +126,10 @@ def test_each_golden_file_has_one_case():
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"no golden case named {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (GOLDEN / f"{name}.txt").write_text(run(argv))
+    for name in names:
+        (GOLDEN / f"{name}.txt").write_text(run(CASES[name]))

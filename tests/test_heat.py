@@ -7,14 +7,17 @@ import functools
 import math
 import warnings
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
+from unittest import mock
 from math import comb, exp, factorial, pi
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from projheat import heat
+from projheat import heat, theta
 from projheat.errors import (
     AntipodalDegenerate,
     DimensionMismatch,
@@ -82,6 +85,66 @@ def test_terms_needed_geometric_cut(monkeypatch):
     monkeypatch.setattr("projheat.theta._MAX_TERMS", 50)
     with pytest.raises(TruncationFailed):
         terms_needed(lambda m: 1.0, 1e-3)
+
+
+def list_terms_needed(bound, eps):
+    """terms_needed's cut as one loop over a list, verbatim, with the bounds read
+    from theta at call time: the oracle of the streamed core."""
+    _MIN_TERMS, _MAX_TERMS = theta._MIN_TERMS, theta._MAX_TERMS
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    values = [bound(m) for m in range(_MIN_TERMS + 2)]
+    for terms in range(_MIN_TERMS, _MAX_TERMS + 2):
+        values.append(bound(terms + 2))
+        b1, b2, b3 = values[terms:]
+        if b1 == 0.0:
+            return values[:terms], 0.0
+        r1, r2 = b2 / b1, (b3 / b2 if b2 > 0 else 0.0)
+        if r1 < 0.9 and r2 <= r1 * (1 + 1e-12):
+            tail = b1 / (1.0 - r1)
+            if tail < eps:
+                return values[:terms], tail
+    raise TruncationFailed(f"series tail bound not below {eps:g} within {_MAX_TERMS} terms")
+
+
+_poly_gauss = st.builds(  # (m + a)^k e^{-s (m + b)^2}: log-concave, ratios fall to 0
+    lambda a, k, s, b: lambda m: (m + a) ** k * exp(-s * (m + b) ** 2),
+    st.floats(0.5, 20), st.integers(0, 12), st.floats(1e-4, 50), st.floats(-30, 30))
+_geometric = st.builds(  # c r^m, the ratio r from the start
+    lambda c, r: lambda m: c * r**m, st.floats(1e-3, 1e3), st.floats(0.01, 0.99))
+_rising = st.builds(  # c r^m (1+d)^{m^2/2}: each ratio (1+d) times the last, d near 1e-12
+    lambda c, r, d: lambda m: c * r**m * (1 + d) ** (m * m / 2),
+    st.floats(1e-3, 1e3), st.floats(0.01, 0.89), st.floats(0, 1e-11))
+_zero_from = st.builds(  # an exact 0.0 from index z on, before or after _MIN_TERMS
+    lambda bound, z: lambda m: bound(m) if m < z else 0.0,
+    st.one_of(_poly_gauss, _geometric), st.integers(0, 40))
+_zero_at = st.builds(  # one exact 0.0 at index z, positive bounds after it
+    lambda bound, z: lambda m: bound(m) if m != z else 0.0,
+    st.one_of(_poly_gauss, _geometric), st.integers(0, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_poly_gauss, _geometric, _rising, _zero_from, _zero_at), st.floats(1e-300, 1.0),
+       st.one_of(st.none(), st.integers(0, 300)))
+def test_streamed_cut_equals_the_list_loop(bound, eps, max_terms):
+    # the same (values, tail) or the same error, with the same bounds evaluated, in order
+    outcomes = []
+    for cut in (list_terms_needed, lambda f, e: theta._truncate(map(f, count()), e)):
+        seen = []
+
+        def recorded(m, seen=seen):
+            seen.append(m)
+            return bound(m)
+
+        limit = theta._MAX_TERMS if max_terms is None else max_terms
+        with mock.patch.object(theta, "_MAX_TERMS", limit):
+            try:
+                result = cut(recorded, eps)
+            except TruncationFailed as exc:
+                result = str(exc)
+        outcomes.append((result, seen))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == list(range(len(outcomes[0][1])))
 
 
 @pytest.mark.parametrize("itype", [np.int8, np.int16, np.int64])
@@ -614,7 +677,7 @@ def test_trace_direct_dimensions_equal_the_product_form(n):
     # the forward-difference dimensions are the product form's ints: the
     # same truncation and fsum over product-form terms agree bit for bit
     for two_nu in range(9):
-        for t in (1e-5, 1e-3, 0.1):
+        for t in (1e-5, 3e-5, 1e-4, 1e-3, 0.1):
             decay = _gaussian(n, two_nu, t / 4.0)
             values, _ = terms_needed(lambda m: _product_dimension(n, two_nu, m) * decay(m), 1e-12)
             assert trace_direct(n, two_nu, t) == math.fsum(values)

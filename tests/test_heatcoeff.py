@@ -12,6 +12,7 @@ import pytest
 from projheat import heatcoeff
 from projheat.errors import Binary64Overflow, NonPositiveTime, UnsupportedN, UnsupportedNu
 from projheat.exactnum import (
+    _homogeneous_horner,
     bernoulli_number,
     bernoulli_polynomial,
     rational_str,
@@ -41,10 +42,13 @@ def b_from_c_reference(n, nu, c, base=None):
             for j in range(len(c))]
 
 
-def c_with_tail_reference(n, nu, J, bern, printed):
-    """The Fraction definition: the tail recurrence over the head, term by term."""
+def c_with_tail_reference(n, nu, J, printed):
+    """The Fraction definition: the tail recurrence over the head, term by term,
+    with B_{2k}(arg) from bernoulli_polynomial."""
     c = heatcoeff.c_head(decompose_multiplicity(n, nu).coeffs)[: J + 1]
     odd = n % 2 == 1
+    arg = nu + Fraction(1, 2) if odd else Fraction(nu)
+    bern = [bernoulli_polynomial(2 * k, arg) for k in range(1, J + 1)]
     if printed and not odd:
         bern = [v - 2 * bernoulli_number(2 * k) for k, v in enumerate(bern, 1)]
     for i in range(n, J + 1):
@@ -62,18 +66,18 @@ def test_integer_products_equal_the_fraction_definitions(monkeypatch, n):
     # smaller J check where the tail starts and the report's truncation
     for nu in range(5):
         for J in sorted({0, 1, n - 1, n, n + 1, 7, 60}):
-            bern = heatcoeff._tail_bernoulli(n, nu, J)
-            c = c_with_tail_reference(n, nu, J, bern, False)
+            c = c_with_tail_reference(n, nu, J, False)
             assert c_coefficients(n, nu, J) == c
             assert c_coefficients(n, nu, J, printed=True) == c_with_tail_reference(
-                n, nu, J, bern, True)
+                n, nu, J, True)
             assert b_coefficients(n, nu, J) == b_from_c_reference(n, nu, c)
             assert heatcoeff.b_from_c(n, nu, c, Fraction(1, 4)) == b_from_c_reference(
                 n, nu, c, Fraction(1, 4))
             # the table's b is b_from_c of its c, pinned above
             table = heat_coeff_table(n, nu, J)
             with monkeypatch.context() as patch:
-                patch.setattr(heatcoeff, "_c_with_tail", c_with_tail_reference)
+                patch.setattr(heatcoeff, "_c_with_tail", lambda n, nu, J, beta, printed:
+                              c_with_tail_reference(n, nu, J, printed))
                 assert table == heat_coeff_table(n, nu, J)
 
 
@@ -348,18 +352,19 @@ def test_b_rationality_and_scaling():
 @pytest.mark.parametrize("n,nu,J", [(1, 0, 12), (2, 1, 10), (3, 2, 8), (4, 0, 9), (6, 3, 20),
                                     (5, 1, 3)])
 def test_table_evaluates_each_bernoulli_value_once(monkeypatch, n, nu, J):
-    # the theorem and the as-printed tails share one B_{2k}(arg) per k = 1..J
+    # the theorem and the as-printed tails share one B_{2k}(arg) per k = 1..J, each
+    # the Horner sum of one cached Bernoulli row at arg = p/q
     import projheat.heatcoeff
 
     args = []
 
-    def counting(d, x):
-        args.append((d, x))
-        return bernoulli_polynomial(d, x)
+    def counting(row, p, q):
+        args.append((len(row), p, q))
+        return _homogeneous_horner(row, p, q)
 
-    monkeypatch.setattr(projheat.heatcoeff, "bernoulli_polynomial", counting)
+    monkeypatch.setattr(projheat.heatcoeff, "_homogeneous_horner", counting)
     table = heat_coeff_table(n, nu, J)
-    assert len(args) <= J and len(set(args)) == len(args)
+    assert 0 < len(args) <= J and len(set(args)) == len(args)
     assert list(table.c) == c_coefficients(n, nu, J)
 
 
