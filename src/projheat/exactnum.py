@@ -99,8 +99,8 @@ def _homogeneous_horner(row, p: int, q: int) -> int:
     """sum_k row[k] p^{d-k} q^k, d = len(row) - 1, by Horner's rule in p.
 
     The integer q^d f(p/q) of the polynomial f(x) = sum_k row[k] x^{d-k}: on
-    the row of _bernoulli_row(d), L q^d B_d(p/q); in verify's trace suite, a
-    truncated asymptotic sum's numerator.
+    the row of _bernoulli_row(d), L q^d B_d(p/q), which bernoulli_polynomial
+    and heatcoeff's tail series read.
     """
     acc, q_k = 0, 1
     for a in row:

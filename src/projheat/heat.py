@@ -42,7 +42,8 @@ row's pair alone.
 
 Every form runs one path, _heat_kernel. Its checks come in one order: the
 time, the labels, the rows, then each pair in row order with its own
-check (an integral form rejects 1 + <z,w> ~ 0 with AntipodalDegenerate);
+checks (point_pair's Binary64Overflow for a cos^2 d_FS that is not finite;
+an integral form rejects 1 + <z,w> ~ 0 with AntipodalDegenerate);
 then an integral form's constant and each pair's scale const
 conj(q)^{-2nu}, whose overflow raises Binary64Overflow; then the one
 truncation. One packer, _packed, builds the KernelEval of every form.

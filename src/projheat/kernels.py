@@ -17,11 +17,11 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import acos, factorial, pi, prod, sqrt
+from math import acos, factorial, isfinite, nan, pi, prod, sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, binary64_range
+from .errors import Binary64Overflow, DimensionMismatch, IndexOutOfRange, binary64_range
 from .exactnum import _integer
 from .orthopoly import _jacobi_plan, jacobi
 from .quadrature import radial_mu1_rule
@@ -107,17 +107,24 @@ def point_pair(n: int, z, w) -> tuple[np.float64, np.complex128]:
     cos^2 d_FS = |1+<z,w>|^2 / ((1+|z|^2)(1+|w|^2)) and
     q = (1+<z,w>) / sqrt((1+|z|^2)(1+|w|^2)), so |q| = cos d_FS.
 
-    The pairings are Python complex (herm); 1+<z,w> becomes one numpy
-    complex128, so the modulus, its square and the divisions are numpy's
-    scalar operations, and both results are numpy scalars. A coordinate too
-    large for binary64 products gives inf or nan with numpy's warning, never
-    an OverflowError.
+    The pairings are Python complex (herm). cos^2 d_FS is computed in Python
+    floats, whose abs, ** and / round as numpy's scalar operations do; q is
+    one numpy complex128 1+<z,w> over a Python float. Both results are numpy
+    scalars. Where the coordinates square past binary64 and cos^2 d_FS is not
+    finite, raises Binary64Overflow, with no warning; a finite cos^2 d_FS has
+    a finite |1+<z,w>|, so q is finite too.
     """
     z, w = as_point(z), as_point(w)
     if len(z) != n or len(w) != n:
         raise DimensionMismatch(f"expected dimension {n}, got {len(z)} and {len(w)}")
-    az, aw, num = 1.0 + herm(z, z).real, 1.0 + herm(w, w).real, np.complex128(1.0 + herm(z, w))
-    return abs(num) ** 2 / (az * aw), num / sqrt(az * aw)
+    az, aw, num = 1.0 + herm(z, z).real, 1.0 + herm(w, w).real, 1.0 + herm(z, w)
+    try:
+        c2 = abs(num) ** 2 / (az * aw)
+    except OverflowError:  # Python's abs and ** raise where numpy's would warn
+        c2 = nan
+    if not isfinite(c2):
+        raise Binary64Overflow("the pair's cos^2 d_FS exceeds the binary64 range")
+    return np.float64(c2), np.complex128(num) / sqrt(az * aw)
 
 
 def single_angle(c2) -> float:

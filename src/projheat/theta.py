@@ -120,7 +120,8 @@ def theta_deriv(which: int, p: int, t: float, eps: float = 1e-12) -> float:
 
     else:
         raise ValueError("which must be 2 or 3")
-    values, _ = terms_needed(term, eps)
+    with binary64_range("a theta-derivative term's power of the lattice point"):
+        values, _ = terms_needed(term, eps)
     return math.fsum(values)
 
 

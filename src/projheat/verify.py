@@ -28,28 +28,28 @@ sampler reads a stream buffered 256 floats at a time (_normals).
 The exact suites use integer arithmetic wherever a Fraction is not needed:
 the dimension forms divide integers exactly, the Bernoulli polynomials sum
 a cached integer row, the brute-force power sums add integers over 2^q.
-The trace suite sums each (n, nu, t) once (_trace_exact), in Python ints:
-the direct trace in fixed point to 203 bits (60 digits), with a written
-error bound (_trace_direct_exact, _exp_units), and the expansion exactly,
-pi cancelling, at J = 4, 6, 8, as Horner numerators over one common
-denominator per (n, nu). Each reported float is one int / int division,
-rounded once, as float() of its Fraction would be. The binary64 check's
-references are the direct and J = 6 sums, each rounded once, so its detail
-names a 60-digit reference; they equal a 40-digit mpmath pass's floats bit
-for bit (a test pins it). The check keeps the name the goldens hold,
+The trace suite sums each (n, nu, t) once (_trace_exact), in stdlib decimal:
+the direct trace to 203 bits (60 digits) with a written error bound, from one
+correctly rounded exp and the recurrence's products, in one context sized
+up front (_trace_direct_exact); and the expansion, pi cancelling, at
+J = 4, 6, 8, by Horner's rule in a 70-digit context. Each reported float
+is one float() of a decimal. The binary64 check's references are the
+direct and J = 6 sums, each rounded once, so its detail names a 60-digit
+reference; they equal a 40-digit mpmath pass's floats bit for bit (a test
+pins it). The check keeps the name the goldens hold,
 trace.binary64_vs_mp, though no mpmath number is left in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from math import factorial, isnan, nan
+from math import ceil, factorial, isnan, log, log10, nan, sqrt
 
 from .exactnum import (
-    _Series,
-    _homogeneous_horner,
     _integer,
     bernoulli_number,
     bernoulli_polynomial,
@@ -318,26 +318,15 @@ def suite_heat(seed: int) -> list[Check]:
 
 # ---------------------------------------------------------------- trace
 
-def _exp_units(y: Fraction, bits: int) -> int:
-    """e^y in units of 2^-bits, for a rational y <= 0, off by less than 2 units.
-
-    The Taylor series of e^{-y}, whose terms are all positive, is summed in
-    integers in units of 2^-(bits+16), each term truncated from the last,
-    until one truncates to 0; then one integer reciprocal, shifted right by
-    16. Each of the K truncations loses less than 1 unit, which the later
-    terms carry forward by less than a factor e^{-y}, so the sum falls short
-    by less than K e^{-y} units and its reciprocal exceeds e^y by less than
-    about K units. With the reciprocal's and the shift's truncations, the
-    result is off by less than 1 + K 2^-16 units: less than 2 for K < 2^16.
-    """
-    p, q = -y.numerator, y.denominator
-    unit = 1 << (bits + 16)
-    term, total, k = unit, unit, 0
-    while term:
-        k += 1
-        term = term * p // (q * k)
-        total += term
-    return (unit * unit // total) >> 16
+def _power(x: Decimal, k: int) -> Decimal:
+    """x^k, k >= 0, by square-and-multiply in the current context: at most k - 1 roundings."""
+    result = Decimal(1)
+    while k:
+        if k & 1:
+            result *= x
+        x *= x
+        k >>= 1
+    return result
 
 
 def _trace_direct_exact(n: int, two_nu: int, t: Fraction, prec: int = 203) -> Fraction:
@@ -347,42 +336,45 @@ def _trace_direct_exact(n: int, two_nu: int, t: Fraction, prec: int = 203) -> Fr
     e_{m+1} = e_m g_m and g_{m+1} = g_m e^{-2t}, from g_0 = e^{-(n+2nu+1)t}.
     The dimensions come from the parity decomposition's integer row
     (spectrum._poly_dimension_row) by spectrum._poly_numerator, R = 2m+n+2nu,
-    so this reference shares no step with trace_direct's product form.
+    so this reference shares no step with trace_direct's product form. The
+    sum stops at the first m >= 8 whose term is below 10^-(d+10) of the
+    total, d = ceil(prec log10 2), and is returned unrounded.
 
-    The sum runs in fixed point: e_0, g_0 and e^{-2t}, each at most 1, are
-    converted once to integers in units of 2^-P (_exp_units), each product
-    is truncated back by >> P, and the total is one integer, returned
-    unrounded as total / 2^P. A conversion is off by less than 2 units and
-    a truncation by less than 1, so g_m is off by at most 3m + 2 units and
-    e_m by at most 2(m+1)^2; over K terms whose largest dimension is D (the
-    last, since dimensions grow with m) the total is off by at most 2 K^3 D
-    units. P is prec plus guard bits; when 2 K^3 D 2^prec exceeds the total,
-    the sum is redone with the guard raised by the shortfall, so the result
-    is within 2^-prec of the cut sum, relative.
+    The error: in a decimal context of P digits each +, *, / and exp rounds
+    once, correctly, by at most eps = 10^(1-P)/2, relative. e_m = u^{E_m},
+    u = e^{-t/2}, E_m = 2m(m+n+2nu) + n 2nu; one exp of the rounded -t/2 puts
+    u within a factor (1+eps) e^{eps t/2} of it. _power gives e_0, g_0 and
+    e^{-2t} = u^4 (the C module's ** is only "almost always correctly
+    rounded"), and any product of them, the recurrence's too, carries at most
+    E_m - 1 roundings; the dimension's product adds one, and the K additions
+    of a cut at K at most K. The terms are positive, so the total is within
+    2 eps W, W = E_K (2 + t/2) + K, of the cut sum, relative. The cut comes
+    by the first m >= 8 with t m^2 >= (d+11) ln 10 + (2n-1) ln R_m, where
+    dim_m <= R_m^{2n-1}, dim_0 >= 1 and E_m - E_0 >= 2m^2 put the term below
+    10^-(d+11) of the first. W (roundings) is taken at that m, before the
+    sum, and P = d + 1 + digits(W), so 2 eps W <= 10^-d <= 2^-prec.
     """
     row, den = _poly_dimension_row(n, two_nu)
     big_r0 = n + two_nu
-    exponents = (Fraction(n * n + two_nu * two_nu - big_r0 * big_r0, 4), -(big_r0 + 1), -2)
-    cut = 1 << (prec + 34)
-    guard = 64 + int(n * two_nu * t)  # n 2nu t bits cover e_0 = e^{-n nu t}
-    while True:
-        bits = prec + guard
-        gauss, step, ratio = (_exp_units(x * t, bits) for x in exponents)
-        total, big_r, m = 0, big_r0, 0
+    digits, t_float, last = ceil(prec * log10(2)), float(t), 8
+    lead = (digits + 11) * log(10)
+    while (k := ceil(sqrt((lead + (2 * n - 1) * log(2 * last + big_r0)) / t_float))) > last:
+        last = k
+    roundings = ceil((2 * last * (last + big_r0) + n * two_nu) * (2 + t_float / 2)) + last
+    with localcontext(Context(prec=digits + len(str(roundings)) + 1)):
+        u = (Decimal(-t.numerator) / (2 * t.denominator)).exp()
+        gauss, step, ratio = (_power(u, k) for k in (n * two_nu, 2 * (big_r0 + 1), 4))
+        cut = Decimal(f"1e{digits + 10}")
+        total, big_r, m = Decimal(0), big_r0, 0
         while True:
-            dim = _poly_numerator(row, big_r) // den
-            term = dim * gauss
+            term = _poly_numerator(row, big_r) // den * gauss
             total += term
-            if m >= 8 and term * cut <= total:  # <=: a total of 0 stops, and is redone
-                break
-            gauss = gauss * step >> bits
-            step = step * ratio >> bits
+            if m >= 8 and term * cut <= total:
+                return Fraction(total)
+            gauss *= step
+            step *= ratio
             big_r += 2
             m += 1
-        slack = 2 * (m + 1) ** 3 * dim << prec
-        if slack <= total:
-            return Fraction(total, 1 << bits)
-        guard += slack.bit_length() - total.bit_length() + 1
 
 
 _TRACE_GRID = ((1, 0), (1, 1), (2, 0), (2, 1), (3, 0))  # (n, nu)
@@ -392,43 +384,39 @@ _BINARY64_TIMES = (0.1, 0.05)  # where trace.binary64_vs_mp compares, at J = 6
 
 
 def _trace_exact() -> tuple[dict, dict]:
-    """The trace suite's one exact pass: scaled errors and binary64 references.
+    """The trace suite's one pass: scaled errors and binary64 references.
 
-    Each (n, nu, t) of _TRACE_GRID x _TRACE_TIMES is summed once, t = p/q the
-    binary64 time read exactly (q a power of 2): the direct trace D to 203
-    bits, and S_J (4t)^n = sum_{j<=J} f_j t^j exactly (b_j = f_j pi^n, so pi
-    cancels against S_J's (4 pi t)^{-n}). The sums run in integers: with L
-    the lcm of the f_j's denominators and a_j = L f_j, the numerator
-    N_J = sum_{j<=J} a_j p^j q^{J-j} of S_J (4t)^n = N_J / (L q^J) is
-    exactnum's homogeneous Horner sum of a_0..a_J at (q, p), for
-    J = 4, 6, 8. Each reported float is one int / int true division, which
-    rounds the exact quotient once, as float() of its Fraction does; J + 1 > n
-    on the grid, so the errors' t^{J+1-n} is p^k / q^k with k > 0.
+    Each (n, nu, t) of _TRACE_GRID x _TRACE_TIMES is summed once, t the
+    binary64 time read exactly: the direct trace D to 203 bits, and
+    S_J = sum_{j<=J} f_j t^j / (4t)^n (b_j = f_j pi^n, so pi cancels against
+    S_J's (4 pi t)^{-n}) by Horner's rule, for J = 4, 6, 8, at 70 digits.
+    D - S_J cancels at most ~22 digits, so each reported float, one float()
+    of a decimal, is the float of the exact value unless that lies within
+    ~10^-45 of a rounding boundary (a test pins them equal).
     Returns the scaled errors |D - S_J| t^n / t^{J+1} keyed by (n, nu, J), one
     per t, without the check's factor (4 pi)^n: it cancels in every ratio of
     one key's values, the only figure suite_trace reports. And the references
     (float(D), float(S_6)) keyed by (n, nu, t) for t in _BINARY64_TIMES.
     """
     errors, refs = {}, {}
-    for n, nu in _TRACE_GRID:
-        scaled = _Series.from_fractions(
-            [factor for factor, _ in b_coefficients(n, nu, max(_TRACE_ORDERS))])
-        rows = {J: [] for J in _TRACE_ORDERS}
-        for t_float in _TRACE_TIMES:
-            p, q = t_float.as_integer_ratio()
-            direct = _trace_direct_exact(n, 2 * nu, Fraction(p, q))
-            # a NaN reference has no integer ratio: its errors are NaN, and FAIL the check
-            d_num, d_den = direct.as_integer_ratio() if direct == direct else (0, 0)
-            for J, row in rows.items():
-                # S_J = N_J q^n / (L q^J 4^n p^n), and the error is over t^{J+1-n} = p^k/q^k
-                s_num = _homogeneous_horner(scaled.nums[:J + 1], q, p) * q**n
-                s_den = scaled.den * q**J * 4**n * p**n
-                k = J + 1 - n
-                diff = abs(d_num * s_den - s_num * d_den)
-                row.append(diff * q**k / (d_den * s_den * p**k) if d_den else nan)
-                if J == 6 and t_float in _BINARY64_TIMES:
-                    refs[n, nu, t_float] = float(direct), s_num / s_den
-        errors.update(((n, nu, J), vals) for J, vals in rows.items())
+    with localcontext(Context(prec=70)):
+        for n, nu in _TRACE_GRID:
+            factors = [Decimal(f.numerator) / f.denominator
+                       for f, _ in b_coefficients(n, nu, max(_TRACE_ORDERS))]
+            rows = {J: [] for J in _TRACE_ORDERS}
+            for t_float in _TRACE_TIMES:
+                direct = _trace_direct_exact(n, 2 * nu, Fraction(t_float))
+                # a NaN reference gives NaN errors, which FAIL the check
+                d = (Decimal(direct.numerator) / direct.denominator if direct == direct
+                     else Decimal(nan))
+                t = Decimal(t_float)
+                scale = _power(4 * t, n)
+                for J, row in rows.items():
+                    s = reduce(lambda acc, f: acc * t + f, reversed(factors[:J + 1])) / scale
+                    row.append(float(abs(d - s) / _power(t, J + 1 - n)))
+                    if J == 6 and t_float in _BINARY64_TIMES:
+                        refs[n, nu, t_float] = float(d), float(s)
+            errors.update(((n, nu, J), vals) for J, vals in rows.items())
     return errors, refs
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from projheat import heat, theta
 from projheat.errors import (
     AntipodalDegenerate,
+    Binary64Overflow,
     DimensionMismatch,
     NonPositiveTime,
     TruncationFailed,
@@ -219,6 +220,13 @@ def test_theta3_printed_sign_is_wrong():
     exact = theta_deriv(3, 0, t, eps=1e-14)
     printed, _ = _theta_expansion(*_THETA3_PRINTED, 0, t, 6)
     assert abs(exact - printed) > 0.3
+
+
+@pytest.mark.parametrize("which", [2, 3])
+def test_theta_deriv_overflow_is_typed(which):
+    # at p = 200 a term's power of its lattice point passes binary64 within a few terms
+    with pytest.raises(Binary64Overflow, match="theta-derivative term"):
+        theta_deriv(which, 200, 1e-3)
 
 
 def test_big_theta_derivative_chain():

@@ -355,6 +355,21 @@ def test_kernel_errors_keep_their_order():
             reproducing_kernel(200, 0, 0, full, full)
 
 
+def test_pair_geometry_past_binary64_is_typed():
+    # coordinates that square past binary64 leave cos^2 d_FS inf or nan: a typed error and
+    # no numpy warning (the test run makes a RuntimeWarning an error). A cos^2 d_FS that
+    # underflows to 0 is finite, and stays
+    big, huge = (1e200,), (1e100,)
+    for call in (lambda: reproducing_kernel(1, 3, 2, big, big),
+                 lambda: heat_kernel_series(1, 1, 0.5, big, big),
+                 lambda: point_pair(1, huge, huge)):
+        with pytest.raises(Binary64Overflow, match="cos\\^2 d_FS"):
+            call()
+    c2, q = point_pair(1, big, (0j,))
+    assert (c2, q) == (0.0, 0j) and type(c2) is np.float64 and type(q) is np.complex128
+    assert reproducing_kernel(1, 3, 2, big, (0j,)).value == 0j
+
+
 def _zaremba_per_k(two_nu: int, m: int, z: complex, w: complex):
     """zaremba_sum_n1 as it was: monopole_basis at z and at w, one k at a time."""
     total = 0j

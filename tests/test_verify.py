@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import FRESH_CLI, run_fresh
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
@@ -91,14 +92,13 @@ def _termwise_trace(n: int, two_nu: int, t: str, dps: int) -> mpf:
             m += 1
 
 
-# (8, 4, 0.001) needs more guard bits than the first pass takes, so it is summed twice;
-# at t = 20 the fixed-point e_0 = e^{-40} needs the guard's n 2nu t bits, and the
-# Taylor series of e^{100} (_exp_units) runs to ~300 terms
-FIXED_POINT_CASES = [(1, 0, "0.1"), (3, 0, "0.01"), (2, 3, "0.05"), (8, 4, "0.001"),
-                     (2, 2, "20")]
+# (8, 4, 0.001) and (1, 0, 0.0001) sum ~440 and ~1300 terms at 60 digits, so their last
+# e_m carry the most roundings; at t = 20 and t = 5 the first Gaussian is e^{-40} and e^{-120}
+TRACE_REFERENCE_CASES = [(1, 0, "0.1"), (3, 0, "0.01"), (2, 3, "0.05"), (8, 4, "0.001"),
+                         (2, 2, "20"), (6, 8, "5"), (1, 0, "0.0001")]
 
 
-@pytest.mark.parametrize("n,two_nu,t", FIXED_POINT_CASES)
+@pytest.mark.parametrize("n,two_nu,t", TRACE_REFERENCE_CASES)
 @pytest.mark.parametrize("dps", [40, 60, 80])
 def test_fixed_point_trace_within_its_precision_of_a_sum_20_digits_higher(dps, n, two_nu, t):
     # at mpmath's working precision in bits for dps digits (203 at 60)
@@ -108,27 +108,15 @@ def test_fixed_point_trace_within_its_precision_of_a_sum_20_digits_higher(dps, n
         assert abs(_mpf(got) - reference) <= reference * mpf(10) ** -dps
 
 
-def test_fixed_point_trace_redoes_a_sum_whose_guard_falls_short(monkeypatch):
-    # each pass converts its three exponentials once, at the pass's bits
-    calls = []
-    exp_units = verify._exp_units
-    monkeypatch.setattr(verify, "_exp_units",
-                        lambda y, bits: calls.append(bits) or exp_units(y, bits))
-    verify._trace_direct_exact(8, 4, Fraction("0.001"))
-    assert len(calls) == 6 and calls[:3] == [calls[0]] * 3 and calls[3:] == [calls[3]] * 3
-    assert calls[3] > calls[0]
-    calls.clear()
-    verify._trace_direct_exact(1, 2, Fraction("0.1"))
-    assert len(calls) == 3
-
-
-@pytest.mark.parametrize("y", [Fraction(0), Fraction(-1, 10), Fraction(-3, 5), Fraction(0.02) * -17,
-                               Fraction(-40), Fraction(-100)])
-@pytest.mark.parametrize("bits", [136, 269])
-def test_exp_units_within_2_units(y, bits):
-    got = verify._exp_units(y, bits)
-    with mp.workprec(bits + 64):
-        assert abs(mpf(got) - mp.ldexp(mp.exp(_mpf(y)), bits)) < 2
+def test_trace_suite_prints_the_same_bytes_under_pure_python_decimal():
+    # with the C module _decimal blocked, decimal is CPython's _pydecimal: the same output
+    # shows the trace reference leans on no rounding that only libmpdec gives
+    argv = ["verify", "--scope", "trace"]
+    pure = run_fresh("import sys; sys.modules['_decimal'] = None; import decimal, _pydecimal; "
+                     "assert decimal.Decimal is _pydecimal.Decimal; " + FRESH_CLI, argv)
+    native = run_fresh(FRESH_CLI, argv)
+    assert (pure.returncode, pure.stderr) == (native.returncode, native.stderr) == (0, "")
+    assert pure.stdout == native.stdout and "trace.binary64_vs_mp" in pure.stdout
 
 
 def _mpf_loop_trace(n: int, two_nu: int, t: mpf) -> mpf:
@@ -240,8 +228,8 @@ def _trace_fraction_pass() -> tuple[dict, dict]:
 
 
 def test_trace_integer_sums_are_the_fraction_pass_bit_for_bit(trace_pass):
-    # the Horner numerators over one lcm, and one int/int division per float, give the
-    # Fraction pass's errors and references bit for bit, keys in its order
+    # the decimal sums, each float one float() of a decimal, give the Fraction pass's
+    # errors and references bit for bit, keys in its order
     def bits(table):
         return [(key, [float.hex(x) for x in vals]) for key, vals in table.items()]
 
