@@ -275,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "--n", "--nu", "--J")
     p.add_argument("--t", type=_times, required=True,
                    help="comma-separated times, e.g. 0.1,0.05,0.02")
-    p.add_argument("--eps", type=_positive_float("--eps"), default=1e-12)
+    p.add_argument("--eps", type=_positive_float("--eps"), default=1e-12,
+                   help="the direct sum stops at an absolute tail below EPS (default "
+                        "%(default)g), or sooner at a tail too small to show in its binary64 "
+                        "value, which is the same value")
 
     p = add_command("verify", cmd_verify, "run cross-representation verification suites")
     p.add_argument("--scope", choices=("all", *SCOPE_NAMES), default="all")

@@ -21,7 +21,7 @@ from math import acos, factorial, isfinite, nan, pi, prod, sqrt
 
 import numpy as np
 
-from .errors import Binary64Overflow, DimensionMismatch, IndexOutOfRange, binary64_range
+from .errors import DimensionMismatch, IndexOutOfRange, binary64_range
 from .exactnum import _integer
 from .orthopoly import _jacobi_plan, jacobi
 from .quadrature import radial_mu1_rule
@@ -111,8 +111,12 @@ def point_pair(n: int, z, w) -> tuple[np.float64, np.complex128]:
     floats, whose abs, ** and / round as numpy's scalar operations do; q is
     one numpy complex128 1+<z,w> over a Python float. Both results are numpy
     scalars. Where the coordinates square past binary64 and cos^2 d_FS is not
-    finite, raises Binary64Overflow, with no warning; a finite cos^2 d_FS has
-    a finite |1+<z,w>|, so q is finite too.
+    finite, each point is first divided by its largest coordinate part a
+    (or 1, if that is larger): with z = a z', 1+|z|^2 = a^2 (1/a^2 + |z'|^2)
+    and 1+<z,w> = a b (1/(ab) + <z',w'>), and a^2 b^2 cancels from both
+    results. Then 1/a^2 + |z'|^2 >= 1 and |<z',w'>| <= 2n, so both are
+    finite, with no warning; a finite pair never takes this branch, and
+    keeps its bits.
     """
     z, w = as_point(z), as_point(w)
     if len(z) != n or len(w) != n:
@@ -123,8 +127,17 @@ def point_pair(n: int, z, w) -> tuple[np.float64, np.complex128]:
     except OverflowError:  # Python's abs and ** raise where numpy's would warn
         c2 = nan
     if not isfinite(c2):
-        raise Binary64Overflow("the pair's cos^2 d_FS exceeds the binary64 range")
+        a, b = _largest_part(z), _largest_part(w)
+        z, w = tuple(c / a for c in z), tuple(c / b for c in w)
+        az, aw = 1.0 / a / a + herm(z, z).real, 1.0 / b / b + herm(w, w).real
+        num = 1.0 / a / b + herm(z, w)
+        c2 = abs(num) ** 2 / (az * aw)
     return np.float64(c2), np.complex128(num) / sqrt(az * aw)
+
+
+def _largest_part(z: ProjPoint) -> float:
+    """The largest |Re| or |Im| of a point's coordinates, or 1.0 if that is larger."""
+    return max(1.0, *(max(abs(c.real), abs(c.imag)) for c in z))
 
 
 def single_angle(c2) -> float:

@@ -307,14 +307,9 @@ _W200 = ",".join(["0.02"] * 200)
     # |q| = 1e-5 near the antipode: the pair's scale const conj(q)^{-70} passes binary64
     ("heat-eval", "--method", "integral", "--n", "1", "--two-nu", "70", "--t", "0.5",
      "--z", "100000", "--w=-0.00001+0.00001j"),
-    # |z|^2 and <z,w> pass binary64, so cos^2 d_FS is nan: the pair, not the constant
-    ("kernel", "--n=1", "--two-nu=3", "--m=2", "--z=1e200", "--w=1e200"),
-    ("heat-eval", "--n=1", "--two-nu=1", "--t=0.5", "--z=1e200", "--w=1e200",
-     "--method=integral"),
 ], ids=["integral_constant_2nu86", "integral_constant_2nu85", "kernel_gamma_ratio_n200",
         "series_weight_n200", "trace_compare_coefficient_J300", "trace_compare_scaled_error_t1e-6",
-        "trace_compare_trace_term_n200", "integral_pair_scale_2nu70", "kernel_pair_geometry_1e200",
-        "integral_pair_geometry_1e200"])
+        "trace_compare_trace_term_n200", "integral_pair_scale_2nu70"])
 def test_binary64_overflow_exits_2(fresh_cli, argv):
     # a quantity past binary64 is a typed error: one line, no traceback. The run is in
     # a fresh interpreter, as the console script runs, so a warning on the way to the
@@ -324,6 +319,22 @@ def test_binary64_overflow_exits_2(fresh_cli, argv):
     err = proc.stderr
     assert err.startswith("projheat: error: ") and err.count("\n") == 1
     assert err.endswith("exceeds the binary64 range\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--n=1", "--two-nu=3", "--m=2"),
+    ("heat-eval", "--n=1", "--two-nu=1", "--t=0.5", "--method=integral"),
+], ids=["kernel_pair_geometry_1e200", "integral_pair_geometry_1e200"])
+def test_far_chart_points_are_valued(fresh_cli, argv):
+    # |z|^2 and <z,w> pass binary64 at z = w = 1e200, so point_pair divides each point by
+    # its largest coordinate first: one point twice is at distance 0, and a kernel's value
+    # on the diagonal is the same at every point. In a fresh interpreter, with no warning
+    far, origin = (fresh_cli([*argv, "--z=1e200", "--w=1e200"]),
+                   fresh_cli([*argv, "--z=0", "--w=0"]))
+    assert (far.returncode, far.stderr) == (origin.returncode, origin.stderr) == (0, "")
+    values = [{k: v for k, v in json.loads(proc.stdout).items() if k not in ("z", "w")}
+              for proc in (far, origin)]
+    assert values[0] == values[1]
 
 
 def test_heat_eval_rejects_huge_node_count(capsys, monkeypatch):

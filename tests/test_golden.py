@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,8 @@ import pytest
 
 from conftest import run_fresh
 from projheat.cli import main
+from projheat.spectrum import _product_dimension
+from projheat.theta import _gaussian
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,6 +77,10 @@ CASES = {
     # n = 1 at small t, whose last bits a changed truncation moves first (the ulp is smallest)
     "trace_compare_n1_small_t_json": ["trace-compare", "--n=1", "--nu=1", "--J=6",
                                       "--t=0.01,0.0003,0.000013"],
+    # t = 1e-8, where the 0.9-ratio cut alone runs past its 200 000 terms: the direct sum
+    # stops near m = 63 750, once its tail cannot change the binary64 result
+    "trace_compare_n1_t1e8_csv": ["trace-compare", "--n=1", "--nu=0", "--J=4", "--t=1e-8",
+                                  "--format=csv"],
     "verify_all_json": ["verify"],
     "verify_heat_seed7_csv": ["verify", "--scope=heat", "--seed=7", "--format=csv"],
     "verify_zaremba_seed7_csv": ["verify", "--scope=zaremba", "--seed=7", "--format=csv"],
@@ -118,6 +125,16 @@ def test_python_dash_m_projheat_cli_prints_what_python_dash_m_projheat_prints():
              for module in ("projheat.cli", "projheat")]
     assert [(p.returncode, p.stderr) for p in procs] == [(0, "")] * 2
     assert procs[0].stdout == procs[1].stdout and '"scope": "dims"' in procs[0].stdout
+
+
+def test_t_1e8_direct_is_the_fsum_of_a_70000_term_prefix():
+    # the golden's direct trace against the sum written out: past m = 70 000 each term is
+    # below 1e-16, under a 1.5e-8 ulp of the trace
+    header, row = (GOLDEN / "trace_compare_n1_t1e8_csv.txt").read_text().splitlines()[1:]
+    assert header.split(",")[:2] == ["t", "direct"]
+    decay = _gaussian(1, 0, 1e-8 / 4.0)
+    prefix = math.fsum(_product_dimension(1, 0, m) * decay(m) for m in range(70_000))
+    assert float(row.split(",")[1]) == prefix
 
 
 def test_each_golden_file_has_one_case():

@@ -23,7 +23,9 @@ from projheat.errors import (
     Binary64Overflow,
     DimensionMismatch,
     NonPositiveTime,
+    ProjheatError,
     TruncationFailed,
+    binary64_range,
 )
 from projheat.heat import (
     heat_kernel_integral,
@@ -146,6 +148,69 @@ def test_streamed_cut_equals_the_list_loop(bound, eps, max_terms):
         outcomes.append((result, seen))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == list(range(len(outcomes[0][1])))
+
+
+def _theta_term(which: int, p: int, t: float):
+    """theta_deriv's term j -> float, the same expression, so the same floats."""
+    if which == 2:
+        def term(j):
+            h = j + 0.5
+            return (2 * j + 1) * h ** (2 * p) * exp(-h * h * t)
+    else:
+        def term(j):
+            l = j + 1
+            return 2.0 * float(l) ** (2 * p + 1) * exp(-l * l * t)
+    return term
+
+
+def _bits(call):
+    """A sum's float as hex, or the type of the error it raised."""
+    try:
+        with binary64_range("a term"):
+            return call().hex()
+    except ProjheatError as exc:
+        return type(exc)
+
+
+_SMALL_TO_LARGE_T = st.floats(-6.0, 1.0).map(lambda e: 10.0**e)  # log-uniform in [1e-6, 10]
+_SUM_EPS = st.sampled_from([1e-15, 1e-12, 1e-9, 1e-3, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 12), _SMALL_TO_LARGE_T, _SUM_EPS)
+def test_trace_direct_is_the_fsum_of_the_list_loops_cut(n, two_nu, t, eps):
+    # the early exit changes no bit: the list loop has no early exit and sums what the
+    # 0.9-ratio cut keeps, over the product form's terms (the stream's floats)
+    decay = _gaussian(n, two_nu, t / 4.0)
+
+    def term(m):
+        return _product_dimension(n, two_nu, m) * decay(m)
+
+    assert _bits(lambda: trace_direct(n, two_nu, t, eps)) == \
+        _bits(lambda: math.fsum(list_terms_needed(term, eps)[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 20), _SMALL_TO_LARGE_T, _SUM_EPS)
+def test_theta_deriv_is_the_fsum_of_the_list_loops_cut(which, p, t, eps):
+    assert _bits(lambda: theta_deriv(which, p, t, eps)) == \
+        _bits(lambda: math.fsum(list_terms_needed(_theta_term(which, p, t), eps)[0]))
+
+
+@pytest.mark.parametrize("n,two_nu,most", [(1, 0, 2100), (6, 2, 2600)])
+def test_trace_direct_pulls_few_terms_at_small_t(monkeypatch, n, two_nu, most):
+    # at t = 1e-5 the 0.9-ratio cut alone pulls 5280 and 5369 terms; the early exit stops
+    # once the tail cannot change the binary64 sum
+    pulled, dimensions = [], theta._dimensions
+
+    def counted(n, two_nu):
+        return map(lambda d: pulled.append(d) or d, dimensions(n, two_nu))
+
+    monkeypatch.setattr(theta, "_dimensions", counted)
+    value = trace_direct(n, two_nu, 1e-5)
+    assert 0 < len(pulled) <= most
+    decay = _gaussian(n, two_nu, 1e-5 / 4.0)
+    assert value == math.fsum(_product_dimension(n, two_nu, m) * decay(m) for m in range(6000))
 
 
 @pytest.mark.parametrize("itype", [np.int8, np.int16, np.int64])

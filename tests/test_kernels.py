@@ -356,18 +356,57 @@ def test_kernel_errors_keep_their_order():
 
 
 def test_pair_geometry_past_binary64_is_typed():
-    # coordinates that square past binary64 leave cos^2 d_FS inf or nan: a typed error and
-    # no numpy warning (the test run makes a RuntimeWarning an error). A cos^2 d_FS that
-    # underflows to 0 is finite, and stays
+    # coordinates that square past binary64 are divided by their largest part first, so the
+    # pair is valued, in numpy's types and with no warning (the test run makes a
+    # RuntimeWarning an error). One point twice is at distance 0, where the kernel's
+    # diagonal is dim n!/pi^n and the heat kernel's is the same at every point. A
+    # cos^2 d_FS that underflows to 0 is finite, and stays
     big, huge = (1e200,), (1e100,)
-    for call in (lambda: reproducing_kernel(1, 3, 2, big, big),
-                 lambda: heat_kernel_series(1, 1, 0.5, big, big),
-                 lambda: point_pair(1, huge, huge)):
-        with pytest.raises(Binary64Overflow, match="cos\\^2 d_FS"):
-            call()
+    for point in (big, huge):
+        c2, q = point_pair(1, point, point)
+        assert (c2, q) == (1.0, 1 + 0j) and type(c2) is np.float64 and type(q) is np.complex128
+    dim = dimension_product_form(SpectralPoint(1, 3, 2))
+    assert reproducing_kernel(1, 3, 2, big, big).value == dim * factorial(1) / pi
+    assert heat_kernel_series(1, 1, 0.5, big, big).value == \
+        heat_kernel_series(1, 1, 0.5, (0j,), (0j,)).value
     c2, q = point_pair(1, big, (0j,))
     assert (c2, q) == (0.0, 0j) and type(c2) is np.float64 and type(q) is np.complex128
     assert reproducing_kernel(1, 3, 2, big, (0j,)).value == 0j
+
+
+def _fraction_pair(z, w):
+    """cos^2 d_FS and 1+<z,w> in exact Fractions of the float coordinates."""
+    def pairing(a, b):
+        re = sum(Fraction(x.real) * Fraction(y.real) + Fraction(x.imag) * Fraction(y.imag)
+                 for x, y in zip(a, b))
+        im = sum(Fraction(x.imag) * Fraction(y.real) - Fraction(x.real) * Fraction(y.imag)
+                 for x, y in zip(a, b))
+        return re, im
+
+    (zz, _), (ww, _), (re, im) = pairing(z, z), pairing(w, w), pairing(z, w)
+    re += 1
+    return (re * re + im * im) / ((1 + zz) * (1 + ww)), re, im
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_far_pair_geometry_is_the_fraction_geometry(n):
+    # pairs whose 1+<z,w> overflows, w near a multiple of z: the rescaled c2 is within a few
+    # ulps of the exact one, and q has its modulus sqrt(c2) and the phase of 1+<z,w>
+    rng = np.random.default_rng(7 + n)
+    for _ in range(100):
+        z = [complex(a, b) * 10.0 ** rng.uniform(155, 300) for a, b in rng.normal(0, 1, (n, 2))]
+        turn = complex(*rng.normal(0, 1, 2))
+        w = [c * turn + complex(a, b) * abs(c) * rng.uniform(0, 2)
+             for c, (a, b) in zip(z, rng.normal(0, 1, (n, 2)))]
+        c2, q = point_pair(n, z, w)
+        exact, re, im = _fraction_pair(z, w)
+        assert abs(Fraction(float(c2)) - exact) <= Fraction(1e-14) * exact
+        assert abs(abs(q) ** 2 - exact) <= 1e-14 * exact
+        qre, qim = Fraction(q.real), Fraction(q.imag)
+        # q conj(1+<z,w>) is real and positive when their phases agree
+        tol = Fraction(1e-14) * (abs(qre) + abs(qim)) * (abs(re) + abs(im))
+        assert abs(qim * re - qre * im) <= tol
+        assert qre * re + qim * im > 0
 
 
 def _zaremba_per_k(two_nu: int, m: int, z: complex, w: complex):
